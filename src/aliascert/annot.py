@@ -71,7 +71,7 @@ class UnifyMismatch(AnnotError):
 # towers and offset sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finite:
     """Nested frame sizes, current frame first."""
 
@@ -87,7 +87,7 @@ class Finite:
         return "[" + ",".join(str(f) for f in self.frames) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rep:
     """Indefinitely repeating tower of one step size (a string pointer)."""
 
@@ -104,7 +104,7 @@ class Rep:
 Tower = Union[Finite, Rep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Offsets:
     """A concrete set of byte offsets written through the value."""
 
@@ -114,7 +114,7 @@ class Offsets:
         return "{" + ",".join(str(k) for k in sorted(self.members)) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetVar:
     """A formal stand-in for an unknown set of offsets."""
 
@@ -137,7 +137,7 @@ def offsets(*ks: int) -> Offsets:
 # annotated types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Calc:
     """A calculated value: frame tower plus written offsets."""
 
@@ -148,7 +148,7 @@ class Calc:
         return f"c^{self.tower}" + _offs_suffix(self.offs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Uncalc:
     """An uncalculated value: opaque pointer to `size` bytes."""
 
@@ -159,7 +159,7 @@ class Uncalc:
         return f"u^{self.size}" + _offs_suffix(self.offs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeVar:
     name: str
 
@@ -192,10 +192,6 @@ def uncalc(size: int, offs: Iterable[int] = ()) -> Uncalc:
 
 C0 = calc(0)
 U0 = uncalc(0)
-
-
-def is_ground(t: AnnotatedType) -> bool:
-    return not isinstance(t, TypeVar) and not isinstance(t.offs, SetVar)
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +245,8 @@ def record_write(t: AnnotatedType, k: int, w: int = WORD) -> AnnotatedType:
         raise OutOfBounds(k, bound, w)
     if isinstance(t.offs, SetVar):
         raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
+    if k in t.offs.members:
+        return t
     new = Offsets(t.offs.members | {k})
     if isinstance(t, Uncalc):
         return Uncalc(t.size, new)

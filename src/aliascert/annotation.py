@@ -8,7 +8,8 @@ type records as written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 from .annot import (
     AnnotatedType,
@@ -22,11 +23,30 @@ from .annot import (
 from .isa import reg_name
 
 
-@dataclass(frozen=True)
+Pairs = tuple[tuple[int, AnnotatedType], ...]  # sorted by index, one per index
+
+
+def _first(pair: tuple[int, AnnotatedType]) -> int:
+    return pair[0]
+
+
+def _put(pairs: Pairs, k: int, t: AnnotatedType) -> Pairs:
+    """``pairs`` with ``k`` bound to ``t``: the one pair is replaced or
+    inserted in order, and every other pair object is shared.  Binding
+    ``k`` to the object it already holds returns ``pairs`` itself."""
+    i = bisect_left(pairs, k, key=_first)
+    if i < len(pairs) and pairs[i][0] == k:
+        if pairs[i][1] is t:
+            return pairs
+        return pairs[:i] + ((k, t),) + pairs[i + 1:]
+    return pairs[:i] + ((k, t),) + pairs[i:]
+
+
+@dataclass(frozen=True, slots=True)
 class Annotation:
     star: int | None = None
-    regs: tuple[tuple[int, AnnotatedType], ...] = ()
-    slots: tuple[tuple[int, AnnotatedType], ...] = ()
+    regs: Pairs = ()
+    slots: Pairs = ()
 
     # -- construction helpers ------------------------------------------------
 
@@ -78,22 +98,25 @@ class Annotation:
         return self.reg(self.star) if self.star is not None else None
 
     # -- functional updates ---------------------------------------------------
+    # An update copies the tuple it changes and shares every other pair, so
+    # the annotations along a path hold one new pair per step; an update
+    # that changes nothing returns the annotation itself.
 
     def set_reg(self, r: int, t: AnnotatedType) -> "Annotation":
-        m = self.reg_map()
-        m[r] = t
-        return Annotation(self.star, tuple(sorted(m.items())), self.slots)
+        regs = _put(self.regs, r, t)
+        return self if regs is self.regs else Annotation(self.star, regs, self.slots)
 
     def set_star(self, r: int | None) -> "Annotation":
         return Annotation(r, self.regs, self.slots)
 
     def set_slot(self, k: int, t: AnnotatedType) -> "Annotation":
-        m = self.slot_map()
-        m[k] = t
-        return Annotation(self.star, self.regs, tuple(sorted(m.items())))
+        slots = _put(self.slots, k, t)
+        return self if slots is self.slots else Annotation(self.star, self.regs, slots)
 
-    def with_slots(self, slots: dict[int, AnnotatedType]) -> "Annotation":
-        return Annotation(self.star, self.regs, tuple(sorted(slots.items())))
+    def with_slots(self, slots: Pairs = ()) -> "Annotation":
+        """The same registers with ``slots``, sorted pairs such as another
+        annotation's ``slots``."""
+        return Annotation(self.star, self.regs, slots)
 
     def prune_slots(self, keep: frozenset[int]) -> "Annotation":
         return Annotation(self.star, self.regs,

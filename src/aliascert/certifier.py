@@ -8,6 +8,21 @@ Subroutine calls certify the callee per call site in a fresh theory,
 under the convention that a routine builds and destroys its own frame and
 hands the stack pointer back in the register it arrived in, with an empty
 frame.
+
+The search over one routine is a loop, not a recursion, so its cost is
+linear in the instructions it visits and its depth is not bounded by
+Python's stack (only call nesting recurses, once per routine on the call
+chain).  A visit with readings still untried opens a *choice* on a
+stack, holding the state to restore: the search state and a mark into
+an undo *journal*.  The routine's rows live in one mutable map; while a
+choice is open, the journal lists the addresses inserted since, and a
+failed reading takes the map back to the choice's mark.  A branch walks
+its target first and leaves its fall-through pending; once the target
+side has ended, the choices opened there are settled, so a failure on the
+fall-through goes back to the branch and beyond, exactly as a recursive
+search that returned from the target would.  Readings are tried in
+``raw_alternatives`` order, so the first theory found and the deepest
+failure reported are those of that recursive search.
 """
 
 from __future__ import annotations
@@ -18,7 +33,6 @@ from dataclasses import dataclass, field
 from .annot import C0, U0, Calc, Rep, Subst, UnifyMismatch, Uncalc, apply_subst
 from .annotation import Annotation, unify_annotations
 from .disasm import (
-    ARRAY_ACCESS,
     BYTE_OPS,
     READ_OPS,
     STACK_ACCESS,
@@ -26,7 +40,7 @@ from .disasm import (
     WRITE_OPS,
     raw_alternatives,
 )
-from .isa import RA, ZERO, Instruction, Program, reg_name
+from .isa import RA, ZERO, Program, reg_name
 from .smallstep import PatternMismatch, apply_smallstep
 
 BYTE_POLICIES = ("forbid", "small-structs", "permissive")
@@ -54,7 +68,7 @@ class CertError(Exception):
         self.failure = failure
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     pre: Annotation
     chosen: StackInstr
@@ -125,6 +139,191 @@ def entry_annotation_for(program: Program, label: str) -> Annotation:
     return Annotation.make(star=assumed.star, regs=regs, slots=assumed.slot_map())
 
 
+@dataclass(slots=True)
+class _Choice:
+    """A visit with readings still untried, and the search state to restore
+    before trying the next one."""
+
+    addr: int
+    ann: Annotation
+    alts: list[StackInstr]
+    next: int                     # index of the next reading to try
+    last_err: CertError | None
+    mark: int                     # journal length when the visit began
+    subst: Subst
+    exit_ann: Annotation | None
+    pending: tuple | None
+
+
+class _Walk:
+    """The search over one routine under one entry annotation.
+
+    ``rows`` is the one map of the routine's theory; while a choice is
+    open, ``journal`` lists the addresses inserted since, so a failed
+    reading takes ``rows`` back to the choice's mark.  ``pending`` is a
+    linked list ``(addr, ann, height, rest)`` of branch fall-throughs still
+    to walk, each with the height of ``choices`` at its branch.
+    """
+
+    __slots__ = ("engine", "program", "call_stack", "rows", "journal", "choices",
+                 "subst", "exit_ann", "pending")
+
+    def __init__(self, engine: "_Engine", call_stack: tuple[int, ...]):
+        self.engine = engine
+        self.program = engine.program
+        self.call_stack = call_stack
+        self.rows: dict[int, Row] = {}
+        self.journal: list[int] = []
+        self.choices: list[_Choice] = []
+        self.subst: Subst = {}
+        self.exit_ann: Annotation | None = None
+        self.pending: tuple | None = None
+
+    def run(self, addr: int, ann: Annotation) -> None:
+        """Walk from ``addr`` under ``ann`` until every path has ended;
+        raises the :class:`CertError` that ends the last open choice."""
+        while True:
+            try:
+                step = self._visit(addr, ann) or self._next_pending()
+            except CertError as e:
+                err = e
+            else:
+                if step is None:
+                    return
+                addr, ann = step
+                continue
+            addr, ann = self._backtrack(err)
+
+    def _visit(self, addr: int, ann: Annotation):
+        """Arrive at ``addr``; returns where the path goes next, or None
+        when it ends here."""
+        if self.subst:
+            ann = ann.substituted(self.subst)
+        rows = self.rows
+        row = rows.get(addr)
+        if row is not None:
+            # convergence: a revisited address must carry the same annotation
+            try:
+                self.subst = unify_annotations(row.pre, ann, self.subst)
+            except UnifyMismatch as e:
+                label = self.program.label_at(addr)
+                raise self.engine._record(len(rows), Failure(
+                    addr, None, "AnnotationMismatch",
+                    f"join at {label or hex(addr)}: {e} "
+                    f"(recorded: {row.pre}; incoming: {ann})"))
+            return None
+
+        instr = self.program.instruction_at(addr)
+        if instr is None:
+            raise self.engine._record(len(rows), Failure(
+                addr, None, "NoInstruction", "control flow left the code segment"))
+        alts = raw_alternatives(instr, ann.star, self.program.blobs)
+        alts = [s for s in alts if self.engine._policy_allows(s, ann)]
+        return self._choose(addr, ann, alts, 0, None)
+
+    def _choose(self, addr: int, ann: Annotation, alts: list[StackInstr], i: int,
+                last_err: CertError | None):
+        """Take the first reading from ``alts[i:]`` whose own step succeeds,
+        leaving a choice open when readings remain after it."""
+        reasons: list[str] = []
+        choices = self.choices
+        while i < len(alts):
+            s = alts[i]
+            i += 1
+            if i < len(alts):
+                choices.append(_Choice(addr, ann, alts, i, last_err, len(self.journal),
+                                       self.subst, self.exit_ann, self.pending))
+            try:
+                return self._take(addr, ann, s)
+            except PatternMismatch as e:
+                reasons.append(str(e))
+            except CertError as e:
+                last_err = e
+            if i < len(alts):
+                self._undo(choices.pop().mark)
+        if last_err is not None:
+            raise last_err
+        detail = "; ".join(reasons) if reasons else "no stack-machine reading exists"
+        instr = self.program.instruction_at(addr)
+        raise self.engine._record(len(self.rows), Failure(addr, str(instr), "NoDisassembly",
+                                                          detail))
+
+    def _take(self, addr: int, ann: Annotation, s: StackInstr):
+        """Apply reading ``s`` at ``addr`` and record its row; returns where
+        the path goes next, or None when it ends here."""
+        op = s.op
+        rows = self.rows
+        if op == "gosub":
+            post, callee_key = self.engine._handle_call(addr, s, ann, len(rows), self.subst,
+                                                        self.call_stack)
+            self._insert(addr, Row(ann, s, post, callee=callee_key))
+            return addr + 4, post
+
+        if op == "return":
+            t = ann.reg(s.rd)
+            if t is not None:
+                t = apply_subst(t, self.subst)
+            if t != U0:
+                raise self.engine._record(len(rows), Failure(
+                    addr, str(s), "ReturnRegisterNotU0",
+                    f"{reg_name(s.rd)} holds {t}, not a return address"))
+            self._insert(addr, Row(ann, s, ann))
+            if self.exit_ann is None:
+                self.exit_ann = ann
+                return None
+            try:
+                self.subst = unify_annotations(self.exit_ann, ann, self.subst)
+            except UnifyMismatch as e:
+                raise self.engine._record(len(rows), Failure(
+                    addr, str(s), "AnnotationMismatch", f"exit annotations differ: {e}"))
+            return None
+
+        post = apply_smallstep(s, ann)  # may raise PatternMismatch
+        self._insert(addr, Row(ann, s, post))
+        if op == "goto":
+            return self.program.resolve(s.target), post
+        if op in ("ifnz", "ifeq"):
+            # the branch target first; the fall-through once it has ended
+            self.pending = (addr + 4, post, len(self.choices), self.pending)
+            return self.program.resolve(s.target), post
+        return addr + 4, post
+
+    def _insert(self, addr: int, row: Row) -> None:
+        self.rows[addr] = row
+        if self.choices:
+            self.journal.append(addr)
+
+    def _undo(self, mark: int) -> None:
+        rows, journal = self.rows, self.journal
+        while len(journal) > mark:
+            del rows[journal.pop()]
+
+    def _next_pending(self):
+        """Resume the latest pending fall-through.  The choices opened on
+        the branch's target side are settled: a failure on the
+        fall-through goes back to the branch, not into that side."""
+        if self.pending is None:
+            return None
+        addr, ann, height, self.pending = self.pending
+        del self.choices[height:]
+        if not self.choices:
+            self.journal.clear()
+        return addr, ann
+
+    def _backtrack(self, err: CertError):
+        """Hand ``err`` to the latest open choice and try its next reading;
+        raises ``err`` when no choice is left."""
+        while self.choices:
+            c = self.choices.pop()
+            self._undo(c.mark)
+            self.subst, self.exit_ann, self.pending = c.subst, c.exit_ann, c.pending
+            try:
+                return self._choose(c.addr, c.ann, c.alts, c.next, err)
+            except CertError as e:
+                err = e
+        raise err
+
+
 class _Engine:
     def __init__(self, program: Program, policy: str):
         if policy not in BYTE_POLICIES:
@@ -153,12 +352,13 @@ class _Engine:
                 raise hit
             return hit
         label = self.program.label_at(entry_addr) or f"0x{entry_addr:08x}"
+        walk = _Walk(self, call_stack + (entry_addr,))
         try:
-            rows, subst, exit_ann = self._walk(entry_addr, entry, {}, {}, None,
-                                               call_stack + (entry_addr,))
+            walk.run(entry_addr, entry)
         except CertError as e:
             self.memo[key] = e
             raise
+        rows, subst, exit_ann = walk.rows, walk.subst, walk.exit_ann
         if subst:
             rows = {a: Row(r.pre.substituted(subst), r.chosen,
                            r.post.substituted(subst), r.callee)
@@ -172,147 +372,68 @@ class _Engine:
         self.memo[key] = cert
         return cert
 
-    def _walk(self, addr: int, ann: Annotation, rows: dict, subst: Subst,
-              exit_ann: Annotation | None, call_stack: tuple[int, ...]):
-        """Certify from ``addr`` under ``ann``; returns (rows, subst, exit)."""
-        if subst:
-            ann = ann.substituted(subst)
-        if addr in rows:
-            # convergence: a revisited address must carry the same annotation
-            try:
-                subst = unify_annotations(rows[addr].pre, ann, subst)
-            except UnifyMismatch as e:
-                label = self.program.label_at(addr)
-                raise self._record(len(rows), Failure(
-                    addr, None, "AnnotationMismatch",
-                    f"join at {label or hex(addr)}: {e} "
-                    f"(recorded: {rows[addr].pre}; incoming: {ann})"))
-            return rows, subst, exit_ann
-
-        instr = self.program.instruction_at(addr)
-        if instr is None:
-            raise self._record(len(rows), Failure(
-                addr, None, "NoInstruction", "control flow left the code segment"))
-
-        alts = raw_alternatives(instr, ann.star, self.program.blobs)
-        alts = [s for s in alts if self._policy_allows(s, ann)]
-        reasons: list[str] = []
-        last_err: CertError | None = None
-        for s in alts:
-            try:
-                result = self._try_alternative(s, instr, addr, ann, rows, subst,
-                                               exit_ann, call_stack)
-            except PatternMismatch as e:
-                reasons.append(str(e))
-                continue
-            except CertError as e:
-                last_err = e
-                continue
-            return result
-        if last_err is not None:
-            raise last_err
-        detail = "; ".join(reasons) if reasons else "no stack-machine reading exists"
-        raise self._record(len(rows), Failure(addr, str(instr), "NoDisassembly", detail))
-
-    def _try_alternative(self, s: StackInstr, instr: Instruction, addr: int,
-                         ann: Annotation, rows: dict, subst: Subst,
-                         exit_ann: Annotation | None, call_stack: tuple[int, ...]):
-        op = s.op
-        rows = dict(rows)
-
-        if op == "gosub":
-            post, callee_key = self._handle_call(addr, s, ann, rows, subst, call_stack)
-            rows[addr] = Row(ann, s, post, callee=callee_key)
-            return self._walk(addr + 4, post, rows, subst, exit_ann, call_stack)
-
-        if op == "return":
-            t = ann.reg(s.rd)
-            if t is not None:
-                t = apply_subst(t, subst)
-            if t != U0:
-                raise self._record(len(rows), Failure(
-                    addr, str(s), "ReturnRegisterNotU0",
-                    f"{reg_name(s.rd)} holds {t}, not a return address"))
-            rows[addr] = Row(ann, s, ann)
-            if exit_ann is None:
-                return rows, subst, ann
-            try:
-                subst = unify_annotations(exit_ann, ann, subst)
-            except UnifyMismatch as e:
-                raise self._record(len(rows), Failure(
-                    addr, str(s), "AnnotationMismatch", f"exit annotations differ: {e}"))
-            return rows, subst, exit_ann
-
-        post = apply_smallstep(s, ann)  # may raise PatternMismatch
-        rows[addr] = Row(ann, s, post)
-
-        if op == "goto":
-            return self._walk(self.program.resolve(s.target), post, rows, subst,
-                              exit_ann, call_stack)
-        if op in ("ifnz", "ifeq"):
-            rows, subst, exit_ann = self._walk(self.program.resolve(s.target), post,
-                                               rows, subst, exit_ann, call_stack)
-            return self._walk(addr + 4, post, rows, subst, exit_ann, call_stack)
-        return self._walk(addr + 4, post, rows, subst, exit_ann, call_stack)
-
     # -- the refined calling convention ---------------------------------------
 
     def _handle_call(self, site: int, s: StackInstr, ann: Annotation,
-                     rows: dict, subst: Subst, call_stack: tuple[int, ...]):
+                     depth: int, subst: Subst, call_stack: tuple[int, ...]):
         star = ann.star
         caller_star_type = ann.star_type()
         callee_addr = self.program.resolve(s.target)
         label = s.target if isinstance(s.target, str) else (
             self.program.label_at(callee_addr) or hex(callee_addr))
         if callee_addr in call_stack:
-            raise self._record(len(rows), Failure(
+            raise self._record(depth, Failure(
                 site, str(s), "RecursionUnsupported",
                 f"call cycle through {label}"))
         # the callee sees the caller's registers, a fresh return address, and
         # an empty local frame in the same stack-pointer register
-        entry = ann.set_reg(RA, U0).set_reg(star, C0).with_slots({})
+        entry = ann.set_reg(RA, U0).set_reg(star, C0).with_slots()
         if subst:
             entry = entry.substituted(subst)
         try:
             cert = self.certify_routine(callee_addr, entry, call_stack)
         except CertError as e:
-            raise self._record(len(rows), Failure(
+            raise self._record(depth, Failure(
                 site, str(s), "CalleeUnsafe",
                 f"{label}: {e.failure}")) from e
         if cert.exit_ann is None:
-            raise self._record(len(rows), Failure(
+            raise self._record(depth, Failure(
                 site, str(s), "CalleeUnsafe", f"{label} never returns"))
         exit_ann = cert.exit_ann
         if exit_ann.star != star or exit_ann.star_type() != C0:
-            raise self._record(len(rows), Failure(
+            raise self._record(depth, Failure(
                 site, str(s), "StackNotRestored",
                 f"{label} hands back {exit_ann.star_type()} in "
                 f"{reg_name(exit_ann.star) if exit_ann.star is not None else '?'}"))
         # callee exit registers flow to the caller; the caller's own frame
         # and slot bindings come back untouched
-        post = exit_ann.set_reg(star, caller_star_type).with_slots(ann.slot_map())
+        post = exit_ann.set_reg(star, caller_star_type).with_slots(ann.slots)
         return post, cert.key
 
     # -- byte-access policy ----------------------------------------------------
 
     def _policy_allows(self, s: StackInstr, ann: Annotation) -> bool:
-        if s.op not in BYTE_OPS or self.policy == "permissive":
-            return True
-        if self.policy == "forbid":
-            return False
-        return _small_struct_ok(s, ann)
+        return s.op not in BYTE_OPS or _byte_policy_reason(s, ann, self.policy) is None
 
 
-def _small_struct_ok(s: StackInstr, ann: Annotation) -> bool:
-    # byte access only on structures too small for word access to reach
+def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str | None:
+    """Why ``policy`` forbids byte access ``s`` under ``ann``, or None.
+    Under ``small-structs``, byte access is allowed only on structures too
+    small for word access to reach."""
+    if policy == "permissive":
+        return None
+    if policy == "forbid":
+        return "byte access is disabled by policy"
     if s.op in ("getb", "putb"):
-        return False
+        return "byte access to the word-written stack"
     base = ann.reg(s.rs)
     if s.op in ("getbx", "putbx"):
-        return isinstance(base, Calc) and isinstance(base.tower, Rep) and base.tower.step < 4
-    if s.op in ("lbfh", "sbth"):
-        return isinstance(base, Uncalc) and base.size < 4
-    return True
+        if isinstance(base, Calc) and isinstance(base.tower, Rep) and base.tower.step < 4:
+            return None
+        return f"string step must be < 4 for byte access, base {base}"
+    if isinstance(base, Uncalc) and base.size < 4:
+        return None
+    return f"array size must be < 4 for byte access, base {base}"
 
 
 def handle_call(program: Program, site: int, callee: str, ann: Annotation,
@@ -322,7 +443,7 @@ def handle_call(program: Program, site: int, callee: str, ann: Annotation,
     callee failure."""
     engine = _Engine(program, policy)
     s = StackInstr("gosub", target=callee)
-    post, _ = engine._handle_call(site, s, ann, {}, {}, ())
+    post, _ = engine._handle_call(site, s, ann, 0, {}, ())
     return post
 
 
@@ -372,7 +493,9 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Violation
         for addr, row in sorted(cert.rows.items()):
             s = row.chosen
             if s.op in BYTE_OPS:
-                out.extend(_byte_policy_violations(addr, s, row.pre, policy))
+                reason = _byte_policy_reason(s, row.pre, policy)
+                if reason is not None:
+                    out.append(Violation(addr, str(s), "BytePolicyForbidden", reason))
             if s.op not in READ_OPS and s.op not in WRITE_OPS:
                 continue
             if s.op in STACK_ACCESS:
@@ -393,24 +516,3 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Violation
                 out.append(Violation(addr, str(s), kind, str(e)))
     return out
 
-
-def _byte_policy_violations(addr: int, s: StackInstr, pre: Annotation,
-                            policy: str) -> list[Violation]:
-    if policy == "permissive":
-        return []
-    if policy == "forbid":
-        return [Violation(addr, str(s), "BytePolicyForbidden",
-                          "byte access is disabled by policy")]
-    if s.op in ("getb", "putb"):
-        return [Violation(addr, str(s), "BytePolicyForbidden",
-                          "byte access to the word-written stack")]
-    base = pre.reg(s.rs)
-    if s.op in ("getbx", "putbx"):
-        if isinstance(base, Calc) and isinstance(base.tower, Rep) and base.tower.step < 4:
-            return []
-        return [Violation(addr, str(s), "BytePolicyForbidden",
-                          f"string step must be < 4 for byte access, base {base}")]
-    if isinstance(base, Uncalc) and base.size < 4:
-        return []
-    return [Violation(addr, str(s), "BytePolicyForbidden",
-                      f"array size must be < 4 for byte access, base {base}")]

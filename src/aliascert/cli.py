@@ -10,11 +10,13 @@ from .aliasing import AliasConfig, diff_runs, run_aliased
 from .certifier import (
     DEFAULT_POLICY,
     BYTE_POLICIES,
+    SAFE,
     CertReport,
-    Theory,
     certify_program,
     check_safety,
 )
+from .annot import AnnotatedType
+from .annotation import Annotation
 from .frontend import AsmSyntaxError, DuplicateLabel, parse_program, serialize_annotation
 from .isa import Program, reg_name
 from .machine import run as run_clean
@@ -27,18 +29,53 @@ from .simdefs import (
 )
 from .traces import check_program
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 REPORT_SCHEMA = "aliascert-report/1"
 
 
+class _UsageError(Exception):
+    """Ends a command with EXIT_USAGE; the message goes to stderr."""
+
+
 def _load(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_program(fh.read())
+    except OSError as e:
+        raise _UsageError(f"error: {e}") from e
+    except (AsmSyntaxError, DuplicateLabel) as e:
+        raise _UsageError(f"parse error: {e}") from e
 
 
 def _device(args) -> DeviceConfig:
     return DeviceConfig(base=args.device_base, halt_offset=args.halt_offset)
+
+
+class _RenderCache:
+    """Renders the annotations of one report.  Row i's post is usually
+    row i+1's pre, and annotations share most of their type objects, so
+    each distinct annotation object and type object is rendered once.
+    Entries are keyed by identity and hold their object, so no id is
+    reused while the cache lives."""
+
+    def __init__(self):
+        self._anns: dict[int, tuple[Annotation, str]] = {}
+        self._types: dict[int, tuple[AnnotatedType, str]] = {}
+
+    def type_text(self, t: AnnotatedType) -> str:
+        hit = self._types.get(id(t))
+        if hit is None:
+            hit = self._types[id(t)] = (t, str(t))
+        return hit[1]
+
+    def __call__(self, a: Annotation | None) -> str | None:
+        if a is None:
+            return None
+        hit = self._anns.get(id(a))
+        if hit is None:
+            hit = self._anns[id(a)] = (a, serialize_annotation(a, self.type_text))
+        return hit[1]
 
 
 def build_report(path: str, entry: str | None, policy: str, report: CertReport) -> dict:
@@ -61,32 +98,34 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
     }
     if theory is None:
         return out
+    program = theory.program
+    render = _RenderCache()
     for cert in sorted(theory.routines.values(), key=lambda c: (c.entry_addr, c.key)):
         rows = []
         for addr in sorted(cert.rows):
             row = cert.rows[addr]
             rows.append({
                 "address": addr,
-                "label": theory.program.label_at(addr),
-                "machine": theory.program.source_lines.get(addr, ""),
+                "label": program.label_at(addr),
+                "machine": program.source_lines.get(addr, ""),
                 "stack": str(row.chosen),
-                "pre": serialize_annotation(row.pre),
-                "post": serialize_annotation(row.post),
+                "pre": render(row.pre),
+                "post": render(row.post),
             })
         out["routines"].append({
             "key": cert.key,
             "label": cert.label,
             "entry_address": cert.entry_addr,
-            "entry": serialize_annotation(cert.entry),
-            "exit": serialize_annotation(cert.exit_ann) if cert.exit_ann else None,
+            "entry": render(cert.entry),
+            "exit": render(cert.exit_ann),
             "rows": rows,
         })
     for (site, callee), (entry_ann, exit_ann) in sorted(theory.call_summaries().items()):
         out["calls"].append({
             "site": site,
             "callee": callee,
-            "entry": serialize_annotation(entry_ann),
-            "exit": serialize_annotation(exit_ann) if exit_ann else None,
+            "entry": render(entry_ann),
+            "exit": render(exit_ann),
         })
     if report.safe:
         violations = check_program(theory)
@@ -125,22 +164,16 @@ def _print_report(rep: dict) -> None:
 
 
 def cmd_certify(args) -> int:
-    try:
-        program = _load(args.file)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AsmSyntaxError, DuplicateLabel) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = certify_program(program, entry=args.entry, policy=args.byte_policy)
-    rep = build_report(args.file, args.entry or program.entry_label(),
-                       args.byte_policy, report)
+    program = _load(args.file)
+    # nothing keeps the certificate once it is rendered, so its theory is
+    # freed before the report is printed
+    rep = build_report(args.file, args.entry or program.entry_label(), args.byte_policy,
+                       certify_program(program, entry=args.entry, policy=args.byte_policy))
     _print_report(rep)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(rep, fh, indent=2)
-    clean = (report.safe
+    clean = (rep["verdict"] == SAFE
              and rep["oracle"] is not None and rep["oracle"]["ok"]
              and rep["safety"] is not None and rep["safety"]["ok"])
     return EXIT_OK if clean else EXIT_FAIL
@@ -162,14 +195,7 @@ def _print_outcome(out: RunOutcome, aliased: bool) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        program = _load(args.file)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AsmSyntaxError, DuplicateLabel) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _load(args.file)
     device = _device(args)
     try:
         if args.mode == "clean":
@@ -186,14 +212,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    try:
-        program = _load(args.file)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AsmSyntaxError, DuplicateLabel) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _load(args.file)
     device = _device(args)
     try:
         rep = diff_runs(program, seeds=args.seeds, fuel=args.fuel,
@@ -248,7 +267,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as e:  # a fault of aliascert itself: one line, its own code
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

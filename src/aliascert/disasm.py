@@ -16,13 +16,12 @@ from .isa import DataBlob, Instruction, Target, reg_name
 # ops whose machine rendering is a byte access
 BYTE_OPS = frozenset({"getb", "putb", "getbx", "putbx", "lbfh", "sbth"})
 STACK_ACCESS = frozenset({"get", "put", "getb", "putb"})
-STRING_ACCESS = frozenset({"getx", "putx", "getbx", "putbx"})
 ARRAY_ACCESS = frozenset({"lwfh", "swth", "lbfh", "sbth"})
 READ_OPS = frozenset({"get", "getb", "getx", "getbx", "lwfh", "lbfh"})
 WRITE_OPS = frozenset({"put", "putb", "putx", "putbx", "swth", "sbth"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StackInstr:
     """One abstract stack-machine instruction.
 

@@ -11,6 +11,7 @@ truth for program input and golden-annotation comparison.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .annot import (
     AnnotatedType,
@@ -58,14 +59,17 @@ def serialize_type(t: AnnotatedType) -> str:
     return str(t)
 
 
-def serialize_annotation(a: Annotation) -> str:
-    """Deterministic rendering; round-trips through parse_annotation."""
+def serialize_annotation(a: Annotation,
+                         type_text: Callable[[AnnotatedType], str] = str) -> str:
+    """Deterministic rendering; round-trips through parse_annotation.
+    ``type_text`` renders one type; a caching renderer may stand in for
+    ``str``."""
     parts = []
     for r, t in a.regs:  # already sorted by register index
         star = "*" if r == a.star else ""
-        parts.append(f"{reg_name(r)}{star}={t}")
+        parts.append(f"{reg_name(r)}{star}={type_text(t)}")
     for k, t in a.slots:
-        parts.append(f"({k})={t}")
+        parts.append(f"({k})={type_text(t)}")
     return ", ".join(parts)
 
 

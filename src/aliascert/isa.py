@@ -25,31 +25,12 @@ def reg_name(i: int) -> str:
     return REG_NAMES[i]
 
 
-# operand kinds per opcode: R register, I 16-bit immediate, A address/label
-OPCODES = {
-    "sw": "RIA"[0:2] + "R",     # sw r1 k(r2)
-    "lw": "RIR",
-    "sb": "RIR",
-    "lb": "RIR",
-    "move": "RR",
-    "li": "RA",
-    "addiu": "RRI",
-    "addu": "RRR",
-    "nand": "RRR",
-    "beq": "RRA",
-    "bnez": "RA",
-    "j": "A",
-    "jal": "A",
-    "jr": "R",
-    "nop": "",
-}
-
 IMM_MIN, IMM_MAX = -(1 << 15), (1 << 15) - 1
 
 Target = Union[int, str]  # resolved address or symbolic label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded machine instruction.
 
@@ -141,6 +122,8 @@ class Program:
     pragmas: list[Pragma] = field(default_factory=list)
     base: int = BASE_ADDRESS
     source_lines: dict[int, str] = field(default_factory=dict)  # addr -> text
+    _label_index: tuple[int, dict[int, str]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def address_of(self, k: int) -> int:
         return self.base + 4 * k
@@ -173,10 +156,11 @@ class Program:
         return None
 
     def label_at(self, addr: int) -> str | None:
-        for name, a in self.labels.items():
-            if a == addr:
-                return name
-        return None
-
-    def blob_addresses(self) -> dict[str, int]:
-        return {name: self.labels[name] for name in self.blobs}
+        """The first label defined at ``addr``, if any.  The index is built
+        on first use, and again whenever labels were added since."""
+        if self._label_index is None or self._label_index[0] != len(self.labels):
+            index: dict[int, str] = {}
+            for name, a in self.labels.items():
+                index.setdefault(a, name)
+            self._label_index = (len(self.labels), index)
+        return self._label_index[1].get(addr)

@@ -110,7 +110,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         # rspf: the current frame must sit exactly one level above the copy
         if st.tower.frames[1:] != t.tower.frames:
             _fail(s, f"{t.tower} is not the enclosing tower of {st.tower}")
-        return a.set_reg(a.star, t).with_slots({})
+        return a.set_reg(a.star, t).with_slots()
 
     if op == "push":
         st = _need_star(s, a)
@@ -118,7 +118,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
             new = push_frame(st, s.n)
         except AnnotError as e:
             _fail(s, str(e))
-        return a.set_reg(a.star, new).with_slots({})
+        return a.set_reg(a.star, new).with_slots()
 
     if op == "stepx":
         _need_unstarred(s, a, s.rd)

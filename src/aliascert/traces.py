@@ -12,7 +12,7 @@ everything from the event algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .annot import (
     NO_OFFSETS,
@@ -246,9 +246,19 @@ class _State:
         return (self.star, tuple(sorted(self.regs.items())),
                 tuple(sorted(self.slots.items())))
 
+    def agrees(self, a: Annotation) -> bool:
+        """Whether this state binds exactly what ``a`` binds."""
+        return self.star == a.star and self.regs == dict(a.regs) and self.slots == dict(a.slots)
+
 
 def _state_of(a: Annotation) -> _State:
     return _State(a.star, a.reg_map(), a.slot_map())
+
+
+# In ``seen``: the state folded at this address agreed with its row's
+# recorded pre-annotation, which stands for it.  Only disagreeing or
+# uncovered addresses keep a snapshot of their own.
+_AS_RECORDED = object()
 
 
 class _Walker:
@@ -261,10 +271,14 @@ class _Walker:
         self.violations.append(TraceViolation(equation, detail, addr))
 
     def check_routine(self, cert: RoutineCert):
-        state = _state_of(cert.entry)
-        seen: dict[int, tuple] = {}
+        seen: dict[int, object] = {}
         exits: list[tuple] = []
-        self._walk(cert, cert.entry_addr, state, seen, exits)
+        # paths still to walk, latest first: a branch's target is walked
+        # to its end before its fall-through
+        work = [(cert.entry_addr, _state_of(cert.entry))]
+        while work:
+            addr, state = work.pop()
+            self._walk(cert, addr, state, seen, exits, work)
         if cert.exit_ann is not None and exits:
             expected = _state_of(cert.exit_ann).snapshot()
             for snap in exits:
@@ -273,20 +287,25 @@ class _Walker:
                              f"{cert.label}: exit state differs from recorded exit")
 
     def _walk(self, cert: RoutineCert, addr: int, state: _State,
-              seen: dict[int, tuple], exits: list[tuple]):
+              seen: dict[int, object], exits: list[tuple], work: list):
         while True:
-            snap = state.snapshot()
+            row = cert.rows.get(addr)
             if addr in seen:
-                if seen[addr] != snap:
+                before = seen[addr]
+                same = (state.agrees(row.pre) if before is _AS_RECORDED
+                        else before == state.snapshot())
+                if not same:
                     self.bad(addr, "(*)",
                              f"types differ across traces converging at 0x{addr:08x}")
                 return
-            seen[addr] = snap
-            row = cert.rows.get(addr)
             if row is None:
+                seen[addr] = state.snapshot()
                 self.bad(addr, "coverage", "reachable address has no annotation")
                 return
-            if _state_of(row.pre).snapshot() != snap:
+            if state.agrees(row.pre):
+                seen[addr] = _AS_RECORDED
+            else:
+                seen[addr] = state.snapshot()
                 self.bad(addr, "theory",
                          f"recorded annotation disagrees with event fold: "
                          f"recorded {row.pre}; folded {_render(state)}")
@@ -298,7 +317,7 @@ class _Walker:
                 if t != U0:
                     self.bad(addr, "return",
                              f"jump register {reg_name(s.rd)} holds {t}, not u^0")
-                exits.append(snap)
+                exits.append(state.snapshot())
                 return
             if op in ("ifnz", "ifeq"):
                 for r in (s.rd, s.rs) if op == "ifeq" else (s.rd,):
@@ -306,8 +325,8 @@ class _Walker:
                     if not isinstance(t, Calc):
                         self.bad(addr, "branch",
                                  f"tested register {reg_name(r)} is {t}, not calculated")
-                self._walk(cert, self.program.resolve(s.target), state.copy(), seen, exits)
-                addr += 4
+                work.append((addr + 4, state))
+                addr, state = self.program.resolve(s.target), state.copy()
                 continue
             if op == "goto":
                 addr = self.program.resolve(s.target)
@@ -344,7 +363,6 @@ class _Walker:
 
     def _apply_events(self, addr: int, s: StackInstr, state: _State) -> bool:
         op = s.op
-        old_sp = state.regs.get(state.star) if state.star is not None else None
         for ev in events_of(s):
             if isinstance(ev.event, Copy):
                 src = self._loc_get(state, ev.src, addr)
@@ -387,7 +405,6 @@ class _Walker:
             t = state.regs.get(state.star)
             keep = t.offs.members if isinstance(t.offs, Offsets) else frozenset()
             state.slots = {k: v for k, v in state.slots.items() if k in keep}
-        del old_sp
         return True
 
     def _apply_call(self, addr: int, row, state: _State) -> bool:

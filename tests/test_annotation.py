@@ -1,0 +1,51 @@
+"""Functional updates of annotations against building them from maps."""
+
+from __future__ import annotations
+
+from hypothesis import given, strategies as st
+
+from aliascert.annot import C0, U0, TypeVar, calc, rep, uncalc
+from aliascert.annotation import Annotation
+from aliascert.isa import SP
+
+types = st.sampled_from([C0, U0, calc(8, 0), calc(16, 8, 0, offs=[4]), rep(1),
+                         rep(2, offs=[0]), uncalc(3, offs=[0, 1]), TypeVar("x")])
+regs_ = st.integers(0, SP - 1)  # any register but the stack pointer
+offsets = st.sampled_from([0, 4, 8, 12])
+reg_maps = st.dictionaries(regs_, types, max_size=12)
+slot_maps = st.dictionaries(offsets, types, max_size=4)
+
+# the stack pointer, with every offset a slot may use written
+SP_TYPE = calc(16, 0, offs=[0, 4, 8, 12])
+
+
+def make(regs, slots) -> Annotation:
+    return Annotation.make(star=SP, regs={**regs, SP: SP_TYPE}, slots=slots)
+
+
+def _same(a: Annotation, b: Annotation) -> None:
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+@given(reg_maps, slot_maps, regs_, types)
+def test_set_reg_matches_make(regs, slots, r, t):
+    _same(make(regs, slots).set_reg(r, t), make({**regs, r: t}, slots))
+
+
+@given(reg_maps, slot_maps, offsets, types)
+def test_set_slot_matches_make(regs, slots, k, t):
+    _same(make(regs, slots).set_slot(k, t), make(regs, {**slots, k: t}))
+
+
+@given(reg_maps, slot_maps, slot_maps)
+def test_with_slots_matches_make(regs, slots, other):
+    _same(make(regs, slots).with_slots(make({}, other).slots), make(regs, other))
+    _same(make(regs, slots).with_slots(), make(regs, {}))
+
+
+def test_update_shares_unchanged_pairs():
+    a = make({1: C0, 2: U0, 3: rep(1)}, {})
+    b = a.set_reg(2, C0)
+    assert b.regs[0] is a.regs[0] and b.regs[2] is a.regs[2] and b.regs[3] is a.regs[3]
+    assert a.set_reg(1, a.reg(1)) is a

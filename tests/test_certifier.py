@@ -191,3 +191,22 @@ def test_boundary_write_at_frame_edge():
     report = certify_program(p_bad)
     assert report.verdict == "UNSAFE"
     assert report.failures[0].kind == "NoDisassembly"
+
+
+def test_choices_on_a_branch_target_are_settled():
+    # The branch target is walked first and keeps its first reading of
+    # `li` (a string).  The fall-through then needs the array reading, and
+    # the two exits disagree.  The failure goes back to the branch and
+    # beyond, never to the target side's `li`: the search is depth-first
+    # over the paths as walked, so the program is UNSAFE even though
+    # reading both `li` as arrays would certify.
+    p = parse_program(
+        "#@ entry main\n#@ assume main: ra=u^0\n"
+        "main:\n  bnez zero side\n  li t0 table\n  lb a0 2(t0)\n  jr ra\n"
+        "side:\n  li t0 table\n  move a0 zero\n  jr ra\n"
+        'table:\n  .bytes "xy\\0"\n')
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    assert (failure.kind, failure.addr) == ("AnnotationMismatch", 0x0040000C)
+    assert "c^rep(1)!{0} with u^3!{0,1,2}" in failure.detail

@@ -101,3 +101,28 @@ def test_custom_device_addresses(capsys, tmp_path):
                  "--device-base", "0xc0000000", "--halt-offset", "0x20"])
     assert code == 0
     assert "halt-device" in capsys.readouterr().out
+
+
+def test_internal_error_is_one_line_with_its_own_exit_code(monkeypatch, capsys):
+    import aliascert.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("search state corrupted")
+
+    monkeypatch.setattr(cli, "certify_program", broken)
+    code = main(["certify", str(corpus_path("hello.s"))])
+    assert code == cli.EXIT_INTERNAL == 3
+    assert code not in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE)
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: search state corrupted\n"
+    assert "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
+    assert main([command, str(tmp_path / "missing.s")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    bad = tmp_path / "bad.s"
+    bad.write_text("lwz r1 0(sp)\n")
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 1")
