@@ -80,3 +80,53 @@ def kli_source(k: int, unsafe: bool) -> str:
         lines.append(f"    lb a0 {3 + k % 5}({regs[k // 2]})")
     lines += ["    jr ra", "table:", '    .bytes "xy\\0"']
     return "\n".join(lines) + "\n"
+
+
+def _kli_reads(regs: tuple[str, ...], unsafe: bool) -> list[str]:
+    """One array read of each register, then (unsafe) one past the end."""
+    k = len(regs)
+    lines = [f"    lb a0 {1 + i % 2}({r})" for i, r in enumerate(regs)]
+    if unsafe:
+        lines.append(f"    lb a0 {3 + k % 5}({regs[k // 2]})")
+    return lines
+
+
+def kli_move_source(k: int, unsafe: bool) -> str:
+    """:func:`kli_source` with every read made through a ``move`` copy of
+    the ``li`` register, so the read that rejects a reading names the copy,
+    not the register the ``li`` wrote."""
+    regs = _SCRATCH[:k]
+    lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
+    lines += [f"    li {r} table" for r in regs]
+    for r, read in zip(regs, _kli_reads(("s0",) * k, False)):
+        lines += [f"    move s0 {r}", read]
+    if unsafe:
+        lines += [f"    move s1 {regs[k // 2]}", f"    lb a0 {3 + k % 5}(s1)"]
+    lines += ["    jr ra", "table:", '    .bytes "xy\\0"']
+    return "\n".join(lines) + "\n"
+
+
+def kli_branch_source(k: int, unsafe: bool) -> str:
+    """:func:`kli_source` with every read placed after a forward branch
+    and its join: each branch target is walked first, with its fall-through
+    (a ``nop``) pending until the target side has ended."""
+    regs = _SCRATCH[:k]
+    lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
+    lines += [f"    li {r} table" for r in regs]
+    for i, line in enumerate(_kli_reads(regs, unsafe)):
+        lines += [f"    bnez zero join{i}", "    nop", f"join{i}:", line]
+    lines += ["    jr ra", "table:", '    .bytes "xy\\0"']
+    return "\n".join(lines) + "\n"
+
+
+def kli_callee_source(k: int, unsafe: bool) -> str:
+    """:func:`kli_source` as a callee: ``main`` saves its return address,
+    reaches the ``li`` routine through ``jal`` and restores its frame."""
+    regs = _SCRATCH[:k]
+    lines = ["#@ entry main", "#@ assume main: sp*=c^[0], ra=u^0", "main:",
+             "    move gp sp", "    addiu sp sp -8", "    sw ra 4(sp)",
+             "    jal kli", "    lw ra 4(sp)", "    move sp gp", "    jr ra", "kli:"]
+    lines += [f"    li {r} table" for r in regs]
+    lines += _kli_reads(regs, unsafe)
+    lines += ["    jr ra", "table:", '    .bytes "xy\\0"']
+    return "\n".join(lines) + "\n"

@@ -3,8 +3,11 @@
 ``report_digests.json`` holds the sha256 of every report below, rendered
 with ``json.dumps(..., sort_keys=True)``: each corpus program under each
 byte policy, a family of ``k`` string-or-array ``li`` introductions
-(SAFE, and UNSAFE through an out-of-bounds read), ``quickgen`` seeds,
-and straight-line and call-site programs of a few hundred instructions.
+(SAFE, and UNSAFE through an out-of-bounds read), the same family with its
+reads made through ``move`` copies, placed after forward branches and
+their joins, or moved into a callee (each under every byte policy),
+``quickgen`` seeds, and straight-line and call-site programs of a few
+hundred instructions.
 Any change to a verdict, a theory, a failure, a rendering or the order
 of rows shows up as a changed digest.
 
@@ -23,13 +26,22 @@ from aliascert.certifier import BYTE_POLICIES, DEFAULT_POLICY
 from aliascert.cli import build_report
 from aliascert.quickgen import generate_source
 
-from genprogs import call_sites, kli_source, straight_line
+from genprogs import (
+    call_sites,
+    kli_branch_source,
+    kli_callee_source,
+    kli_move_source,
+    kli_source,
+    straight_line,
+)
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
 FIXTURE = HERE / "report_digests.json"
 
 KLI_KS = range(4, 11)
+SEARCH_KS = (4, 7, 10)
+SEARCH_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
 QUICKGEN_SEEDS = range(40)
 SCALE_SIZES = (100, 400)
 
@@ -42,6 +54,14 @@ def _cases():
         for unsafe in (False, True):
             name = f"kli_{k:02d}_{'unsafe' if unsafe else 'safe'}.s"
             yield f"kli/{name}", name, kli_source(k, unsafe), DEFAULT_POLICY
+    for make in SEARCH_FAMILIES:
+        for k in SEARCH_KS:
+            for unsafe in (False, True):
+                name = f"{make.__name__[:-7]}_{k:02d}_{'unsafe' if unsafe else 'safe'}.s"
+                for policy in BYTE_POLICIES:
+                    if make is kli_source and policy == DEFAULT_POLICY:
+                        continue  # the kli family above
+                    yield (f"search/{name}/{policy}", name, make(k, unsafe), policy)
     for seed in QUICKGEN_SEEDS:
         name = f"quickgen_{seed:02d}.s"
         yield f"quickgen/{name}", name, generate_source(seed), DEFAULT_POLICY
