@@ -2,7 +2,8 @@
 
 The compiled extension is preferred when importable; the pure-Python
 twin is always available.  Set ``ALIASCERT_PURE=1`` to force the
-fallback (the benchmark and parity tests use this).
+fallback.  The parity tests import both cores directly and the benchmark
+records which one ran; neither sets the variable.
 """
 
 from __future__ import annotations

@@ -23,6 +23,37 @@ fall-through goes back to the branch and beyond, exactly as a recursive
 search that returned from the target would.  Readings are tried in
 ``raw_alternatives`` order, so the first theory found and the deepest
 failure reported are those of that recursive search.
+
+A failure does not always go back to the latest open choice: the search
+*backjumps* (conflict-directed backjumping, Prosser 1993) over the open
+choices it cannot depend on.  Its *conflict set* is computed only when a
+reading fails, from the journal, read backwards from the failure: the
+locations (registers, and the stack slots as one) whose types the failing
+instruction inspects are *live*; a row that inspects types makes its
+operands live, a ``move`` between unstarred registers passes liveness
+from its destination to its source, and a row that overwrites a register
+outright ends that register's liveness.  An open choice joins the set
+when a location its readings may write is live just after it, and so do
+the choices whose earlier readings failed before the row or choice that
+now stands (their conflicts are carried along).  A call, a return, or a
+branch whose target side has ended (a join, which compares whole
+annotations) puts every open choice before it into the set; so does a
+failure other than a missing reading or a return register that is not
+``u^0``, and any failure while a unifier is in force.  The search then
+undoes everything after the latest open choice in the set and tries that
+choice's next reading; a choice whose readings are exhausted passes on the
+conflicts of all its readings.  In a skipped subtree the chronological
+search would only have rejected readings and met again, at the same
+depths and in the same order, failures it has already met, so the first
+theory, the verdict, the deepest failure and the error a routine raises
+are exactly those of the chronological search.
+Rows that only copy, compute plain words or introduce constants
+(``li``, ``move``, ``addu``, ``nand``) cannot fail on any type they see,
+which is what lets the choices between ``li`` and a later rejecting read
+be skipped.
+
+The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
+that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
 """
 
 from __future__ import annotations
@@ -40,13 +71,16 @@ from .disasm import (
     WRITE_OPS,
     raw_alternatives,
 )
-from .isa import RA, ZERO, Program, reg_name
+from .isa import RA, ZERO, Instruction, Program, reg_name
 from .smallstep import PatternMismatch, apply_smallstep
 
 BYTE_POLICIES = ("forbid", "small-structs", "permissive")
 DEFAULT_POLICY = "small-structs"
 
 SAFE, UNSAFE, UNSUPPORTED = "SAFE", "UNSAFE", "UNSUPPORTED"
+
+# Readings one certify_program call may try before it gives up.
+SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +100,10 @@ class CertError(Exception):
     def __init__(self, failure: Failure):
         super().__init__(str(failure))
         self.failure = failure
+
+
+class SearchBudgetExhausted(Exception):
+    """The search tried more than ``SEARCH_BUDGET`` readings."""
 
 
 @dataclass(slots=True)
@@ -103,10 +141,18 @@ class Theory:
 
 
 @dataclass
+class SearchStats:
+    readings: int = 0    # readings tried
+    backtracks: int = 0  # failures handed back to an open choice
+    backjumps: int = 0   # of those, the ones that skipped an open choice
+
+
+@dataclass
 class CertReport:
     verdict: str
     theory: Theory | None
     failures: list[Failure]
+    stats: SearchStats = field(default_factory=SearchStats)
 
     @property
     def safe(self) -> bool:
@@ -153,6 +199,37 @@ class _Choice:
     subst: Subst
     exit_ann: Annotation | None
     pending: tuple | None
+    conf: frozenset[int]          # open choices the failed readings depended on
+
+
+_NO_CONFLICTS: frozenset[int] = frozenset()
+# The stack slots, as one location beside the registers 0..31.
+_SLOTS = -1
+# Ops whose readings cannot fail on the types they see, only on which
+# register holds the stack pointer (no reading moves it) and on which
+# registers are bound (the readings of one instruction bind alike).
+_BLIND = frozenset({"li", "move", "addu", "nand", "nop", "j"})
+# Ops whose every reading overwrites ``rd`` outright, unless an operand
+# holds the stack pointer.
+_REPLACES = frozenset({"li", "move", "addiu", "lw", "lb", "addu", "nand"})
+
+
+def _effects(instr: Instruction, star: int | None):
+    """``(blind, inspects, writes, replaced)`` for the readings of
+    ``instr`` with the stack pointer in ``star``: whether they are blind to
+    types, the locations whose types or bindings they may inspect, the
+    locations any of them may write, and those every one of them
+    overwrites.  A ``move`` between unstarred registers is blind, and its
+    result is its source's type."""
+    op, rd, rs, rt = instr.op, instr.rd, instr.rs, instr.rt
+    regs = {r for r in (rd, rs, rt) if r is not None}
+    if star in regs:
+        regs.add(_SLOTS)
+        return False, regs, regs, set()
+    replaced = {rd} if op in _REPLACES else set()
+    inspects = regs - replaced | {r for r in (rs, rt) if r is not None}
+    writes = {rs} if op in ("sw", "sb") else replaced
+    return op in _BLIND, inspects, writes, replaced
 
 
 class _Walk:
@@ -163,10 +240,12 @@ class _Walk:
     reading takes ``rows`` back to the choice's mark.  ``pending`` is a
     linked list ``(addr, ann, height, rest)`` of branch fall-throughs still
     to walk, each with the height of ``choices`` at its branch.
+    ``carried`` maps a row taken as the last reading of a choice to the
+    open choices its earlier readings' failures depended on.
     """
 
     __slots__ = ("engine", "program", "call_stack", "rows", "journal", "choices",
-                 "subst", "exit_ann", "pending")
+                 "subst", "exit_ann", "pending", "carried")
 
     def __init__(self, engine: "_Engine", call_stack: tuple[int, ...]):
         self.engine = engine
@@ -178,6 +257,7 @@ class _Walk:
         self.subst: Subst = {}
         self.exit_ann: Annotation | None = None
         self.pending: tuple | None = None
+        self.carried: dict[int, frozenset[int]] = {}
 
     def run(self, addr: int, ann: Annotation) -> None:
         """Walk from ``addr`` under ``ann`` until every path has ended;
@@ -192,7 +272,14 @@ class _Walk:
                     return
                 addr, ann = step
                 continue
-            addr, ann = self._backtrack(err)
+            if not self.choices:
+                raise err
+            f = err.failure
+            if f.kind in ("NoDisassembly", "ReturnRegisterNotU0"):
+                conf = self._conflicts(f.addr, ann.star)
+            else:
+                conf = self._open()
+            addr, ann = self._backtrack(err, conf)
 
     def _visit(self, addr: int, ann: Annotation):
         """Arrive at ``addr``; returns where the path goes next, or None
@@ -219,34 +306,41 @@ class _Walk:
                 addr, None, "NoInstruction", "control flow left the code segment"))
         alts = raw_alternatives(instr, ann.star, self.program.blobs)
         alts = [s for s in alts if self.engine._policy_allows(s, ann)]
-        return self._choose(addr, ann, alts, 0, None)
+        return self._choose(addr, ann, alts, 0, None, _NO_CONFLICTS)
 
     def _choose(self, addr: int, ann: Annotation, alts: list[StackInstr], i: int,
-                last_err: CertError | None):
+                last_err: CertError | None, conf: frozenset[int]):
         """Take the first reading from ``alts[i:]`` whose own step succeeds,
-        leaving a choice open when readings remain after it."""
+        leaving a choice open when readings remain after it.  ``conf`` holds
+        the open choices that the readings before ``i`` failed on."""
         reasons: list[str] = []
         choices = self.choices
+        engine = self.engine
         while i < len(alts):
             s = alts[i]
             i += 1
+            engine.readings += 1
             if i < len(alts):
                 choices.append(_Choice(addr, ann, alts, i, last_err, len(self.journal),
-                                       self.subst, self.exit_ann, self.pending))
+                                       self.subst, self.exit_ann, self.pending, conf))
             try:
-                return self._take(addr, ann, s)
+                step = self._take(addr, ann, s)
             except PatternMismatch as e:
                 reasons.append(str(e))
             except CertError as e:
                 last_err = e
+            else:
+                if conf and i == len(alts):
+                    self.carried[addr] = conf
+                return step
             if i < len(alts):
                 self._undo(choices.pop().mark)
         if last_err is not None:
             raise last_err
         detail = "; ".join(reasons) if reasons else "no stack-machine reading exists"
         instr = self.program.instruction_at(addr)
-        raise self.engine._record(len(self.rows), Failure(addr, str(instr), "NoDisassembly",
-                                                          detail))
+        raise engine._record(len(self.rows), Failure(addr, str(instr), "NoDisassembly",
+                                                     detail))
 
     def _take(self, addr: int, ann: Annotation, s: StackInstr):
         """Apply reading ``s`` at ``addr`` and record its row; returns where
@@ -294,9 +388,12 @@ class _Walk:
             self.journal.append(addr)
 
     def _undo(self, mark: int) -> None:
-        rows, journal = self.rows, self.journal
+        rows, journal, carried = self.rows, self.journal, self.carried
         while len(journal) > mark:
-            del rows[journal.pop()]
+            addr = journal.pop()
+            del rows[addr]
+            if carried:
+                carried.pop(addr, None)
 
     def _next_pending(self):
         """Resume the latest pending fall-through.  The choices opened on
@@ -310,18 +407,82 @@ class _Walk:
             self.journal.clear()
         return addr, ann
 
-    def _backtrack(self, err: CertError):
-        """Hand ``err`` to the latest open choice and try its next reading;
-        raises ``err`` when no choice is left."""
-        while self.choices:
-            c = self.choices.pop()
+    def _open(self) -> frozenset[int]:
+        return frozenset(c.addr for c in self.choices)
+
+    def _conflicts(self, addr: int, star: int | None) -> frozenset[int]:
+        """The open choices that a failure of the instruction at ``addr``,
+        with the stack pointer in ``star``, depends on (see the module
+        docstring); every open choice while a unifier is in force."""
+        choices, journal, rows = self.choices, self.journal, self.rows
+        instr = self.program.instruction_at(addr)
+        if self.subst or instr.op == "jal":
+            return self._open()
+        live = _effects(instr, star)[1]
+        pending = set()
+        p = self.pending
+        while p is not None:
+            pending.add(p[0])
+            p = p[3]
+        out: set[int] = set()
+        for c in choices:
+            out |= c.conf
+        k = len(choices) - 1
+        for pos in range(len(journal) - 1, -1, -1):
+            a = journal[pos]
+            while k >= 0 and choices[k].mark > pos:
+                k -= 1
+            instr = self.program.instruction_at(a)
+            op = instr.op
+            if op in ("jal", "jr") or (op in ("bnez", "beq") and a + 4 not in pending):
+                # a call, or a path that has ended since: a join or a
+                # return compares what every choice before it wrote
+                out.update(c.addr for c in choices[:k + 1])
+                break
+            blind, inspects, writes, replaced = _effects(instr, rows[a].pre.star)
+            if k >= 0 and choices[k].mark == pos and writes & live:
+                out.add(a)
+            carried = self.carried.get(a)
+            if carried:
+                out |= carried
+            if blind:
+                if writes & live:
+                    live -= replaced
+                    if op == "move":
+                        live.add(instr.rs)
+            else:
+                live -= replaced
+                live |= inspects
+        return frozenset(out)
+
+    def _backtrack(self, err: CertError, conf: frozenset[int]):
+        """Hand ``err`` to the latest open choice in ``conf``, undoing
+        everything after it, and try that choice's next reading; an
+        exhausted choice passes the conflicts of its readings on.  Raises
+        ``err`` when no choice in the conflicts is left."""
+        engine = self.engine
+        choices = self.choices
+        while True:
+            if engine.readings > SEARCH_BUDGET:
+                raise SearchBudgetExhausted
+            t = len(choices) - 1
+            while t >= 0 and choices[t].addr not in conf:
+                t -= 1
+            if t < 0:
+                raise err
+            engine.backtracks += 1
+            if t < len(choices) - 1:
+                engine.backjumps += 1
+            c = choices[t]
+            del choices[t:]
             self._undo(c.mark)
             self.subst, self.exit_ann, self.pending = c.subst, c.exit_ann, c.pending
+            c.conf = c.conf | (conf & self._open())
             try:
-                return self._choose(c.addr, c.ann, c.alts, c.next, err)
+                return self._choose(c.addr, c.ann, c.alts, c.next, err, c.conf)
             except CertError as e:
                 err = e
-        raise err
+            conf = c.conf | self._conflicts(c.addr, c.ann.star)
 
 
 class _Engine:
@@ -333,6 +494,12 @@ class _Engine:
         self.theory = Theory(program)
         self.memo: dict[tuple[int, Annotation], RoutineCert | CertError] = {}
         self.deepest: tuple[int, Failure] | None = None
+        self.readings = 0
+        self.backtracks = 0
+        self.backjumps = 0
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.readings, self.backtracks, self.backjumps)
 
     # -- failure bookkeeping ------------------------------------------------
 
@@ -464,12 +631,17 @@ def certify_program(program: Program, entry: str | None = None,
     theory = engine.theory
     try:
         cert = engine.certify_routine(program.labels[label], entry_ann, ())
+    except SearchBudgetExhausted:
+        return CertReport(UNSUPPORTED, None,
+                          [Failure(None, None, "SearchBudgetExhausted",
+                                   f"tried more than {SEARCH_BUDGET} readings")],
+                          engine.stats())
     except CertError as e:
         failure = engine.deepest[1] if engine.deepest else e.failure
         verdict = UNSUPPORTED if _is_unsupported(failure, e.failure) else UNSAFE
-        return CertReport(verdict, theory, [failure])
+        return CertReport(verdict, theory, [failure], engine.stats())
     theory.entry_key = cert.key
-    return CertReport(SAFE, theory, [])
+    return CertReport(SAFE, theory, [], engine.stats())
 
 
 def _is_unsupported(*failures: Failure) -> bool:

@@ -91,7 +91,10 @@ def generate_source(seed: int, max_instructions: int = 12) -> str:
                 plain.append(dst)
             budget -= 1
         elif op == "newstr":
-            string_reg = rng.choice([r for r in _SCRATCH if r not in plain])
+            fresh = [r for r in _SCRATCH if r not in plain]
+            if not fresh:
+                continue  # every scratch register holds a plain word
+            string_reg = rng.choice(fresh)
             body.append(f"    li {string_reg} msg")
             used_blob = True
             steps_left = 5

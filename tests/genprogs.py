@@ -9,6 +9,9 @@ from __future__ import annotations
 import random
 
 _SCRATCH = ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "v0", "a1", "a2", "a3")
+# registers for the k-li family: up to 24 ``li``, none of them a0 (the
+# reads' destination), s0 and s1 (the copies), or gp, sp and ra
+_KLI_REGS = _SCRATCH + ("s2", "s3", "s4", "s5", "s6", "s7", "t8", "t9", "k0", "k1", "v1", "at")
 _HEADER = ["#@ entry main", "#@ assume main: sp*=c^[0], ra=u^0", "main:"]
 
 
@@ -72,7 +75,7 @@ def kli_source(k: int, unsafe: bool) -> str:
     """``k`` registers loaded with one two-byte blob, each read back as an
     array, so the search rejects the string reading of every ``li``; the
     unsafe variant then reads past the blob's end."""
-    regs = _SCRATCH[:k]
+    regs = _KLI_REGS[:k]
     lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
     lines += [f"    li {r} table" for r in regs]
     lines += [f"    lb a0 {1 + i % 2}({r})" for i, r in enumerate(regs)]
@@ -95,7 +98,7 @@ def kli_move_source(k: int, unsafe: bool) -> str:
     """:func:`kli_source` with every read made through a ``move`` copy of
     the ``li`` register, so the read that rejects a reading names the copy,
     not the register the ``li`` wrote."""
-    regs = _SCRATCH[:k]
+    regs = _KLI_REGS[:k]
     lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
     lines += [f"    li {r} table" for r in regs]
     for r, read in zip(regs, _kli_reads(("s0",) * k, False)):
@@ -110,7 +113,7 @@ def kli_branch_source(k: int, unsafe: bool) -> str:
     """:func:`kli_source` with every read placed after a forward branch
     and its join: each branch target is walked first, with its fall-through
     (a ``nop``) pending until the target side has ended."""
-    regs = _SCRATCH[:k]
+    regs = _KLI_REGS[:k]
     lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
     lines += [f"    li {r} table" for r in regs]
     for i, line in enumerate(_kli_reads(regs, unsafe)):
@@ -122,7 +125,7 @@ def kli_branch_source(k: int, unsafe: bool) -> str:
 def kli_callee_source(k: int, unsafe: bool) -> str:
     """:func:`kli_source` as a callee: ``main`` saves its return address,
     reaches the ``li`` routine through ``jal`` and restores its frame."""
-    regs = _SCRATCH[:k]
+    regs = _KLI_REGS[:k]
     lines = ["#@ entry main", "#@ assume main: sp*=c^[0], ra=u^0", "main:",
              "    move gp sp", "    addiu sp sp -8", "    sw ra 4(sp)",
              "    jal kli", "    lw ra 4(sp)", "    move sp gp", "    jr ra", "kli:"]

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import certify_program, check_safety, handle_call, parse_program
+from aliascert import certifier, certify_program, check_safety, handle_call, parse_program
 from aliascert.annot import C0, U0, calc, rep, uncalc
 from aliascert.certifier import CertError
 from aliascert.frontend import serialize_type
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 
 from conftest import load
+from genprogs import kli_branch_source, kli_callee_source, kli_move_source, kli_source
 
 A0 = REG_INDEX["a0"]
 FP = REG_INDEX["fp"]
@@ -210,3 +211,84 @@ def test_choices_on_a_branch_target_are_settled():
     (failure,) = report.failures
     assert (failure.kind, failure.addr) == ("AnnotationMismatch", 0x0040000C)
     assert "c^rep(1)!{0} with u^3!{0,1,2}" in failure.detail
+
+
+# -- search: backjumping, counters, budget --------------------------------------
+
+def test_kli_readings_stay_within_a_quadratic():
+    # the chronological search tries about 2^k combinations of readings;
+    # backjumping goes straight back to the `li` a rejecting read names
+    for k in range(4, 25):
+        for unsafe in (False, True):
+            report = certify_program(parse_program(kli_source(k, unsafe)))
+            assert report.verdict == ("UNSAFE" if unsafe else "SAFE"), k
+            stats = report.stats
+            assert stats.readings <= 2 * k * k, (k, unsafe, stats)
+            assert (stats.backtracks, stats.backjumps) == (k, k - 1), (k, unsafe, stats)
+
+
+def test_kli_variants_certify_at_k_24():
+    for make in (kli_move_source, kli_branch_source, kli_callee_source):
+        for unsafe in (False, True):
+            report = certify_program(parse_program(make(24, unsafe)))
+            assert report.verdict == ("UNSAFE" if unsafe else "SAFE"), make.__name__
+            assert report.stats.readings <= 2 * 24 * 24, (make.__name__, report.stats)
+
+
+def test_failure_after_an_ended_path_steps_back_chronologically():
+    # the failing read is on the fall-through, after the branch target has
+    # returned and recorded the exit annotation every later return must
+    # match, so no open choice before the branch is skipped
+    p = parse_program(
+        "#@ entry main\n#@ assume main: ra=u^0\n"
+        "main:\n  li t0 table\n  li t1 table\n  bnez zero side\n"
+        "  lb a0 1(t0)\n  jr ra\n"
+        "side:\n  move a0 zero\n  jr ra\n"
+        'table:\n  .bytes "xy\\0"\n')
+    report = certify_program(p)
+    assert report.verdict == "SAFE"
+    assert (report.stats.backtracks, report.stats.backjumps) == (2, 0)
+
+
+def test_search_budget_gives_unsupported(monkeypatch):
+    program = parse_program(kli_source(10, False))
+    needed = certify_program(program).stats.readings
+    monkeypatch.setattr(certifier, "SEARCH_BUDGET", needed // 2)
+    report = certify_program(program)
+    assert report.verdict == "UNSUPPORTED"
+    assert report.theory is None
+    (failure,) = report.failures
+    assert failure.kind == "SearchBudgetExhausted"
+    assert report.stats.readings > needed // 2
+
+
+_STRINGS = ('table:\n  .bytes "xy\\0"\nwide:\n  .bytes "xyz\\0"\n'
+            'msg:\n  .bytes "abcdef\\0"\n')
+
+
+@pytest.mark.parametrize("body,kind,addr,detail", [
+    # the other reading of t0 (an array) fails the `addiu` that steps it;
+    # a row that inspects types keeps t0's `li` from being skipped, so the
+    # callee ends in the error the chronological search ends in
+    ("  nop\n" * 7 + "  jal f\n  jr ra\n"
+     "f:\n  li t1 table\n  li t0 msg\n  addiu t0 t0 1\n  lb a0 5(t1)\n  jr ra\n",
+     "CalleeUnsafe", 0x0040001C, "f: NoDisassembly at 0x0040002c [addiu t0 t0 1]"),
+    # the branch target joins the loop head again; the other reading of
+    # t0 fails that join at the same depth as the read, later in the search
+    ("  li t1 table\n  li t0 table\nloop:\n  bnez zero side\n  lb a0 5(t1)\n  jr ra\n"
+     "side:\n  li t0 wide\n  j loop\n",
+     "AnnotationMismatch", 0x00400008, "join at loop: cannot unify u^3!{0,1,2} with u^4"),
+    # the first store's reading of t1 was taken after the other failed
+    # on t2; the second store's failure carries that conflict along
+    ("  li t0 msg\n  li t1 msg\n  li t2 msg\n  sb zero 0(t2)\n  sw t1 0(t1)\n"
+     "  sw t1 0(t1)\n  jr ra\n",
+     "NoDisassembly", 0x00400010, "swth t1 0(t1): stored value t1 must be calculated"),
+])
+def test_backjumping_reports_the_chronological_failure(body, kind, addr, detail):
+    p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\nmain:\n"
+                      + body + _STRINGS)
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    assert (failure.kind, failure.addr) == (kind, addr)
+    assert failure.detail.startswith(detail)
