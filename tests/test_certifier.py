@@ -278,8 +278,9 @@ _STRINGS = ('table:\n  .bytes "xy\\0"\nwide:\n  .bytes "xyz\\0"\n'
     ("  li t1 table\n  li t0 table\nloop:\n  bnez zero side\n  lb a0 5(t1)\n  jr ra\n"
      "side:\n  li t0 wide\n  j loop\n",
      "AnnotationMismatch", 0x00400008, "join at loop: cannot unify u^3!{0,1,2} with u^4"),
-    # the first store's reading of t1 was taken after the other failed
-    # on t2; the second store's failure carries that conflict along
+    # t2's `li` takes its array reading after the word store failed on
+    # t1; the byte store then fails on that reading, and the conflict the
+    # row carries sends the search back to t1's `li`
     ("  li t0 msg\n  li t1 msg\n  li t2 msg\n  sb zero 0(t2)\n  sw t1 0(t1)\n"
      "  sw t1 0(t1)\n  jr ra\n",
      "NoDisassembly", 0x00400010, "swth t1 0(t1): stored value t1 must be calculated"),
