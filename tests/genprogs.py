@@ -78,9 +78,7 @@ def kli_source(k: int, unsafe: bool) -> str:
     regs = _KLI_REGS[:k]
     lines = ["#@ entry main", "#@ assume main: ra=u^0", "main:"]
     lines += [f"    li {r} table" for r in regs]
-    lines += [f"    lb a0 {1 + i % 2}({r})" for i, r in enumerate(regs)]
-    if unsafe:
-        lines.append(f"    lb a0 {3 + k % 5}({regs[k // 2]})")
+    lines += _kli_reads(regs, unsafe)
     lines += ["    jr ra", "table:", '    .bytes "xy\\0"']
     return "\n".join(lines) + "\n"
 
