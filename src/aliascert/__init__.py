@@ -7,7 +7,7 @@ tests certified programs on a clean interpreter versus one that models
 calculation-dependent address aliasing.
 """
 
-from .aliasing import AliasConfig, SaltedWord, alu_result, diff_runs, run_aliased
+from .aliasing import AliasConfig, diff_runs, run_aliased
 from .annot import (
     AnnotatedType,
     Calc,
@@ -52,7 +52,7 @@ from .traces import Event, TraceViolation, check_program, events_of, fold_event
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasConfig", "SaltedWord", "alu_result", "diff_runs", "run_aliased",
+    "AliasConfig", "diff_runs", "run_aliased",
     "AnnotatedType", "Calc", "Finite", "Offsets", "Rep", "SetVar", "TypeVar",
     "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
     "Annotation", "unify_annotations",

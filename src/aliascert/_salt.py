@@ -1,11 +1,18 @@
-"""Deterministic alias tags for calculated values.
+"""The salted-word model: deterministic alias tags for calculated values.
 
-Every arithmetic result carries a 32-bit tag mixed from the seed, the
-operation, and the full (tag, value) representation of its inputs: the
-same calculation always yields the same tag, while distinct calculations
-of an arithmetically equal value disagree with overwhelming probability.
-Copies and loads/stores preserve tags verbatim and do not pass through
-here.  The compiled core reimplements this mix bit-for-bit.
+Under hardware aliasing a value is a salted word: its 32-bit arithmetic
+word (``lo``) plus a 32-bit tag (``hi``) recording *how* it was
+calculated.  Copies, loads and stores preserve both halves verbatim and
+do not pass through here; every arithmetic step (`li`, `addiu`, `addu`,
+`nand`, the return address of `jal`, an effective address, a register's
+initial value) re-tags its result with :func:`tag`, mixed from the seed,
+the operation's domain and the full (tag, value) representation of its
+inputs (:func:`pack`).  The same calculation always yields the same tag,
+while distinct calculations of an arithmetically equal value disagree
+with overwhelming probability.  Memory is keyed by (tag, address), so a
+read through a differently calculated alias of a written address misses
+its cell and faults.  Comparisons and device decoding see the arithmetic
+word only.  The interpreter in `_engine` inlines these calls.
 """
 
 from __future__ import annotations

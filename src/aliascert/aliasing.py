@@ -1,33 +1,23 @@
-"""The hardware-aliasing interpreter and the differential harness.
+"""Aliasing runs and the differential harness.
 
-A value is a :class:`SaltedWord`: its 32-bit arithmetic word plus a
-32-bit tag recording *how* it was calculated.  Copies, loads, and stores
-preserve both halves; every arithmetic step re-tags the result.  Memory
-is keyed by (tag, address), so a read through a differently calculated
-alias of a written address misses its cell and faults.  Comparisons and
-device decoding see the arithmetic word only.
+`run_aliased` runs a program under the salted-word model of `_salt`;
+`diff_runs` sweeps seeds and reports every aliased run that differs
+from the clean run in a fault, an error, the output, the halt, or a
+final register.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from ._salt import T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, pack, tag
 from .isa import Program
 from .machine import build_image
 from .simdefs import (
     DEFAULT_FUEL,
     DEFAULT_STACK_BASE,
     DeviceConfig,
-    M32,
     RunOutcome,
 )
-
-
-class SaltedWord(NamedTuple):
-    lo: int  # arithmetic value
-    hi: int  # calculation tag
 
 
 @dataclass(frozen=True)
@@ -35,37 +25,6 @@ class AliasConfig:
     seed: int = 0
     device: DeviceConfig = DeviceConfig()
     stack_base: int = DEFAULT_STACK_BASE
-
-
-def alu_result(op: str, inputs: tuple[SaltedWord, ...], imm: int | None,
-               cfg: AliasConfig) -> SaltedWord:
-    """Tagged result of an arithmetic operation or address formation.
-
-    Register copies and word loads/stores are not arithmetic: they pass
-    (lo, hi) through verbatim and never come through here.
-    """
-    seed = cfg.seed
-    if op == "li":
-        return SaltedWord(imm & M32, tag(seed, T_LI, imm & M32))
-    if op == "addiu":
-        (x,) = inputs
-        return SaltedWord((x.lo + imm) & M32, tag(seed, T_ADDIU, pack(x.hi, x.lo), imm))
-    if op == "addu":
-        x, y = inputs
-        return SaltedWord((x.lo + y.lo) & M32,
-                          tag(seed, T_ADDU, pack(x.hi, x.lo), pack(y.hi, y.lo)))
-    if op == "nand":
-        x, y = inputs
-        return SaltedWord(~(x.lo & y.lo) & M32,
-                          tag(seed, T_NAND, pack(x.hi, x.lo), pack(y.hi, y.lo)))
-    if op in ("lw", "sw", "lb", "sb", "ea"):
-        (x,) = inputs
-        return SaltedWord((x.lo + imm) & M32, tag(seed, T_EA, pack(x.hi, x.lo), imm))
-    if op == "jal":
-        return SaltedWord(imm & M32, tag(seed, T_JAL, imm & M32))
-    if op == "init":
-        return SaltedWord(0, tag(seed, T_INIT, imm))
-    raise ValueError(f"{op!r} is not an arithmetic operation")
 
 
 def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),

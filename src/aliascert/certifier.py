@@ -544,6 +544,8 @@ class _Engine:
     def _handle_call(self, site: int, s: StackInstr, ann: Annotation,
                      depth: int, subst: Subst, call_stack: tuple[int, ...]):
         star = ann.star
+        if star is None:  # the pre-pattern of gosub, as in smallstep.pattern_matches
+            raise PatternMismatch(str(s), "no register holds the stack pointer")
         caller_star_type = ann.star_type()
         callee_addr = self.program.resolve(s.target)
         label = s.target if isinstance(s.target, str) else (
@@ -607,7 +609,8 @@ def handle_call(program: Program, site: int, callee: str, ann: Annotation,
                 policy: str = DEFAULT_POLICY) -> Annotation:
     """Certify one call in isolation and produce the caller's continuation
     annotation.  Raises :class:`CertError` on any calling-convention or
-    callee failure."""
+    callee failure, and :class:`PatternMismatch` when no register holds the
+    stack pointer."""
     engine = _Engine(program, policy)
     s = StackInstr("gosub", target=callee)
     post, _ = engine._handle_call(site, s, ann, 0, {}, ())

@@ -5,8 +5,8 @@ semantics table: a state-to-state transformation over 32 registers, a
 sparse word memory, and the program counter.  Bytes sit little-endian
 within their word; a memory-mapped device region turns stores into
 console output and a halt signal.  Whole-program runs go through the
-selected interpreter core; ``step`` is the independent single-step
-reference the cores are tested against.
+interpreter in `_engine`; ``step`` is the independent single-step
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
 def build_image(program: Program, entry: str | None = None,
                 device: DeviceConfig = DeviceConfig(),
                 stack_base: int = DEFAULT_STACK_BASE) -> Image:
-    """Decode a program into the flat form the interpreter cores consume."""
+    """Decode a program into the flat form the interpreter consumes."""
     label = entry or program.entry_label()
     if label is None:
         raise ValueError("program has no entry pragma and no entry was given")
@@ -183,7 +183,7 @@ def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
 def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
                  device: DeviceConfig = DeviceConfig(),
                  stack_base: int = DEFAULT_STACK_BASE) -> RunOutcome:
-    """Slow clean run driven by :func:`step`; cross-checks the cores."""
+    """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
     image = build_image(program, entry, device, stack_base)
     st = MachineState(pc=image.entry_addr, device=device)
     st.regs[29] = stack_base

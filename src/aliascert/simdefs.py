@@ -1,8 +1,8 @@
 """Shared definitions for the clean and aliasing interpreters.
 
-Both interpreter cores (the compiled one and the pure-Python fallback)
-consume the same decoded program image and produce the same outcome
-record, so they can be swapped and differentially compared.
+The clean and the aliasing run consume the same decoded program image
+and produce the same outcome record, so they can be compared with each
+other and with the single-step reference in `machine`.
 """
 
 from __future__ import annotations

@@ -2,48 +2,58 @@ from __future__ import annotations
 
 import pytest
 
+from aliascert._salt import T_ADDIU, T_INIT, T_LI, pack, tag
 from aliascert.aliasing import (
     AliasConfig,
-    SaltedWord,
-    alu_result,
     compare_runs,
     diff_runs,
     run_aliased,
 )
 from aliascert.frontend import parse_program
 from aliascert.machine import run
+from aliascert.quickgen import generate_program
+from aliascert.simdefs import M32
 
 from conftest import load
 
 
+# salted words as (lo, hi): the arithmetic word and its calculation tag,
+# re-tagged the way the interpreter tags `addiu` and `li`
+def _addiu(seed, word, imm):
+    lo, hi = word
+    return (lo + imm) & M32, tag(seed, T_ADDIU, pack(hi, lo), imm)
+
+
+def _li(seed, imm):
+    return imm & M32, tag(seed, T_LI, imm & M32)
+
+
 def test_adding_zero_changes_the_alias():
-    cfg = AliasConfig(seed=99)
-    sp = alu_result("init", (), 29, cfg)._replace(lo=0x7FFF0000)
-    bumped = alu_result("addiu", (sp,), 0, cfg)
-    assert bumped.lo == sp.lo
-    assert bumped.hi != sp.hi  # arithmetically equal, not identical
+    seed = 99
+    sp = (0x7FFF0000, tag(seed, T_INIT, 29))
+    bumped = _addiu(seed, sp, 0)
+    assert bumped[0] == sp[0]
+    assert bumped[1] != sp[1]  # arithmetically equal, not identical
 
 
 def test_same_calculation_same_alias_across_repeats():
     for seed in range(100):
-        cfg = AliasConfig(seed=seed)
-        sp = SaltedWord(0x7FFF0000, 0x1234)
-        one = alu_result("addiu", (sp,), -32, cfg)
-        two = alu_result("addiu", (sp,), -32, cfg)
+        sp = (0x7FFF0000, 0x1234)
+        one = _addiu(seed, sp, -32)
+        two = _addiu(seed, sp, -32)
         assert one == two
-        assert alu_result("li", (), 0xB0000000, cfg) == alu_result("li", (), 0xB0000000, cfg)
+        assert _li(seed, 0xB0000000) == _li(seed, 0xB0000000)
 
 
 def test_distinct_calculations_disagree_across_seeds():
     # (sp - 32) + 32 is arithmetically sp but never the same alias
     collisions = 0
     for seed in range(100):
-        cfg = AliasConfig(seed=seed)
-        sp = SaltedWord(0x7FFF0000, 0xBEEF)
-        down = alu_result("addiu", (sp,), -32, cfg)
-        back = alu_result("addiu", (down,), 32, cfg)
-        assert back.lo == sp.lo
-        collisions += back.hi == sp.hi
+        sp = (0x7FFF0000, 0xBEEF)
+        down = _addiu(seed, sp, -32)
+        back = _addiu(seed, down, 32)
+        assert back[0] == sp[0]
+        collisions += back[1] == sp[1]
     assert collisions == 0
 
 
@@ -83,10 +93,12 @@ def test_copy_transparency():
 
 def test_lo_projection_matches_clean_run(corpus_programs):
     # a faultless aliased run erases to the clean run exactly
-    for name in ("foo_good", "table2_left", "table2_right", "hello"):
-        p = corpus_programs[name]
+    programs = [corpus_programs[name]
+                for name in ("foo_good", "table2_left", "table2_right", "hello")]
+    programs += [generate_program(seed) for seed in range(40)]
+    for p in programs:
         clean = run(p)
-        for seed in (1, 2, 3):
+        for seed in (1, 2, 3, 7, 999):
             aliased = run_aliased(p, AliasConfig(seed=seed))
             assert not aliased.faults
             assert aliased.regs == clean.regs

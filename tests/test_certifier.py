@@ -4,9 +4,11 @@ import pytest
 
 from aliascert import certifier, certify_program, check_safety, handle_call, parse_program
 from aliascert.annot import C0, U0, calc, rep, uncalc
+from aliascert.annotation import Annotation
 from aliascert.certifier import CertError
 from aliascert.frontend import serialize_type
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
+from aliascert.smallstep import PatternMismatch
 
 from conftest import load
 from genprogs import kli_branch_source, kli_callee_source, kli_move_source, kli_source
@@ -65,13 +67,29 @@ def test_call_continuation_matches_convention(hello, hello_report):
 
 
 def test_handle_call_halt_exit(hello):
-    from aliascert.annotation import Annotation
-
     ann = Annotation.make(star=SP, regs={SP: calc(32, 0, offs=[28]), RA: U0,
                                          0: C0}, slots={28: U0})
     post = handle_call(hello, 0x400024, "halt", ann)
     assert serialize_type(post.reg(V1)) == "u^1!{0}"
     assert post.star_type() == calc(32, 0, offs=[28])
+
+
+NO_STACK_POINTER_CALL = (
+    "#@ entry main\n#@ assume main: ra=u^0\n"
+    "main:\n  move gp ra\n  jal f\n  move ra gp\n  jr ra\n"
+    "f:\n  jr ra\n")
+
+
+def test_call_without_a_stack_pointer_fails_at_the_call_site():
+    # no register holds the stack pointer, so the callee gets no frame
+    p = parse_program(NO_STACK_POINTER_CALL)
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    assert (failure.kind, failure.addr, failure.rule) == ("NoDisassembly", 0x400004, "jal f")
+    assert failure.detail == "gosub f: no register holds the stack pointer"
+    with pytest.raises(PatternMismatch):
+        handle_call(p, 0x400004, "f", Annotation.make(regs={RA: U0}))
 
 
 def test_recursive_call_unsupported():

@@ -55,6 +55,18 @@ def test_certify_unsafe_exit_one(capsys):
     assert "NoDisassembly" in text and "addiu sp sp 32" in text
 
 
+def test_call_without_a_stack_pointer_exits_one(tmp_path, capsys):
+    src = tmp_path / "nosp.s"
+    src.write_text("#@ entry main\n#@ assume main: ra=u^0\n"
+                   "main:\n  move gp ra\n  jal f\n  move ra gp\n  jr ra\n"
+                   "f:\n  jr ra\n")
+    assert main(["certify", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert "verdict: UNSAFE" in captured.out
+    assert "NoDisassembly at 0x00400004 [jal f]" in captured.out
+    assert captured.err == ""
+
+
 def test_missing_file_exit_two(capsys):
     assert main(["certify", "does_not_exist.s"]) == 2
 

@@ -5,6 +5,7 @@ import pytest
 from aliascert.frontend import parse_program
 from aliascert.isa import RA, SP, V0, Instruction, REG_INDEX
 from aliascert.machine import MachineState, MachineError, build_image, run, run_by_steps, step
+from aliascert.quickgen import generate_program
 from aliascert.simdefs import RETURN_SENTINEL
 
 from conftest import load
@@ -71,15 +72,26 @@ def test_hello_prints_and_halts(hello):
     assert out.ok
 
 
-def test_engine_matches_step_reference(hello, corpus_programs):
-    for p in [hello, corpus_programs["foo_good"], corpus_programs["table2_right"],
-              corpus_programs["table2_left"]]:
+def test_engine_matches_step_reference(corpus_programs):
+    programs = [corpus_programs[name] for name in (
+        "hello", "foo_good", "foo_bad_caller",
+        "table2_left", "table2_middle", "table2_right")]
+    programs += [generate_program(seed) for seed in range(40)]
+    # runs that end in an error, so that error_pc is compared too
+    programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
+        "  lw v0 0(sp)\n  jr ra\n",
+        "  addiu t0 sp 2\n  sw v0 0(t0)\n  jr ra\n",
+        "  li t0 0xB0000000\n  lb v0 0(t0)\n  jr ra\n",
+        "  move t0 zero\n  jr t0\n",
+    )]
+    for p in programs:
         fast, slow = run(p), run_by_steps(p)
         assert fast.output == slow.output
         assert fast.regs == slow.regs
         assert fast.steps == slow.steps
-        assert (fast.halted, fast.error, fast.exit_reason) == (
-            slow.halted, slow.error, slow.exit_reason)
+        assert (fast.halted, fast.error, fast.error_pc, fast.exit_reason) == (
+            slow.halted, slow.error, slow.error_pc, slow.exit_reason)
+    assert sum(run(p).error is not None for p in programs) == 4
 
 
 def test_clean_machine_blind_to_arithmetic_restore(corpus_programs):
