@@ -1,13 +1,18 @@
-"""The interpreter: clean and aliasing runs over a decoded program image.
+"""The interpreter: one loop over a decoded program image, two salts.
 
-`run_clean_image` executes exact 32-bit semantics over a sparse word
-memory.  `run_alias_image` keys memory by (tag, address) pairs so that
-differently calculated aliases of one address select different cells,
-which is the hardware-aliasing model under test; its tags are the
-`_salt` calculus inlined into the loop.  `machine.step` is the
-independent single-step reference both runs are tested against.
-Callers look the two functions up in this module at call time, so a
-profiler can wrap them here.
+Memory is keyed by (tag, address) pairs, the tags coming from the
+`_salt` calculus, so that differently calculated aliases of one address
+select different cells: the hardware-aliasing model under test
+(`run_alias_image`).  The clean machine is the same loop with a salt
+that tags every calculation 0 (`run_clean_image`): every key is then
+(0, address), every alias of an address hits its one cell, and a
+missing key means no cell at that word, so the run has exact 32-bit
+semantics and no alias fault can occur.  The two machines differ in
+one more way: the clean one preloads every data blob, the aliasing one
+only the initialized blobs.  `machine.step` is the independent
+single-step reference both runs are tested against.  Callers look the
+two functions up in this module at call time, so a profiler can wrap
+them here.
 """
 
 from __future__ import annotations
@@ -42,146 +47,12 @@ RA = 31
 SP = 29
 
 
-def _preload_clean(image: Image) -> dict[int, int]:
-    mem: dict[int, int] = {}
-    for addr, data, _step, _size, _init in image.blobs:
-        for k, byte in enumerate(data):
-            a = addr + k
-            w = a & ~3
-            mem[w] = mem.get(w, 0) | (byte << (8 * (a & 3)))
-    return mem
+def _zero_tag(seed: int, domain: int, *vals: int) -> int:
+    return 0
 
 
-def run_clean_image(image: Image, fuel: int) -> RunOutcome:
-    regs = [0] * 32
-    regs[SP] = image.stack_base
-    regs[RA] = RETURN_SENTINEL
-    mem = _preload_clean(image)
-    out = bytearray()
-    dev = image.device
-    base, end = image.base, image.code_end
-    code = image.code
-    pc = image.entry_addr
-    steps = 0
-    halted = False
-    exit_reason = None
-    error = error_pc = None
-
-    while True:
-        if pc == RETURN_SENTINEL:
-            halted, exit_reason = True, "returned"
-            break
-        if steps >= fuel:
-            error, error_pc = "FuelExhausted", pc
-            break
-        if pc < base or pc >= end or pc & 3:
-            error, error_pc = "BadProgramCounter", pc
-            break
-        op, a, b, c = code[(pc - base) >> 2]
-        steps += 1
-
-        if op == OP_SW or op == OP_SB:
-            ea = (regs[c] + b) & M32
-            if dev.base <= ea < dev.base + dev.size:
-                off = ea - dev.base
-                if off == dev.print_offset:
-                    out.append(regs[a] & 0xFF)
-                elif off == dev.halt_offset:
-                    halted, exit_reason = True, "halt-device"
-                    break
-                pc += 4
-                continue
-            if op == OP_SW:
-                if ea & 3:
-                    error, error_pc = "UnalignedWordAccess", pc
-                    break
-                mem[ea] = regs[a]
-            else:
-                w, lane = ea & ~3, ea & 3
-                cur = mem.get(w, 0)
-                mem[w] = (cur & ~(0xFF << (8 * lane))) | ((regs[a] & 0xFF) << (8 * lane))
-            pc += 4
-            continue
-        if op == OP_LW or op == OP_LB:
-            ea = (regs[c] + b) & M32
-            if dev.base <= ea < dev.base + dev.size:
-                error, error_pc = "DeviceReadUnsupported", pc
-                break
-            if op == OP_LW:
-                if ea & 3:
-                    error, error_pc = "UnalignedWordAccess", pc
-                    break
-                if ea not in mem:
-                    error, error_pc = "UninitializedRead", pc
-                    break
-                v = mem[ea]
-            else:
-                w = ea & ~3
-                if w not in mem:
-                    error, error_pc = "UninitializedRead", pc
-                    break
-                v = (mem[w] >> (8 * (ea & 3))) & 0xFF
-            if a != 0:
-                regs[a] = v
-            pc += 4
-            continue
-        if op == OP_MOVE:
-            if a != 0:
-                regs[a] = regs[b]
-            pc += 4
-            continue
-        if op == OP_LI:
-            if a != 0:
-                regs[a] = b & M32
-            pc += 4
-            continue
-        if op == OP_ADDIU:
-            if a != 0:
-                regs[a] = (regs[b] + c) & M32
-            pc += 4
-            continue
-        if op == OP_ADDU:
-            if a != 0:
-                regs[a] = (regs[b] + regs[c]) & M32
-            pc += 4
-            continue
-        if op == OP_NAND:
-            if a != 0:
-                regs[a] = ~(regs[b] & regs[c]) & M32
-            pc += 4
-            continue
-        if op == OP_BEQ:
-            pc = c if regs[a] == regs[b] else pc + 4
-            continue
-        if op == OP_BNEZ:
-            pc = b if regs[a] != 0 else pc + 4
-            continue
-        if op == OP_J:
-            pc = a
-            continue
-        if op == OP_JAL:
-            regs[RA] = pc + 4
-            pc = a
-            continue
-        if op == OP_JR:
-            pc = regs[a]
-            continue
-        pc += 4  # nop
-
-    return RunOutcome(regs=regs, output=bytes(out), halted=halted, steps=steps,
-                      error=error, error_pc=error_pc, exit_reason=exit_reason)
-
-
-# --------------------------------------------------------------------------
-# aliasing interpreter
-
-
-def _ea(seed: int, hi: int, lo: int, imm: int) -> int:
-    return tag(seed, T_EA, pack(hi, lo), imm)
-
-
-def _preload_alias(image: Image, seed: int):
-    """Initialized data is modeled as written earlier along its canonical
+def _preload(blobs, seed: int, salt):
+    """Preloaded data is modeled as written earlier along its canonical
     access chains: direct offsets from the load-immediate base for arrays,
     and repeated stepping for strings."""
     mem: dict[tuple[int, int], tuple[int, int]] = {}
@@ -203,40 +74,53 @@ def _preload_alias(image: Image, seed: int):
             locount[a] = locount.get(a, 0) + 1
         mem[key] = (0, word)
 
-    for addr, data, step, _size, init in image.blobs:
-        if not init:
-            continue
-        base_hi = tag(seed, T_LI, addr)
+    def ea(hi: int, lo: int, imm: int) -> int:
+        return salt(seed, T_EA, pack(hi, lo), imm)
+
+    for addr, data, step, _size, _init in blobs:
+        base_hi = salt(seed, T_LI, addr)
         # array keying: unique offsets from the introduced base
         for k in range(len(data)):
             if (addr + k) & 3 == 0 and k + 4 <= len(data):
-                put_word(_ea(seed, base_hi, addr, k), addr + k,
+                put_word(ea(base_hi, addr, k), addr + k,
                          int.from_bytes(data[k:k + 4], "little"))
-            put_byte(_ea(seed, base_hi, addr, k), addr + k, data[k])
+            put_byte(ea(base_hi, addr, k), addr + k, data[k])
         # string keying: constant steps from the base, offsets within a step
         p_hi, p_lo, off = base_hi, addr, 0
         while off < len(data):
             span = min(step, len(data) - off)
             for j in range(span):
                 if (p_lo + j) & 3 == 0 and j + 4 <= span:
-                    put_word(_ea(seed, p_hi, p_lo, j), p_lo + j,
+                    put_word(ea(p_hi, p_lo, j), p_lo + j,
                              int.from_bytes(data[off + j:off + j + 4], "little"))
-                put_byte(_ea(seed, p_hi, p_lo, j), p_lo + j, data[off + j])
+                put_byte(ea(p_hi, p_lo, j), p_lo + j, data[off + j])
             nxt_lo = (p_lo + step) & M32
-            p_hi = tag(seed, T_ADDIU, pack(p_hi, p_lo), step)
+            p_hi = salt(seed, T_ADDIU, pack(p_hi, p_lo), step)
             p_lo = nxt_lo
             off += step
     return mem, locount
 
 
+def run_clean_image(image: Image, fuel: int) -> RunOutcome:
+    """The clean machine: one tag for every calculation, all data preloaded."""
+    return _run(image, fuel, 0, _zero_tag, image.blobs)
+
+
 def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
+    """The aliasing machine: seeded tags, ``noinit`` data left unwritten."""
+    return _run(image, fuel, seed, tag, [b for b in image.blobs if b[4]])
+
+
+def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
+    """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
+    calculation and the data of ``blobs`` preloaded."""
     hi = [0] * 32
     lo = [0] * 32
     for i in range(1, 32):
-        hi[i] = tag(seed, T_INIT, i)
+        hi[i] = salt(seed, T_INIT, i)
     lo[SP] = image.stack_base
     lo[RA] = RETURN_SENTINEL
-    mem, locount = _preload_alias(image, seed)
+    mem, locount = _preload(blobs, seed, salt)
     out = bytearray()
     faults: list[Fault] = []
     dev = image.device
@@ -272,7 +156,7 @@ def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
                     break
                 pc += 4
                 continue
-            ea_hi = _ea(seed, hi[c], lo[c], b)
+            ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
             if op == OP_SW:
                 if ea_lo & 3:
                     error, error_pc = "UnalignedWordAccess", pc
@@ -297,7 +181,7 @@ def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
             if dev.base <= ea_lo < dev.base + dev.size:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
-            ea_hi = _ea(seed, hi[c], lo[c], b)
+            ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
             w = ea_lo & ~3
             if op == OP_LW:
                 if ea_lo & 3:
@@ -329,23 +213,23 @@ def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
             continue
         if op == OP_LI:
             if a != 0:
-                hi[a], lo[a] = tag(seed, T_LI, b & M32), b & M32
+                hi[a], lo[a] = salt(seed, T_LI, b & M32), b & M32
             pc += 4
             continue
         if op == OP_ADDIU:
             if a != 0:
-                hi[a], lo[a] = tag(seed, T_ADDIU, pack(hi[b], lo[b]), c), (lo[b] + c) & M32
+                hi[a], lo[a] = salt(seed, T_ADDIU, pack(hi[b], lo[b]), c), (lo[b] + c) & M32
             pc += 4
             continue
         if op == OP_ADDU:
             if a != 0:
-                hi[a], lo[a] = (tag(seed, T_ADDU, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
+                hi[a], lo[a] = (salt(seed, T_ADDU, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
                                 (lo[b] + lo[c]) & M32)
             pc += 4
             continue
         if op == OP_NAND:
             if a != 0:
-                hi[a], lo[a] = (tag(seed, T_NAND, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
+                hi[a], lo[a] = (salt(seed, T_NAND, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
                                 ~(lo[b] & lo[c]) & M32)
             pc += 4
             continue
@@ -359,7 +243,7 @@ def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
             pc = a
             continue
         if op == OP_JAL:
-            hi[RA], lo[RA] = tag(seed, T_JAL, pc + 4), pc + 4
+            hi[RA], lo[RA] = salt(seed, T_JAL, pc + 4), pc + 4
             pc = a
             continue
         if op == OP_JR:

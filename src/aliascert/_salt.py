@@ -12,7 +12,8 @@ while distinct calculations of an arithmetically equal value disagree
 with overwhelming probability.  Memory is keyed by (tag, address), so a
 read through a differently calculated alias of a written address misses
 its cell and faults.  Comparisons and device decoding see the arithmetic
-word only.  The interpreter in `_engine` inlines these calls.
+word only.  The interpreter in `_engine` takes :func:`tag` as its salt;
+its clean machine takes a salt that tags every calculation 0 instead.
 """
 
 from __future__ import annotations

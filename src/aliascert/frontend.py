@@ -203,10 +203,7 @@ def parse_program(text: str, base: int = BASE_ADDRESS) -> Program:
             if blob.label is None:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
             place_labels(addr, line_no)
-            if blob.label in prog.blobs:
-                prog.blobs[blob.label] = _merge_blob(prog.blobs[blob.label], blob)
-            else:
-                prog.blobs[blob.label] = blob
+            prog.blobs[blob.label] = blob
             addr += _align4(max(len(blob.data), 1))
             continue
         instr = _parse_instruction(line, line_no, referenced)
@@ -227,10 +224,6 @@ def parse_program(text: str, base: int = BASE_ADDRESS) -> Program:
 
 def _align4(n: int) -> int:
     return (n + 3) & ~3
-
-
-def _merge_blob(old: DataBlob, new: DataBlob) -> DataBlob:
-    raise DuplicateLabel(old.label, 0)
 
 
 def _parse_pragma(body: str, line_no: int) -> Pragma:
@@ -287,6 +280,8 @@ def _parse_target(tok: str, line_no: int, referenced: list):
 
 def _parse_instruction(line: str, line_no: int, referenced: list) -> Instruction:
     toks = line.replace(",", " ").split()
+    if not toks:
+        raise AsmSyntaxError(line_no, "expected an instruction")
     op, args = toks[0], toks[1:]
 
     def arity(n: int):
@@ -361,7 +356,10 @@ def _parse_bytes(body: str, line_no: int, label: str | None) -> DataBlob:
                         raise AsmSyntaxError(line_no, "dangling escape in string")
                     esc = body[i]
                     if esc == "x":
-                        data.append(int(body[i + 1:i + 3], 16))
+                        digits = body[i + 1:i + 3]
+                        if not re.fullmatch(r"[0-9a-fA-F]{2}", digits):
+                            raise AsmSyntaxError(line_no, f"malformed escape \\x{digits}")
+                        data.append(int(digits, 16))
                         i += 2
                     elif esc in _ESCAPES:
                         data.append(_ESCAPES[esc])
@@ -398,4 +396,6 @@ def _parse_bytes(body: str, line_no: int, label: str | None) -> DataBlob:
             data.append(v)
     if step < 1:
         raise AsmSyntaxError(line_no, "step must be >= 1")
+    if size is not None and size < 0:
+        raise AsmSyntaxError(line_no, "size must be >= 0")
     return DataBlob(label=label, data=bytes(data), step=step, size=size, init=init)

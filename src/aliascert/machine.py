@@ -5,8 +5,9 @@ semantics table: a state-to-state transformation over 32 registers, a
 sparse word memory, and the program counter.  Bytes sit little-endian
 within their word; a memory-mapped device region turns stores into
 console output and a halt signal.  Whole-program runs go through the
-interpreter in `_engine`; ``step`` is the independent single-step
-reference it is tested against.
+interpreter loop in `_engine`, whose clean machine is its aliasing
+machine with every calculation tagged alike; ``step`` is the independent
+single-step reference it is tested against.
 """
 
 from __future__ import annotations

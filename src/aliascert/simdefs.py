@@ -1,8 +1,9 @@
-"""Shared definitions for the clean and aliasing interpreters.
+"""Shared definitions for the interpreter and its single-step reference.
 
-The clean and the aliasing run consume the same decoded program image
-and produce the same outcome record, so they can be compared with each
-other and with the single-step reference in `machine`.
+The clean and the aliasing run are one loop in `_engine` with two salts;
+both consume the same decoded program image and produce the same outcome
+record, so they can be compared with each other and with the single-step
+reference in `machine`.
 """
 
 from __future__ import annotations

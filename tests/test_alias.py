@@ -106,6 +106,20 @@ def test_lo_projection_matches_clean_run(corpus_programs):
             assert aliased.steps == clean.steps
 
 
+def test_noinit_blob_is_preloaded_on_the_clean_machine_only():
+    # the clean machine holds every declared byte; the aliasing machine
+    # never wrote a `noinit` blob, so reading it before a store fails
+    p = parse_program("#@ entry main\nmain:\n  li t0 buf\n  lw t1 0(t0)\n  jr ra\n"
+                      "buf:\n  .bytes 1 2 3 4 noinit\n")
+    clean = run(p)
+    assert clean.ok and clean.regs[9] == 0x04030201  # t1
+    for seed in (1, 2, 7):
+        aliased = run_aliased(p, AliasConfig(seed=seed))
+        assert aliased.error == "UninitializedRead" and not aliased.faults
+    rep = diff_runs(p, seeds=20)
+    assert [d.seed for d in rep.divergences] == list(range(1, 21))
+
+
 def test_determinism_per_seed(hello):
     a = run_aliased(hello, AliasConfig(seed=5))
     b = run_aliased(hello, AliasConfig(seed=5))

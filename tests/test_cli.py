@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aliascert.cli import main
 
@@ -135,6 +136,45 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
     assert main([command, str(tmp_path / "missing.s")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     bad = tmp_path / "bad.s"
-    bad.write_text("lwz r1 0(sp)\n")
-    assert main([command, str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("parse error: line 1")
+    for source in ("lwz r1 0(sp)\n",
+                   "    ,\n",                    # no mnemonic
+                   'msg: .bytes "\\xZZ"\n',     # escape without hex digits
+                   'msg: .bytes "ab\\x"\n',     # escape cut off by the quote
+                   "msg: .bytes 1 2 size=-4\n"):  # negative extent
+        bad.write_text(source)
+        assert main([command, str(bad)]) == 2, source
+        assert capsys.readouterr().err.startswith("parse error: line 1"), source
+
+
+# small alphabets of the dialect's own pieces, well and badly formed
+_MNEMONICS = ("nop", "li", "lw", "sw", "lb", "sb", "move", "addiu", "addu", "nand",
+              "beq", "bnez", "j", "jal", "jr", "lwz")
+_OPERANDS = ("sp", "ra", "t0", "zero", "r31", "r32", "main", "msg", "<main>",
+             "0", "4", "-4", "0x10", "70000", "0(sp)", "4(t0)", "x(sp)", "(", ")", ",")
+_DATA = ("1", "255", "256", '"ab"', '"\\x41"', '"\\xZZ"', '"ab\\x"', '"\\q"', '"\\n"',
+         '"open', "step=2", "step=0", "size=4", "size=-4", "size=x", "noinit", "tag=1", ",")
+_PRAGMAS = ("#@ entry main", "#@ entry", "#@ entry nowhere", "#@ assume main: sp*=c^[0], ra=u^0",
+            "#@ assume main: ra=u^0", "#@ assume main sp", "#@ assume main: sp=c^[", "#@ bogus")
+_PUNCTUATION = (",", "(", ")", ":", "\\", "# note")
+
+
+def _words(heads, pool, most):
+    return st.builds(lambda head, rest: " ".join((head, *rest)),
+                     st.sampled_from(heads), st.lists(st.sampled_from(pool), max_size=most))
+
+
+_lines = st.tuples(
+    st.sampled_from(("", "main: ", "msg: ", "f:")),
+    st.one_of(_words(_MNEMONICS, _OPERANDS, 3), _words((".bytes",), _DATA, 4),
+              st.sampled_from(_PRAGMAS), _words(_PUNCTUATION, _PUNCTUATION, 2)),
+).map("".join)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(source=st.lists(_lines, min_size=1, max_size=8).map("\n".join))
+def test_no_source_text_ends_in_an_internal_error(tmp_path, source):
+    path = tmp_path / "fuzz.s"
+    path.write_text(source + "\n")
+    assert main(["certify", str(path)]) in (0, 1, 2), source

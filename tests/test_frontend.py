@@ -68,6 +68,9 @@ def test_addresses_stride_by_four():
 def test_duplicate_label_rejected():
     with pytest.raises(DuplicateLabel):
         parse_program("a:\nnop\na:\nnop\n")
+    with pytest.raises(DuplicateLabel) as e:
+        parse_program("msg:\n.bytes 1\nmsg:\n.bytes 2\n")
+    assert e.value.line == 3
 
 
 def test_unresolved_reference_rejected():
