@@ -14,7 +14,6 @@ from .isa import Program
 from .machine import build_image
 from .simdefs import (
     DEFAULT_FUEL,
-    DEFAULT_STACK_BASE,
     DeviceConfig,
     RunOutcome,
 )
@@ -24,7 +23,6 @@ from .simdefs import (
 class AliasConfig:
     seed: int = 0
     device: DeviceConfig = DeviceConfig()
-    stack_base: int = DEFAULT_STACK_BASE
 
 
 def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
@@ -33,7 +31,7 @@ def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
     an arithmetically matching but differently calculated cell."""
     from ._engine import run_alias_image
 
-    image = build_image(program, entry, cfg.device, cfg.stack_base)
+    image = build_image(program, entry, cfg.device)
     return run_alias_image(image, fuel, cfg.seed)
 
 
@@ -72,20 +70,21 @@ def compare_runs(clean: RunOutcome, aliased: RunOutcome, seed: int) -> Divergenc
 
 
 def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
-              entry: str | None = None, device: DeviceConfig = DeviceConfig(),
-              stack_base: int = DEFAULT_STACK_BASE,
-              first_seed: int = 1) -> DiffReport:
-    """Clean-vs-aliased sweep over ``seeds`` seeds; the clean run must
-    complete without error first."""
+              entry: str | None = None,
+              device: DeviceConfig = DeviceConfig()) -> DiffReport:
+    """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1); the
+    clean run must complete without error first."""
     from ._engine import run_alias_image, run_clean_image
 
-    image = build_image(program, entry, device, stack_base)
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    image = build_image(program, entry, device)
     clean = run_clean_image(image, fuel)
     if not clean.ok:
         raise ValueError(f"clean run fails ({clean.error} at pc="
                          f"{clean.error_pc:#x}); nothing to compare against")
     divergences = []
-    for seed in range(first_seed, first_seed + seeds):
+    for seed in range(1, seeds + 1):
         aliased = run_alias_image(image, fuel, seed)
         d = compare_runs(clean, aliased, seed)
         if d is not None:

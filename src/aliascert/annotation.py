@@ -106,9 +106,6 @@ class Annotation:
         regs = _put(self.regs, r, t)
         return self if regs is self.regs else Annotation(self.star, regs, self.slots)
 
-    def set_star(self, r: int | None) -> "Annotation":
-        return Annotation(r, self.regs, self.slots)
-
     def set_slot(self, k: int, t: AnnotatedType) -> "Annotation":
         slots = _put(self.slots, k, t)
         return self if slots is self.slots else Annotation(self.star, self.regs, slots)

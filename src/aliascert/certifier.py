@@ -89,6 +89,7 @@ class Failure:
     rule: str | None
     kind: str
     detail: str
+    recursion: bool = False  # a call cycle caused it: the verdict is UNSUPPORTED
 
     def __str__(self) -> str:
         where = f"0x{self.addr:08x}" if self.addr is not None else "<program>"
@@ -553,7 +554,7 @@ class _Engine:
         if callee_addr in call_stack:
             raise self._record(depth, Failure(
                 site, str(s), "RecursionUnsupported",
-                f"call cycle through {label}"))
+                f"call cycle through {label}", recursion=True))
         # the callee sees the caller's registers, a fresh return address, and
         # an empty local frame in the same stack-pointer register
         entry = ann.set_reg(RA, U0).set_reg(star, C0).with_slots()
@@ -564,7 +565,7 @@ class _Engine:
         except CertError as e:
             raise self._record(depth, Failure(
                 site, str(s), "CalleeUnsafe",
-                f"{label}: {e.failure}")) from e
+                f"{label}: {e.failure}", recursion=e.failure.recursion)) from e
         if cert.exit_ann is None:
             raise self._record(depth, Failure(
                 site, str(s), "CalleeUnsafe", f"{label} never returns"))
@@ -641,15 +642,10 @@ def certify_program(program: Program, entry: str | None = None,
                           engine.stats())
     except CertError as e:
         failure = engine.deepest[1] if engine.deepest else e.failure
-        verdict = UNSUPPORTED if _is_unsupported(failure, e.failure) else UNSAFE
+        verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE
         return CertReport(verdict, theory, [failure], engine.stats())
     theory.entry_key = cert.key
     return CertReport(SAFE, theory, [], engine.stats())
-
-
-def _is_unsupported(*failures: Failure) -> bool:
-    return any(f.kind == "RecursionUnsupported" or "RecursionUnsupported" in f.detail
-               for f in failures)
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import DataBlob, Instruction, Target, reg_name
+from .isa import DataBlob, Instruction, Target, render
 
 # ops whose machine rendering is a byte access
 BYTE_OPS = frozenset({"getb", "putb", "getbx", "putbx", "lbfh", "sbth"})
 STACK_ACCESS = frozenset({"get", "put", "getb", "putb"})
-ARRAY_ACCESS = frozenset({"lwfh", "swth", "lbfh", "sbth"})
 READ_OPS = frozenset({"get", "getb", "getx", "getbx", "lwfh", "lbfh"})
 WRITE_OPS = frozenset({"put", "putb", "putx", "putbx", "swth", "sbth"})
 
@@ -42,38 +41,26 @@ class StackInstr:
         return 1 if self.op in BYTE_OPS else 4
 
     def __str__(self) -> str:
-        op, r = self.op, reg_name
-        if op in ("cspt",):
-            return f"cspt {r(self.rd)}"
-        if op in ("cspf", "rspf"):
-            return f"{op} {r(self.rs)}"
-        if op == "push":
-            return f"push {self.n}"
-        if op in ("get", "put", "getb", "putb", "stepx"):
-            return f"{op} {r(self.rd)} {self.n}"
-        if op in ("getx", "putx", "getbx", "putbx", "lwfh", "swth", "lbfh", "sbth"):
-            return f"{op} {r(self.rd)} {self.n}({r(self.rs)})"
-        if op in ("newx", "newh"):
-            return f"{op} {r(self.rd)} {_t(self.target)} {self.n}"
-        if op in ("gosub", "goto"):
-            return f"{op} {_t(self.target)}"
-        if op == "ifnz":
-            return f"ifnz {r(self.rd)} {_t(self.target)}"
-        if op == "ifeq":
-            return f"ifeq {r(self.rd)} {r(self.rs)} {_t(self.target)}"
-        if op == "mov":
-            return f"mov {r(self.rd)} {r(self.rs)}"
-        if op == "addaiu":
-            return f"addaiu {r(self.rd)} {r(self.rs)} {self.n}"
-        if op in ("nandop", "addop"):
-            return f"{op} {r(self.rd)} {r(self.rs)} {r(self.rt)}"
-        if op == "return":
-            return "return"
-        return op
+        return render(self.op, _STACK_FORMATS.get(self.op, ()), self, imm="n")
 
 
-def _t(t: Target | None) -> str:
-    return t if isinstance(t, str) else (f"0x{t:08x}" if t is not None else "?")
+# The operands each stack instruction prints, in order, rendered as
+# `isa.FORMATS` operands are; ``mem`` is ``n(rs)``.  ``return`` and ``nop``
+# print bare.
+_STACK_FORMATS: dict[str, tuple[str, ...]] = {
+    "cspt": ("rd",), "cspf": ("rs",), "rspf": ("rs",),
+    "push": ("n",),
+    **dict.fromkeys(("get", "put", "getb", "putb", "stepx"), ("rd", "n")),
+    **dict.fromkeys(("getx", "putx", "getbx", "putbx", "lwfh", "swth", "lbfh", "sbth"),
+                    ("rd", "mem")),
+    "newx": ("rd", "target", "n"), "newh": ("rd", "target", "n"),
+    "gosub": ("target",), "goto": ("target",),
+    "ifnz": ("rd", "target"),
+    "ifeq": ("rd", "rs", "target"),
+    "mov": ("rd", "rs"),
+    "addaiu": ("rd", "rs", "n"),
+    "addop": ("rd", "rs", "rt"), "nandop": ("rd", "rs", "rt"),
+}
 
 
 # --------------------------------------------------------------------------

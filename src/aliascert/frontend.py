@@ -26,6 +26,7 @@ from .annot import (
 from .annotation import Annotation
 from .isa import (
     BASE_ADDRESS,
+    FORMATS,
     IMM_MAX,
     IMM_MIN,
     DataBlob,
@@ -283,56 +284,26 @@ def _parse_instruction(line: str, line_no: int, referenced: list) -> Instruction
     if not toks:
         raise AsmSyntaxError(line_no, "expected an instruction")
     op, args = toks[0], toks[1:]
-
-    def arity(n: int):
-        if len(args) != n:
-            raise AsmSyntaxError(line_no, f"{op} expects {n} operand(s), got {len(args)}")
-
-    if op in ("sw", "lw", "sb", "lb"):
-        arity(2)
-        rd = _parse_reg(args[0], line_no)
-        m = _MEM_OPERAND_RE.match(args[1])
-        if not m:
-            raise AsmSyntaxError(line_no, f"expected offset(base), got {args[1]!r}")
-        imm = _parse_imm16(m.group(1), line_no)
-        rs = _parse_reg(m.group(2), line_no)
-        return Instruction(op, rd=rd, rs=rs, imm=imm)
-    if op == "move":
-        arity(2)
-        return Instruction(op, rd=_parse_reg(args[0], line_no), rs=_parse_reg(args[1], line_no))
-    if op == "li":
-        arity(2)
-        return Instruction(op, rd=_parse_reg(args[0], line_no),
-                           target=_parse_target(args[1], line_no, referenced))
-    if op == "addiu":
-        arity(3)
-        return Instruction(op, rd=_parse_reg(args[0], line_no),
-                           rs=_parse_reg(args[1], line_no),
-                           imm=_parse_imm16(args[2], line_no))
-    if op in ("addu", "nand"):
-        arity(3)
-        return Instruction(op, rd=_parse_reg(args[0], line_no),
-                           rs=_parse_reg(args[1], line_no),
-                           rt=_parse_reg(args[2], line_no))
-    if op == "beq":
-        arity(3)
-        return Instruction(op, rd=_parse_reg(args[0], line_no),
-                           rs=_parse_reg(args[1], line_no),
-                           target=_parse_target(args[2], line_no, referenced))
-    if op == "bnez":
-        arity(2)
-        return Instruction(op, rd=_parse_reg(args[0], line_no),
-                           target=_parse_target(args[1], line_no, referenced))
-    if op in ("j", "jal"):
-        arity(1)
-        return Instruction(op, target=_parse_target(args[0], line_no, referenced))
-    if op == "jr":
-        arity(1)
-        return Instruction(op, rd=_parse_reg(args[0], line_no))
-    if op == "nop":
-        arity(0)
-        return Instruction(op)
-    raise AsmSyntaxError(line_no, f"unknown mnemonic {op!r}")
+    fields = FORMATS.get(op)
+    if fields is None:
+        raise AsmSyntaxError(line_no, f"unknown mnemonic {op!r}")
+    if len(args) != len(fields):
+        raise AsmSyntaxError(line_no, f"{op} expects {len(fields)} operand(s), got {len(args)}")
+    operands = {}
+    for f, tok in zip(fields, args):
+        if f == "mem":
+            m = _MEM_OPERAND_RE.match(tok)
+            if not m:
+                raise AsmSyntaxError(line_no, f"expected offset(base), got {tok!r}")
+            operands["imm"] = _parse_imm16(m.group(1), line_no)
+            operands["rs"] = _parse_reg(m.group(2), line_no)
+        elif f == "imm":
+            operands[f] = _parse_imm16(tok, line_no)
+        elif f == "target":
+            operands[f] = _parse_target(tok, line_no, referenced)
+        else:
+            operands[f] = _parse_reg(tok, line_no)
+    return Instruction(op, **operands)
 
 
 _ESCAPES = {"0": 0, "n": 10, "t": 9, "r": 13, "\\": 92, '"': 34}

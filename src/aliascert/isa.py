@@ -30,21 +30,45 @@ IMM_MIN, IMM_MAX = -(1 << 15), (1 << 15) - 1
 Target = Union[int, str]  # resolved address or symbolic label
 
 
+# The operands of each mnemonic, in source order: the one table that
+# parsing, printing and image decoding read.  ``mem`` is ``offset(base)``,
+# the fields ``imm`` then ``rs``.
+FORMATS: dict[str, tuple[str, ...]] = {
+    "sw": ("rd", "mem"), "lw": ("rd", "mem"), "sb": ("rd", "mem"), "lb": ("rd", "mem"),
+    "move": ("rd", "rs"),
+    "li": ("rd", "target"),
+    "addiu": ("rd", "rs", "imm"),
+    "addu": ("rd", "rs", "rt"), "nand": ("rd", "rs", "rt"),
+    "beq": ("rd", "rs", "target"),
+    "bnez": ("rd", "target"),
+    "j": ("target",), "jal": ("target",),
+    "jr": ("rd",),
+    "nop": (),
+}
+
+
+def render(op: str, fields: tuple[str, ...], x, imm: str = "imm") -> str:
+    """``op`` and the operands of ``x`` that ``fields`` names, as the
+    dialect writes them.  ``imm`` names the field of ``x`` that holds its
+    immediate; ``mem`` is written ``imm(rs)``."""
+    parts = [op]
+    for f in fields:
+        if f == "target":
+            t = x.target
+            parts.append(t if isinstance(t, str) else (f"0x{t:08x}" if t is not None else "?"))
+        elif f == "mem":
+            parts.append(f"{getattr(x, imm)}({reg_name(x.rs)})")
+        elif f == imm:
+            parts.append(str(getattr(x, f)))
+        else:
+            parts.append(reg_name(getattr(x, f)))
+    return " ".join(parts)
+
+
 @dataclass(frozen=True, slots=True)
 class Instruction:
-    """One decoded machine instruction.
-
-    Operand slots by opcode:
-      sw/lw/sb/lb   rd, imm, rs     (rd value, offset imm, base rs)
-      move          rd, rs
-      li            rd, target
-      addiu         rd, rs, imm
-      addu/nand     rd, rs, rt
-      beq           rd, rs, target
-      bnez          rd, target
-      j/jal         target
-      jr            rd
-    """
+    """One decoded machine instruction; ``FORMATS`` lists which operand
+    fields each mnemonic uses, the others stay None."""
 
     op: str
     rd: int | None = None
@@ -54,31 +78,7 @@ class Instruction:
     target: Target | None = None
 
     def __str__(self) -> str:
-        op = self.op
-        r = reg_name
-        if op in ("sw", "lw", "sb", "lb"):
-            return f"{op} {r(self.rd)} {self.imm}({r(self.rs)})"
-        if op == "move":
-            return f"move {r(self.rd)} {r(self.rs)}"
-        if op == "li":
-            return f"li {r(self.rd)} {_target_str(self.target)}"
-        if op == "addiu":
-            return f"addiu {r(self.rd)} {r(self.rs)} {self.imm}"
-        if op in ("addu", "nand"):
-            return f"{op} {r(self.rd)} {r(self.rs)} {r(self.rt)}"
-        if op == "beq":
-            return f"beq {r(self.rd)} {r(self.rs)} {_target_str(self.target)}"
-        if op == "bnez":
-            return f"bnez {r(self.rd)} {_target_str(self.target)}"
-        if op in ("j", "jal"):
-            return f"{op} {_target_str(self.target)}"
-        if op == "jr":
-            return f"jr {r(self.rd)}"
-        return op
-
-
-def _target_str(t: Target | None) -> str:
-    return t if isinstance(t, str) else (f"0x{t:08x}" if t is not None else "?")
+        return render(self.op, FORMATS.get(self.op, ()), self)
 
 
 @dataclass(frozen=True)

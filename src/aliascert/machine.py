@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import Instruction, Program, RA, ZERO
+from .isa import FORMATS, Instruction, Program, RA, SP, ZERO
 from .simdefs import (
     DEFAULT_FUEL,
     DEFAULT_STACK_BASE,
@@ -134,60 +134,48 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
 
 
 def build_image(program: Program, entry: str | None = None,
-                device: DeviceConfig = DeviceConfig(),
-                stack_base: int = DEFAULT_STACK_BASE) -> Image:
-    """Decode a program into the flat form the interpreter consumes."""
+                device: DeviceConfig = DeviceConfig()) -> Image:
+    """Decode a program into the flat form the interpreter consumes: each
+    instruction's operands in ``FORMATS`` order, ``mem`` as ``imm, rs``,
+    targets resolved, padded with 0 to three operands."""
     label = entry or program.entry_label()
     if label is None:
         raise ValueError("program has no entry pragma and no entry was given")
+    if label not in program.labels:
+        raise ValueError(f"entry label {label!r} is not defined")
     code = []
     for i in program.instructions:
-        opid = OP_IDS[i.op]
-        if i.op in ("sw", "lw", "sb", "lb"):
-            code.append((opid, i.rd, i.imm, i.rs))
-        elif i.op == "move":
-            code.append((opid, i.rd, i.rs, 0))
-        elif i.op == "li":
-            code.append((opid, i.rd, program.resolve(i.target), 0))
-        elif i.op == "addiu":
-            code.append((opid, i.rd, i.rs, i.imm))
-        elif i.op in ("addu", "nand"):
-            code.append((opid, i.rd, i.rs, i.rt))
-        elif i.op == "beq":
-            code.append((opid, i.rd, i.rs, program.resolve(i.target)))
-        elif i.op == "bnez":
-            code.append((opid, i.rd, program.resolve(i.target), 0))
-        elif i.op in ("j", "jal"):
-            code.append((opid, program.resolve(i.target), 0, 0))
-        elif i.op == "jr":
-            code.append((opid, i.rd, 0, 0))
-        else:
-            code.append((opid, 0, 0, 0))
+        ops = [OP_IDS[i.op]]
+        for f in FORMATS[i.op]:
+            if f == "mem":
+                ops += (i.imm, i.rs)
+            elif f == "target":
+                ops.append(program.resolve(i.target))
+            else:
+                ops.append(getattr(i, f))
+        code.append((*ops, *(0,) * (4 - len(ops))))
     blobs = tuple(
         (program.labels[name], blob.data, blob.step, blob.byte_size, blob.init)
         for name, blob in program.blobs.items()
     )
     return Image(base=program.base, code=tuple(code), blobs=blobs,
-                 entry_addr=program.labels[label], device=device,
-                 stack_base=stack_base)
+                 entry_addr=program.labels[label], device=device)
 
 
 def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
-        device: DeviceConfig = DeviceConfig(),
-        stack_base: int = DEFAULT_STACK_BASE) -> RunOutcome:
+        device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Run on the clean machine until halt, return, error, or fuel out."""
     from ._engine import run_clean_image
 
-    return run_clean_image(build_image(program, entry, device, stack_base), fuel)
+    return run_clean_image(build_image(program, entry, device), fuel)
 
 
 def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
-                 device: DeviceConfig = DeviceConfig(),
-                 stack_base: int = DEFAULT_STACK_BASE) -> RunOutcome:
+                 device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
-    image = build_image(program, entry, device, stack_base)
+    image = build_image(program, entry, device)
     st = MachineState(pc=image.entry_addr, device=device)
-    st.regs[29] = stack_base
+    st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
     for addr, data, _s, _z, _i in image.blobs:
         for k, byte in enumerate(data):

@@ -9,6 +9,7 @@ reference in `machine`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 M32 = 0xFFFFFFFF
 
@@ -54,7 +55,7 @@ class Image:
     blobs: tuple[tuple[int, bytes, int, int, bool], ...]  # addr, data, step, size, init
     entry_addr: int
     device: DeviceConfig = DeviceConfig()
-    stack_base: int = DEFAULT_STACK_BASE
+    stack_base: ClassVar[int] = DEFAULT_STACK_BASE  # the initial sp of every run
 
     @property
     def code_end(self) -> int:

@@ -101,6 +101,30 @@ def test_recursive_call_unsupported():
     assert report.failures[0].kind == "RecursionUnsupported"
 
 
+def test_nested_recursive_call_unsupported():
+    # main calls f, and f calls itself
+    p = parse_program(
+        "#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\n"
+        "main:\n  move gp ra\n  jal f\n  move ra gp\n  jr ra\n"
+        "f:\n  move t0 ra\n  jal f\n  move ra t0\n  jr ra\n")
+    report = certify_program(p)
+    assert report.verdict == "UNSUPPORTED"
+    assert report.failures[0].kind == "CalleeUnsafe"
+    assert "f: RecursionUnsupported at 0x00400014" in report.failures[0].detail
+
+
+@pytest.mark.parametrize("callee", ["leaf", "RecursionUnsupported"])
+def test_verdict_does_not_depend_on_a_label_name(callee):
+    # the callee reads a slot of its empty frame: UNSAFE, whatever its name
+    p = parse_program(
+        "#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\n"
+        f"main:\n  move gp ra\n  jal {callee}\n  move ra gp\n  jr ra\n"
+        f"{callee}:\n  lw t0 0(sp)\n  jr ra\n")
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    assert report.failures[0].kind == "CalleeUnsafe"
+
+
 def test_callee_must_restore_stack():
     # the callee returns with a frame still pushed
     p = parse_program(

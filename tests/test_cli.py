@@ -105,6 +105,21 @@ def test_diff_exit_codes(capsys):
     assert "divergences: 10/10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["run", "diff"])
+def test_unknown_entry_exits_two(command, capsys):
+    assert main([command, str(corpus_path("hello.s")), "--entry", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: entry label 'nosuch' is not defined\n"
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_diff_without_seeds_exits_two(seeds, capsys):
+    assert main(["diff", str(corpus_path("hello.s")), "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seeds must be at least 1, got {seeds}\n"
+    assert "divergences" not in captured.out
+
+
 def test_custom_device_addresses(capsys, tmp_path):
     src = tmp_path / "dev.s"
     src.write_text(

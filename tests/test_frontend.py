@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aliascert.annot import Calc, Finite, Offsets, Rep, SetVar, TypeVar, Uncalc, calc, rep, uncalc
 from aliascert.annotation import Annotation
@@ -14,7 +15,7 @@ from aliascert.frontend import (
     parse_type,
     serialize_annotation,
 )
-from aliascert.isa import BASE_ADDRESS, GP, RA, SP, REG_INDEX
+from aliascert.isa import BASE_ADDRESS, FORMATS, GP, IMM_MAX, IMM_MIN, RA, SP, REG_INDEX, Instruction
 
 
 # -- instruction parsing -------------------------------------------------------
@@ -92,6 +93,31 @@ def test_pragmas_parse():
     ann = p.assume_for("main")
     assert ann.star == SP
     assert ann.reg(RA) == uncalc(0)
+
+
+_LABELS = ("main", "loop_2", "$end")
+_REGS = st.integers(0, 31)
+_IMMS = st.integers(IMM_MIN, IMM_MAX)
+_FIELDS = {
+    "rd": {"rd": _REGS}, "rs": {"rs": _REGS}, "rt": {"rt": _REGS},
+    "imm": {"imm": _IMMS},
+    "mem": {"imm": _IMMS, "rs": _REGS},
+    "target": {"target": st.one_of(st.sampled_from(_LABELS), st.integers(0, 0xFFFFFFFF))},
+}
+
+
+def _instructions(op: str):
+    fields = {}
+    for f in FORMATS[op]:
+        fields.update(_FIELDS[f])
+    return st.builds(Instruction, st.just(op), **fields)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(i=st.sampled_from(sorted(FORMATS)).flatmap(_instructions))
+def test_printed_instruction_parses_back(i):
+    labels = "".join(f"{name}:\n  nop\n" for name in _LABELS)
+    assert parse_program(f"{labels}  {i}\n").instructions[-1] == i
 
 
 # -- annotation grammar ---------------------------------------------------------

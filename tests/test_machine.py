@@ -115,6 +115,8 @@ def test_fuel_exhaustion():
 def test_missing_entry_rejected():
     with pytest.raises(ValueError):
         build_image(parse_program("nop\n"))
+    with pytest.raises(ValueError, match="'nosuch'"):
+        build_image(parse_program("#@ entry main\nmain:\n  jr ra\n"), entry="nosuch")
 
 
 def test_sentinel_constant_is_aligned():
