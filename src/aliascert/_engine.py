@@ -1,4 +1,4 @@
-"""The interpreter: one loop over a decoded program image, two salts.
+"""The interpreter: one loop over a decoded program image, three salts.
 
 Memory is keyed by (tag, address) pairs, the tags coming from the
 `_salt` calculus, so that differently calculated aliases of one address
@@ -10,15 +10,27 @@ missing key means no cell at that word, so the run has exact 32-bit
 semantics and no alias fault can occur.  The two machines differ in
 one more way: the clean one preloads every data blob, the aliasing one
 only the initialized blobs.  `machine.step` is the independent
-single-step reference both runs are tested against.  Callers look the
-two functions up in this module at call time, so a profiler can wrap
-them here.
+single-step reference both runs are tested against.
+
+A seed's tags stand for how each value was calculated, so a sweep over
+seeds need not run the loop once per seed.  `run_symbolic_image` runs
+it once with a salt that hands out one id per distinct calculation
+(global value numbering by hash-consing); a seed's run equals that run
+exactly when the seed's tags are distinct among the effective-address
+calculations that key one word, since memory keys are the only place a
+tag is observed.  `run_alias_image` given that run checks this for its
+seed over the few calculations concerned and runs the seeded loop only
+on a collision.  Callers look the entry points up in this module at
+call time, so a profiler can wrap them here.
 """
 
 from __future__ import annotations
 
-from ._salt import T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, pack, tag
+from dataclasses import dataclass
+
+from ._salt import M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, pack, tag
 from .simdefs import (
+    DEFAULT_STACK_BASE,
     M32,
     OP_ADDIU,
     OP_ADDU,
@@ -106,19 +118,108 @@ def run_clean_image(image: Image, fuel: int) -> RunOutcome:
     return _run(image, fuel, 0, _zero_tag, image.blobs)
 
 
-def run_alias_image(image: Image, fuel: int, seed: int) -> RunOutcome:
-    """The aliasing machine: seeded tags, ``noinit`` data left unwritten."""
+def run_alias_image(image: Image, fuel: int, seed: int,
+                    symbolic: SymbolicRun | None = None) -> RunOutcome:
+    """The aliasing machine: seeded tags, ``noinit`` data left unwritten.
+
+    Given ``symbolic``, the symbolic run of the same ``image`` and
+    ``fuel``, returns its outcome when ``seed`` keys no word by two
+    colliding tags, and runs the seeded loop otherwise."""
+    if symbolic is not None and _collision_free(symbolic, seed):
+        return symbolic.outcome
     return _run(image, fuel, seed, tag, [b for b in image.blobs if b[4]])
+
+
+# The inputs `_run` passes with each tag domain: how many, and how many
+# of them lead with a salted word, pack(tag, value).
+_INPUTS = {T_LI: (1, 0), T_JAL: (1, 0), T_INIT: (1, 0),
+           T_ADDIU: (2, 1), T_EA: (2, 1), T_ADDU: (2, 2), T_NAND: (2, 2)}
+
+
+@dataclass(frozen=True)
+class SymbolicRun:
+    """The aliasing machine run once under calculation ids, kept only as
+    far as a seed's collision check needs it.
+
+    ``calcs`` maps the id of every calculation that ``groups`` reaches
+    through its inputs, in ascending order, to its key (`_run_interned`),
+    where a salted input holds the id of its tag (0 for the literal tag
+    0).  Each group holds the effective-address ids, two or more, that
+    key one word."""
+
+    outcome: RunOutcome
+    calcs: dict[int, int]
+    groups: tuple[tuple[int, ...], ...]
+
+
+def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
+    """The aliasing machine with one tag per distinct calculation: ids 1,
+    2, 3, ... in creation order, so no two calculations collide."""
+    outcome, ids = _run_interned(image, fuel)
+    # every effective address keys or probes a cell of its word, lo + imm
+    words: dict[int, list[int]] = {}
+    for k, i in ids.items():
+        if k & 0xFF == T_EA:
+            words.setdefault((((k >> 8) & M32) + (k >> 72)) & M32 & ~3, []).append(i)
+    groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
+    # the inputs of a calculation are older than it, so one walk down
+    # from the newest id collects the closure, however long the chains
+    need = {i for g in groups for i in g}
+    for k, i in reversed(ids.items()):
+        if i in need:
+            salted = _INPUTS[k & 0xFF][1]
+            if salted:
+                need.add((k >> 40) & M32)
+            if salted == 2:
+                need.add(k >> 104)
+    return SymbolicRun(outcome, {i: k for k, i in ids.items() if i in need}, groups)
+
+
+def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
+    """The symbolic run, and its table from the key of each calculation
+    to its id, in creation order.  A key holds the domain in bits 0-7,
+    the first input in bits 8-71 and the second, if any, in bits 72-135,
+    so a salted input's tag starts at bit 40 or 104.  One int per key
+    keeps the table small."""
+    ids: dict[int, int] = {}
+
+    def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
+        key = ((b & M64) << 64 | (a & M64)) << 8 | domain
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(ids) + 1
+        return i
+
+    outcome = _run(image, fuel, 0, intern, [b for b in image.blobs if b[4]])
+    return outcome, ids
+
+
+def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
+    """Whether ``seed`` tags the calculations of every group distinctly,
+    evaluated by :func:`tag` from the oldest calculation up."""
+    t = {0: 0}
+    for i, k in symbolic.calcs.items():
+        domain = k & 0xFF
+        n, salted = _INPUTS[domain]
+        a, b = (k >> 8) & M64, k >> 72
+        if salted:
+            a = pack(t[a >> 32], a)
+        if salted == 2:
+            b = pack(t[b >> 32], b)
+        t[i] = tag(seed, domain, a, b) if n == 2 else tag(seed, domain, a)
+    return all(len({t[i] for i in g}) == len(g) for g in symbolic.groups)
 
 
 def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
     calculation and the data of ``blobs`` preloaded."""
+    if fuel < 1:
+        raise ValueError(f"fuel must be at least 1, got {fuel}")
     hi = [0] * 32
     lo = [0] * 32
     for i in range(1, 32):
         hi[i] = salt(seed, T_INIT, i)
-    lo[SP] = image.stack_base
+    lo[SP] = DEFAULT_STACK_BASE
     lo[RA] = RETURN_SENTINEL
     mem, locount = _preload(blobs, seed, salt)
     out = bytearray()

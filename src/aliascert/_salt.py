@@ -13,7 +13,12 @@ with overwhelming probability.  Memory is keyed by (tag, address), so a
 read through a differently calculated alias of a written address misses
 its cell and faults.  Comparisons and device decoding see the arithmetic
 word only.  The interpreter in `_engine` takes :func:`tag` as its salt;
-its clean machine takes a salt that tags every calculation 0 instead.
+its clean machine takes a salt that tags every calculation 0 instead,
+and its symbolic run one that numbers each distinct calculation.  A
+seed's tag of a calculation is :func:`tag` applied to the tags of its
+inputs, so it can be evaluated from that numbering alone; the tag 0 of
+the zero register, of byte stores and of preloaded data is a literal,
+not a calculation.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 `run_aliased` runs a program under the salted-word model of `_salt`;
 `diff_runs` sweeps seeds and reports every aliased run that differs
 from the clean run in a fault, an error, the output, the halt, or a
-final register.
+final register.  A sweep is the clean run, one symbolic run under
+calculation ids, and per seed a check that the seed's tags do not
+collide where memory would see it; only a seed that fails the check
+is run on the seeded loop (`_engine`).
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ def compare_runs(clean: RunOutcome, aliased: RunOutcome, seed: int) -> Divergenc
 def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
               entry: str | None = None,
               device: DeviceConfig = DeviceConfig()) -> DiffReport:
-    """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1); the
-    clean run must complete without error first."""
-    from ._engine import run_alias_image, run_clean_image
+    """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1) with
+    ``fuel`` (at least 1) steps a run; the clean run must complete
+    without error first."""
+    from ._engine import run_alias_image, run_clean_image, run_symbolic_image
 
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
@@ -83,9 +87,10 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
     if not clean.ok:
         raise ValueError(f"clean run fails ({clean.error} at pc="
                          f"{clean.error_pc:#x}); nothing to compare against")
+    symbolic = run_symbolic_image(image, fuel)
     divergences = []
     for seed in range(1, seeds + 1):
-        aliased = run_alias_image(image, fuel, seed)
+        aliased = run_alias_image(image, fuel, seed, symbolic)
         d = compare_runs(clean, aliased, seed)
         if d is not None:
             divergences.append(d)

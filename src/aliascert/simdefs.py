@@ -1,15 +1,14 @@
 """Shared definitions for the interpreter and its single-step reference.
 
-The clean and the aliasing run are one loop in `_engine` with two salts;
-both consume the same decoded program image and produce the same outcome
-record, so they can be compared with each other and with the single-step
-reference in `machine`.
+The clean, the aliasing and the symbolic run are one loop in `_engine`
+with different salts; all consume the same decoded program image and
+produce the same outcome record, so they can be compared with each other
+and with the single-step reference in `machine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 M32 = 0xFFFFFFFF
 
@@ -17,7 +16,7 @@ DEFAULT_DEVICE_BASE = 0xB0000000
 DEFAULT_DEVICE_SIZE = 0x100
 DEFAULT_PRINT_OFFSET = 0x00
 DEFAULT_HALT_OFFSET = 0x10
-DEFAULT_STACK_BASE = 0x7FFFF000
+DEFAULT_STACK_BASE = 0x7FFFF000  # the initial sp of every run
 RETURN_SENTINEL = 0xFFFFFFFC  # initial ra; jumping here ends the run
 
 DEFAULT_FUEL = 1_000_000
@@ -55,7 +54,6 @@ class Image:
     blobs: tuple[tuple[int, bytes, int, int, bool], ...]  # addr, data, step, size, init
     entry_addr: int
     device: DeviceConfig = DeviceConfig()
-    stack_base: ClassVar[int] = DEFAULT_STACK_BASE  # the initial sp of every run
 
     @property
     def code_end(self) -> int:

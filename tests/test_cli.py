@@ -120,6 +120,15 @@ def test_diff_without_seeds_exits_two(seeds, capsys):
     assert "divergences" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["run", "diff"])
+@pytest.mark.parametrize("fuel", ["0", "-5"])
+def test_fuel_below_one_exits_two(command, fuel, capsys):
+    assert main([command, str(corpus_path("hello.s")), "--fuel", fuel]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: fuel must be at least 1, got {fuel}\n"
+    assert captured.out == ""
+
+
 def test_custom_device_addresses(capsys, tmp_path):
     src = tmp_path / "dev.s"
     src.write_text(
