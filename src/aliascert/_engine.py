@@ -19,16 +19,22 @@ it once with a salt that hands out one id per distinct calculation
 exactly when the seed's tags are distinct among the effective-address
 calculations that key one word, since memory keys are the only place a
 tag is observed.  `run_alias_image` given that run checks this for its
-seed over the few calculations concerned and runs the seeded loop only
-on a collision.  Callers look the entry points up in this module at
-call time, so a profiler can wrap them here.
+seed over the few calculations concerned, decoded once by the symbolic
+run, and runs the seeded loop only on a collision.  A symbolic run that
+ends without error, keys every word by one calculation and preloads
+every blob is also the clean run, so a sweep is one symbolic run, plus
+a clean run only when a word has two calculations or a blob is
+``noinit`` (`aliasing.diff_runs`).  Callers look the entry points up in
+this module at call time, so a profiler can wrap them here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._salt import M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, pack, tag
+from . import _salt
+from ._salt import (M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, fold, pack,
+                    root, tag)
 from .simdefs import (
     DEFAULT_STACK_BASE,
     M32,
@@ -141,14 +147,19 @@ class SymbolicRun:
     """The aliasing machine run once under calculation ids, kept only as
     far as a seed's collision check needs it.
 
-    ``calcs`` maps the id of every calculation that ``groups`` reaches
-    through its inputs, in ascending order, to its key (`_run_interned`),
-    where a salted input holds the id of its tag (0 for the literal tag
-    0).  Each group holds the effective-address ids, two or more, that
-    key one word."""
+    ``calcs`` lists every calculation that ``groups`` reaches through its
+    inputs, oldest first, as five flat fields ``domain, p, x, q, y`` (no
+    tuple per calculation keeps it small): the tag of the calculation at
+    position n is ``fold(fold(root(seed, domain), t[p] << 32 | x),
+    t[q] << 32 | y)``, the second fold only when ``q`` is not None,
+    where ``t[0]`` is the literal tag 0 and ``t[n]`` the tag at position
+    n, counted from 1.  An unsalted input is ``x`` or ``y`` whole with
+    position 0.  Each group holds the positions of the effective
+    addresses, two or more, that key one word; with no group, every word
+    is keyed by one calculation."""
 
     outcome: RunOutcome
-    calcs: dict[int, int]
+    calcs: list[int | None]
     groups: tuple[tuple[int, ...], ...]
 
 
@@ -161,18 +172,32 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     for k, i in ids.items():
         if k & 0xFF == T_EA:
             words.setdefault((((k >> 8) & M32) + (k >> 72)) & M32 & ~3, []).append(i)
-    groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
+    groups = [g for g in words.values() if len(g) > 1]
+    del words  # freed before the closure's tables grow
     # the inputs of a calculation are older than it, so one walk down
     # from the newest id collects the closure, however long the chains
-    need = {i for g in groups for i in g}
+    pos = dict.fromkeys(i for g in groups for i in g)
     for k, i in reversed(ids.items()):
-        if i in need:
+        if i in pos:
             salted = _INPUTS[k & 0xFF][1]
             if salted:
-                need.add((k >> 40) & M32)
+                pos[(k >> 40) & M32] = None
             if salted == 2:
-                need.add(k >> 104)
-    return SymbolicRun(outcome, {i: k for k, i in ids.items() if i in need}, groups)
+                pos[k >> 104] = None
+    # then one walk up numbers the closure in place, after the literal 0
+    pos[0] = 0
+    calcs = []
+    for k, i in ids.items():
+        if i in pos:
+            domain = k & 0xFF
+            n, salted = _INPUTS[domain]
+            a, b = (k >> 8) & M64, k >> 72
+            p, x = (pos[a >> 32], a & M32) if salted else (0, a)
+            q, y = (pos[b >> 32], b & M32) if salted == 2 else (0 if n == 2 else None, b)
+            calcs += domain, p, x, q, y
+            pos[i] = len(calcs) // 5
+    return SymbolicRun(outcome, calcs,
+                       tuple(tuple(pos[i] for i in g) for g in groups))
 
 
 def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
@@ -194,19 +219,25 @@ def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
     return outcome, ids
 
 
+def _seed_tags(symbolic: SymbolicRun, seed: int) -> list[int]:
+    """``seed``'s tag of every calculation of ``symbolic.calcs`` by
+    position, after the literal tag 0, evaluated from the oldest up with
+    one root per domain."""
+    roots = {d: root(seed, d) for d in _INPUTS}
+    mask = _salt.TAG_MASK
+    t = [0]
+    it = iter(symbolic.calcs)
+    for d, p, x, q, y in zip(it, it, it, it, it):
+        h = fold(roots[d], t[p] << 32 | x)
+        if q is not None:
+            h = fold(h, t[q] << 32 | y)
+        t.append(h & mask)
+    return t
+
+
 def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
-    """Whether ``seed`` tags the calculations of every group distinctly,
-    evaluated by :func:`tag` from the oldest calculation up."""
-    t = {0: 0}
-    for i, k in symbolic.calcs.items():
-        domain = k & 0xFF
-        n, salted = _INPUTS[domain]
-        a, b = (k >> 8) & M64, k >> 72
-        if salted:
-            a = pack(t[a >> 32], a)
-        if salted == 2:
-            b = pack(t[b >> 32], b)
-        t[i] = tag(seed, domain, a, b) if n == 2 else tag(seed, domain, a)
+    """Whether ``seed`` tags the calculations of every group distinctly."""
+    t = _seed_tags(symbolic, seed)
     return all(len({t[i] for i in g}) == len(g) for g in symbolic.groups)
 
 

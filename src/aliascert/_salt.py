@@ -18,7 +18,10 @@ and its symbolic run one that numbers each distinct calculation.  A
 seed's tag of a calculation is :func:`tag` applied to the tags of its
 inputs, so it can be evaluated from that numbering alone; the tag 0 of
 the zero register, of byte stores and of preloaded data is a literal,
-not a calculation.
+not a calculation.  A tag is a :func:`root` per seed and domain, folded
+with each input in turn by :func:`fold`, so a check that evaluates many
+calculations of one seed computes each domain's root once and calls the
+same two functions.  ``TAG_MASK`` is the tag width, read at every call.
 """
 
 from __future__ import annotations
@@ -35,21 +38,30 @@ T_EA = 0x66
 T_INIT = 0x77
 
 
-def sm64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & M64
+# the width of a tag: the low 32 bits of the mixed state
+TAG_MASK = 0xFFFFFFFF
+
+
+def fold(h: int, v: int) -> int:
+    """Mix the input ``v`` into the state ``h`` (one splitmix64 step)."""
+    z = ((h ^ (v & M64)) + 0x9E3779B97F4A7C15) & M64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & M64
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & M64
-    z ^= z >> 31
-    return z
+    return z ^ (z >> 31)
+
+
+def root(seed: int, domain: int) -> int:
+    """The state a tag of ``domain`` under ``seed`` starts from."""
+    return fold(seed & M64, domain)
 
 
 def tag(seed: int, domain: int, *vals: int) -> int:
-    h = sm64((seed & M64) ^ domain)
+    h = root(seed, domain)
     for v in vals:
-        h = sm64(h ^ (v & M64))
-    return h & 0xFFFFFFFF
+        h = fold(h, v)
+    return h & TAG_MASK
 
 
 def pack(hi: int, lo: int) -> int:

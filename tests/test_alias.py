@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import _engine
-from aliascert._salt import T_ADDIU, T_INIT, T_LI, pack, tag
+from aliascert import _engine, _salt
+from aliascert._salt import T_ADDIU, T_EA, T_INIT, T_LI, pack, tag
 from aliascert.aliasing import (
     AliasConfig,
     DiffReport,
@@ -109,13 +109,22 @@ def test_lo_projection_matches_clean_run(corpus_programs):
             assert aliased.steps == clean.steps
 
 
+# the second store goes through another calculation of sp, so on the
+# aliasing machine it fills another cell and the reload through sp reads
+# the first store
+_TWO_CALCULATIONS = ("#@ entry main\nmain:\n  li t0 1\n  sw t0 0(sp)\n"
+                     "  addiu t1 sp 0\n  li t0 2\n  sw t0 0(t1)\n  lw v0 0(sp)\n  jr ra\n")
+
+# the clean machine preloads `buf`, the aliasing machine does not, so the
+# reload sees the three bytes the store leaves only on the clean machine
+_NOINIT_AFTER_STORE = ("#@ entry main\nmain:\n  li t0 buf\n  li t1 65\n  sb t1 0(t0)\n"
+                       "  lw v0 0(t0)\n  jr ra\nbuf:\n  .bytes 1 2 3 4 noinit\n")
+
+
 def test_symbolic_run_without_fault_can_differ_from_the_clean_run():
-    # the second store goes through another calculation of sp, so on the
-    # aliasing machine it fills another cell and the reload through sp
-    # reads the first store: no load misses, yet v0 differs, so a sweep
-    # cannot take the symbolic run's words for the clean run
-    p = parse_program("#@ entry main\nmain:\n  li t0 1\n  sw t0 0(sp)\n"
-                      "  addiu t1 sp 0\n  li t0 2\n  sw t0 0(t1)\n  lw v0 0(sp)\n  jr ra\n")
+    # no load misses, yet v0 differs, so a sweep cannot take the symbolic
+    # run's words for the clean run when a word has two calculations
+    p = parse_program(_TWO_CALCULATIONS)
     symbolic = _engine.run_symbolic_image(build_image(p), DEFAULT_FUEL).outcome
     assert symbolic.ok and not symbolic.faults and symbolic.regs[2] == 1
     assert run(p).regs[2] == 2
@@ -136,12 +145,27 @@ def _seeded_sweep(program, seeds: int) -> DiffReport:
     return DiffReport(seeds=seeds, clean=clean, divergences=divergences)
 
 
+@pytest.fixture
+def clean_runs(monkeypatch):
+    """The images `_engine.run_clean_image` runs, in call order."""
+    calls = []
+    clean_loop = _engine.run_clean_image
+
+    def counted(image, fuel):
+        calls.append(image)
+        return clean_loop(image, fuel)
+
+    monkeypatch.setattr(_engine, "run_clean_image", counted)
+    return calls
+
+
 @pytest.mark.parametrize("bits", [8, 32])
-def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, monkeypatch):
+def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkeypatch):
     # 8-bit tags collide often, so the per-seed check must send some seeds
-    # to the seeded loop and still take the symbolic run for others
-    mask = (1 << bits) - 1
-    monkeypatch.setattr(_engine, "tag", lambda seed, domain, *vals: tag(seed, domain, *vals) & mask)
+    # to the seeded loop and still take the symbolic run for others; the
+    # tag width is the one point the seeded loop and the check both read
+    monkeypatch.setattr(_salt, "TAG_MASK", (1 << bits) - 1)
+    assert _engine.tag(5, T_LI, 7) < 1 << bits
     seeded = []
     loop = _engine._run
 
@@ -153,14 +177,68 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, monkeypatch):
     monkeypatch.setattr(_engine, "_run", counted)
     programs = list(corpus_programs.values()) + [generate_program(s) for s in range(40)]
     programs = [p for p in programs if run(p).ok]
-    fallbacks = 0
+    fallbacks = without_clean_run = 0
     for p in programs:
         reference = _seeded_sweep(p, 30)
-        del seeded[:]
+        del seeded[:], clean_runs[:]
         assert diff_runs(p, seeds=30) == reference
         fallbacks += len(seeded)
+        without_clean_run += not clean_runs
     if bits == 8:
         assert 0 < fallbacks < 30 * len(programs)
+    # the symbolic run stands for the clean run on some programs, not all
+    assert 0 < without_clean_run < len(programs)
+
+
+def test_collision_check_evaluates_the_seeded_tags(hello):
+    # the tags the check gives each group are the tags the seeded loop
+    # gives the effective addresses of that word; the last program
+    # calculates addresses by addu and nand, with two salted inputs
+    pointers = parse_program("#@ entry main\nmain:\n  li t0 buf\n  li t1 4\n  addu t2 t0 t1\n"
+                             "  nand t3 t1 t1\n  nand t3 t3 t3\n  addu t3 t0 t3\n"
+                             "  sw t1 0(t2)\n  lw v0 0(t3)\n  jr ra\nbuf:\n  .bytes 1 2 3 4 5 6 7 8\n")
+    checked = 0
+    for p in [hello, pointers] + [generate_program(s, n) for s in range(10) for n in (12, 64)]:
+        image = build_image(p)
+        symbolic = _engine.run_symbolic_image(image, DEFAULT_FUEL)
+        checked += len(symbolic.groups)
+        for seed in (1, 2, 77):
+            words = {}
+
+            def recording(seed, domain, *vals):
+                t = tag(seed, domain, *vals)
+                if domain == T_EA:
+                    words.setdefault(((vals[0] & M32) + vals[1]) & M32 & ~3, set()).add(t)
+                return t
+
+            _engine._run(image, DEFAULT_FUEL, seed, recording, [b for b in image.blobs if b[4]])
+            t = _engine._seed_tags(symbolic, seed)
+            assert sorted(sorted(t[i] for i in g) for g in symbolic.groups) == \
+                sorted(sorted(w) for w in words.values() if len(w) > 1)
+    assert checked > 20
+
+
+def test_noinit_blob_keeps_the_clean_run():
+    # every word has one calculation and the symbolic run ends without
+    # error, yet its v0 is not the clean run's
+    p = parse_program(_NOINIT_AFTER_STORE)
+    symbolic = _engine.run_symbolic_image(build_image(p), DEFAULT_FUEL)
+    assert symbolic.outcome.ok and not symbolic.groups and symbolic.outcome.regs[2] == 0x41
+    rep = diff_runs(p, seeds=10)
+    assert rep == _seeded_sweep(p, 10)
+    assert [d.reason for d in rep.divergences] == \
+        ["register 2 ends 0x00000041 vs clean 0x04030241"] * 10
+
+
+@pytest.mark.parametrize("name, expected", [("foo_good", 0), ("hello", 1),
+                                            ("two_calculations", 1)])
+def test_sweep_runs_the_clean_machine_only_when_needed(name, expected, corpus_programs,
+                                                       clean_runs):
+    # foo_good keys every word by one calculation; hello.s keys its string
+    # both as an array and along the string chain
+    p = corpus_programs.get(name) or parse_program(_TWO_CALCULATIONS)
+    diff_runs(p, seeds=5)
+    assert len(clean_runs) == expected
 
 
 def test_noinit_blob_is_preloaded_on_the_clean_machine_only():

@@ -105,7 +105,7 @@ def test_diff_exit_codes(capsys):
     assert "divergences: 10/10" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["run", "diff"])
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
 def test_unknown_entry_exits_two(command, capsys):
     assert main([command, str(corpus_path("hello.s")), "--entry", "nosuch"]) == 2
     captured = capsys.readouterr()
