@@ -28,7 +28,6 @@ from .certifier import (
     CertReport,
     Failure,
     Theory,
-    Violation,
     certify_program,
     check_safety,
     handle_call,
@@ -56,7 +55,7 @@ __all__ = [
     "AnnotatedType", "Calc", "Finite", "Offsets", "Rep", "SetVar", "TypeVar",
     "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
     "Annotation", "unify_annotations",
-    "CertReport", "Failure", "Theory", "Violation", "certify_program",
+    "CertReport", "Failure", "Theory", "certify_program",
     "check_safety", "handle_call",
     "StackInstr", "candidates", "location_candidates", "render_machine",
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",

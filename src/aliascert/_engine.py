@@ -1,5 +1,8 @@
 """The interpreter: one loop over a decoded program image, three salts.
 
+The loop dispatches on each instruction's mnemonic, the first field of
+its decoded form (`machine.build_image`).
+
 Memory is keyed by (tag, address) pairs, the tags coming from the
 `_salt` calculus, so that differently calculated aliases of one address
 select different cells: the hardware-aliasing model under test
@@ -21,8 +24,8 @@ calculations that key one word, since memory keys are the only place a
 tag is observed.  `run_alias_image` given that run checks this for its
 seed over the few calculations concerned, decoded once by the symbolic
 run, and runs the seeded loop only on a collision.  A symbolic run that
-ends without error, keys every word by one calculation and preloads
-every blob is also the clean run, so a sweep is one symbolic run, plus
+keys every word by one calculation and preloads every blob is also the
+clean run, failed or not, so a sweep is one symbolic run, plus
 a clean run only when a word has two calculations or a blob is
 ``noinit`` (`aliasing.diff_runs`).  Callers look the entry points up in
 this module at call time, so a profiler can wrap them here.
@@ -35,34 +38,10 @@ from dataclasses import dataclass
 from . import _salt
 from ._salt import (M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, fold, pack,
                     root, tag)
-from .simdefs import (
-    DEFAULT_STACK_BASE,
-    M32,
-    OP_ADDIU,
-    OP_ADDU,
-    OP_BEQ,
-    OP_BNEZ,
-    OP_J,
-    OP_JAL,
-    OP_JR,
-    OP_LB,
-    OP_LI,
-    OP_LW,
-    OP_MOVE,
-    OP_NAND,
-    OP_NOP,
-    OP_SB,
-    OP_SW,
-    Fault,
-    Image,
-    RETURN_SENTINEL,
-    RunOutcome,
-)
+from .isa import RA, SP
+from .simdefs import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, Fault, Image, RunOutcome
 
 BACKEND = "pure"  # recorded with benchmark runs
-
-RA = 31
-SP = 29
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:
@@ -277,7 +256,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
         op, a, b, c = code[(pc - base) >> 2]
         steps += 1
 
-        if op == OP_SW or op == OP_SB:
+        if op == "sw" or op == "sb":
             ea_lo = (lo[c] + b) & M32
             if dev.base <= ea_lo < dev.base + dev.size:
                 off = ea_lo - dev.base  # devices decode the value lines only
@@ -289,7 +268,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 pc += 4
                 continue
             ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
-            if op == OP_SW:
+            if op == "sw":
                 if ea_lo & 3:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
@@ -308,14 +287,14 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 mem[key] = (0, (cur[1] & ~(0xFF << (8 * lane))) | ((lo[a] & 0xFF) << (8 * lane)))
             pc += 4
             continue
-        if op == OP_LW or op == OP_LB:
+        if op == "lw" or op == "lb":
             ea_lo = (lo[c] + b) & M32
             if dev.base <= ea_lo < dev.base + dev.size:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
             ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
             w = ea_lo & ~3
-            if op == OP_LW:
+            if op == "lw":
                 if ea_lo & 3:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
@@ -330,7 +309,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 else:
                     error, error_pc = "UninitializedRead", pc
                 break
-            if op == OP_LW:
+            if op == "lw":
                 vhi, vlo = cell
             else:
                 vhi, vlo = 0, (cell[1] >> (8 * (ea_lo & 3))) & 0xFF
@@ -338,47 +317,47 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 hi[a], lo[a] = vhi, vlo
             pc += 4
             continue
-        if op == OP_MOVE:
+        if op == "move":
             if a != 0:
                 hi[a], lo[a] = hi[b], lo[b]
             pc += 4
             continue
-        if op == OP_LI:
+        if op == "li":
             if a != 0:
                 hi[a], lo[a] = salt(seed, T_LI, b & M32), b & M32
             pc += 4
             continue
-        if op == OP_ADDIU:
+        if op == "addiu":
             if a != 0:
                 hi[a], lo[a] = salt(seed, T_ADDIU, pack(hi[b], lo[b]), c), (lo[b] + c) & M32
             pc += 4
             continue
-        if op == OP_ADDU:
+        if op == "addu":
             if a != 0:
                 hi[a], lo[a] = (salt(seed, T_ADDU, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
                                 (lo[b] + lo[c]) & M32)
             pc += 4
             continue
-        if op == OP_NAND:
+        if op == "nand":
             if a != 0:
                 hi[a], lo[a] = (salt(seed, T_NAND, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
                                 ~(lo[b] & lo[c]) & M32)
             pc += 4
             continue
-        if op == OP_BEQ:
+        if op == "beq":
             pc = c if lo[a] == lo[b] else pc + 4  # aliases test as equal
             continue
-        if op == OP_BNEZ:
+        if op == "bnez":
             pc = b if lo[a] != 0 else pc + 4
             continue
-        if op == OP_J:
+        if op == "j":
             pc = a
             continue
-        if op == OP_JAL:
+        if op == "jal":
             hi[RA], lo[RA] = salt(seed, T_JAL, pc + 4), pc + 4
             pc = a
             continue
-        if op == OP_JR:
+        if op == "jr":
             pc = lo[a]
             continue
         pc += 4  # nop

@@ -7,11 +7,12 @@ final register.  A sweep is one symbolic run under calculation ids and
 per seed one check that the seed's tags do not collide where memory
 would see it; only a seed that fails the check is run on the seeded
 loop (`_engine`).  The symbolic run stands for the clean run too when
-it ends without error, every word is keyed by one calculation and every
-blob is initialized.  A clean run is added only when a word has two
-calculations, since a store through one of them fills another cell than
-a load through the other reads, or when a blob is ``noinit``, since the
-clean machine preloads it and the aliasing machine does not.
+every word is keyed by one calculation and every blob is initialized,
+even when it fails: it then fails at the step the clean run fails.  A
+clean run is added only when a word has two calculations, since a store
+through one of them fills another cell than a load through the other
+reads, or when a blob is ``noinit``, since the clean machine preloads it
+and the aliasing machine does not.
 """
 
 from __future__ import annotations
@@ -90,14 +91,15 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
     image = build_image(program, entry, device)
     symbolic = run_symbolic_image(image, fuel)
     # with one calculation per word every load reads the cell the clean
-    # machine reads, unless the clean machine preloaded a `noinit` blob
-    if symbolic.outcome.ok and not symbolic.groups and all(b[4] for b in image.blobs):
+    # machine reads, unless the clean machine preloaded a `noinit` blob;
+    # no alias fault can occur, so a failed run fails as the clean one does
+    if not symbolic.groups and all(b[4] for b in image.blobs):
         clean = symbolic.outcome
     else:
         clean = run_clean_image(image, fuel)
-        if not clean.ok:
-            raise ValueError(f"clean run fails ({clean.error} at pc="
-                             f"{clean.error_pc:#x}); nothing to compare against")
+    if not clean.ok:
+        raise ValueError(f"clean run fails ({clean.error} at pc="
+                         f"{clean.error_pc:#x}); nothing to compare against")
     divergences = []
     for seed in range(1, seeds + 1):
         aliased = run_alias_image(image, fuel, seed, symbolic)

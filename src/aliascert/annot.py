@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 WORD = 4
-BYTE = 1
 
 
 class AnnotError(Exception):

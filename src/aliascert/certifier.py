@@ -160,17 +160,6 @@ class CertReport:
         return self.verdict == SAFE
 
 
-@dataclass(frozen=True)
-class Violation:
-    addr: int
-    rule: str
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} at 0x{self.addr:08x} [{self.rule}]: {self.detail}"
-
-
 def default_entry_annotation() -> Annotation:
     from .isa import SP
 
@@ -652,21 +641,21 @@ def certify_program(program: Program, entry: str | None = None,
 # post-hoc safety re-validation
 
 
-def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Violation]:
+def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
     """Re-walk every chosen stack/heap access in a theory, confirming the
     write-bound and read-after-write guards against the recorded
     pre-annotations and enforcing the byte policy.  An empty result means
     the theory exhibits only single-calculation addressing."""
     from .annot import AnnotError, check_read, record_write
 
-    out: list[Violation] = []
+    out: list[Failure] = []
     for cert in theory.routines.values():
         for addr, row in sorted(cert.rows.items()):
             s = row.chosen
             if s.op in BYTE_OPS:
                 reason = _byte_policy_reason(s, row.pre, policy)
                 if reason is not None:
-                    out.append(Violation(addr, str(s), "BytePolicyForbidden", reason))
+                    out.append(Failure(addr, str(s), "BytePolicyForbidden", reason))
             if s.op not in READ_OPS and s.op not in WRITE_OPS:
                 continue
             if s.op in STACK_ACCESS:
@@ -674,8 +663,8 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Violation
             else:
                 base = row.pre.reg(s.rs)
             if base is None:
-                out.append(Violation(addr, str(s), "MissingBase",
-                                     "no type for the base register"))
+                out.append(Failure(addr, str(s), "MissingBase",
+                                   "no type for the base register"))
                 continue
             try:
                 if s.op in WRITE_OPS:
@@ -684,6 +673,6 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Violation
                     check_read(base, s.n, s.width())
             except AnnotError as e:
                 kind = type(e).__name__
-                out.append(Violation(addr, str(s), kind, str(e)))
+                out.append(Failure(addr, str(s), kind, str(e)))
     return out
 

@@ -242,10 +242,14 @@ def make_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("file", help="assembly source file")
         sp.add_argument("--entry", default=None, help="entry label (overrides pragma)")
+
+    def running(sp):  # the commands that run the program on a machine
+        common(sp)
         sp.add_argument("--device-base", type=lambda s: int(s, 0),
                         default=DEFAULT_DEVICE_BASE)
         sp.add_argument("--halt-offset", type=lambda s: int(s, 0),
                         default=DEFAULT_HALT_OFFSET)
+        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
     c = sub.add_parser("certify", help="infer an annotated theory and a verdict")
     common(c)
@@ -254,16 +258,14 @@ def make_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_certify)
 
     r = sub.add_parser("run", help="run on the clean or aliasing machine")
-    common(r)
+    running(r)
     r.add_argument("--mode", choices=("clean", "alias"), default="clean")
     r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     r.set_defaults(func=cmd_run)
 
     d = sub.add_parser("diff", help="sweep seeds and compare aliased runs to clean")
-    common(d)
+    running(d)
     d.add_argument("--seeds", type=int, default=100)
-    d.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     d.set_defaults(func=cmd_diff)
     return p
 

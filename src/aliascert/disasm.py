@@ -1,8 +1,9 @@
 """Disassembly of machine instructions to stack-machine alternatives.
 
 Each machine instruction admits a fixed, ordered list of stack-machine
-readings.  The list is pruned twice: first by where the stack pointer
-register sits (the location constraints), then by whether the small-step
+readings, one table (`READINGS`) for every mnemonic but ``li``.  The list
+is pruned twice: first by where the stack pointer register sits (the
+location constraints each reading states), then by whether the small-step
 pre-pattern can match the current annotation.  The surviving order is the
 deterministic search order for the certifier.
 """
@@ -12,12 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .isa import DataBlob, Instruction, Target, render
-
-# ops whose machine rendering is a byte access
-BYTE_OPS = frozenset({"getb", "putb", "getbx", "putbx", "lbfh", "sbth"})
-STACK_ACCESS = frozenset({"get", "put", "getb", "putb"})
-READ_OPS = frozenset({"get", "getb", "getx", "getbx", "lwfh", "lbfh"})
-WRITE_OPS = frozenset({"put", "putb", "putx", "putbx", "swth", "sbth"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,45 +59,84 @@ _STACK_FORMATS: dict[str, tuple[str, ...]] = {
 
 
 # --------------------------------------------------------------------------
-# location constraints: where may the stack pointer register sit
+# the readings of each machine instruction
+
+# Where the stack pointer register must sit for a reading, as (in rd, in
+# rs); a reading without a placement admits it anywhere.
+RD_ONLY, RS_ONLY, BOTH, NEITHER = (True, False), (False, True), (True, True), (False, False)
+
+
+@dataclass(frozen=True, slots=True)
+class _Reading:
+    """One stack-machine reading of a machine instruction.  ``same``
+    demands that ``rd`` and ``rs`` be one register; ``sign`` is the sign
+    the immediate must have, and a negative one reads ``n = -imm``.  The
+    reading keeps the operands its stack op prints, ``n`` taken from the
+    immediate; ``return`` prints bare but keeps ``rd``."""
+
+    op: str
+    star: tuple[bool, bool] | None = None
+    same: bool = False
+    sign: int = 0
+    keep: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        fields = {"rd"} if self.op == "return" else set()
+        for f in _STACK_FORMATS.get(self.op, ()):
+            fields.update(("n", "rs") if f == "mem" else (f,))
+        object.__setattr__(self, "keep", frozenset(fields))
+
+    def admits(self, at: tuple[bool, bool], same: bool) -> bool:
+        """Whether the stack pointer placement ``at`` and ``same``, whether
+        ``rd`` and ``rs`` are one register, fit the reading."""
+        return (self.star is None or self.star == at) and (same or not self.same)
+
+    def of(self, i: Instruction) -> StackInstr:
+        keep = self.keep
+        n = None
+        if "n" in keep:
+            n = -i.imm if self.sign < 0 else i.imm
+        return StackInstr(self.op, i.rd if "rd" in keep else None,
+                          i.rs if "rs" in keep else None, i.rt if "rt" in keep else None,
+                          n, i.target if "target" in keep else None)
+
+
+# Every mnemonic but ``li`` (whose readings depend on its data blob), with
+# its readings in search order.  ``mspt``/``stepto``/``pushto`` have no
+# small-step rules and are never produced.
+READINGS: dict[str, tuple[_Reading, ...]] = {
+    "move": (_Reading("cspt", RS_ONLY), _Reading("cspf", RD_ONLY),
+             _Reading("rspf", RD_ONLY), _Reading("mov", NEITHER)),
+    "addiu": (_Reading("push", BOTH, same=True, sign=-1),
+              _Reading("stepx", NEITHER, same=True, sign=1), _Reading("addaiu", NEITHER)),
+    "lw": (_Reading("get", RS_ONLY), _Reading("lwfh", NEITHER), _Reading("getx", NEITHER)),
+    "lb": (_Reading("getb", RS_ONLY), _Reading("lbfh", NEITHER), _Reading("getbx", NEITHER)),
+    "sw": (_Reading("put", RS_ONLY), _Reading("swth", NEITHER), _Reading("putx", NEITHER)),
+    "sb": (_Reading("putb", RS_ONLY), _Reading("sbth", NEITHER), _Reading("putbx", NEITHER)),
+    "jal": (_Reading("gosub"),), "jr": (_Reading("return"),), "j": (_Reading("goto"),),
+    "bnez": (_Reading("ifnz"),), "beq": (_Reading("ifeq"),),
+    "addu": (_Reading("addop"),), "nand": (_Reading("nandop"),), "nop": (_Reading("nop"),),
+}
+
+
+def _ops(*mnemonics: str, star: tuple[bool, bool] | None = None) -> frozenset[str]:
+    return frozenset(r.op for m in mnemonics for r in READINGS[m]
+                     if star is None or r.star == star)
+
+
+READ_OPS = _ops("lw", "lb")
+WRITE_OPS = _ops("sw", "sb")
+BYTE_OPS = _ops("lb", "sb")  # ops whose machine rendering is a byte access
+STACK_ACCESS = _ops("lw", "lb", "sw", "sb", star=RS_ONLY)
 
 
 def location_candidates(op: str, rd_starred: bool, rs_starred: bool,
                         same_reg: bool = False) -> list[str]:
     """Stack-instruction names admissible for ``op`` given which operand
-    registers currently hold the stack pointer.  Mirrors the pruning
-    matrix; ``mspt``/``stepto``/``pushto`` have no small-step rules and are
-    never produced."""
-    if op == "move":
-        if rs_starred and not rd_starred:
-            return ["cspt"]
-        if rd_starred and not rs_starred:
-            return ["cspf", "rspf"]
-        if not rd_starred and not rs_starred:
-            return ["mov"]
-        return []
-    if op == "addiu":
-        if rd_starred and rs_starred:
-            return ["push"] if same_reg else []
-        if rd_starred or rs_starred:
-            return []
-        out = ["stepx"] if same_reg else []
-        return out + ["addaiu"]
-    if op in ("lw", "lb"):
-        b = op == "lb"
-        if rd_starred:
-            return []
-        if rs_starred:
-            return ["getb" if b else "get"]
-        return ["lbfh", "getbx"] if b else ["lwfh", "getx"]
-    if op in ("sw", "sb"):
-        b = op == "sb"
-        if rd_starred:
-            return []
-        if rs_starred:
-            return ["putb" if b else "put"]
-        return ["sbth", "putbx"] if b else ["swth", "putx"]
-    raise ValueError(f"no location matrix for {op!r}")
+    registers currently hold the stack pointer."""
+    if op not in READINGS:
+        raise ValueError(f"no readings for {op!r}")
+    return [r.op for r in READINGS[op] if r.admits((rd_starred, rs_starred), same_reg)]
 
 
 def _blob_intro_offsets(blob: DataBlob, bound: int) -> frozenset[int]:
@@ -114,39 +148,7 @@ def _blob_intro_offsets(blob: DataBlob, bound: int) -> frozenset[int]:
 def raw_alternatives(i: Instruction, star: int | None,
                      blobs: dict[str, DataBlob] | None = None) -> list[StackInstr]:
     """Ordered stack-machine readings of ``i`` before pattern filtering."""
-    op = i.op
-    if op == "move":
-        names = location_candidates(op, i.rd == star, i.rs == star, i.rd == i.rs)
-        table = {
-            "cspt": StackInstr("cspt", rd=i.rd),
-            "cspf": StackInstr("cspf", rs=i.rs),
-            "rspf": StackInstr("rspf", rs=i.rs),
-            "mov": StackInstr("mov", rd=i.rd, rs=i.rs),
-        }
-        return [table[n] for n in names]
-    if op == "addiu":
-        names = location_candidates(op, i.rd == star, i.rs == star, i.rd == i.rs)
-        out = []
-        for n in names:
-            if n == "push":
-                if i.imm < 0:
-                    out.append(StackInstr("push", n=-i.imm))
-            elif n == "stepx":
-                if i.imm > 0:
-                    out.append(StackInstr("stepx", rd=i.rd, n=i.imm))
-            else:
-                out.append(StackInstr("addaiu", rd=i.rd, rs=i.rs, n=i.imm))
-        return out
-    if op in ("lw", "lb", "sw", "sb"):
-        names = location_candidates(op, i.rd == star, i.rs == star, i.rd == i.rs)
-        out = []
-        for n in names:
-            if n in STACK_ACCESS:
-                out.append(StackInstr(n, rd=i.rd, n=i.imm))
-            else:
-                out.append(StackInstr(n, rd=i.rd, rs=i.rs, n=i.imm))
-        return out
-    if op == "li":
+    if i.op == "li":
         if blobs and isinstance(i.target, str) and i.target in blobs:
             blob = blobs[i.target]
             out = [StackInstr("newx", rd=i.rd, target=i.target, n=blob.step,
@@ -158,23 +160,12 @@ def raw_alternatives(i: Instruction, star: int | None,
         # a raw address (device constant or code label): an unmodifiable
         # byte-sized target; nothing to step through
         return [StackInstr("newh", rd=i.rd, target=i.target, n=1)]
-    if op == "jal":
-        return [StackInstr("gosub", target=i.target)]
-    if op == "jr":
-        return [StackInstr("return", rd=i.rd)]
-    if op == "j":
-        return [StackInstr("goto", target=i.target)]
-    if op == "bnez":
-        return [StackInstr("ifnz", rd=i.rd, target=i.target)]
-    if op == "beq":
-        return [StackInstr("ifeq", rd=i.rd, rs=i.rs, target=i.target)]
-    if op == "addu":
-        return [StackInstr("addop", rd=i.rd, rs=i.rs, rt=i.rt)]
-    if op == "nand":
-        return [StackInstr("nandop", rd=i.rd, rs=i.rs, rt=i.rt)]
-    if op == "nop":
-        return [StackInstr("nop")]
-    raise ValueError(f"unknown opcode {i.op!r}")
+    readings = READINGS.get(i.op)
+    if readings is None:
+        raise ValueError(f"unknown opcode {i.op!r}")
+    at = (i.rd == star, i.rs == star)
+    return [r.of(i) for r in readings
+            if r.admits(at, i.rd == i.rs) and (not r.sign or i.imm * r.sign > 0)]
 
 
 def candidates(i: Instruction, a, blobs: dict[str, DataBlob] | None = None) -> list[StackInstr]:

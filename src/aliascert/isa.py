@@ -139,10 +139,6 @@ class Program:
             return t
         return self.labels[t]
 
-    @property
-    def code_end(self) -> int:
-        return self.base + 4 * len(self.instructions)
-
     def entry_label(self) -> str | None:
         for p in self.pragmas:
             if p.kind == "entry":

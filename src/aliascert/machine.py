@@ -21,7 +21,6 @@ from .simdefs import (
     DeviceConfig,
     Image,
     M32,
-    OP_IDS,
     RETURN_SENTINEL,
     RunOutcome,
 )
@@ -136,8 +135,8 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
 def build_image(program: Program, entry: str | None = None,
                 device: DeviceConfig = DeviceConfig()) -> Image:
     """Decode a program into the flat form the interpreter consumes: each
-    instruction's operands in ``FORMATS`` order, ``mem`` as ``imm, rs``,
-    targets resolved, padded with 0 to three operands."""
+    instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
+    as ``imm, rs``, targets resolved, padded with 0 to three operands."""
     label = entry or program.entry_label()
     if label is None:
         raise ValueError("program has no entry pragma and no entry was given")
@@ -145,7 +144,7 @@ def build_image(program: Program, entry: str | None = None,
         raise ValueError(f"entry label {label!r} is not defined")
     code = []
     for i in program.instructions:
-        ops = [OP_IDS[i.op]]
+        ops = [i.op]
         for f in FORMATS[i.op]:
             if f == "mem":
                 ops += (i.imm, i.rs)

@@ -1,9 +1,11 @@
 """Shared definitions for the interpreter and its single-step reference.
 
 The clean, the aliasing and the symbolic run are one loop in `_engine`
-with different salts; all consume the same decoded program image and
-produce the same outcome record, so they can be compared with each other
-and with the single-step reference in `machine`.
+with different salts; all consume the same decoded program image (per
+instruction its mnemonic and up to three operands, from
+`machine.build_image`) and produce the same outcome record, so they can
+be compared with each other and with the single-step reference in
+`machine`.
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ RETURN_SENTINEL = 0xFFFFFFFC  # initial ra; jumping here ends the run
 
 DEFAULT_FUEL = 1_000_000
 
-# opcode ids for the decoded image
-OP_SW, OP_LW, OP_SB, OP_LB = 0, 1, 2, 3
-OP_MOVE, OP_LI, OP_ADDIU, OP_ADDU, OP_NAND = 4, 5, 6, 7, 8
-OP_BEQ, OP_BNEZ, OP_J, OP_JAL, OP_JR, OP_NOP = 9, 10, 11, 12, 13, 14
-
-OP_IDS = {
-    "sw": OP_SW, "lw": OP_LW, "sb": OP_SB, "lb": OP_LB,
-    "move": OP_MOVE, "li": OP_LI, "addiu": OP_ADDIU, "addu": OP_ADDU,
-    "nand": OP_NAND, "beq": OP_BEQ, "bnez": OP_BNEZ, "j": OP_J,
-    "jal": OP_JAL, "jr": OP_JR, "nop": OP_NOP,
-}
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
     base: int = DEFAULT_DEVICE_BASE
@@ -50,7 +39,7 @@ class Image:
     """A decoded program ready for interpretation."""
 
     base: int
-    code: tuple[tuple[int, int, int, int], ...]  # (opid, a, b, c)
+    code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
     blobs: tuple[tuple[int, bytes, int, int, bool], ...]  # addr, data, step, size, init
     entry_addr: int
     device: DeviceConfig = DeviceConfig()

@@ -230,14 +230,24 @@ def test_noinit_blob_keeps_the_clean_run():
         ["register 2 ends 0x00000041 vs clean 0x04030241"] * 10
 
 
+# runs out of fuel, at the same step on every machine
+_ENDLESS = "#@ entry main\nmain:\n  addiu t0 t0 1\n  j main\n"
+
+
 @pytest.mark.parametrize("name, expected", [("foo_good", 0), ("hello", 1),
-                                            ("two_calculations", 1)])
+                                            ("two_calculations", 1), ("endless", 0)])
 def test_sweep_runs_the_clean_machine_only_when_needed(name, expected, corpus_programs,
                                                        clean_runs):
     # foo_good keys every word by one calculation; hello.s keys its string
-    # both as an array and along the string chain
-    p = corpus_programs.get(name) or parse_program(_TWO_CALCULATIONS)
-    diff_runs(p, seeds=5)
+    # both as an array and along the string chain; the endless loop keys
+    # no word, so its failed symbolic run is the failed clean run
+    p = corpus_programs.get(name) or parse_program(
+        {"two_calculations": _TWO_CALCULATIONS, "endless": _ENDLESS}[name])
+    if name == "endless":
+        with pytest.raises(ValueError, match=r"^clean run fails \(FuelExhausted at pc=0x400000\)"):
+            diff_runs(p, seeds=5, fuel=1000)
+    else:
+        diff_runs(p, seeds=5)
     assert len(clean_runs) == expected
 
 

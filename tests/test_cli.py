@@ -103,6 +103,9 @@ def test_diff_exit_codes(capsys):
     assert "divergences: 0/10" in capsys.readouterr().out
     assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "10"]) == 1
     assert "divergences: 10/10" in capsys.readouterr().out
+    # nothing to compare against when the clean run fails
+    assert main(["diff", str(corpus_path("hello.s")), "--fuel", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: clean run fails (FuelExhausted")
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
@@ -127,6 +130,16 @@ def test_fuel_below_one_exits_two(command, fuel, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: fuel must be at least 1, got {fuel}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--device-base", "0xdead"),
+                                         ("--halt-offset", "0x20")])
+def test_certify_rejects_the_device_options(flag, value, capsys):
+    # certify runs nothing, so a device option is a usage error
+    with pytest.raises(SystemExit) as e:
+        main(["certify", str(corpus_path("hello.s")), flag, value])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_custom_device_addresses(capsys, tmp_path):

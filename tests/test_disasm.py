@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from aliascert.annot import calc, rep, uncalc
 from aliascert.annotation import Annotation
-from aliascert.disasm import candidates, location_candidates, raw_alternatives, render_machine
+from aliascert.disasm import (
+    BYTE_OPS,
+    READ_OPS,
+    STACK_ACCESS,
+    WRITE_OPS,
+    candidates,
+    location_candidates,
+    raw_alternatives,
+    render_machine,
+)
 from aliascert.frontend import parse_program
 from aliascert.isa import GP, RA, SP, V0, Instruction, REG_INDEX
 
@@ -80,6 +90,21 @@ def test_location_matrix_is_exhaustive_over_configurations():
         for rd_star, rs_star, same in configs:
             if same:
                 assert rd_star == rs_star
+
+
+def test_readings_without_a_placement_admit_the_stack_pointer_anywhere():
+    for flags in itertools.product((False, True), repeat=3):
+        assert location_candidates("jal", *flags) == ["gosub"]
+        assert location_candidates("beq", *flags) == ["ifeq"]
+    with pytest.raises(ValueError):  # li reads its data blob, not a placement
+        location_candidates("li", False, False)
+
+
+def test_access_sets_come_from_the_load_and_store_readings():
+    assert READ_OPS == {"get", "getb", "getx", "getbx", "lwfh", "lbfh"}
+    assert WRITE_OPS == {"put", "putb", "putx", "putbx", "swth", "sbth"}
+    assert BYTE_OPS == {"getb", "putb", "getbx", "putbx", "lbfh", "sbth"}
+    assert STACK_ACCESS == {"get", "put", "getb", "putb"}
 
 
 # -- full candidate sets (location + pattern) ---------------------------------

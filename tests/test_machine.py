@@ -77,6 +77,19 @@ def test_engine_matches_step_reference(corpus_programs):
         "hello", "foo_good", "foo_bad_caller",
         "table2_left", "table2_middle", "table2_right")]
     programs += [generate_program(seed) for seed in range(40)]
+    # every mnemonic the corpus and the generator leave out or never take
+    # both ways: addu, nand, beq taken and not, all four byte lanes
+    programs.append(parse_program("#@ entry main\nmain:\n" + "".join(
+        f"  {line}\n" for line in (
+            "li t0 5", "li t1 7", "addu t2 t0 t1", "nand t3 t0 t1",
+            "nand t4 zero zero", "nand t5 t4 t4",  # 0xffffffff, then 0
+            "beq t0 t1 main", "addiu v0 v0 1",  # not taken
+            "beq t5 zero over", "addiu v0 v0 100",  # taken
+            "over:", "addiu sp sp -8", "li t6 4",
+            "loop:", "addiu t6 t6 -1", "addu t7 t6 t2", "addu t7 t7 t6",
+            "addu t8 sp t6", "sb t7 0(t8)", "bnez t6 loop",
+            "lw s0 0(sp)", "lb s1 0(sp)", "lb s2 1(sp)", "lb s3 2(sp)", "lb s4 3(sp)",
+            "nop", "addiu sp sp 8", "jr ra"))))
     # runs that end in an error, so that error_pc is compared too
     programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
         "  lw v0 0(sp)\n  jr ra\n",
