@@ -46,7 +46,7 @@ from .isa import DataBlob, Instruction, Pragma, Program
 from .machine import MachineState, build_image, run, step
 from .simdefs import DeviceConfig, RunOutcome
 from .smallstep import PatternMismatch, apply_smallstep
-from .traces import Event, TraceViolation, check_program, events_of, fold_event
+from .traces import TraceViolation, check_program, events_of, fold_event
 
 __version__ = "0.1.0"
 
@@ -64,5 +64,5 @@ __all__ = [
     "MachineState", "build_image", "run", "step",
     "DeviceConfig", "RunOutcome",
     "PatternMismatch", "apply_smallstep",
-    "Event", "TraceViolation", "check_program", "events_of", "fold_event",
+    "TraceViolation", "check_program", "events_of", "fold_event",
 ]

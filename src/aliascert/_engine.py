@@ -74,7 +74,7 @@ def _preload(blobs, seed: int, salt):
     def ea(hi: int, lo: int, imm: int) -> int:
         return salt(seed, T_EA, pack(hi, lo), imm)
 
-    for addr, data, step, _size, _init in blobs:
+    for addr, data, step, _init in blobs:
         base_hi = salt(seed, T_LI, addr)
         # array keying: unique offsets from the introduced base
         for k in range(len(data)):
@@ -112,7 +112,7 @@ def run_alias_image(image: Image, fuel: int, seed: int,
     colliding tags, and runs the seeded loop otherwise."""
     if symbolic is not None and _collision_free(symbolic, seed):
         return symbolic.outcome
-    return _run(image, fuel, seed, tag, [b for b in image.blobs if b[4]])
+    return _run(image, fuel, seed, tag, [b for b in image.blobs if b[3]])
 
 
 # The inputs `_run` passes with each tag domain: how many, and how many
@@ -194,7 +194,7 @@ def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
             i = ids[key] = len(ids) + 1
         return i
 
-    outcome = _run(image, fuel, 0, intern, [b for b in image.blobs if b[4]])
+    outcome = _run(image, fuel, 0, intern, [b for b in image.blobs if b[3]])
     return outcome, ids
 
 

@@ -93,7 +93,7 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
     # with one calculation per word every load reads the cell the clean
     # machine reads, unless the clean machine preloaded a `noinit` blob;
     # no alias fault can occur, so a failed run fails as the clean one does
-    if not symbolic.groups and all(b[4] for b in image.blobs):
+    if not symbolic.groups and all(b[3] for b in image.blobs):
         clean = symbolic.outcome
     else:
         clean = run_clean_image(image, fuel)

@@ -198,13 +198,19 @@ def _print_outcome(out: RunOutcome, aliased: bool) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None:
+        # diff sweeps seeds 1..N; a seed means nothing to the clean machine
+        if args.mode != "alias":
+            raise _UsageError("error: --seed needs --mode alias")
+        if args.seed < 1:
+            raise _UsageError(f"error: seed must be at least 1, got {args.seed}")
     program = _load(args.file)
     device = _device(args)
     try:
         if args.mode == "clean":
             out = run_clean(program, fuel=args.fuel, entry=args.entry, device=device)
         else:
-            cfg = AliasConfig(seed=args.seed, device=device)
+            cfg = AliasConfig(seed=1 if args.seed is None else args.seed, device=device)
             out = run_aliased(program, cfg, fuel=args.fuel, entry=args.entry)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -260,7 +266,8 @@ def make_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run on the clean or aliasing machine")
     running(r)
     r.add_argument("--mode", choices=("clean", "alias"), default="clean")
-    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--seed", type=int, default=None,
+                   help="aliasing seed, at least 1 (default 1); needs --mode alias")
     r.set_defaults(func=cmd_run)
 
     d = sub.add_parser("diff", help="sweep seeds and compare aliased runs to clean")

@@ -154,7 +154,7 @@ def build_image(program: Program, entry: str | None = None,
                 ops.append(getattr(i, f))
         code.append((*ops, *(0,) * (4 - len(ops))))
     blobs = tuple(
-        (program.labels[name], blob.data, blob.step, blob.byte_size, blob.init)
+        (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
     )
     return Image(base=program.base, code=tuple(code), blobs=blobs,
@@ -176,7 +176,7 @@ def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None =
     st = MachineState(pc=image.entry_addr, device=device)
     st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
-    for addr, data, _s, _z, _i in image.blobs:
+    for addr, data, _s, _i in image.blobs:
         for k, byte in enumerate(data):
             w = (addr + k) & ~3
             st.mem[w] = st.mem.get(w, 0) | (byte << (8 * ((addr + k) & 3)))

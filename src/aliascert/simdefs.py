@@ -40,7 +40,7 @@ class Image:
 
     base: int
     code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
-    blobs: tuple[tuple[int, bytes, int, int, bool], ...]  # addr, data, step, size, init
+    blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
     entry_addr: int
     device: DeviceConfig = DeviceConfig()
 

@@ -5,9 +5,10 @@ Values flow through registers and stack slots; instructions attach
 an introduction).  Folding the events along each flow with the equations
 below rebinds an annotated type at every point, and a theory is accepted
 only if every guard holds, every revisited point sees identical types
-across paths, and every routine hands its stack back intact.  This
-checker shares no rule machinery with the certifier: it re-derives
-everything from the event algebra.
+across paths, and every routine hands its stack back intact.  The walk
+carries an ``Annotation`` value per point, using only its data
+operations.  This checker shares no rule machinery with the certifier:
+it re-derives everything from the event algebra.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class IntroString:
 
 
 @dataclass(frozen=True)
-class IntroHyp:
-    t: AnnotatedType
-
-
-@dataclass(frozen=True)
 class Arith:
     pass
 
@@ -84,9 +80,6 @@ class Copy:
     pass
 
 
-Event = object
-
-
 @dataclass(frozen=True)
 class TraceViolation:
     equation: str
@@ -98,7 +91,7 @@ class TraceViolation:
         return f"{self.equation}{where}: {self.detail}"
 
 
-def fold_event(t: AnnotatedType, e: Event) -> AnnotatedType | TraceViolation:
+def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
     """One step of the running-type calculation along a trace.
 
     Returns the rebound type when the matching equation's guard holds, or
@@ -107,7 +100,7 @@ def fold_event(t: AnnotatedType, e: Event) -> AnnotatedType | TraceViolation:
     """
     if isinstance(e, Copy):
         return t
-    if isinstance(e, (IntroArray, IntroString, IntroHyp, Arith)):
+    if isinstance(e, (IntroArray, IntroString, Arith)):
         # introductions start traces; landing mid-trace breaks the
         # only-shifts discipline
         return TraceViolation("(d)", f"introduction event on live value {t}")
@@ -173,7 +166,7 @@ def fold_event(t: AnnotatedType, e: Event) -> AnnotatedType | TraceViolation:
 class Located:
     """An event attached to a location, or a plain copy between two."""
 
-    event: Event
+    event: object
     at: tuple  # ("sp",) | ("reg", r) | ("slot", k)
     src: tuple | None = None  # for Copy: value flows src -> at
 
@@ -233,34 +226,6 @@ def events_of(s: StackInstr) -> list[Located]:
 # whole-theory checking
 
 
-@dataclass
-class _State:
-    star: int | None
-    regs: dict[int, AnnotatedType]
-    slots: dict[int, AnnotatedType]
-
-    def copy(self) -> "_State":
-        return _State(self.star, dict(self.regs), dict(self.slots))
-
-    def snapshot(self):
-        return (self.star, tuple(sorted(self.regs.items())),
-                tuple(sorted(self.slots.items())))
-
-    def agrees(self, a: Annotation) -> bool:
-        """Whether this state binds exactly what ``a`` binds."""
-        return self.star == a.star and self.regs == dict(a.regs) and self.slots == dict(a.slots)
-
-
-def _state_of(a: Annotation) -> _State:
-    return _State(a.star, a.reg_map(), a.slot_map())
-
-
-# In ``seen``: the state folded at this address agreed with its row's
-# recorded pre-annotation, which stands for it.  Only disagreeing or
-# uncovered addresses keep a snapshot of their own.
-_AS_RECORDED = object()
-
-
 class _Walker:
     def __init__(self, theory: Theory):
         self.theory = theory
@@ -271,180 +236,156 @@ class _Walker:
         self.violations.append(TraceViolation(equation, detail, addr))
 
     def check_routine(self, cert: RoutineCert):
-        seen: dict[int, object] = {}
-        exits: list[tuple] = []
+        seen: dict[int, Annotation] = {}
+        exits: list[Annotation] = []
         # paths still to walk, latest first: a branch's target is walked
         # to its end before its fall-through
-        work = [(cert.entry_addr, _state_of(cert.entry))]
+        work = [(cert.entry_addr, cert.entry)]
         while work:
             addr, state = work.pop()
             self._walk(cert, addr, state, seen, exits, work)
-        if cert.exit_ann is not None and exits:
-            expected = _state_of(cert.exit_ann).snapshot()
-            for snap in exits:
-                if snap != expected:
+        if cert.exit_ann is not None:
+            for state in exits:
+                if state != cert.exit_ann:
                     self.bad(cert.entry_addr, "(*)",
                              f"{cert.label}: exit state differs from recorded exit")
 
-    def _walk(self, cert: RoutineCert, addr: int, state: _State,
-              seen: dict[int, object], exits: list[tuple], work: list):
+    def _walk(self, cert: RoutineCert, addr: int, state: Annotation,
+              seen: dict[int, Annotation], exits: list[Annotation], work: list):
         while True:
-            row = cert.rows.get(addr)
             if addr in seen:
-                before = seen[addr]
-                same = (state.agrees(row.pre) if before is _AS_RECORDED
-                        else before == state.snapshot())
-                if not same:
+                if seen[addr] != state:
                     self.bad(addr, "(*)",
                              f"types differ across traces converging at 0x{addr:08x}")
                 return
+            seen[addr] = state
+            row = cert.rows.get(addr)
             if row is None:
-                seen[addr] = state.snapshot()
                 self.bad(addr, "coverage", "reachable address has no annotation")
                 return
-            if state.agrees(row.pre):
-                seen[addr] = _AS_RECORDED
-            else:
-                seen[addr] = state.snapshot()
+            if state != row.pre:
                 self.bad(addr, "theory",
                          f"recorded annotation disagrees with event fold: "
-                         f"recorded {row.pre}; folded {_render(state)}")
+                         f"recorded {row.pre}; folded {state}")
             s = row.chosen
             op = s.op
 
             if op == "return":
-                t = state.regs.get(s.rd)
+                t = state.reg(s.rd)
                 if t != U0:
                     self.bad(addr, "return",
                              f"jump register {reg_name(s.rd)} holds {t}, not u^0")
-                exits.append(state.snapshot())
+                exits.append(state)
                 return
             if op in ("ifnz", "ifeq"):
                 for r in (s.rd, s.rs) if op == "ifeq" else (s.rd,):
-                    t = state.regs.get(r)
+                    t = state.reg(r)
                     if not isinstance(t, Calc):
                         self.bad(addr, "branch",
                                  f"tested register {reg_name(r)} is {t}, not calculated")
                 work.append((addr + 4, state))
-                addr, state = self.program.resolve(s.target), state.copy()
+                addr = self.program.resolve(s.target)
                 continue
             if op == "goto":
                 addr = self.program.resolve(s.target)
                 continue
             if op == "gosub":
-                if not self._apply_call(addr, row, state):
-                    return
-                addr += 4
-                continue
-
-            if not self._apply_events(addr, s, state):
+                state = self._apply_call(addr, row, state)
+            else:
+                state = self._apply_events(addr, s, state)
+            if state is None:
                 return
             addr += 4
 
     # -- event application ------------------------------------------------
 
-    def _loc_get(self, state: _State, loc: tuple, addr: int):
+    def _loc_get(self, state: Annotation, loc: tuple, addr: int):
         if loc == SPL:
             if state.star is None:
                 self.bad(addr, "(d)", "no stack pointer register")
                 return None
-            return state.regs.get(state.star)
+            return state.star_type()
         if loc[0] == "reg":
-            return state.regs.get(loc[1])
-        return state.slots.get(loc[1])
+            return state.reg(loc[1])
+        return state.slot(loc[1])
 
-    def _loc_set(self, state: _State, loc: tuple, t: AnnotatedType):
+    @staticmethod
+    def _loc_set(state: Annotation, loc: tuple, t: AnnotatedType) -> Annotation:
         if loc == SPL:
-            state.regs[state.star] = t
-        elif loc[0] == "reg":
-            state.regs[loc[1]] = t
-        else:
-            state.slots[loc[1]] = t
+            return state.set_reg(state.star, t)
+        if loc[0] == "reg":
+            return state.set_reg(loc[1], t)
+        return state.set_slot(loc[1], t)
 
-    def _apply_events(self, addr: int, s: StackInstr, state: _State) -> bool:
-        op = s.op
+    def _apply_events(self, addr: int, s: StackInstr,
+                      state: Annotation) -> Annotation | None:
+        """The annotation after ``s``'s events, or None after a violation."""
         for ev in events_of(s):
             if isinstance(ev.event, Copy):
                 src = self._loc_get(state, ev.src, addr)
                 if src is None:
                     self.bad(addr, "flow", f"copy from unbound {ev.src}")
-                    return False
+                    return None
                 if ev.at == SPL:
                     # stack-pointer discipline: an installed copy must agree
                     # with the shift algebra applied to the old value
-                    folded = state.regs.get(state.star)
+                    folded = state.star_type()
                     if not (isinstance(src, Calc) and isinstance(src.tower, Finite)
                             and isinstance(folded, Calc) and src.tower == folded.tower):
                         self.bad(addr, "(c)",
                                  f"copy {src} into the stack pointer does not match "
                                  f"its tower {getattr(folded, 'tower', None)}")
-                        return False
-                self._loc_set(state, ev.at, src)
+                        return None
+                t = src
             elif isinstance(ev.event, IntroString):
-                self._loc_set(state, ev.at, Calc(Rep(ev.event.n), Offsets(ev.event.offs)))
+                t = Calc(Rep(ev.event.n), Offsets(ev.event.offs))
             elif isinstance(ev.event, IntroArray):
-                self._loc_set(state, ev.at, Uncalc(ev.event.n, Offsets(ev.event.offs)))
+                t = Uncalc(ev.event.n, Offsets(ev.event.offs))
             elif isinstance(ev.event, Arith):
-                self._loc_set(state, ev.at, C0)
+                t = C0
             else:
                 t = self._loc_get(state, ev.at, addr)
                 if t is None:
                     self.bad(addr, "flow", f"event {ev.event} on unbound {ev.at}")
-                    return False
-                out = fold_event(t, ev.event)
-                if isinstance(out, TraceViolation):
-                    self.bad(addr, out.equation, out.detail)
-                    return False
-                self._loc_set(state, ev.at, out)
+                    return None
+                t = fold_event(t, ev.event)
+                if isinstance(t, TraceViolation):
+                    self.bad(addr, t.equation, t.detail)
+                    return None
+            state = self._loc_set(state, ev.at, t)
         # frame bookkeeping for slots
-        if op == "push":
-            state.slots.clear()
-        elif op == "rspf":
-            state.slots.clear()
-        elif op == "cspf":
-            t = state.regs.get(state.star)
-            keep = t.offs.members if isinstance(t.offs, Offsets) else frozenset()
-            state.slots = {k: v for k, v in state.slots.items() if k in keep}
-        return True
+        if s.op in ("push", "rspf"):
+            return state.with_slots()
+        if s.op == "cspf":
+            offs = state.star_type().offs
+            return state.prune_slots(offs.members if isinstance(offs, Offsets) else frozenset())
+        return state
 
-    def _apply_call(self, addr: int, row, state: _State) -> bool:
+    def _apply_call(self, addr: int, row, state: Annotation) -> Annotation | None:
+        """The caller's annotation after the call, or None after a violation."""
         if row.callee is None or row.callee not in self.theory.routines:
             self.bad(addr, "call", "gosub row lacks a certified callee")
-            return False
+            return None
         callee = self.theory.routines[row.callee]
-        if state.star is None:
+        star = state.star
+        if star is None:
             self.bad(addr, "call", "calls need a stack pointer register")
-            return False
-        handed = state.copy()
-        handed.regs[RA] = U0
-        handed.regs[state.star] = C0  # the callee builds its own frame
-        handed.slots = {}
-        if handed.snapshot() != _state_of(callee.entry).snapshot():
+            return None
+        # the callee builds its own frame
+        if state.set_reg(RA, U0).set_reg(star, C0).with_slots() != callee.entry:
             self.bad(addr, "call",
                      f"call-site state does not match {callee.label} entry summary")
-            return False
-        if callee.exit_ann is None:
+            return None
+        out = callee.exit_ann
+        if out is None:
             self.bad(addr, "call", f"{callee.label} never returns")
-            return False
-        exit_state = _state_of(callee.exit_ann)
-        if exit_state.star != state.star or exit_state.regs.get(state.star) != C0:
+            return None
+        if out.star != star or out.reg(star) != C0:
             self.bad(addr, "call",
                      f"{callee.label} does not hand the empty frame back in "
-                     f"{reg_name(state.star)}")
-            return False
-        caller_sp = state.regs[state.star]
-        caller_slots = state.slots
-        state.regs = dict(exit_state.regs)
-        state.regs[state.star] = caller_sp
-        state.slots = caller_slots
-        return True
-
-
-def _render(state: _State) -> str:
-    regs = ", ".join(f"{reg_name(r)}{'*' if r == state.star else ''}={t}"
-                     for r, t in sorted(state.regs.items()))
-    slots = ", ".join(f"({k})={t}" for k, t in sorted(state.slots.items()))
-    return ", ".join(p for p in (regs, slots) if p)
+                     f"{reg_name(star)}")
+            return None
+        return out.set_reg(star, state.star_type()).with_slots(state.slots)
 
 
 def check_program(theory: Theory) -> list[TraceViolation]:

@@ -15,10 +15,10 @@ from aliascert.annot import calc, rep, uncalc
 from aliascert.disasm import StackInstr, location_candidates
 from aliascert.isa import REG_INDEX, SP, V0
 from aliascert.machine import run as run_clean
-from aliascert.quickgen import generate_program
 from aliascert.traces import FrameDown, FrameUp, Read, TraceViolation, Write, check_program, fold_event
 
 from conftest import load
+from genprogs import generate_program
 from golden_tables import GOLDEN_TABLES
 from test_disasm import LOCATION_MATRIX
 from test_golden_tables import expected_table, render_table

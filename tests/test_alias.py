@@ -13,10 +13,10 @@ from aliascert.aliasing import (
 )
 from aliascert.frontend import parse_program
 from aliascert.machine import build_image, run
-from aliascert.quickgen import generate_program
 from aliascert.simdefs import DEFAULT_FUEL, M32
 
 from conftest import load
+from genprogs import generate_program
 
 
 # salted words as (lo, hi): the arithmetic word and its calculation tag,
@@ -211,7 +211,7 @@ def test_collision_check_evaluates_the_seeded_tags(hello):
                     words.setdefault(((vals[0] & M32) + vals[1]) & M32 & ~3, set()).add(t)
                 return t
 
-            _engine._run(image, DEFAULT_FUEL, seed, recording, [b for b in image.blobs if b[4]])
+            _engine._run(image, DEFAULT_FUEL, seed, recording, [b for b in image.blobs if b[3]])
             t = _engine._seed_tags(symbolic, seed)
             assert sorted(sorted(t[i] for i in g) for g in symbolic.groups) == \
                 sorted(sorted(w) for w in words.values() if len(w) > 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from aliascert import cli, run_aliased
 from aliascert.cli import main
 
 from conftest import corpus_path
@@ -96,6 +97,31 @@ def test_run_alias_bad_program_faults(capsys):
                  "--mode", "alias", "--seed", "7"])
     assert code == 1
     assert "AliasFault" in capsys.readouterr().out
+
+
+def test_run_alias_without_seed_takes_seed_one(monkeypatch, capsys):
+    seeds = []
+
+    def recording(program, cfg, **kw):
+        seeds.append(cfg.seed)
+        return run_aliased(program, cfg, **kw)
+
+    monkeypatch.setattr(cli, "run_aliased", recording)
+    assert main(["run", str(corpus_path("hello.s")), "--mode", "alias"]) == 0
+    assert seeds == [1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "5"], "--seed needs --mode alias"),
+    (["--mode", "clean", "--seed", "5"], "--seed needs --mode alias"),
+    (["--mode", "alias", "--seed", "0"], "seed must be at least 1, got 0"),
+    (["--mode", "alias", "--seed", "-3"], "seed must be at least 1, got -3"),
+])
+def test_run_seed_needs_alias_mode_and_is_positive(argv, message, capsys):
+    assert main(["run", str(corpus_path("hello.s")), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_diff_exit_codes(capsys):

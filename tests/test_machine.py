@@ -5,10 +5,10 @@ import pytest
 from aliascert.frontend import parse_program
 from aliascert.isa import RA, SP, V0, Instruction, REG_INDEX
 from aliascert.machine import MachineState, MachineError, build_image, run, run_by_steps, step
-from aliascert.quickgen import generate_program
 from aliascert.simdefs import RETURN_SENTINEL
 
 from conftest import load
+from genprogs import generate_program
 
 
 def test_addiu_semantics():

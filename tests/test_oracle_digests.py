@@ -25,9 +25,8 @@ from aliascert.annot import C0, U0
 from aliascert.certifier import Theory
 from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, V0, V1, ZERO
-from aliascert.quickgen import generate_source
 
-from genprogs import call_sites
+from genprogs import call_sites, generate_source
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"

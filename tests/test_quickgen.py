@@ -1,11 +1,13 @@
-"""``quickgen`` generates a certifiable program for every seed and size."""
+"""The quickgen generator, `genprogs.generate_program`, yields a certifiable
+program for every seed and size."""
 
 from __future__ import annotations
 
 import pytest
 
 from aliascert import certify_program
-from aliascert.quickgen import generate_program
+
+from genprogs import generate_program
 
 # seeds whose generator once ran out of scratch registers for a string
 @pytest.mark.parametrize("seed,size", [(322, 64), (392, 48), (678, 32), (678, 48),

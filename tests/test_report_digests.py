@@ -24,10 +24,10 @@ from pathlib import Path
 from aliascert import certify_program, parse_program
 from aliascert.certifier import BYTE_POLICIES, DEFAULT_POLICY
 from aliascert.cli import build_report
-from aliascert.quickgen import generate_source
 
 from genprogs import (
     call_sites,
+    generate_source,
     kli_branch_source,
     kli_callee_source,
     kli_move_source,
