@@ -266,7 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run on the clean or aliasing machine")
     running(r)
     r.add_argument("--mode", choices=("clean", "alias"), default="clean")
-    r.add_argument("--seed", type=int, default=None,
+    r.add_argument("--seed", type=int,
                    help="aliasing seed, at least 1 (default 1); needs --mode alias")
     r.set_defaults(func=cmd_run)
 
