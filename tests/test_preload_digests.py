@@ -1,0 +1,94 @@
+"""Stability of the interpreter's preloaded memory.
+
+``preload_digests.json`` holds, per family of data blobs and per salt,
+the sha256 of the memory ``_engine._preload`` builds and of the words it
+marks written, over a fixed grid: seeds 0 to 5 under the seeded salt at
+32-, 8- and 3-bit tags (narrow tags make distinct calculations collide,
+so cells merge), and the salt that tags every calculation 0.  The blob
+families are synthetic blobs of steps 1 to 9 and lengths 0 to 23 at each
+alignment, pairs of blobs that share a word, and the blobs of the corpus
+and of ``genprogs`` seeds 0 to 59 at sizes 12, 32 and 64.  Any change to
+which cells the loader fills, with what, or which words count as written
+shows up as a changed digest.
+
+Regenerate the fixture (only when a change to the preloaded memory is
+intended) with ``PYTHONPATH=src python tests/test_preload_digests.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from aliascert import _engine, _salt, parse_program
+
+from genprogs import generate_source
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "corpus"
+FIXTURE = HERE / "preload_digests.json"
+
+SEEDS = range(6)
+TAG_BITS = (32, 8, 3)
+BASE = 0x10000000
+
+
+def _zero_salt(seed: int, domain: int, *vals: int) -> int:
+    return 0
+
+
+def _program_blobs(source: str):
+    p = parse_program(source)
+    return tuple((p.labels[name], b.data, b.step, b.init) for name, b in p.blobs.items())
+
+
+def _families():
+    data = bytes(range(0xA0, 0xA0 + 24))
+    yield "synthetic", [((BASE + align, data[:n], step, True),)
+                        for step in range(1, 10) for n in range(24) for align in range(4)]
+    # the second blob starts in the word where the first ends
+    yield "shared_words", [((BASE, data[:n], step, True), (BASE + n, data[n:n + 9], 2, True))
+                           for step in (1, 3, 4) for n in range(1, 8)]
+    sources = [path.read_text() for path in sorted(CORPUS.glob("*.s"))]
+    sources += [generate_source(seed, size) for seed in range(60) for size in (12, 32, 64)]
+    yield "programs", sorted({blobs for blobs in map(_program_blobs, sources) if blobs})
+
+
+def _digest(h, blobs, seed: int, salt) -> None:
+    mem, written = _engine._preload(blobs, seed, salt)
+    h.update(repr(sorted(mem.items())).encode() + b"\n")
+    h.update(repr(sorted(written)).encode() + b"\n")
+
+
+def compute_digests() -> dict[str, str]:
+    out = {}
+    saved = _salt.TAG_MASK
+    try:
+        for family, cases in _families():
+            for bits in TAG_BITS:
+                _salt.TAG_MASK = (1 << bits) - 1
+                h = hashlib.sha256()
+                for blobs in cases:
+                    for seed in SEEDS:
+                        _digest(h, blobs, seed, _salt.tag)
+                out[f"{family}/tag{bits}"] = h.hexdigest()
+            h = hashlib.sha256()
+            for blobs in cases:
+                _digest(h, blobs, 0, _zero_salt)
+            out[f"{family}/zero"] = h.hexdigest()
+    finally:
+        _salt.TAG_MASK = saved
+    return out
+
+
+def test_preloaded_memory_matches_recorded_digests():
+    expected = json.loads(FIXTURE.read_text())
+    actual = compute_digests()
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
