@@ -32,7 +32,7 @@ from .certifier import (
     check_safety,
     handle_call,
 )
-from .disasm import StackInstr, candidates, location_candidates, render_machine
+from .disasm import StackInstr, location_candidates, render_machine
 from .frontend import (
     AsmSyntaxError,
     DuplicateLabel,
@@ -43,7 +43,8 @@ from .frontend import (
     serialize_type,
 )
 from .isa import DataBlob, Instruction, Pragma, Program
-from .machine import MachineState, build_image, run, step
+from ._engine import build_image
+from .machine import MachineState, run, step
 from .simdefs import DeviceConfig, RunOutcome
 from .smallstep import PatternMismatch, apply_smallstep
 from .traces import TraceViolation, check_program, events_of, fold_event
@@ -57,7 +58,7 @@ __all__ = [
     "Annotation", "unify_annotations",
     "CertReport", "Failure", "Theory", "certify_program",
     "check_safety", "handle_call",
-    "StackInstr", "candidates", "location_candidates", "render_machine",
+    "StackInstr", "location_candidates", "render_machine",
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
     "parse_type", "serialize_annotation", "serialize_type",
     "DataBlob", "Instruction", "Pragma", "Program",

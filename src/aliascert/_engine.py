@@ -1,19 +1,26 @@
 """The interpreter: one loop over a decoded program image, three salts.
 
-The loop dispatches on each instruction's mnemonic, the first field of
-its decoded form (`machine.build_image`).
+`build_image` decodes a program into the image the loop runs: each
+instruction as its mnemonic and up to three operands, each data blob as
+its address, bytes, step and whether it is initialized.  No other module
+reads that layout.
 
 Memory is keyed by (tag, address) pairs, the tags coming from the
 `_salt` calculus, so that differently calculated aliases of one address
 select different cells: the hardware-aliasing model under test
-(`run_alias_image`).  The clean machine is the same loop with a salt
-that tags every calculation 0 (`run_clean_image`): every key is then
-(0, address), every alias of an address hits its one cell, and a
-missing key means no cell at that word, so the run has exact 32-bit
-semantics and no alias fault can occur.  The two machines differ in
-one more way: the clean one preloads every data blob, the aliasing one
-only the initialized blobs.  `machine.step` is the independent
-single-step reference both runs are tested against.
+(`run_alias_image`).  A ``sw`` fills the cell of its word with the
+salted value, a ``sb`` one lane of the cell of its word with a plain
+byte; either marks the word written.  A load that misses its cell is an
+alias fault when the word is written under some other key, and an
+uninitialized read otherwise.  The loader fills cells as if each blob
+had been stored along its canonical access chains (`_preload`).  The
+clean machine is the same loop with a salt that tags every calculation 0
+(`run_clean_image`): every key is then (0, address), every alias of an
+address hits its one cell, and the run has exact 32-bit semantics with
+no alias fault.  The two machines differ in one more way: the clean one
+preloads every data blob, the aliasing one only the initialized blobs.
+`machine.step` is the independent single-step reference both runs are
+tested against.
 
 A seed's tags stand for how each value was calculated, so a sweep over
 seeds need not run the loop once per seed.  `run_symbolic_image` runs
@@ -24,11 +31,15 @@ calculations that key one word, since memory keys are the only place a
 tag is observed.  `run_alias_image` given that run checks this for its
 seed over the few calculations concerned, decoded once by the symbolic
 run, and runs the seeded loop only on a collision.  A symbolic run that
-keys every word by one calculation and preloads every blob is also the
-clean run, failed or not, so a sweep is one symbolic run, plus
-a clean run only when a word has two calculations or a blob is
-``noinit`` (`aliasing.diff_runs`).  Callers look the entry points up in
-this module at call time, so a profiler can wrap them here.
+keys every word by one calculation, of an image whose blobs are all
+initialized, is also the clean run, failed or not: every load reads the
+cell the clean machine reads and no alias fault can occur, so it fails
+where the clean run fails (`clean_outcome`).  Otherwise the clean run is
+run: a store through one calculation of a word fills another cell than
+a load through another reads, and the clean machine preloads a
+``noinit`` blob that the aliasing machine leaves unwritten.  Callers
+look the entry points up in this module at call time, so a profiler can
+wrap them here.
 """
 
 from __future__ import annotations
@@ -38,64 +49,92 @@ from dataclasses import dataclass
 from . import _salt
 from ._salt import (M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, fold, pack,
                     root, tag)
-from .isa import RA, SP
-from .simdefs import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, Fault, Image, RunOutcome
+from .isa import FORMATS, RA, SP, Program
+from .simdefs import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig, Fault, RunOutcome
 
 BACKEND = "pure"  # recorded with benchmark runs
+
+
+@dataclass(frozen=True)
+class Image:
+    """A decoded program ready for interpretation."""
+
+    base: int
+    code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
+    blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
+    entry_addr: int
+    device: DeviceConfig = DeviceConfig()
+
+    @property
+    def code_end(self) -> int:
+        return self.base + 4 * len(self.code)
+
+
+def build_image(program: Program, entry: str | None = None,
+                device: DeviceConfig = DeviceConfig()) -> Image:
+    """Decode a program into the flat form the interpreter consumes: each
+    instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
+    as ``imm, rs``, targets resolved, padded with 0 to three operands."""
+    label = entry or program.entry_label()
+    if label is None:
+        raise ValueError("program has no entry pragma and no entry was given")
+    if label not in program.labels:
+        raise ValueError(f"entry label {label!r} is not defined")
+    code = []
+    for i in program.instructions:
+        ops = [i.op]
+        for f in FORMATS[i.op]:
+            if f == "mem":
+                ops += (i.imm, i.rs)
+            elif f == "target":
+                ops.append(program.resolve(i.target))
+            else:
+                ops.append(getattr(i, f))
+        code.append((*ops, *(0,) * (4 - len(ops))))
+    blobs = tuple(
+        (program.labels[name], blob.data, blob.step, blob.init)
+        for name, blob in program.blobs.items()
+    )
+    return Image(base=program.base, code=tuple(code), blobs=blobs,
+                 entry_addr=program.labels[label], device=device)
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:
     return 0
 
 
+def _initialized(image: Image) -> list:
+    """The blobs the aliasing machine preloads."""
+    return [b for b in image.blobs if b[3]]
+
+
 def _preload(blobs, seed: int, salt):
-    """Preloaded data is modeled as written earlier along its canonical
-    access chains: direct offsets from the load-immediate base for arrays,
-    and repeated stepping for strings."""
+    """The memory of ``blobs`` and its written words, as if stored along
+    one chain of pointers per blob: the load-immediate base spans the
+    whole blob (the array reading), then each step of the blob's stride
+    spans the next ``step`` bytes (the string reading).  Each offset in
+    a span is one effective address; it stores the aligned word starting
+    there when the span holds it, and its byte otherwise."""
     mem: dict[tuple[int, int], tuple[int, int]] = {}
-    locount: dict[int, int] = {}
-
-    def put_byte(t: int, a: int, byte: int):
-        key = (t, a & ~3)
-        if key not in mem:
-            locount[a & ~3] = locount.get(a & ~3, 0) + 1
-            cur = (0, 0)
-        else:
-            cur = mem[key]
-        lane = a & 3
-        mem[key] = (0, (cur[1] & ~(0xFF << (8 * lane))) | (byte << (8 * lane)))
-
-    def put_word(t: int, a: int, word: int):
-        key = (t, a)
-        if key not in mem:
-            locount[a] = locount.get(a, 0) + 1
-        mem[key] = (0, word)
-
-    def ea(hi: int, lo: int, imm: int) -> int:
-        return salt(seed, T_EA, pack(hi, lo), imm)
-
+    written: set[int] = set()
     for addr, data, step, _init in blobs:
-        base_hi = salt(seed, T_LI, addr)
-        # array keying: unique offsets from the introduced base
-        for k in range(len(data)):
-            if (addr + k) & 3 == 0 and k + 4 <= len(data):
-                put_word(ea(base_hi, addr, k), addr + k,
-                         int.from_bytes(data[k:k + 4], "little"))
-            put_byte(ea(base_hi, addr, k), addr + k, data[k])
-        # string keying: constant steps from the base, offsets within a step
-        p_hi, p_lo, off = base_hi, addr, 0
-        while off < len(data):
-            span = min(step, len(data) - off)
+        p_hi, p_lo = salt(seed, T_LI, addr), addr
+        off, span = 0, len(data)
+        while span > 0:
             for j in range(span):
-                if (p_lo + j) & 3 == 0 and j + 4 <= span:
-                    put_word(ea(p_hi, p_lo, j), p_lo + j,
-                             int.from_bytes(data[off + j:off + j + 4], "little"))
-                put_byte(ea(p_hi, p_lo, j), p_lo + j, data[off + j])
-            nxt_lo = (p_lo + step) & M32
-            p_hi = salt(seed, T_ADDIU, pack(p_hi, p_lo), step)
-            p_lo = nxt_lo
+                a, k = p_lo + j, off + j
+                t = salt(seed, T_EA, pack(p_hi, p_lo), j)
+                if a & 3 == 0 and j + 4 <= span:
+                    mem[(t, a)] = (0, int.from_bytes(data[k:k + 4], "little"))
+                else:
+                    w, lane = a & ~3, 8 * (a & 3)
+                    cur = mem.get((t, w), (0, 0))[1]
+                    mem[(t, w)] = (0, cur & ~(0xFF << lane) | data[k] << lane)
+                written.add(a & ~3)
+            p_hi, p_lo = salt(seed, T_ADDIU, pack(p_hi, p_lo), step), (p_lo + step) & M32
             off += step
-    return mem, locount
+            span = min(step, len(data) - off)
+    return mem, written
 
 
 def run_clean_image(image: Image, fuel: int) -> RunOutcome:
@@ -112,7 +151,16 @@ def run_alias_image(image: Image, fuel: int, seed: int,
     colliding tags, and runs the seeded loop otherwise."""
     if symbolic is not None and _collision_free(symbolic, seed):
         return symbolic.outcome
-    return _run(image, fuel, seed, tag, [b for b in image.blobs if b[3]])
+    return _run(image, fuel, seed, tag, _initialized(image))
+
+
+def clean_outcome(image: Image, fuel: int, symbolic: SymbolicRun) -> RunOutcome:
+    """The clean run of ``image``: ``symbolic``'s outcome when it stands
+    for it (see the module docstring), a run of the clean machine
+    otherwise."""
+    if not symbolic.groups and all(b[3] for b in image.blobs):
+        return symbolic.outcome
+    return run_clean_image(image, fuel)
 
 
 # The inputs `_run` passes with each tag domain: how many, and how many
@@ -194,7 +242,7 @@ def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
             i = ids[key] = len(ids) + 1
         return i
 
-    outcome = _run(image, fuel, 0, intern, [b for b in image.blobs if b[3]])
+    outcome = _run(image, fuel, 0, intern, _initialized(image))
     return outcome, ids
 
 
@@ -231,7 +279,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
         hi[i] = salt(seed, T_INIT, i)
     lo[SP] = DEFAULT_STACK_BASE
     lo[RA] = RETURN_SENTINEL
-    mem, locount = _preload(blobs, seed, salt)
+    mem, written = _preload(blobs, seed, salt)
     out = bytearray()
     faults: list[Fault] = []
     dev = image.device
@@ -268,23 +316,17 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 pc += 4
                 continue
             ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
+            w = ea_lo & ~3
             if op == "sw":
                 if ea_lo & 3:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
-                key = (ea_hi, ea_lo)
-                if key not in mem:
-                    locount[ea_lo] = locount.get(ea_lo, 0) + 1
-                mem[key] = (hi[a], lo[a])
+                mem[(ea_hi, w)] = (hi[a], lo[a])
             else:
-                w, lane = ea_lo & ~3, ea_lo & 3
-                key = (ea_hi, w)
-                if key not in mem:
-                    locount[w] = locount.get(w, 0) + 1
-                    cur = (0, 0)
-                else:
-                    cur = mem[key]
-                mem[key] = (0, (cur[1] & ~(0xFF << (8 * lane))) | ((lo[a] & 0xFF) << (8 * lane)))
+                lane = 8 * (ea_lo & 3)
+                cur = mem.get((ea_hi, w), (0, 0))[1]
+                mem[(ea_hi, w)] = (0, cur & ~(0xFF << lane) | (lo[a] & 0xFF) << lane)
+            written.add(w)
             pc += 4
             continue
         if op == "lw" or op == "lb":
@@ -293,17 +335,13 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
             ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
+            if op == "lw" and ea_lo & 3:
+                error, error_pc = "UnalignedWordAccess", pc
+                break
             w = ea_lo & ~3
-            if op == "lw":
-                if ea_lo & 3:
-                    error, error_pc = "UnalignedWordAccess", pc
-                    break
-                key = (ea_hi, ea_lo)
-            else:
-                key = (ea_hi, w)
-            cell = mem.get(key)
+            cell = mem.get((ea_hi, w))
             if cell is None:
-                if locount.get(w, 0) > 0:
+                if w in written:
                     faults.append(Fault("AliasFault", pc, ea_lo))
                     error, error_pc = "AliasFault", pc
                 else:

@@ -54,6 +54,10 @@ be skipped.
 
 The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
 that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
+Each routine on the call chain takes a few of Python's stack frames, so
+calls nested deeper than Python's stack allows (about 160 routines at
+the default recursion limit) give UNSUPPORTED with a
+``CallDepthExceeded`` failure.
 """
 
 from __future__ import annotations
@@ -534,7 +538,7 @@ class _Engine:
     def _handle_call(self, site: int, s: StackInstr, ann: Annotation,
                      depth: int, subst: Subst, call_stack: tuple[int, ...]):
         star = ann.star
-        if star is None:  # the pre-pattern of gosub, as in smallstep.pattern_matches
+        if star is None:  # the pre-pattern of gosub
             raise PatternMismatch(str(s), "no register holds the stack pointer")
         caller_star_type = ann.star_type()
         callee_addr = self.program.resolve(s.target)
@@ -628,6 +632,11 @@ def certify_program(program: Program, entry: str | None = None,
         return CertReport(UNSUPPORTED, None,
                           [Failure(None, None, "SearchBudgetExhausted",
                                    f"tried more than {SEARCH_BUDGET} readings")],
+                          engine.stats())
+    except RecursionError:
+        return CertReport(UNSUPPORTED, None,
+                          [Failure(None, None, "CallDepthExceeded",
+                                   "calls nest deeper than Python's stack allows")],
                           engine.stats())
     except CertError as e:
         failure = engine.deepest[1] if engine.deepest else e.failure

@@ -1,11 +1,10 @@
 """Disassembly of machine instructions to stack-machine alternatives.
 
 Each machine instruction admits a fixed, ordered list of stack-machine
-readings, one table (`READINGS`) for every mnemonic but ``li``.  The list
-is pruned twice: first by where the stack pointer register sits (the
-location constraints each reading states), then by whether the small-step
-pre-pattern can match the current annotation.  The surviving order is the
-deterministic search order for the certifier.
+readings, one table (`READINGS`) for every mnemonic but ``li``.
+`raw_alternatives` keeps those that fit where the stack pointer register
+sits (the location constraints each reading states), in table order; the
+certifier tries them in that order, each against its small-step rule.
 """
 
 from __future__ import annotations
@@ -147,7 +146,8 @@ def _blob_intro_offsets(blob: DataBlob, bound: int) -> frozenset[int]:
 
 def raw_alternatives(i: Instruction, star: int | None,
                      blobs: dict[str, DataBlob] | None = None) -> list[StackInstr]:
-    """Ordered stack-machine readings of ``i`` before pattern filtering."""
+    """Ordered stack-machine readings of ``i`` with the stack pointer in
+    ``star``."""
     if i.op == "li":
         if blobs and isinstance(i.target, str) and i.target in blobs:
             blob = blobs[i.target]
@@ -166,15 +166,6 @@ def raw_alternatives(i: Instruction, star: int | None,
     at = (i.rd == star, i.rs == star)
     return [r.of(i) for r in readings
             if r.admits(at, i.rd == i.rs) and (not r.sign or i.imm * r.sign > 0)]
-
-
-def candidates(i: Instruction, a, blobs: dict[str, DataBlob] | None = None) -> list[StackInstr]:
-    """Alternatives whose small-step pre-pattern matches annotation ``a``,
-    in deterministic search order.  An empty result is valid; the caller
-    reports it as a missing disassembly."""
-    from .smallstep import pattern_matches
-
-    return [s for s in raw_alternatives(i, a.star, blobs) if pattern_matches(s, a)]
 
 
 def render_machine(s: StackInstr, star: int | None) -> Instruction:

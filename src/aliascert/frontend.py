@@ -25,7 +25,6 @@ from .annot import (
 )
 from .annotation import Annotation
 from .isa import (
-    BASE_ADDRESS,
     FORMATS,
     IMM_MAX,
     IMM_MIN,
@@ -168,11 +167,12 @@ _LABEL_RE = re.compile(r"^(%s):\s*(.*)$" % _LBL)
 _MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\((%s|r\d+)\)$" % _NAME)
 
 
-def parse_program(text: str, base: int = BASE_ADDRESS) -> Program:
-    """Parse assembly source into an addressed :class:`Program`."""
-    prog = Program(base=base)
+def parse_program(text: str) -> Program:
+    """Parse assembly source into a :class:`Program` addressed from
+    ``isa.BASE_ADDRESS``."""
+    prog = Program()
     pending_labels: list[tuple[str, int]] = []
-    addr = base
+    addr = prog.base
     referenced: list[tuple[str, int]] = []
 
     def place_labels(at: int, line_no: int):

@@ -14,16 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .isa import FORMATS, Instruction, Program, RA, SP, ZERO
-from .simdefs import (
-    DEFAULT_FUEL,
-    DEFAULT_STACK_BASE,
-    DeviceConfig,
-    Image,
-    M32,
-    RETURN_SENTINEL,
-    RunOutcome,
-)
+from . import _engine
+from .isa import Instruction, Program, RA, SP, ZERO
+from .simdefs import (DEFAULT_FUEL, DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig,
+                      RunOutcome)
 
 
 class MachineError(Exception):
@@ -132,54 +126,22 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
     return st
 
 
-def build_image(program: Program, entry: str | None = None,
-                device: DeviceConfig = DeviceConfig()) -> Image:
-    """Decode a program into the flat form the interpreter consumes: each
-    instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
-    as ``imm, rs``, targets resolved, padded with 0 to three operands."""
-    label = entry or program.entry_label()
-    if label is None:
-        raise ValueError("program has no entry pragma and no entry was given")
-    if label not in program.labels:
-        raise ValueError(f"entry label {label!r} is not defined")
-    code = []
-    for i in program.instructions:
-        ops = [i.op]
-        for f in FORMATS[i.op]:
-            if f == "mem":
-                ops += (i.imm, i.rs)
-            elif f == "target":
-                ops.append(program.resolve(i.target))
-            else:
-                ops.append(getattr(i, f))
-        code.append((*ops, *(0,) * (4 - len(ops))))
-    blobs = tuple(
-        (program.labels[name], blob.data, blob.step, blob.init)
-        for name, blob in program.blobs.items()
-    )
-    return Image(base=program.base, code=tuple(code), blobs=blobs,
-                 entry_addr=program.labels[label], device=device)
-
-
 def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
         device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Run on the clean machine until halt, return, error, or fuel out."""
-    from ._engine import run_clean_image
-
-    return run_clean_image(build_image(program, entry, device), fuel)
+    return _engine.run_clean_image(_engine.build_image(program, entry, device), fuel)
 
 
 def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
                  device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
-    image = build_image(program, entry, device)
-    st = MachineState(pc=image.entry_addr, device=device)
+    entry_addr = _engine.build_image(program, entry, device).entry_addr  # checks the entry
+    st = MachineState(pc=entry_addr, device=device)
     st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
-    for addr, data, _s, _i in image.blobs:
-        for k, byte in enumerate(data):
-            w = (addr + k) & ~3
-            st.mem[w] = st.mem.get(w, 0) | (byte << (8 * ((addr + k) & 3)))
+    for name, blob in program.blobs.items():
+        for a, byte in enumerate(blob.data, program.labels[name]):
+            st.mem[a & ~3] = st.mem.get(a & ~3, 0) | byte << 8 * (a & 3)
     steps = 0
     error = error_pc = None
     exit_reason = None

@@ -1,9 +1,7 @@
 """Shared definitions for the interpreter and its single-step reference.
 
 The clean, the aliasing and the symbolic run are one loop in `_engine`
-with different salts; all consume the same decoded program image (per
-instruction its mnemonic and up to three operands, from
-`machine.build_image`) and produce the same outcome record, so they can
+with different salts; all produce the same outcome record, so they can
 be compared with each other and with the single-step reference in
 `machine`.
 """
@@ -32,21 +30,6 @@ class DeviceConfig:
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
-
-
-@dataclass(frozen=True)
-class Image:
-    """A decoded program ready for interpretation."""
-
-    base: int
-    code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
-    blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
-    entry_addr: int
-    device: DeviceConfig = DeviceConfig()
-
-    @property
-    def code_end(self) -> int:
-        return self.base + 4 * len(self.code)
 
 
 @dataclass

@@ -224,19 +224,3 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
 
     raise ValueError(f"unknown stack op {op!r}")
 
-
-def pattern_matches(s: StackInstr, a: Annotation) -> bool:
-    """Whether the pre-pattern of ``s`` matches ``a``.
-
-    ``gosub`` and ``return`` always pass here: the calling convention and
-    the return-register check report their own, more specific failures.
-    """
-    if s.op == "gosub":
-        return a.star is not None
-    if s.op == "return":
-        return True
-    try:
-        apply_smallstep(s, a)
-        return True
-    except PatternMismatch:
-        return False

@@ -73,6 +73,21 @@ def call_sites(size: int, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def call_chain(depth: int) -> str:
+    """``main`` calls ``f1``, which calls ``f2``, and so on down to
+    ``f<depth>``; each routine builds a frame, keeps ``ra`` and its
+    caller's stack pointer there, and restores both by copy."""
+    lines = _HEADER[:]
+    for i in range(depth + 1):
+        if i:
+            lines.append(f"f{i}:")
+        lines += ["    move t0 sp", "    addiu sp sp -8", "    sw ra 4(sp)", "    sw t0 0(sp)"]
+        if i < depth:
+            lines.append(f"    jal f{i + 1}")
+        lines += ["    lw ra 4(sp)", "    lw t0 0(sp)", "    move sp t0", "    jr ra"]
+    return "\n".join(lines) + "\n"
+
+
 def kli_source(k: int, unsafe: bool) -> str:
     """``k`` registers loaded with one two-byte blob, each read back as an
     array, so the search rejects the string reading of every ``li``; the

@@ -11,8 +11,10 @@ from aliascert.aliasing import (
     diff_runs,
     run_aliased,
 )
+from aliascert.certifier import certify_program
 from aliascert.frontend import parse_program
-from aliascert.machine import build_image, run
+from aliascert._engine import build_image
+from aliascert.machine import run
 from aliascert.simdefs import DEFAULT_FUEL, M32
 
 from conftest import load
@@ -263,6 +265,26 @@ def test_noinit_blob_is_preloaded_on_the_clean_machine_only():
         assert aliased.error == "UninitializedRead" and not aliased.faults
     rep = diff_runs(p, seeds=20)
     assert [d.seed for d in rep.divergences] == list(range(1, 21))
+
+
+def test_word_string_read_one_step_at_a_time():
+    # a step-4 string read a word a step: the loader keys each word along
+    # the string chain, so every load through the stepped pointer hits on
+    # both machines
+    p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, v0=c^[0], t0=c^[0]\n"
+                      "main:\n  li a0 words\nloop:\n  lw t0 0(a0)\n  addiu a0 a0 4\n"
+                      "  addu v0 v0 t0\n  bnez t0 loop\n  jr ra\n"
+                      'words:\n  .bytes "abcdefgh" 0 0 0 0 step=4\n')
+    assert certify_program(p).safe
+    clean = run(p)
+    assert clean.ok and clean.steps == 14
+    assert clean.regs[2] == (int.from_bytes(b"abcd", "little")
+                             + int.from_bytes(b"efgh", "little")) & M32  # v0
+    assert clean.regs[4] == p.labels["words"] + 12  # a0
+    for seed in (1, 2, 7):
+        aliased = run_aliased(p, AliasConfig(seed=seed))
+        assert compare_runs(clean, aliased, seed) is None and aliased.steps == 14
+    assert diff_runs(p, seeds=20).ok
 
 
 def test_determinism_per_seed(hello):

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import certifier, certify_program, check_safety, handle_call, parse_program
+from aliascert import (certifier, certify_program, check_program, check_safety, handle_call,
+                       parse_program)
 from aliascert.annot import C0, U0, calc, rep, uncalc
 from aliascert.annotation import Annotation
 from aliascert.certifier import CertError
@@ -290,6 +291,39 @@ def test_failure_after_an_ended_path_steps_back_chronologically():
     report = certify_program(p)
     assert report.verdict == "SAFE"
     assert (report.stats.backtracks, report.stats.backjumps) == (2, 0)
+
+
+# fp enters as a type variable, so the join at `skip` binds it to the
+# reading the `li` takes
+_JOIN_BINDS = ("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, fp=?x, t0=c^[0]\n"
+               "main:\n  bnez t0 skip\n  li fp blob\n{tail}skip:\n  jr ra\n"
+               'blob:\n  .bytes "abcd"\n')
+
+
+def test_join_binds_a_type_variable():
+    report = certify_program(parse_program(_JOIN_BINDS.format(tail="")))
+    assert report.verdict == "SAFE"
+    (cert,) = report.theory.routines.values()
+    assert str(cert.entry) == "zero=c^[0], t0=c^[0], sp*=c^[0], fp=c^rep(1)!{0}, ra=u^0"
+    assert cert.exit_ann == cert.entry
+    assert all(row.pre == cert.entry for row in cert.rows.values())
+    assert check_program(report.theory) == []
+    assert check_safety(report.theory) == []
+
+
+def test_failure_while_a_type_variable_is_bound():
+    # the second branch's join binds fp to the string reading, and the word
+    # read on its fall-through then fails while that binding is in force:
+    # the search goes back to the `li`, whose array reading certifies
+    tail = "  bnez t0 skip\n  lw t0 0(fp)\n  jr ra\n"
+    report = certify_program(parse_program(_JOIN_BINDS.format(tail=tail)))
+    assert report.verdict == "SAFE"
+    assert (report.stats.backtracks, report.stats.backjumps) == (1, 0)
+    (cert,) = report.theory.routines.values()
+    assert serialize_type(cert.entry.reg(REG_INDEX["fp"])) == "u^4!{0,1,2,3}"
+    assert [str(cert.rows[a].chosen) for a in sorted(cert.rows)][1:4] == \
+        ["newh fp blob 4", "ifnz t0 skip", "lwfh t0 0(fp)"]
+    assert check_program(report.theory) == []
 
 
 def test_search_budget_gives_unsupported(monkeypatch):

@@ -12,13 +12,13 @@ from aliascert.disasm import (
     READ_OPS,
     STACK_ACCESS,
     WRITE_OPS,
-    candidates,
     location_candidates,
     raw_alternatives,
     render_machine,
 )
 from aliascert.frontend import parse_program
 from aliascert.isa import GP, RA, SP, V0, Instruction, REG_INDEX
+from aliascert.smallstep import PatternMismatch, apply_smallstep
 
 A0 = REG_INDEX["a0"]
 T0 = REG_INDEX["t0"]
@@ -107,7 +107,20 @@ def test_access_sets_come_from_the_load_and_store_readings():
     assert STACK_ACCESS == {"get", "put", "getb", "putb"}
 
 
-# -- full candidate sets (location + pattern) ---------------------------------
+# -- the readings that apply (location, then small step) ---------------------
+
+def candidates(i, a, blobs=None):
+    """The readings of ``i`` whose small step applies under ``a``, tried
+    in ``raw_alternatives`` order as the certifier's search tries them."""
+    out = []
+    for s in raw_alternatives(i, a.star, blobs):
+        try:
+            apply_smallstep(s, a)
+        except PatternMismatch:
+            continue
+        out.append(s)
+    return out
+
 
 def test_move_from_stack_pointer():
     a = Annotation.make(star=SP, regs={SP: calc(0)})

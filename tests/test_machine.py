@@ -4,7 +4,8 @@ import pytest
 
 from aliascert.frontend import parse_program
 from aliascert.isa import RA, SP, V0, Instruction, REG_INDEX
-from aliascert.machine import MachineState, MachineError, build_image, run, run_by_steps, step
+from aliascert._engine import build_image
+from aliascert.machine import MachineState, MachineError, run, run_by_steps, step
 from aliascert.simdefs import RETURN_SENTINEL
 
 from conftest import load
@@ -94,6 +95,7 @@ def test_engine_matches_step_reference(corpus_programs):
     programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
         "  lw v0 0(sp)\n  jr ra\n",
         "  addiu t0 sp 2\n  sw v0 0(t0)\n  jr ra\n",
+        "  li t0 buf\n  lw v0 1(t0)\n  jr ra\nbuf:\n  .bytes 1 2 3 4 5 6 7 8\n",
         "  li t0 0xB0000000\n  lb v0 0(t0)\n  jr ra\n",
         "  move t0 zero\n  jr t0\n",
     )]
@@ -104,7 +106,7 @@ def test_engine_matches_step_reference(corpus_programs):
         assert fast.steps == slow.steps
         assert (fast.halted, fast.error, fast.error_pc, fast.exit_reason) == (
             slow.halted, slow.error, slow.error_pc, slow.exit_reason)
-    assert sum(run(p).error is not None for p in programs) == 4
+    assert sum(run(p).error is not None for p in programs) == 5
 
 
 def test_clean_machine_blind_to_arithmetic_restore(corpus_programs):

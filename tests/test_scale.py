@@ -1,6 +1,8 @@
 """Programs of thousands of instructions certify under Python's default
 recursion limit: the search, the trace oracle and the report walk them
-with loops, not one stack frame per instruction."""
+with loops, not one stack frame per instruction.  Only call nesting
+takes Python's stack, and nesting deeper than it allows gets a verdict
+of its own."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import pytest
 from aliascert import certify_program, check_program, check_safety, parse_program
 from aliascert.cli import main
 
-from genprogs import call_sites, straight_line
+from genprogs import call_chain, call_sites, straight_line
 
 SIZE = 3200
 
@@ -69,3 +71,25 @@ def test_large_program_through_the_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.rstrip().endswith("verdict: SAFE")
     assert "\ntrace oracle: ok\n" in out
+
+
+def test_call_chain_within_the_stack_certifies_safe():
+    report = certify_program(parse_program(call_chain(150)))
+    assert report.verdict == "SAFE", report.failures
+    assert len(report.theory.routines) == 151
+    assert check_program(report.theory) == []
+
+
+def test_call_chain_deeper_than_the_stack_is_unsupported(tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000
+    source = call_chain(300)
+    report = certify_program(parse_program(source))
+    assert report.verdict == "UNSUPPORTED" and report.theory is None
+    (failure,) = report.failures
+    assert failure.kind == "CallDepthExceeded"
+    path = tmp_path / "chain.s"
+    path.write_text(source)
+    assert main(["certify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "failure: CallDepthExceeded at <program>" in out
+    assert out.rstrip().endswith("verdict: UNSUPPORTED")

@@ -81,6 +81,19 @@ def test_arithmetic_produces_plain_word():
         apply_smallstep(StackInstr("addaiu", rd=A0, rs=V0, n=5), a)
 
 
+def test_addop_and_nandop_give_a_plain_word():
+    # any bound operands, even an uncalculatable one, give a plain word
+    a = Annotation.make(star=SP, regs={SP: calc(0), A0: uncalc(8), V0: calc(0)})
+    for op in ("addop", "nandop"):
+        out = apply_smallstep(StackInstr(op, rd=V0, rs=A0, rt=V0), a)
+        assert out.reg(V0) == C0 and out.reg(A0) == uncalc(8)
+        for bad in ({"rd": V0, "rs": SP, "rt": V0},   # the stack pointer
+                    {"rd": ZERO, "rs": A0, "rt": V0},  # the zero register
+                    {"rd": V0, "rs": A0, "rt": GP}):   # an unbound operand
+            with pytest.raises(PatternMismatch):
+                apply_smallstep(StackInstr(op, **bad), a)
+
+
 def test_string_write_requires_calculated_value():
     a = Annotation.make(regs={A0: rep(4), V0: uncalc(0)})
     with pytest.raises(PatternMismatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from aliascert.annot import (
 )
 from aliascert.certifier import certify_program
 from aliascert.disasm import StackInstr
+from aliascert.frontend import parse_program
 from aliascert.isa import REG_INDEX, SP, V0
 from aliascert.traces import (
     Arith,
@@ -205,6 +207,24 @@ def test_corpus_theories_accepted(corpus_programs):
         report = certify_program(corpus_programs[name])
         assert report.safe
         assert check_program(report.theory) == []
+
+
+def test_addu_and_nand_fold_to_plain_words():
+    p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, t0=u^8, t1=c^[0]\n"
+                      "main:\n  addu v0 t0 t1\n  nand v1 v0 t0\n  jr ra\n")
+    report = certify_program(p)
+    assert report.safe
+    cert = report.theory.routines[report.theory.entry_key]
+    base = cert.entry_addr
+    assert [cert.rows[a].chosen.op for a in sorted(cert.rows)] == ["addop", "nandop", "return"]
+    assert check_program(report.theory) == []
+    # the nand's event lands on a0, so the fold no longer gives the
+    # recorded v1 at the return, nor the recorded exit
+    row = cert.rows[base + 4]
+    cert.rows[base + 4] = dataclasses.replace(
+        row, chosen=dataclasses.replace(row.chosen, rd=REG_INDEX["a0"]))
+    violations = check_program(report.theory)
+    assert [(v.equation, v.addr) for v in violations] == [("theory", base + 8), ("(*)", base)]
 
 
 def test_out_of_bounds_access_flagged():
