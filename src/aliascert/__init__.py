@@ -43,7 +43,6 @@ from .frontend import (
     serialize_type,
 )
 from .isa import DataBlob, Instruction, Pragma, Program
-from ._engine import build_image
 from .machine import MachineState, run, step
 from .simdefs import DeviceConfig, RunOutcome
 from .smallstep import PatternMismatch, apply_smallstep
@@ -62,7 +61,7 @@ __all__ = [
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
     "parse_type", "serialize_annotation", "serialize_type",
     "DataBlob", "Instruction", "Pragma", "Program",
-    "MachineState", "build_image", "run", "step",
+    "MachineState", "run", "step",
     "DeviceConfig", "RunOutcome",
     "PatternMismatch", "apply_smallstep",
     "TraceViolation", "check_program", "events_of", "fold_event",

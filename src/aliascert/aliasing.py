@@ -12,10 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _engine
-from ._engine import build_image
 from .isa import Program
 from .simdefs import DEFAULT_FUEL, DeviceConfig, RunOutcome
+
+
+def build_image(program: Program, entry: str | None = None,
+                device: DeviceConfig = DeviceConfig()):
+    """`_engine.build_image`, imported on the first run, so that commands
+    which run no program never load the interpreter."""
+    from . import _engine
+
+    return _engine.build_image(program, entry, device)
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,8 @@ def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
                 fuel: int = DEFAULT_FUEL, entry: str | None = None) -> RunOutcome:
     """Run under the aliasing model; the fault log records reads that hit
     an arithmetically matching but differently calculated cell."""
+    from . import _engine
+
     image = build_image(program, entry, cfg.device)
     return _engine.run_alias_image(image, fuel, cfg.seed)
 
@@ -72,6 +81,8 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
     """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1) with
     ``fuel`` (at least 1) steps a run; the clean run must complete
     without error."""
+    from . import _engine
+
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     image = build_image(program, entry, device)

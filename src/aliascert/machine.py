@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import _engine
 from .isa import Instruction, Program, RA, SP, ZERO
 from .simdefs import (DEFAULT_FUEL, DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig,
                       RunOutcome)
@@ -129,12 +128,16 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
 def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
         device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Run on the clean machine until halt, return, error, or fuel out."""
+    from . import _engine
+
     return _engine.run_clean_image(_engine.build_image(program, entry, device), fuel)
 
 
 def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
                  device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
+    from . import _engine
+
     entry_addr = _engine.build_image(program, entry, device).entry_addr  # checks the entry
     st = MachineState(pc=entry_addr, device=device)
     st.regs[SP] = DEFAULT_STACK_BASE
