@@ -10,36 +10,62 @@ Memory is keyed by (tag, address) pairs, the tags coming from the
 select different cells: the hardware-aliasing model under test
 (`run_alias_image`).  A ``sw`` fills the cell of its word with the
 salted value, a ``sb`` one lane of the cell of its word with a plain
-byte; either marks the word written.  A load that misses its cell is an
-alias fault when the word is written under some other key, and an
-uninitialized read otherwise.  The loader fills cells as if each blob
-had been stored along its canonical access chains (`_preload`).  The
-clean machine is the same loop with a salt that tags every calculation 0
-(`run_clean_image`): every key is then (0, address), every alias of an
-address hits its one cell, and the run has exact 32-bit semantics with
-no alias fault.  The two machines differ in one more way: the clean one
-preloads every data blob, the aliasing one only the initialized blobs.
-`machine.step` is the independent single-step reference both runs are
-tested against.
+byte.  A load that misses its cell is an alias fault when the word is
+written under some other key, and an uninitialized read otherwise.  The
+loader fills cells as if each blob had been stored along its canonical
+access chains (`_preload`).  The clean machine is the same loop with a
+salt that tags every calculation 0 (`run_clean_image`): every key is
+then (0, address), every alias of an address hits its one cell, and the
+run has exact 32-bit semantics with no alias fault.  The two machines
+differ in one more way: the clean one preloads every data blob, the
+aliasing one only the initialized blobs.  `machine.step` is the
+independent single-step reference both runs are tested against.
+
+Beside the cells, the loop keeps for each written word the calculation
+(the tag of the effective address) that last wrote each of its four byte
+lanes: one tag when a single calculation wrote the whole word, else one
+entry per lane, which is a tag, the tuple of keys the loader filled that
+lane through, or None for a lane nobody wrote.  A load is
+*self-sourced* when it hits its cell and every lane it reads was last
+written through its own calculation: its tag, a loader tuple holding
+its tag, or None, unless the lane lies in a ``noinit`` blob (nobody
+wrote it here, but the clean machine preloaded it).  A load that misses
+is never self-sourced.
 
 A seed's tags stand for how each value was calculated, so a sweep over
 seeds need not run the loop once per seed.  `run_symbolic_image` runs
 it once with a salt that hands out one id per distinct calculation
-(global value numbering by hash-consing); a seed's run equals that run
-exactly when the seed's tags are distinct among the effective-address
-calculations that key one word, since memory keys are the only place a
-tag is observed.  `run_alias_image` given that run checks this for its
-seed over the few calculations concerned, decoded once by the symbolic
-run, and runs the seeded loop only on a collision.  A symbolic run that
-keys every word by one calculation, of an image whose blobs are all
-initialized, is also the clean run, failed or not: every load reads the
-cell the clean machine reads and no alias fault can occur, so it fails
-where the clean run fails (`clean_outcome`).  Otherwise the clean run is
-run: a store through one calculation of a word fills another cell than
-a load through another reads, and the clean machine preloads a
-``noinit`` blob that the aliasing machine leaves unwritten.  Callers
-look the entry points up in this module at call time, so a profiler can
-wrap them here.
+(global value numbering by hash-consing), and keeps the words of the
+loads that are not self-sourced.  Take any machine whose tag of a
+calculation depends on the calculation only: a seed's, or the clean
+machine's, which tags every calculation 0.  By induction over steps,
+while every load so far is self-sourced, it has taken the symbolic
+run's steps and its registers hold the same words, each tagged with its
+tag of the same calculation.  A store then writes the same lanes with
+the same value.  Its cell holds in each lane the latest write through
+any calculation of the cell's tag: calculations whose tags collide
+share one cell.  A self-sourced load's lanes were last written, over
+all calculations, through its own, which is among those that collide
+with it, so the shared cell holds the same bytes there.  A lane nobody
+wrote is 0 on both machines, and the rule leaves out the lanes of
+``noinit`` blobs, which only the clean machine preloads.  A ``lw``
+reads every lane, so the word's latest write is its own and the cell's
+tag comes from that write; a ``lb`` loads a plain byte.  Every other
+step depends on words only, so the machine branches alike and halts or
+fails at the same step with the same error.  Hence, when every load is
+self-sourced, the symbolic run is the clean run and every seeded run,
+failed or not (`clean_outcome`, `run_alias_image`), and a sweep runs
+nothing more.  Otherwise the clean run is run, and a seed's run equals
+the symbolic run when its tags are distinct among the effective-address
+calculations that key each word such a load reads: the load's cell
+then holds the writes through its own calculation only, as in the
+symbolic run, and a miss stays a miss.  `run_alias_image` given the
+symbolic run checks this for its seed over the few calculations
+concerned, decoded once by the symbolic run, and runs the seeded loop
+only on a collision.
+
+Callers look the entry points up in this module at call time, so a
+profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -109,14 +135,15 @@ def _initialized(image: Image) -> list:
 
 
 def _preload(blobs, seed: int, salt):
-    """The memory of ``blobs`` and its written words, as if stored along
-    one chain of pointers per blob: the load-immediate base spans the
-    whole blob (the array reading), then each step of the blob's stride
-    spans the next ``step`` bytes (the string reading).  Each offset in
-    a span is one effective address; it stores the aligned word starting
-    there when the span holds it, and its byte otherwise."""
+    """The memory of ``blobs`` and the writers of its words, as if stored
+    along one chain of pointers per blob: the load-immediate base spans
+    the whole blob (the array reading), then each step of the blob's
+    stride spans the next ``step`` bytes (the string reading).  Each
+    offset in a span is one effective address; it stores the aligned word
+    starting there when the span holds it, and its byte otherwise.  A
+    lane's writer is its one key, or the tuple of its keys."""
     mem: dict[tuple[int, int], tuple[int, int]] = {}
-    written: set[int] = set()
+    lanes: dict[int, int | tuple[int, ...]] = {}  # byte address -> its keys
     for addr, data, step, _init in blobs:
         p_hi, p_lo = salt(seed, T_LI, addr), addr
         off, span = 0, len(data)
@@ -126,15 +153,51 @@ def _preload(blobs, seed: int, salt):
                 t = salt(seed, T_EA, pack(p_hi, p_lo), j)
                 if a & 3 == 0 and j + 4 <= span:
                     mem[(t, a)] = (0, int.from_bytes(data[k:k + 4], "little"))
+                    covered = range(a, a + 4)
                 else:
                     w, lane = a & ~3, 8 * (a & 3)
                     cur = mem.get((t, w), (0, 0))[1]
                     mem[(t, w)] = (0, cur & ~(0xFF << lane) | data[k] << lane)
-                written.add(a & ~3)
+                    covered = (a,)
+                for b in covered:
+                    x = lanes.setdefault(b, t)
+                    if x != t and (type(x) is not tuple or t not in x):
+                        lanes[b] = x + (t,) if type(x) is tuple else (x, t)
             p_hi, p_lo = salt(seed, T_ADDIU, pack(p_hi, p_lo), step), (p_lo + step) & M32
             off += step
             span = min(step, len(data) - off)
+    written = {}
+    for w in {b & ~3 for b in lanes}:
+        rec = tuple(lanes.get(b) for b in range(w, w + 4))
+        written[w] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
     return mem, written
+
+
+_WORD = range(4)  # the lanes a ``lw`` reads
+
+
+def _write_lane(written: dict, w: int, lane: int, e: int) -> None:
+    """Record ``e`` as the last writer of ``lane`` of word ``w``."""
+    src = written.get(w)
+    lanes = list(src) if type(src) is tuple else [src] * 4
+    lanes[lane] = e
+    written[w] = e if lanes.count(e) == 4 else tuple(lanes)
+
+
+def _own(src, e: int, w: int, lanes, unloaded) -> bool:
+    """Whether every lane in ``lanes`` of word ``w``, whose writers
+    ``src`` records, was last written through ``e`` or by nobody,
+    ``unloaded`` holding the addresses of the blobs not preloaded."""
+    if type(src) is not tuple:
+        return src == e
+    for lane in lanes:
+        x = src[lane]
+        if x is None:
+            if w + lane in unloaded:
+                return False
+        elif x != e and (type(x) is not tuple or e not in x):
+            return False
+    return True
 
 
 def run_clean_image(image: Image, fuel: int) -> RunOutcome:
@@ -147,18 +210,19 @@ def run_alias_image(image: Image, fuel: int, seed: int,
     """The aliasing machine: seeded tags, ``noinit`` data left unwritten.
 
     Given ``symbolic``, the symbolic run of the same ``image`` and
-    ``fuel``, returns its outcome when ``seed`` keys no word by two
-    colliding tags, and runs the seeded loop otherwise."""
+    ``fuel``, returns its outcome when ``seed`` tags distinctly the
+    calculations that key each word of ``symbolic.mixed``, and runs the
+    seeded loop otherwise."""
     if symbolic is not None and _collision_free(symbolic, seed):
         return symbolic.outcome
     return _run(image, fuel, seed, tag, _initialized(image))
 
 
 def clean_outcome(image: Image, fuel: int, symbolic: SymbolicRun) -> RunOutcome:
-    """The clean run of ``image``: ``symbolic``'s outcome when it stands
-    for it (see the module docstring), a run of the clean machine
-    otherwise."""
-    if not symbolic.groups and all(b[3] for b in image.blobs):
+    """The clean run of ``image``: ``symbolic``'s outcome when every load
+    is self-sourced (see the module docstring), a run of the clean
+    machine otherwise."""
+    if not symbolic.mixed:
         return symbolic.outcome
     return run_clean_image(image, fuel)
 
@@ -174,6 +238,9 @@ class SymbolicRun:
     """The aliasing machine run once under calculation ids, kept only as
     far as a seed's collision check needs it.
 
+    ``mixed`` holds the words read by loads that are not self-sourced;
+    with none, the run is every seed's and the clean machine's.
+
     ``calcs`` lists every calculation that ``groups`` reaches through its
     inputs, oldest first, as five flat fields ``domain, p, x, q, y`` (no
     tuple per calculation keeps it small): the tag of the calculation at
@@ -182,23 +249,28 @@ class SymbolicRun:
     where ``t[0]`` is the literal tag 0 and ``t[n]`` the tag at position
     n, counted from 1.  An unsalted input is ``x`` or ``y`` whole with
     position 0.  Each group holds the positions of the effective
-    addresses, two or more, that key one word; with no group, every word
-    is keyed by one calculation."""
+    addresses, two or more, that key one word of ``mixed``."""
 
     outcome: RunOutcome
     calcs: list[int | None]
     groups: tuple[tuple[int, ...], ...]
+    mixed: frozenset[int]
 
 
 def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     """The aliasing machine with one tag per distinct calculation: ids 1,
     2, 3, ... in creation order, so no two calculations collide."""
-    outcome, ids = _run_interned(image, fuel)
+    mixed: set[int] = set()
+    outcome, ids = _run_interned(image, fuel, mixed)
+    if not mixed:
+        return SymbolicRun(outcome, [], (), frozenset())
     # every effective address keys or probes a cell of its word, lo + imm
-    words: dict[int, list[int]] = {}
+    words: dict[int, list[int]] = {w: [] for w in mixed}
     for k, i in ids.items():
         if k & 0xFF == T_EA:
-            words.setdefault((((k >> 8) & M32) + (k >> 72)) & M32 & ~3, []).append(i)
+            g = words.get((((k >> 8) & M32) + (k >> 72)) & M32 & ~3)
+            if g is not None:
+                g.append(i)
     groups = [g for g in words.values() if len(g) > 1]
     del words  # freed before the closure's tables grow
     # the inputs of a calculation are older than it, so one walk down
@@ -224,11 +296,13 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
             calcs += domain, p, x, q, y
             pos[i] = len(calcs) // 5
     return SymbolicRun(outcome, calcs,
-                       tuple(tuple(pos[i] for i in g) for g in groups))
+                       tuple(tuple(pos[i] for i in g) for g in groups), frozenset(mixed))
 
 
-def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
-    """The symbolic run, and its table from the key of each calculation
+def _run_interned(image: Image, fuel: int,
+                  mixed: set[int]) -> tuple[RunOutcome, dict[int, int]]:
+    """The symbolic run, adding to ``mixed`` the words of the loads that
+    are not self-sourced, and its table from the key of each calculation
     to its id, in creation order.  A key holds the domain in bits 0-7,
     the first input in bits 8-71 and the second, if any, in bits 72-135,
     so a salted input's tag starts at bit 40 or 104.  One int per key
@@ -242,7 +316,7 @@ def _run_interned(image: Image, fuel: int) -> tuple[RunOutcome, dict[int, int]]:
             i = ids[key] = len(ids) + 1
         return i
 
-    outcome = _run(image, fuel, 0, intern, _initialized(image))
+    outcome = _run(image, fuel, 0, intern, _initialized(image), mixed)
     return outcome, ids
 
 
@@ -268,9 +342,11 @@ def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
     return all(len({t[i] for i in g}) == len(g) for g in symbolic.groups)
 
 
-def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
+def _run(image: Image, fuel: int, seed: int, salt, blobs,
+         mixed: set[int] | None = None) -> RunOutcome:
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
-    calculation and the data of ``blobs`` preloaded."""
+    calculation and the data of ``blobs`` preloaded, adding to ``mixed``
+    the words of the loads that are not self-sourced."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
     hi = [0] * 32
@@ -280,6 +356,10 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
     lo[SP] = DEFAULT_STACK_BASE
     lo[RA] = RETURN_SENTINEL
     mem, written = _preload(blobs, seed, salt)
+    # the bytes of the blobs left unwritten here that the clean machine preloads
+    unloaded = {b[0] + k for b in image.blobs if b not in blobs for k in range(len(b[1]))}
+    if mixed is None:
+        mixed = set()
     out = bytearray()
     faults: list[Fault] = []
     dev = image.device
@@ -322,11 +402,13 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
                 mem[(ea_hi, w)] = (hi[a], lo[a])
+                written[w] = ea_hi
             else:
                 lane = 8 * (ea_lo & 3)
                 cur = mem.get((ea_hi, w), (0, 0))[1]
                 mem[(ea_hi, w)] = (0, cur & ~(0xFF << lane) | (lo[a] & 0xFF) << lane)
-            written.add(w)
+                if written.get(w) != ea_hi:
+                    _write_lane(written, w, ea_lo & 3, ea_hi)
             pc += 4
             continue
         if op == "lw" or op == "lb":
@@ -341,12 +423,17 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs) -> RunOutcome:
             w = ea_lo & ~3
             cell = mem.get((ea_hi, w))
             if cell is None:
+                mixed.add(w)
                 if w in written:
                     faults.append(Fault("AliasFault", pc, ea_lo))
                     error, error_pc = "AliasFault", pc
                 else:
                     error, error_pc = "UninitializedRead", pc
                 break
+            src = written[w]
+            if src != ea_hi and not _own(src, ea_hi, w, _WORD if op == "lw" else (ea_lo & 3,),
+                                         unloaded):
+                mixed.add(w)
             if op == "lw":
                 vhi, vlo = cell
             else:

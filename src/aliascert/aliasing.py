@@ -10,7 +10,7 @@ clean run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .isa import Program
 from .simdefs import DEFAULT_FUEL, DeviceConfig, RunOutcome
@@ -52,6 +52,11 @@ class DiffReport:
     seeds: int
     clean: RunOutcome
     divergences: list[Divergence]
+    # how the sweep settled its seeds, kept out of equality: the words
+    # the per-seed check covered (0 when the symbolic run stood for every
+    # run) and the seeds that ran the seeded loop
+    checked_words: int = field(default=0, compare=False)
+    seeded_runs: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -92,9 +97,12 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
         raise ValueError(f"clean run fails ({clean.error} at pc="
                          f"{clean.error_pc:#x}); nothing to compare against")
     divergences = []
+    seeded_runs = 0
     for seed in range(1, seeds + 1):
         aliased = _engine.run_alias_image(image, fuel, seed, symbolic)
+        seeded_runs += aliased is not symbolic.outcome
         d = compare_runs(clean, aliased, seed)
         if d is not None:
             divergences.append(d)
-    return DiffReport(seeds=seeds, clean=clean, divergences=divergences)
+    return DiffReport(seeds=seeds, clean=clean, divergences=divergences,
+                      checked_words=len(symbolic.mixed), seeded_runs=seeded_runs)

@@ -599,15 +599,24 @@ def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str | No
     return f"array size must be < 4 for byte access, base {base}"
 
 
+def _call_depth_exceeded() -> Failure:
+    return Failure(None, None, "CallDepthExceeded",
+                   "calls nest deeper than Python's stack allows")
+
+
 def handle_call(program: Program, site: int, callee: str, ann: Annotation,
                 policy: str = DEFAULT_POLICY) -> Annotation:
     """Certify one call in isolation and produce the caller's continuation
     annotation.  Raises :class:`CertError` on any calling-convention or
-    callee failure, and :class:`PatternMismatch` when no register holds the
-    stack pointer."""
+    callee failure, a ``CallDepthExceeded`` one when calls nest deeper than
+    Python's stack allows, and :class:`PatternMismatch` when no register
+    holds the stack pointer."""
     engine = _Engine(program, policy)
     s = StackInstr("gosub", target=callee)
-    post, _ = engine._handle_call(site, s, ann, 0, {}, ())
+    try:
+        post, _ = engine._handle_call(site, s, ann, 0, {}, ())
+    except RecursionError:
+        raise CertError(_call_depth_exceeded()) from None
     return post
 
 
@@ -634,10 +643,7 @@ def certify_program(program: Program, entry: str | None = None,
                                    f"tried more than {SEARCH_BUDGET} readings")],
                           engine.stats())
     except RecursionError:
-        return CertReport(UNSUPPORTED, None,
-                          [Failure(None, None, "CallDepthExceeded",
-                                   "calls nest deeper than Python's stack allows")],
-                          engine.stats())
+        return CertReport(UNSUPPORTED, None, [_call_depth_exceeded()], engine.stats())
     except CertError as e:
         failure = engine.deepest[1] if engine.deepest else e.failure
         verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE

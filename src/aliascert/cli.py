@@ -7,7 +7,7 @@ import functools
 import json
 import sys
 
-from .aliasing import AliasConfig, diff_runs, run_aliased
+from .aliasing import AliasConfig, DiffReport, diff_runs, run_aliased
 from .certifier import (
     DEFAULT_POLICY,
     BYTE_POLICIES,
@@ -235,7 +235,17 @@ def cmd_diff(args) -> int:
         print(f"  seed {d.seed}: {d.reason}")
     if len(rep.divergences) > 10:
         print(f"  ... and {len(rep.divergences) - 10} more")
+    print(f"seeds settled by {_settlement(rep)}")
     return EXIT_OK if rep.ok else EXIT_FAIL
+
+
+def _settlement(rep: DiffReport) -> str:
+    if not rep.checked_words:
+        return "one run"
+    words = f"a check over {rep.checked_words} word{'s' * (rep.checked_words > 1)}"
+    if not rep.seeded_runs:
+        return words
+    return f"{words} and {rep.seeded_runs} seeded run{'s' * (rep.seeded_runs > 1)}"
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -117,6 +117,12 @@ def test_lo_projection_matches_clean_run(corpus_programs):
 _TWO_CALCULATIONS = ("#@ entry main\nmain:\n  li t0 1\n  sw t0 0(sp)\n"
                      "  addiu t1 sp 0\n  li t0 2\n  sw t0 0(t1)\n  lw v0 0(sp)\n  jr ra\n")
 
+# the byte store goes through another calculation of sp, so on the
+# aliasing machine the reload through sp reads the word's first store in
+# every lane, while the clean machine merges the byte into it
+_LANE_OVERWRITE = ("#@ entry main\nmain:\n  li t0 0x01020304\n  sw t0 0(sp)\n"
+                   "  addiu t1 sp 1\n  li t2 65\n  sb t2 0(t1)\n  lw v0 0(sp)\n  jr ra\n")
+
 # the clean machine preloads `buf`, the aliasing machine does not, so the
 # reload sees the three bytes the store leaves only on the clean machine
 _NOINIT_AFTER_STORE = ("#@ entry main\nmain:\n  li t0 buf\n  li t1 65\n  sb t1 0(t0)\n"
@@ -171,10 +177,10 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkey
     seeded = []
     loop = _engine._run
 
-    def counted(image, fuel, seed, salt, blobs):
+    def counted(image, fuel, seed, salt, blobs, *rest):
         if salt is _engine.tag:
             seeded.append(seed)
-        return loop(image, fuel, seed, salt, blobs)
+        return loop(image, fuel, seed, salt, blobs, *rest)
 
     monkeypatch.setattr(_engine, "_run", counted)
     programs = list(corpus_programs.values()) + [generate_program(s) for s in range(40)]
@@ -192,15 +198,32 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkey
     assert 0 < without_clean_run < len(programs)
 
 
-def test_collision_check_evaluates_the_seeded_tags(hello):
+def _overwritten_words(base: str, count: int) -> str:
+    """``count`` words each stored through sp, stored again through the
+    pointer ``base`` calculates from sp, and reloaded through sp."""
+    lines = ["#@ entry main", "main:", "  li t0 7", f"  {base}"]
+    for k in range(count):
+        lines += [f"  sw t0 {4 * k}(sp)", f"  sw t0 {4 * k}(t1)", f"  lw v0 {4 * k}(sp)"]
+    return "\n".join(lines + ["  jr ra"]) + "\n"
+
+
+def test_collision_check_evaluates_the_seeded_tags(hello, corpus_programs):
     # the tags the check gives each group are the tags the seeded loop
-    # gives the effective addresses of that word; the last program
-    # calculates addresses by addu and nand, with two salted inputs
+    # gives the effective addresses of that word; the pointers program
+    # calculates addresses by addu and nand, with two salted inputs.  Only
+    # the words of loads that read another calculation's lanes have groups
     pointers = parse_program("#@ entry main\nmain:\n  li t0 buf\n  li t1 4\n  addu t2 t0 t1\n"
                              "  nand t3 t1 t1\n  nand t3 t3 t3\n  addu t3 t0 t3\n"
                              "  sw t1 0(t2)\n  lw v0 0(t3)\n  jr ra\nbuf:\n  .bytes 1 2 3 4 5 6 7 8\n")
+    programs = [hello, pointers, corpus_programs["foo_bad_caller"],
+                corpus_programs["table2_middle"], parse_program(_TWO_CALCULATIONS),
+                parse_program(_LANE_OVERWRITE)]
+    programs += [parse_program(_overwritten_words(base, 6))
+                 for base in ("addiu t1 sp 0", "addu t1 sp zero",
+                              "nand t1 sp sp\n  nand t1 t1 t1")]
+    programs += [generate_program(s, n) for s in range(10) for n in (12, 64)]
     checked = 0
-    for p in [hello, pointers] + [generate_program(s, n) for s in range(10) for n in (12, 64)]:
+    for p in programs:
         image = build_image(p)
         symbolic = _engine.run_symbolic_image(image, DEFAULT_FUEL)
         checked += len(symbolic.groups)
@@ -216,7 +239,7 @@ def test_collision_check_evaluates_the_seeded_tags(hello):
             _engine._run(image, DEFAULT_FUEL, seed, recording, [b for b in image.blobs if b[3]])
             t = _engine._seed_tags(symbolic, seed)
             assert sorted(sorted(t[i] for i in g) for g in symbolic.groups) == \
-                sorted(sorted(w) for w in words.values() if len(w) > 1)
+                sorted(sorted(words[w]) for w in symbolic.mixed if len(words[w]) > 1)
     assert checked > 20
 
 
@@ -236,21 +259,48 @@ def test_noinit_blob_keeps_the_clean_run():
 _ENDLESS = "#@ entry main\nmain:\n  addiu t0 t0 1\n  j main\n"
 
 
-@pytest.mark.parametrize("name, expected", [("foo_good", 0), ("hello", 1),
-                                            ("two_calculations", 1), ("endless", 0)])
+@pytest.mark.parametrize("name, expected", [("foo_good", 0), ("hello", 0),
+                                            ("two_calculations", 1), ("lane_overwrite", 1),
+                                            ("endless", 0)])
 def test_sweep_runs_the_clean_machine_only_when_needed(name, expected, corpus_programs,
                                                        clean_runs):
-    # foo_good keys every word by one calculation; hello.s keys its string
-    # both as an array and along the string chain; the endless loop keys
-    # no word, so its failed symbolic run is the failed clean run
+    # every load of foo_good and hello.s reads lanes its own calculation
+    # wrote, hello.s's string reads included, though the loader keys the
+    # string both as an array and along the string chain; the endless loop
+    # loads nothing, so its failed symbolic run is the failed clean run.
+    # The other two reload a word through sp after another calculation
+    # wrote it
     p = corpus_programs.get(name) or parse_program(
-        {"two_calculations": _TWO_CALCULATIONS, "endless": _ENDLESS}[name])
+        {"two_calculations": _TWO_CALCULATIONS, "lane_overwrite": _LANE_OVERWRITE,
+         "endless": _ENDLESS}[name])
     if name == "endless":
         with pytest.raises(ValueError, match=r"^clean run fails \(FuelExhausted at pc=0x400000\)"):
             diff_runs(p, seeds=5, fuel=1000)
     else:
         diff_runs(p, seeds=5)
     assert len(clean_runs) == expected
+
+
+@pytest.mark.parametrize("bits", [32, 8, 3])
+def test_load_of_a_lane_another_calculation_wrote(bits, clean_runs, monkeypatch):
+    # the reload through sp reads a lane the byte store wrote through
+    # another calculation: the sweep keeps its clean run, and seeds whose
+    # narrow tags merge the two calculations agree with the clean run
+    monkeypatch.setattr(_salt, "TAG_MASK", (1 << bits) - 1)
+    p = parse_program(_LANE_OVERWRITE)
+    symbolic = _engine.run_symbolic_image(build_image(p), DEFAULT_FUEL)
+    assert symbolic.outcome.ok and symbolic.outcome.regs[2] == 0x01020304
+    assert len(symbolic.mixed) == 1 and [len(g) for g in symbolic.groups] == [2]
+    assert run(p).regs[2] == 0x01024104
+    del clean_runs[:]
+    rep = diff_runs(p, seeds=30)
+    assert len(clean_runs) == 1
+    assert rep == _seeded_sweep(p, 30)
+    if bits == 32:
+        assert [d.reason for d in rep.divergences] == \
+            ["register 2 ends 0x01020304 vs clean 0x01024104"] * 30
+    if bits == 3:
+        assert 0 < len(rep.divergences) < 30
 
 
 def test_noinit_blob_is_preloaded_on_the_clean_machine_only():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aliascert import cli, run_aliased
+from aliascert import _salt, cli, run_aliased
 from aliascert.cli import main
 
 from conftest import corpus_path
@@ -132,6 +133,22 @@ def test_diff_exit_codes(capsys):
     # nothing to compare against when the clean run fails
     assert main(["diff", str(corpus_path("hello.s")), "--fuel", "5"]) == 2
     assert capsys.readouterr().err.startswith("error: clean run fails (FuelExhausted")
+
+
+def test_diff_says_how_its_seeds_were_settled(monkeypatch, capsys):
+    # hello.s reads only what each load's own calculation wrote; the reload
+    # of ra in foo_bad_caller.s reads a word another calculation wrote
+    assert main(["diff", str(corpus_path("hello.s")), "--seeds", "10"]) == 0
+    assert "\nseeds settled by one run\n" in capsys.readouterr().out
+    assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "10"]) == 1
+    assert "\nseeds settled by a check over 1 word\n" in capsys.readouterr().out
+    # 3-bit tags make some seeds merge the two calculations of ra's slot
+    monkeypatch.setattr(_salt, "TAG_MASK", 7)
+    assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "40"]) == 1
+    out = capsys.readouterr().out
+    line = re.search(r"^seeds settled by a check over 1 word and (\d+) seeded runs$", out, re.M)
+    diverged = int(re.search(r"^divergences: (\d+)/40$", out, re.M).group(1))
+    assert line and 0 < int(line.group(1)) == 40 - diverged
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])

@@ -1,0 +1,46 @@
+"""Soundness beyond the corpus: the trace oracle and the safety re-check
+accept the theory of a program the certifier calls SAFE, and each of its
+loads reads only bytes that the load's own calculation wrote, so one
+symbolic run settles every seed of a sweep and stands for the clean run
+(see the `_engine` docstring)."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from aliascert import _engine, certify_program, check_program, check_safety, parse_program
+from aliascert.aliasing import diff_runs
+from aliascert.simdefs import DEFAULT_FUEL
+
+from genprogs import generate_source
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), size=st.sampled_from((12, 32, 64)))
+def test_certified_program_is_settled_by_one_run(seed, size):
+    p = parse_program(generate_source(seed, size))
+    report = certify_program(p)
+    assume(report.safe)
+    assert check_program(report.theory) == [] and check_safety(report.theory) == []
+    symbolic = _engine.run_symbolic_image(_engine.build_image(p), DEFAULT_FUEL)
+    assert not symbolic.mixed and not symbolic.outcome.faults
+    runs = []
+    loop, clean_loop = _engine._run, _engine.run_clean_image
+
+    def seeded(image, fuel, seed, salt, blobs, *rest):
+        if salt is _engine.tag:
+            runs.append(("seeded", seed))
+        return loop(image, fuel, seed, salt, blobs, *rest)
+
+    def clean(image, fuel):
+        runs.append(("clean",))
+        return clean_loop(image, fuel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_run", seeded)
+        mp.setattr(_engine, "run_clean_image", clean)
+        rep = diff_runs(p, seeds=20)
+    assert rep.ok and not runs
+    assert (rep.checked_words, rep.seeded_runs) == (0, 0)
