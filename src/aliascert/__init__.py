@@ -30,7 +30,6 @@ from .certifier import (
     Theory,
     certify_program,
     check_safety,
-    handle_call,
 )
 from .disasm import StackInstr, location_candidates, render_machine
 from .frontend import (
@@ -43,8 +42,7 @@ from .frontend import (
     serialize_type,
 )
 from .isa import DataBlob, Instruction, Pragma, Program
-from .machine import MachineState, run, step
-from .simdefs import DeviceConfig, RunOutcome
+from .machine import DeviceConfig, MachineState, RunOutcome, run, step
 from .smallstep import PatternMismatch, apply_smallstep
 from .traces import TraceViolation, check_program, events_of, fold_event
 
@@ -56,7 +54,7 @@ __all__ = [
     "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
     "Annotation", "unify_annotations",
     "CertReport", "Failure", "Theory", "certify_program",
-    "check_safety", "handle_call",
+    "check_safety",
     "StackInstr", "location_candidates", "render_machine",
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
     "parse_type", "serialize_annotation", "serialize_type",

@@ -76,7 +76,7 @@ from . import _salt
 from ._salt import (M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, fold, pack,
                     root, tag)
 from .isa import FORMATS, RA, SP, Program
-from .simdefs import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig, Fault, RunOutcome
+from .machine import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig, Fault, RunOutcome
 
 BACKEND = "pure"  # recorded with benchmark runs
 

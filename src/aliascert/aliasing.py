@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .isa import Program
-from .simdefs import DEFAULT_FUEL, DeviceConfig, RunOutcome
+from .machine import DEFAULT_FUEL, DeviceConfig, RunOutcome
 
 
 def build_image(program: Program, entry: str | None = None,

@@ -17,6 +17,7 @@ from .annot import (
     Finite,
     Offsets,
     Subst,
+    UnifyMismatch,
     apply_subst,
     unify,
 )
@@ -135,8 +136,6 @@ class Annotation:
 def unify_annotations(a: Annotation, b: Annotation, s: Subst | None = None) -> Subst:
     """Unifier making two annotations identical: same star, same bound
     locations, unifiable types at each.  Raises UnifyMismatch otherwise."""
-    from .annot import UnifyMismatch
-
     s = dict(s) if s else {}
     if a.star != b.star:
         raise UnifyMismatch(f"star {_star_str(a)}", f"star {_star_str(b)}")

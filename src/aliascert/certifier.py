@@ -65,7 +65,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .annot import C0, U0, Calc, Rep, Subst, UnifyMismatch, Uncalc, apply_subst
+from .annot import (C0, U0, AnnotError, Calc, Rep, Subst, UnifyMismatch, Uncalc, apply_subst,
+                    check_read, record_write)
 from .annotation import Annotation, unify_annotations
 from .disasm import (
     BYTE_OPS,
@@ -75,7 +76,7 @@ from .disasm import (
     WRITE_OPS,
     raw_alternatives,
 )
-from .isa import RA, ZERO, Instruction, Program, reg_name
+from .isa import RA, SP, ZERO, Instruction, Program, reg_name
 from .smallstep import PatternMismatch, apply_smallstep
 
 BYTE_POLICIES = ("forbid", "small-structs", "permissive")
@@ -145,7 +146,7 @@ class Theory:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     readings: int = 0    # readings tried
     backtracks: int = 0  # failures handed back to an open choice
@@ -164,16 +165,10 @@ class CertReport:
         return self.verdict == SAFE
 
 
-def default_entry_annotation() -> Annotation:
-    from .isa import SP
-
-    return Annotation.make(star=SP, regs={SP: C0, RA: U0, ZERO: C0})
-
-
 def entry_annotation_for(program: Program, label: str) -> Annotation:
     assumed = program.assume_for(label)
     if assumed is None:
-        return default_entry_annotation()
+        return Annotation.make(star=SP, regs={SP: C0, RA: U0, ZERO: C0})
     regs = assumed.reg_map()
     regs.setdefault(ZERO, C0)  # conventionally holds the zero word
     return Annotation.make(star=assumed.star, regs=regs, slots=assumed.slot_map())
@@ -310,10 +305,11 @@ class _Walk:
         reasons: list[str] = []
         choices = self.choices
         engine = self.engine
+        stats = engine.stats
         while i < len(alts):
             s = alts[i]
             i += 1
-            engine.readings += 1
+            stats.readings += 1
             if i < len(alts):
                 choices.append(_Choice(addr, ann, alts, i, last_err, len(self.journal),
                                        self.subst, self.exit_ann, self.pending, conf))
@@ -342,8 +338,8 @@ class _Walk:
         op = s.op
         rows = self.rows
         if op == "gosub":
-            post, callee_key = self.engine._handle_call(addr, s, ann, len(rows), self.subst,
-                                                        self.call_stack)
+            post, callee_key = self.engine._gosub(addr, s, ann, len(rows), self.subst,
+                                                  self.call_stack)
             self._insert(addr, Row(ann, s, post, callee=callee_key))
             return addr + 4, post
 
@@ -454,19 +450,19 @@ class _Walk:
         everything after it, and try that choice's next reading; an
         exhausted choice passes the conflicts of its readings on.  Raises
         ``err`` when no choice in the conflicts is left."""
-        engine = self.engine
+        stats = self.engine.stats
         choices = self.choices
         while True:
-            if engine.readings > SEARCH_BUDGET:
+            if stats.readings > SEARCH_BUDGET:
                 raise SearchBudgetExhausted
             t = len(choices) - 1
             while t >= 0 and choices[t].addr not in conf:
                 t -= 1
             if t < 0:
                 raise err
-            engine.backtracks += 1
+            stats.backtracks += 1
             if t < len(choices) - 1:
-                engine.backjumps += 1
+                stats.backjumps += 1
             c = choices[t]
             del choices[t:]
             self._undo(c.mark)
@@ -481,19 +477,12 @@ class _Walk:
 
 class _Engine:
     def __init__(self, program: Program, policy: str):
-        if policy not in BYTE_POLICIES:
-            raise ValueError(f"unknown byte policy {policy!r}")
         self.program = program
         self.policy = policy
         self.theory = Theory(program)
         self.memo: dict[tuple[int, Annotation], RoutineCert | CertError] = {}
         self.deepest: tuple[int, Failure] | None = None
-        self.readings = 0
-        self.backtracks = 0
-        self.backjumps = 0
-
-    def stats(self) -> SearchStats:
-        return SearchStats(self.readings, self.backtracks, self.backjumps)
+        self.stats = SearchStats()
 
     # -- failure bookkeeping ------------------------------------------------
 
@@ -535,8 +524,8 @@ class _Engine:
 
     # -- the refined calling convention ---------------------------------------
 
-    def _handle_call(self, site: int, s: StackInstr, ann: Annotation,
-                     depth: int, subst: Subst, call_stack: tuple[int, ...]):
+    def _gosub(self, site: int, s: StackInstr, ann: Annotation,
+               depth: int, subst: Subst, call_stack: tuple[int, ...]):
         star = ann.star
         if star is None:  # the pre-pattern of gosub
             raise PatternMismatch(str(s), "no register holds the stack pointer")
@@ -599,30 +588,15 @@ def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str | No
     return f"array size must be < 4 for byte access, base {base}"
 
 
-def _call_depth_exceeded() -> Failure:
-    return Failure(None, None, "CallDepthExceeded",
-                   "calls nest deeper than Python's stack allows")
-
-
-def handle_call(program: Program, site: int, callee: str, ann: Annotation,
-                policy: str = DEFAULT_POLICY) -> Annotation:
-    """Certify one call in isolation and produce the caller's continuation
-    annotation.  Raises :class:`CertError` on any calling-convention or
-    callee failure, a ``CallDepthExceeded`` one when calls nest deeper than
-    Python's stack allows, and :class:`PatternMismatch` when no register
-    holds the stack pointer."""
-    engine = _Engine(program, policy)
-    s = StackInstr("gosub", target=callee)
-    try:
-        post, _ = engine._handle_call(site, s, ann, 0, {}, ())
-    except RecursionError:
-        raise CertError(_call_depth_exceeded()) from None
-    return post
+def _check_policy(policy: str) -> None:
+    if policy not in BYTE_POLICIES:
+        raise ValueError(f"unknown byte policy {policy!r}")
 
 
 def certify_program(program: Program, entry: str | None = None,
                     policy: str = DEFAULT_POLICY) -> CertReport:
     """Infer a covering theory for ``program`` from its entry label."""
+    _check_policy(policy)
     label = entry or program.entry_label()
     if label is None:
         return CertReport(UNSUPPORTED, None,
@@ -641,15 +615,18 @@ def certify_program(program: Program, entry: str | None = None,
         return CertReport(UNSUPPORTED, None,
                           [Failure(None, None, "SearchBudgetExhausted",
                                    f"tried more than {SEARCH_BUDGET} readings")],
-                          engine.stats())
+                          engine.stats)
     except RecursionError:
-        return CertReport(UNSUPPORTED, None, [_call_depth_exceeded()], engine.stats())
+        return CertReport(UNSUPPORTED, None,
+                          [Failure(None, None, "CallDepthExceeded",
+                                   "calls nest deeper than Python's stack allows")],
+                          engine.stats)
     except CertError as e:
         failure = engine.deepest[1] if engine.deepest else e.failure
         verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE
-        return CertReport(verdict, theory, [failure], engine.stats())
+        return CertReport(verdict, theory, [failure], engine.stats)
     theory.entry_key = cert.key
-    return CertReport(SAFE, theory, [], engine.stats())
+    return CertReport(SAFE, theory, [], engine.stats)
 
 
 # --------------------------------------------------------------------------
@@ -661,8 +638,7 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
     write-bound and read-after-write guards against the recorded
     pre-annotations and enforcing the byte policy.  An empty result means
     the theory exhibits only single-calculation addressing."""
-    from .annot import AnnotError, check_read, record_write
-
+    _check_policy(policy)
     out: list[Failure] = []
     for cert in theory.routines.values():
         for addr, row in sorted(cert.rows.items()):

@@ -20,13 +20,13 @@ from .annot import AnnotatedType
 from .annotation import Annotation
 from .frontend import AsmSyntaxError, DuplicateLabel, parse_program, serialize_annotation
 from .isa import Program, reg_name
-from .machine import run as run_clean
-from .simdefs import (
+from .machine import (
     DEFAULT_DEVICE_BASE,
     DEFAULT_FUEL,
     DEFAULT_HALT_OFFSET,
     DeviceConfig,
     RunOutcome,
+    run as run_clean,
 )
 from .traces import check_program
 

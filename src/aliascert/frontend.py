@@ -174,6 +174,7 @@ def parse_program(text: str) -> Program:
     pending_labels: list[tuple[str, int]] = []
     addr = prog.base
     referenced: list[tuple[str, int]] = []
+    subjects: list[tuple[str, int]] = []  # the label each pragma names, and its line
 
     def place_labels(at: int, line_no: int):
         for name, ln in pending_labels:
@@ -185,7 +186,9 @@ def parse_program(text: str) -> Program:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#@"):
-            prog.pragmas.append(_parse_pragma(line[2:].strip(), line_no))
+            pragma = _parse_pragma(line[2:].strip(), line_no)
+            prog.pragmas.append(pragma)
+            subjects.append((pragma.subject, line_no))
             continue
         if "#" in line:
             line = line[: line.index("#")].strip()
@@ -217,9 +220,9 @@ def parse_program(text: str) -> Program:
     for name, line_no in referenced:
         if name not in prog.labels:
             raise AsmSyntaxError(line_no, f"unresolved label {name!r}")
-    for p in prog.pragmas:
-        if p.subject not in prog.labels:
-            raise AsmSyntaxError(0, f"pragma refers to unknown label {p.subject!r}")
+    for name, line_no in subjects:
+        if name not in prog.labels:
+            raise AsmSyntaxError(line_no, f"pragma refers to unknown label {name!r}")
     return prog
 
 

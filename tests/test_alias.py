@@ -15,7 +15,7 @@ from aliascert.certifier import certify_program
 from aliascert.frontend import parse_program
 from aliascert._engine import build_image
 from aliascert.machine import run
-from aliascert.simdefs import DEFAULT_FUEL, M32
+from aliascert.machine import DEFAULT_FUEL, M32
 
 from conftest import load
 from genprogs import generate_program

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
-from aliascert.annot import C0, U0, TypeVar, calc, rep, uncalc
-from aliascert.annotation import Annotation
-from aliascert.isa import SP
+from aliascert.annot import C0, U0, TypeVar, UnifyMismatch, calc, rep, uncalc
+from aliascert.annotation import Annotation, unify_annotations
+from aliascert.isa import REG_INDEX, SP
 
 types = st.sampled_from([C0, U0, calc(8, 0), calc(16, 8, 0, offs=[4]), rep(1),
                          rep(2, offs=[0]), uncalc(3, offs=[0, 1]), TypeVar("x")])
@@ -17,6 +18,8 @@ slot_maps = st.dictionaries(offsets, types, max_size=4)
 
 # the stack pointer, with every offset a slot may use written
 SP_TYPE = calc(16, 0, offs=[0, 4, 8, 12])
+# a frame with offset 4 written and no slot bound
+FRAMED = Annotation.make(star=SP, regs={SP: calc(8, 0, offs=[4])})
 
 
 def make(regs, slots) -> Annotation:
@@ -49,3 +52,15 @@ def test_update_shares_unchanged_pairs():
     b = a.set_reg(2, C0)
     assert b.regs[0] is a.regs[0] and b.regs[2] is a.regs[2] and b.regs[3] is a.regs[3]
     assert a.set_reg(1, a.reg(1)) is a
+
+
+@pytest.mark.parametrize("other,message", [
+    (Annotation.make(regs={SP: calc(8, 0, offs=[4])}), "cannot unify star sp with star none"),
+    (FRAMED.set_reg(REG_INDEX["t0"], C0),
+     "cannot unify registers {t0} with bound on one path only"),
+    (FRAMED.set_slot(4, C0), "cannot unify slots [4] with bound on one path only"),
+])
+def test_join_refuses_a_different_star_registers_or_slots(other, message):
+    with pytest.raises(UnifyMismatch) as e:
+        unify_annotations(FRAMED, other)
+    assert str(e.value) == message

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from aliascert import (certifier, certify_program, check_program, check_safety, handle_call,
-                       parse_program)
-from aliascert.annot import C0, U0, calc, rep, uncalc
+from aliascert import certifier, certify_program, check_program, check_safety, parse_program
+from aliascert.annot import C0, U0, calc
 from aliascert.annotation import Annotation
-from aliascert.certifier import CertError
+from aliascert.cli import _print_report, build_report
 from aliascert.frontend import serialize_type
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
-from aliascert.smallstep import PatternMismatch
 
 from conftest import load
 from genprogs import kli_branch_source, kli_callee_source, kli_move_source, kli_source
@@ -67,12 +67,12 @@ def test_call_continuation_matches_convention(hello, hello_report):
     assert row.post.slots == row.pre.slots
 
 
-def test_handle_call_halt_exit(hello):
-    ann = Annotation.make(star=SP, regs={SP: calc(32, 0, offs=[28]), RA: U0,
-                                         0: C0}, slots={28: U0})
-    post = handle_call(hello, 0x400024, "halt", ann)
-    assert serialize_type(post.reg(V1)) == "u^1!{0}"
-    assert post.star_type() == calc(32, 0, offs=[28])
+def test_handle_call_halt_exit(hello_report):
+    theory = hello_report.theory
+    row = theory.routines[theory.entry_key].rows[0x400024]
+    assert str(row.chosen) == "gosub halt"
+    assert serialize_type(row.post.reg(V1)) == "u^1!{0}"
+    assert row.post.star_type() == row.pre.star_type() == calc(32, 0, offs=[16, 24, 28])
 
 
 NO_STACK_POINTER_CALL = (
@@ -89,8 +89,6 @@ def test_call_without_a_stack_pointer_fails_at_the_call_site():
     (failure,) = report.failures
     assert (failure.kind, failure.addr, failure.rule) == ("NoDisassembly", 0x400004, "jal f")
     assert failure.detail == "gosub f: no register holds the stack pointer"
-    with pytest.raises(PatternMismatch):
-        handle_call(p, 0x400004, "f", Annotation.make(regs={RA: U0}))
 
 
 def test_recursive_call_unsupported():
@@ -369,3 +367,70 @@ def test_backjumping_reports_the_chronological_failure(body, kind, addr, detail)
     (failure,) = report.failures
     assert (failure.kind, failure.addr) == (kind, addr)
     assert failure.detail.startswith(detail)
+
+
+# -- failure messages -----------------------------------------------------------
+
+_T0 = "#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, t0=c^[0]\nmain:\n"
+
+
+@pytest.mark.parametrize("body,failure", [
+    # t1 is bound on the fall-through only
+    ("  bnez t0 L\n  li t1 5\nL:\n  jr ra\n",
+     "AnnotationMismatch at 0x00400008: join at L: cannot unify registers {t1} with bound on "
+     "one path only (recorded: zero=c^[0], t0=c^[0], sp*=c^[0], ra=u^0; "
+     "incoming: zero=c^[0], t0=c^[0], t1=u^1, sp*=c^[0], ra=u^0)"),
+    ("  j 0x400100\n", "NoInstruction at 0x00400100: control flow left the code segment"),
+    ("  addu t0 sp t1\n  jr ra\n",
+     "NoDisassembly at 0x00400000 [addu t0 sp t1]: "
+     "addop t0 sp t1: register sp holds the stack pointer"),
+    ("  addiu t0 t1 4\n  jr ra\n",
+     "NoDisassembly at 0x00400000 [addiu t0 t1 4]: addaiu t0 t1 4: register t1 is unbound"),
+])
+def test_failure_names_its_rule(body, failure):
+    report = certify_program(parse_program(_T0 + body))
+    assert report.verdict == "UNSAFE"
+    assert [str(f) for f in report.failures] == [failure]
+
+
+def test_unknown_policy_is_refused_by_search_and_recheck(hello_report):
+    with pytest.raises(ValueError, match="unknown byte policy 'bogus'"):
+        certify_program(hello_report.theory.program, policy="bogus")
+    with pytest.raises(ValueError, match="unknown byte policy 'bogus'"):
+        check_safety(hello_report.theory, "bogus")
+
+
+# -- the safety re-check on theories the search would not produce ---------------
+
+_FRAME = _T0 + ("  move gp sp\n  addiu sp sp -8\n  sw zero 4(sp)\n  lw t1 4(sp)\n"
+                "  move sp gp\n  jr ra\n")
+_PUT, _GET = 0x00400008, 0x0040000C
+
+
+@pytest.mark.parametrize("addr,change,oracle,safety", [
+    # the frame records no write before the read
+    (_GET, lambda row: {"pre": row.pre.set_reg(SP, calc(8, 0))},
+     "theory at 0x0040000c: recorded annotation disagrees with event fold: recorded "
+     "zero=c^[0], t0=c^[0], gp=c^[0], sp*=c^[8,0], ra=u^0, (4)=c^[0]; folded "
+     "zero=c^[0], t0=c^[0], gp=c^[0], sp*=c^[8,0]!{4}, ra=u^0, (4)=c^[0]",
+     "ReadBeforeWrite at 0x0040000c [get t1 4]: read at offset 4 precedes any write there"),
+    # the write lands past the 8-byte frame
+    (_PUT, lambda row: {"chosen": dataclasses.replace(row.chosen, n=8)},
+     "eq8 at 0x00400008: write 8 outside [0, 8-4]",
+     "OutOfBounds at 0x00400008 [put zero 8]: offset 8 outside [0, 8-4]"),
+    # no register holds the stack pointer
+    (_GET, lambda row: {"pre": Annotation.make(regs={RA: U0})},
+     "theory at 0x0040000c: recorded annotation disagrees with event fold: recorded "
+     "ra=u^0; folded zero=c^[0], t0=c^[0], gp=c^[0], sp*=c^[8,0]!{4}, ra=u^0, (4)=c^[0]",
+     "MissingBase at 0x0040000c [get t1 4]: no type for the base register"),
+])
+def test_safety_recheck_flags_a_mutated_theory(addr, change, oracle, safety, capsys):
+    report = certify_program(parse_program(_FRAME))
+    assert report.safe
+    (cert,) = report.theory.routines.values()
+    cert.rows[addr] = dataclasses.replace(cert.rows[addr], **change(cert.rows[addr]))
+    assert [str(v) for v in check_safety(report.theory)] == [safety]
+    _print_report(build_report("frame.s", "main", "small-structs", report))
+    out = capsys.readouterr().out
+    assert (f"\ntrace oracle: VIOLATIONS\n  {oracle}\n"
+            f"safety re-check (small-structs): VIOLATIONS\n  {safety}\n") in out

@@ -226,6 +226,14 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("parse error: line 1"), source
 
 
+def test_pragma_error_names_the_pragma_line(tmp_path, capsys):
+    src = tmp_path / "p.s"
+    src.write_text("#@ entry nosuch\nmain:\n  jr ra\n")
+    assert main(["certify", str(src)]) == 2
+    assert capsys.readouterr().err == \
+        "parse error: line 1: pragma refers to unknown label 'nosuch'\n"
+
+
 # small alphabets of the dialect's own pieces, well and badly formed
 _MNEMONICS = ("nop", "li", "lw", "sw", "lb", "sb", "move", "addiu", "addu", "nand",
               "beq", "bnez", "j", "jal", "jr", "lwz")

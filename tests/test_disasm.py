@@ -162,6 +162,13 @@ def test_li_of_blob_offers_string_then_array():
     assert got[1].n == 3 and got[1].offs == frozenset({0, 1, 2})
 
 
+def test_li_of_a_noinit_blob_introduces_no_written_offsets():
+    p = parse_program("main:\n  li a0 buf\nbuf:\n  .bytes 1 2 3 4 noinit\n")
+    got = candidates(p.instructions[0], Annotation.make(regs={}), p.blobs)
+    assert [str(s) for s in got] == ["newx a0 buf 1", "newh a0 buf 4"]
+    assert [s.offs for s in got] == [frozenset(), frozenset()]
+
+
 def test_li_of_raw_address_is_array_only():
     a = Annotation.make(regs={})
     got = candidates(Instruction("li", rd=V0, target=0xB0000010), a)

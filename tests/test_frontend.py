@@ -79,6 +79,12 @@ def test_unresolved_reference_rejected():
         parse_program("j nowhere\n")
 
 
+def test_pragma_on_an_unknown_label_names_its_line():
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program("main:\n  jr ra\n#@ assume nosuch: ra=u^0\n")
+    assert str(e.value) == "line 3: pragma refers to unknown label 'nosuch'"
+
+
 def test_data_blob_and_attributes():
     p = parse_program('nop\nmsg:\n  .bytes "Hi\\0" step=2 size=4 noinit\n')
     blob = p.blobs["msg"]

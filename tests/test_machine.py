@@ -6,7 +6,7 @@ from aliascert.frontend import parse_program
 from aliascert.isa import RA, SP, V0, Instruction, REG_INDEX
 from aliascert._engine import build_image
 from aliascert.machine import MachineState, MachineError, run, run_by_steps, step
-from aliascert.simdefs import RETURN_SENTINEL
+from aliascert.machine import RETURN_SENTINEL
 
 from conftest import load
 from genprogs import generate_program

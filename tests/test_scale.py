@@ -10,11 +10,7 @@ import sys
 
 import pytest
 
-from aliascert import certify_program, check_program, check_safety, handle_call, parse_program
-from aliascert.annot import C0, U0
-from aliascert.annotation import Annotation
-from aliascert.certifier import CertError
-from aliascert.isa import RA, SP
+from aliascert import certify_program, check_program, check_safety, parse_program
 from aliascert.cli import main
 
 from genprogs import call_chain, call_sites, straight_line
@@ -97,16 +93,3 @@ def test_call_chain_deeper_than_the_stack_is_unsupported(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "failure: CallDepthExceeded at <program>" in out
     assert out.rstrip().endswith("verdict: UNSUPPORTED")
-
-
-def test_handle_call_deeper_than_the_stack_names_the_failure():
-    # the public one-call entry point gives the same named failure as a
-    # whole-program search, not a RecursionError
-    program = parse_program(call_chain(300))
-    site = next(program.address_of(k) for k, i in enumerate(program.instructions)
-                if i.op == "jal")
-    ann = Annotation.make(star=SP, regs={SP: C0, RA: U0, 0: C0})
-    with pytest.raises(CertError) as e:
-        handle_call(program, site, "f1", ann)
-    assert e.value.failure.kind == "CallDepthExceeded"
-    assert e.value.failure.addr is None

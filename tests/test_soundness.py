@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from aliascert import _engine, certify_program, check_program, check_safety, parse_program
 from aliascert.aliasing import diff_runs
-from aliascert.simdefs import DEFAULT_FUEL
+from aliascert.machine import DEFAULT_FUEL
 
 from genprogs import generate_source
 

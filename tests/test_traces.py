@@ -6,6 +6,8 @@ import random
 import pytest
 
 from aliascert.annot import (
+    C0,
+    U0,
     AnnotError,
     calc,
     check_read,
@@ -15,7 +17,8 @@ from aliascert.annot import (
     record_write,
     uncalc,
 )
-from aliascert.certifier import certify_program
+from aliascert.annotation import Annotation
+from aliascert.certifier import RoutineCert, Theory, certify_program
 from aliascert.disasm import StackInstr
 from aliascert.frontend import parse_program
 from aliascert.isa import REG_INDEX, SP, V0
@@ -248,11 +251,6 @@ def test_read_before_write_flagged():
 
 def test_frame_growth_across_loop_flagged():
     # hand-build the theory the certifier refuses: a loop whose body pushes
-    from aliascert.annotation import Annotation
-    from aliascert.annot import C0, U0
-    from aliascert.certifier import RoutineCert, Theory
-    from aliascert.frontend import parse_program
-
     p = parse_program(
         "#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, v0=c^[0]\n"
         "main:\nloop:\n  addiu sp sp -8\n  bnez v0 loop\n  jr ra\n")
@@ -281,3 +279,29 @@ def test_tower_mismatch_on_restore_flagged():
     cert.rows[addr].chosen = StackInstr("cspf", rs=REG_INDEX["gp"])
     violations = check_program(theory)
     assert any(v.equation == "(c)" for v in violations)
+
+
+# -- calls ----------------------------------------------------------------------
+
+_CALL = ("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\n"
+         "main:\n  move gp ra\n  jal f\n  move ra gp\n  jr ra\nf:\n  jr ra\n")
+
+
+@pytest.mark.parametrize("mutate,detail", [
+    (lambda main, f: setattr(main.rows[0x00400004], "callee", None),
+     "gosub row lacks a certified callee"),
+    (lambda main, f: setattr(main, "entry", Annotation.make(regs={RA: U0})),
+     "calls need a stack pointer register"),
+    (lambda main, f: setattr(f, "entry", f.entry.set_reg(V0, C0)),
+     "call-site state does not match f entry summary"),
+    (lambda main, f: setattr(f, "exit_ann", None), "f never returns"),
+    (lambda main, f: setattr(f, "exit_ann", f.exit_ann.set_reg(SP, calc(8, 0))),
+     "f does not hand the empty frame back in sp"),
+])
+def test_call_violations_flagged(mutate, detail):
+    theory = certify_program(parse_program(_CALL)).theory
+    main = theory.routines[theory.entry_key]
+    (f,) = (c for c in theory.routines.values() if c.label == "f")
+    mutate(main, f)
+    calls = [(v.addr, v.detail) for v in check_program(theory) if v.equation == "call"]
+    assert calls == [(0x00400004, detail)]
