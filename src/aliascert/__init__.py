@@ -41,7 +41,7 @@ from .frontend import (
     serialize_annotation,
     serialize_type,
 )
-from .isa import DataBlob, Instruction, Pragma, Program
+from .isa import DataBlob, Instruction, Program
 from .machine import DeviceConfig, MachineState, RunOutcome, run, step
 from .smallstep import PatternMismatch, apply_smallstep
 from .traces import TraceViolation, check_program, events_of, fold_event
@@ -58,7 +58,7 @@ __all__ = [
     "StackInstr", "location_candidates", "render_machine",
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
     "parse_type", "serialize_annotation", "serialize_type",
-    "DataBlob", "Instruction", "Pragma", "Program",
+    "DataBlob", "Instruction", "Program",
     "MachineState", "run", "step",
     "DeviceConfig", "RunOutcome",
     "PatternMismatch", "apply_smallstep",

@@ -101,11 +101,7 @@ def build_image(program: Program, entry: str | None = None,
     """Decode a program into the flat form the interpreter consumes: each
     instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
     as ``imm, rs``, targets resolved, padded with 0 to three operands."""
-    label = entry or program.entry_label()
-    if label is None:
-        raise ValueError("program has no entry pragma and no entry was given")
-    if label not in program.labels:
-        raise ValueError(f"entry label {label!r} is not defined")
+    entry_addr = program.entry_address(entry)
     code = []
     for i in program.instructions:
         ops = [i.op]
@@ -122,7 +118,7 @@ def build_image(program: Program, entry: str | None = None,
         for name, blob in program.blobs.items()
     )
     return Image(base=program.base, code=tuple(code), blobs=blobs,
-                 entry_addr=program.labels[label], device=device)
+                 entry_addr=entry_addr, device=device)
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:

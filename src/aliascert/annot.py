@@ -328,10 +328,3 @@ def _unify_offs(o1: OffsetSet, o2: OffsetSet, s: Subst, t1, t2) -> Subst:
     if o1.members != o2.members:
         raise UnifyMismatch(t1, t2)
     return s
-
-
-def try_unify(t1: AnnotatedType, t2: AnnotatedType, s: Subst | None = None) -> Subst | None:
-    try:
-        return unify(t1, t2, s)
-    except UnifyMismatch:
-        return None

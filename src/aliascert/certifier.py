@@ -166,7 +166,7 @@ class CertReport:
 
 
 def entry_annotation_for(program: Program, label: str) -> Annotation:
-    assumed = program.assume_for(label)
+    assumed = program.assumes.get(label)
     if assumed is None:
         return Annotation.make(star=SP, regs={SP: C0, RA: U0, ZERO: C0})
     regs = assumed.reg_map()
@@ -350,7 +350,8 @@ class _Walk:
             if t != U0:
                 raise self.engine._record(len(rows), Failure(
                     addr, str(s), "ReturnRegisterNotU0",
-                    f"{reg_name(s.rd)} holds {t}, not a return address"))
+                    f"register {reg_name(s.rd)} is unbound" if t is None
+                    else f"{reg_name(s.rd)} holds {t}, not a return address"))
             self._insert(addr, Row(ann, s, ann))
             if self.exit_ann is None:
                 self.exit_ann = ann
@@ -597,20 +598,15 @@ def certify_program(program: Program, entry: str | None = None,
                     policy: str = DEFAULT_POLICY) -> CertReport:
     """Infer a covering theory for ``program`` from its entry label."""
     _check_policy(policy)
-    label = entry or program.entry_label()
-    if label is None:
-        return CertReport(UNSUPPORTED, None,
-                          [Failure(None, None, "UnreachableEntry",
-                                   "no entry pragma and no --entry given")])
-    if label not in program.labels:
-        return CertReport(UNSUPPORTED, None,
-                          [Failure(None, None, "UnreachableEntry",
-                                   f"entry label {label!r} is not defined")])
+    try:
+        entry_addr = program.entry_address(entry)
+    except ValueError as e:
+        return CertReport(UNSUPPORTED, None, [Failure(None, None, "UnreachableEntry", str(e))])
     engine = _Engine(program, policy)
-    entry_ann = entry_annotation_for(program, label)
+    entry_ann = entry_annotation_for(program, entry or program.entry)
     theory = engine.theory
     try:
-        cert = engine.certify_routine(program.labels[label], entry_ann, ())
+        cert = engine.certify_routine(entry_addr, entry_ann, ())
     except SearchBudgetExhausted:
         return CertReport(UNSUPPORTED, None,
                           [Failure(None, None, "SearchBudgetExhausted",

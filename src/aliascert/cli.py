@@ -166,11 +166,13 @@ def _print_report(rep: dict) -> None:
 
 def cmd_certify(args) -> int:
     program = _load(args.file)
-    if args.entry is not None and args.entry not in program.labels:
-        raise _UsageError(f"error: entry label {args.entry!r} is not defined")
+    try:
+        program.entry_address(args.entry)
+    except ValueError as e:
+        raise _UsageError(f"error: {e}") from None
     # nothing keeps the certificate once it is rendered, so its theory is
     # freed before the report is printed
-    rep = build_report(args.file, args.entry or program.entry_label(), args.byte_policy,
+    rep = build_report(args.file, args.entry or program.entry, args.byte_policy,
                        certify_program(program, entry=args.entry, policy=args.byte_policy))
     _print_report(rep)
     if args.json:

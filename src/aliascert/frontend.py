@@ -1,7 +1,8 @@
 """Textual assembly dialect and the canonical annotation grammar.
 
 Program lines are one of: ``label:``, an instruction, a ``.bytes`` data
-directive, a ``#`` comment, or a ``#@`` pragma (``entry`` / ``assume``).
+directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
+an instruction, and at most one ``assume`` per label.
 Annotations render canonically as ``sp*=c^[32,0]!{16,24,28}, ra=u^0, ...``
 with registers in index order, then slots ``(n)=...`` ascending; towers
 are written current-frame first.  This grammar is the single source of
@@ -30,7 +31,6 @@ from .isa import (
     IMM_MIN,
     DataBlob,
     Instruction,
-    Pragma,
     Program,
     REG_INDEX,
     reg_name,
@@ -175,6 +175,7 @@ def parse_program(text: str) -> Program:
     addr = prog.base
     referenced: list[tuple[str, int]] = []
     subjects: list[tuple[str, int]] = []  # the label each pragma names, and its line
+    entry_line = 0
 
     def place_labels(at: int, line_no: int):
         for name, ln in pending_labels:
@@ -186,9 +187,17 @@ def parse_program(text: str) -> Program:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#@"):
-            pragma = _parse_pragma(line[2:].strip(), line_no)
-            prog.pragmas.append(pragma)
-            subjects.append((pragma.subject, line_no))
+            name, ann = _parse_pragma(line[2:].strip(), line_no)
+            if ann is None:
+                if prog.entry is not None:
+                    raise AsmSyntaxError(
+                        line_no, f"second entry pragma; the entry is {prog.entry!r}")
+                prog.entry, entry_line = name, line_no
+            elif name in prog.assumes:
+                raise AsmSyntaxError(line_no, f"second assume pragma for {name!r}")
+            else:
+                prog.assumes[name] = ann
+            subjects.append((name, line_no))
             continue
         if "#" in line:
             line = line[: line.index("#")].strip()
@@ -202,12 +211,11 @@ def parse_program(text: str) -> Program:
                 continue
         if line.startswith(".bytes"):
             addr = _align4(addr)
-            blob = _parse_bytes(line[len(".bytes"):].strip(), line_no,
-                                pending_labels[-1][0] if pending_labels else None)
-            if blob.label is None:
+            blob = _parse_bytes(line[len(".bytes"):].strip(), line_no)
+            if not pending_labels:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
+            prog.blobs[pending_labels[-1][0]] = blob
             place_labels(addr, line_no)
-            prog.blobs[blob.label] = blob
             addr += _align4(max(len(blob.data), 1))
             continue
         instr = _parse_instruction(line, line_no, referenced)
@@ -223,6 +231,11 @@ def parse_program(text: str) -> Program:
     for name, line_no in subjects:
         if name not in prog.labels:
             raise AsmSyntaxError(line_no, f"pragma refers to unknown label {name!r}")
+    if prog.entry is not None:
+        try:
+            prog.entry_address()
+        except ValueError as e:
+            raise AsmSyntaxError(entry_line, str(e)) from None
     return prog
 
 
@@ -230,12 +243,13 @@ def _align4(n: int) -> int:
     return (n + 3) & ~3
 
 
-def _parse_pragma(body: str, line_no: int) -> Pragma:
+def _parse_pragma(body: str, line_no: int) -> tuple[str, Annotation | None]:
+    """The label a pragma names, and its hypothesis; None for ``entry``."""
     if body.startswith("entry"):
         parts = body.split()
         if len(parts) != 2:
             raise AsmSyntaxError(line_no, "expected '#@ entry LABEL'")
-        return Pragma("entry", parts[1])
+        return parts[1], None
     if body.startswith("assume"):
         rest = body[len("assume"):].strip()
         if ":" not in rest:
@@ -245,7 +259,7 @@ def _parse_pragma(body: str, line_no: int) -> Pragma:
             ann = parse_annotation(bindings.strip())
         except ValueError as e:
             raise AsmSyntaxError(line_no, str(e)) from e
-        return Pragma("assume", label.strip(), ann)
+        return label.strip(), ann
     raise AsmSyntaxError(line_no, f"unknown pragma {body.split()[0] if body else ''!r}")
 
 
@@ -312,7 +326,7 @@ def _parse_instruction(line: str, line_no: int, referenced: list) -> Instruction
 _ESCAPES = {"0": 0, "n": 10, "t": 9, "r": 13, "\\": 92, '"': 34}
 
 
-def _parse_bytes(body: str, line_no: int, label: str | None) -> DataBlob:
+def _parse_bytes(body: str, line_no: int) -> DataBlob:
     data = bytearray()
     step, size, init = 1, None, True
     i = 0
@@ -372,4 +386,4 @@ def _parse_bytes(body: str, line_no: int, label: str | None) -> DataBlob:
         raise AsmSyntaxError(line_no, "step must be >= 1")
     if size is not None and size < 0:
         raise AsmSyntaxError(line_no, "size must be >= 0")
-    return DataBlob(label=label, data=bytes(data), step=step, size=size, init=init)
+    return DataBlob(data=bytes(data), step=step, size=size, init=init)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from .annotation import Annotation
 
 BASE_ADDRESS = 0x00400000
 
@@ -83,14 +86,13 @@ class Instruction:
 
 @dataclass(frozen=True)
 class DataBlob:
-    """Initialized bytes at a data label.
+    """Initialized bytes at a data label, the blob's key in ``Program.blobs``.
 
     ``step`` is the increment for string-style access, ``size`` the extent
     for array-style access; ``init`` marks whether the bytes are considered
     already written when the label's address is introduced.
     """
 
-    label: str
     data: bytes
     step: int = 1
     size: int | None = None  # defaults to len(data)
@@ -101,32 +103,21 @@ class DataBlob:
         return self.size if self.size is not None else len(self.data)
 
 
-@dataclass(frozen=True)
-class Pragma:
-    kind: str                 # "entry" | "assume"
-    subject: str              # label
-    bindings: object = None   # Annotation for assume pragmas
-
-    def __post_init__(self):
-        if self.kind not in ("entry", "assume"):
-            raise ValueError(f"unknown pragma kind {self.kind!r}")
-
-
 @dataclass
 class Program:
-    """An addressed program: code at base+4k, data blobs after the code."""
+    """An addressed program: code at base+4k, data blobs after the code.
+    ``entry`` is the label of its ``#@ entry`` pragma, ``assumes`` the
+    hypothesis of each ``#@ assume`` pragma by label."""
 
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     blobs: dict[str, DataBlob] = field(default_factory=dict)
-    pragmas: list[Pragma] = field(default_factory=list)
+    entry: str | None = None
+    assumes: dict[str, Annotation] = field(default_factory=dict)
     base: int = BASE_ADDRESS
     source_lines: dict[int, str] = field(default_factory=dict)  # addr -> text
     _label_index: tuple[int, dict[int, str]] | None = field(
         default=None, init=False, repr=False, compare=False)
-
-    def address_of(self, k: int) -> int:
-        return self.base + 4 * k
 
     def instruction_at(self, addr: int) -> Instruction | None:
         k = (addr - self.base) // 4
@@ -139,17 +130,18 @@ class Program:
             return t
         return self.labels[t]
 
-    def entry_label(self) -> str | None:
-        for p in self.pragmas:
-            if p.kind == "entry":
-                return p.subject
-        return None
-
-    def assume_for(self, label: str):
-        for p in self.pragmas:
-            if p.kind == "assume" and p.subject == label:
-                return p.bindings
-        return None
+    def entry_address(self, label: str | None = None) -> int:
+        """The address of ``label``, or of the entry pragma's label when
+        none is given; a ``ValueError`` unless it marks an instruction."""
+        label = label or self.entry
+        if label is None:
+            raise ValueError("program has no entry pragma and no entry was given")
+        if label not in self.labels:
+            raise ValueError(f"entry label {label!r} is not defined")
+        addr = self.labels[label]
+        if self.instruction_at(addr) is None:
+            raise ValueError(f"entry label {label!r} does not mark an instruction")
+        return addr
 
     def label_at(self, addr: int) -> str | None:
         """The first label defined at ``addr``, if any.  The index is built

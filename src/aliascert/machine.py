@@ -184,10 +184,7 @@ def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
 def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
                  device: DeviceConfig = DeviceConfig()) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
-    from . import _engine
-
-    entry_addr = _engine.build_image(program, entry, device).entry_addr  # checks the entry
-    st = MachineState(pc=entry_addr, device=device)
+    st = MachineState(pc=program.entry_address(entry), device=device)
     st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
     for name, blob in program.blobs.items():

@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from aliascert import certify_program, parse_program
+from aliascert import certify_program
 from aliascert.aliasing import AliasConfig, diff_runs, run_aliased
 from aliascert.annot import calc, rep, uncalc
 from aliascert.disasm import StackInstr, location_candidates
-from aliascert.isa import REG_INDEX, SP, V0
+from aliascert.isa import V0
 from aliascert.machine import run as run_clean
 from aliascert.traces import FrameDown, FrameUp, Read, TraceViolation, Write, check_program, fold_event
 

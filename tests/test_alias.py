@@ -17,7 +17,6 @@ from aliascert._engine import build_image
 from aliascert.machine import run
 from aliascert.machine import DEFAULT_FUEL, M32
 
-from conftest import load
 from genprogs import generate_program
 
 

@@ -176,9 +176,24 @@ def test_loop_that_grows_frame_each_pass_rejected():
 
 
 def test_missing_entry_is_unsupported():
-    report = certify_program(parse_program("nop\n"))
-    assert report.verdict == "UNSUPPORTED"
-    assert report.failures[0].kind == "UnreachableEntry"
+    p = parse_program("#@ entry main\nmain:\n  jr ra\nmsg:\n  .bytes 1 2\n")
+    for program, entry, message in [
+        (parse_program("nop\n"), None, "program has no entry pragma and no entry was given"),
+        (p, "nosuch", "entry label 'nosuch' is not defined"),
+        (p, "msg", "entry label 'msg' does not mark an instruction"),
+    ]:
+        report = certify_program(program, entry=entry)
+        assert report.verdict == "UNSUPPORTED" and report.theory is None
+        assert [(f.kind, f.detail) for f in report.failures] == [("UnreachableEntry", message)]
+
+
+def test_unbound_return_register_is_named_unbound():
+    p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0]!{0}, (0)=u^0\n"
+                      "main:\n  jr ra\n")
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    (f,) = report.failures
+    assert (f.kind, f.detail) == ("ReturnRegisterNotU0", "register ra is unbound")
 
 
 def test_default_entry_annotation():

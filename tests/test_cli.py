@@ -226,6 +226,29 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("parse error: line 1"), source
 
 
+# test_unknown_entry_exits_two covers an undefined label; ``end`` labels
+# the address past the data, which follows the code
+_CODE_AND_DATA = "main:\n  jr ra\nmsg:\n  .bytes 1 2\nend:\n"
+_NO_INSTRUCTION = "entry label '{}' does not mark an instruction"
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+@pytest.mark.parametrize("source, argv, err", [
+    (_CODE_AND_DATA, [], "error: program has no entry pragma and no entry was given"),
+    (_CODE_AND_DATA, ["--entry", "msg"], "error: " + _NO_INSTRUCTION.format("msg")),
+    (_CODE_AND_DATA, ["--entry", "end"], "error: " + _NO_INSTRUCTION.format("end")),
+    ("#@ entry msg\n" + _CODE_AND_DATA, [],
+     "parse error: line 1: " + _NO_INSTRUCTION.format("msg")),
+    ("#@ entry end\n" + _CODE_AND_DATA, [],
+     "parse error: line 1: " + _NO_INSTRUCTION.format("end")),
+], ids=["no-entry", "data", "past-the-code", "pragma-data", "pragma-past-the-code"])
+def test_every_entry_problem_exits_two(command, source, argv, err, tmp_path, capsys):
+    src = tmp_path / "p.s"
+    src.write_text(source)
+    assert main([command, str(src), *argv]) == 2
+    assert capsys.readouterr() == ("", err + "\n")
+
+
 def test_pragma_error_names_the_pragma_line(tmp_path, capsys):
     src = tmp_path / "p.s"
     src.write_text("#@ entry nosuch\nmain:\n  jr ra\n")

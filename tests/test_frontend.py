@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aliascert.annot import Calc, Finite, Offsets, Rep, SetVar, TypeVar, Uncalc, calc, rep, uncalc
+from aliascert.annot import Calc, Finite, SetVar, TypeVar, calc, rep, uncalc
 from aliascert.annotation import Annotation
 from aliascert.frontend import (
     AsmSyntaxError,
@@ -61,7 +61,7 @@ def test_register_number_aliases():
 
 def test_addresses_stride_by_four():
     p = parse_program("nop\nnop\nl:\nnop\n")
-    assert [p.address_of(k) for k in range(3)] == [
+    assert sorted(p.source_lines) == [
         BASE_ADDRESS, BASE_ADDRESS + 4, BASE_ADDRESS + 8]
     assert p.labels["l"] == BASE_ADDRESS + 8
 
@@ -95,10 +95,33 @@ def test_data_blob_and_attributes():
 
 def test_pragmas_parse():
     p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\nmain:\nnop\n")
-    assert p.entry_label() == "main"
-    ann = p.assume_for("main")
+    assert p.entry == "main"
+    ann = p.assumes["main"]
     assert ann.star == SP
     assert ann.reg(RA) == uncalc(0)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("#@ entry main\nmain:\n  nop\n#@ entry main\n",
+     "line 4: second entry pragma; the entry is 'main'"),
+    ("#@ assume main: ra=u^0\nmain:\n  nop\n#@ assume main: ra=c^[0]\n",
+     "line 4: second assume pragma for 'main'"),
+    ("main:\n  jr ra\n#@ entry msg\nmsg:\n  .bytes 1 2\n",
+     "line 3: entry label 'msg' does not mark an instruction"),
+])
+def test_pragma_error_names_its_line(source, message):
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program(source)
+    assert str(e.value) == message
+
+
+def test_bytes_without_a_label_is_refused_after_its_bytes_parse():
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program(".bytes 256\n")
+    assert e.value.message == "byte value 256 out of range"
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program("nop\n.bytes 1\n")
+    assert str(e.value) == "line 2: .bytes requires a preceding label"
 
 
 _LABELS = ("main", "loop_2", "$end")

@@ -8,7 +8,6 @@ from aliascert._engine import build_image
 from aliascert.machine import MachineState, MachineError, run, run_by_steps, step
 from aliascert.machine import RETURN_SENTINEL
 
-from conftest import load
 from genprogs import generate_program
 
 
@@ -128,10 +127,17 @@ def test_fuel_exhaustion():
 
 
 def test_missing_entry_rejected():
-    with pytest.raises(ValueError):
-        build_image(parse_program("nop\n"))
-    with pytest.raises(ValueError, match="'nosuch'"):
-        build_image(parse_program("#@ entry main\nmain:\n  jr ra\n"), entry="nosuch")
+    p = parse_program("#@ entry main\nmain:\n  jr ra\nmsg:\n  .bytes 1 2\nend:\n")
+    for program, entry, message in [
+        (parse_program("nop\n"), None, "program has no entry pragma and no entry was given"),
+        (p, "nosuch", "entry label 'nosuch' is not defined"),
+        (p, "msg", "entry label 'msg' does not mark an instruction"),
+        (p, "end", "entry label 'end' does not mark an instruction"),
+    ]:
+        for start in (build_image, run_by_steps):
+            with pytest.raises(ValueError) as e:
+                start(program, entry=entry)
+            assert str(e.value) == message
 
 
 def test_sentinel_constant_is_aligned():

@@ -74,7 +74,7 @@ def _cases():
 def report_digest(name: str, source: str, policy: str) -> str:
     program = parse_program(source)
     report = certify_program(program, policy=policy)
-    rep = build_report(name, program.entry_label(), policy, report)
+    rep = build_report(name, program.entry, policy, report)
     return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
 
 
