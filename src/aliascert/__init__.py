@@ -42,7 +42,7 @@ from .frontend import (
     serialize_type,
 )
 from .isa import DataBlob, Instruction, Program
-from .machine import DeviceConfig, MachineState, RunOutcome, run, step
+from .machine import MachineState, RunOutcome, run, step
 from .smallstep import PatternMismatch, apply_smallstep
 from .traces import TraceViolation, check_program, events_of, fold_event
 
@@ -60,7 +60,7 @@ __all__ = [
     "parse_type", "serialize_annotation", "serialize_type",
     "DataBlob", "Instruction", "Program",
     "MachineState", "run", "step",
-    "DeviceConfig", "RunOutcome",
+    "RunOutcome",
     "PatternMismatch", "apply_smallstep",
     "TraceViolation", "check_program", "events_of", "fold_event",
 ]

@@ -5,11 +5,26 @@ instruction as its mnemonic and up to three operands, each data blob as
 its address, bytes, step and whether it is initialized.  No other module
 reads that layout.
 
-Memory is keyed by (tag, address) pairs, the tags coming from the
-`_salt` calculus, so that differently calculated aliases of one address
-select different cells: the hardware-aliasing model under test
-(`run_alias_image`).  A ``sw`` fills the cell of its word with the
-salted value, a ``sb`` one lane of the cell of its word with a plain
+Under hardware aliasing a value is a salted word: its 32-bit arithmetic
+word (``lo``) plus a 32-bit tag (``hi``) recording *how* it was
+calculated.  Copies, loads and stores preserve both halves verbatim;
+every arithmetic step (`li`, `addiu`, `addu`, `nand`, the return address
+of `jal`, an effective address, a register's initial value) re-tags its
+result with the loop's salt.  The seeded salt :func:`tag` mixes the
+seed, the operation's domain and the full (tag, value) representation of
+its inputs (:func:`pack`): the same calculation always yields the same
+tag, while distinct calculations of an arithmetically equal value
+disagree with overwhelming probability.  A tag is a :func:`root` per
+seed and domain, folded with each input in turn by :func:`fold`, so a
+check that evaluates many calculations of one seed computes each
+domain's root once and calls the same two functions.  ``TAG_MASK`` is
+the tag width, read at every call.
+
+Memory is keyed by (tag, address) pairs, so that differently calculated
+aliases of one address select different cells: the hardware-aliasing
+model under test (`run_alias_image`).  Comparisons and device decoding
+see the arithmetic word only.  A ``sw`` fills the cell of its word with
+the salted value, a ``sb`` one lane of the cell of its word with a plain
 byte.  A load that misses its cell is an alias fault when the word is
 written under some other key, and an uninitialized read otherwise.  The
 loader fills cells as if each blob had been stored along its canonical
@@ -62,7 +77,10 @@ then holds the writes through its own calculation only, as in the
 symbolic run, and a miss stays a miss.  `run_alias_image` given the
 symbolic run checks this for its seed over the few calculations
 concerned, decoded once by the symbolic run, and runs the seeded loop
-only on a collision.
+only on a collision.  A seed's tag of a calculation is :func:`tag`
+applied to the tags of its inputs, so the check evaluates it from that
+numbering alone; the tag 0 of the zero register, of byte stores and of
+preloaded data is a literal, not a calculation.
 
 Callers look the entry points up in this module at call time, so a
 profiler can wrap them here.
@@ -72,32 +90,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _salt
-from ._salt import (M64, T_ADDIU, T_ADDU, T_EA, T_INIT, T_JAL, T_LI, T_NAND, fold, pack,
-                    root, tag)
-from .isa import FORMATS, RA, SP, Program
-from .machine import DEFAULT_STACK_BASE, M32, RETURN_SENTINEL, DeviceConfig, Fault, RunOutcome
+from .isa import BASE_ADDRESS, FORMATS, RA, SP, Program
+from .machine import (DEFAULT_STACK_BASE, DEVICE_BASE, DEVICE_SIZE, HALT_OFFSET, M32,
+                      PRINT_OFFSET, RETURN_SENTINEL, Fault, RunOutcome)
 
 BACKEND = "pure"  # recorded with benchmark runs
+
+M64 = 0xFFFFFFFFFFFFFFFF
+
+# tag domains, one per way a value can be produced
+T_LI = 0x11
+T_ADDIU = 0x22
+T_ADDU = 0x33
+T_NAND = 0x44
+T_JAL = 0x55
+T_EA = 0x66
+T_INIT = 0x77
+
+
+# the width of a tag: the low 32 bits of the mixed state
+TAG_MASK = 0xFFFFFFFF
+
+
+def fold(h: int, v: int) -> int:
+    """Mix the input ``v`` into the state ``h`` (one splitmix64 step)."""
+    z = ((h ^ (v & M64)) + 0x9E3779B97F4A7C15) & M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def root(seed: int, domain: int) -> int:
+    """The state a tag of ``domain`` under ``seed`` starts from."""
+    return fold(seed & M64, domain)
+
+
+def tag(seed: int, domain: int, *vals: int) -> int:
+    h = root(seed, domain)
+    for v in vals:
+        h = fold(h, v)
+    return h & TAG_MASK
+
+
+def pack(hi: int, lo: int) -> int:
+    return ((hi & 0xFFFFFFFF) << 32) | (lo & 0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
 class Image:
-    """A decoded program ready for interpretation."""
+    """A decoded program ready for interpretation, its code from
+    ``BASE_ADDRESS``."""
 
-    base: int
     code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
     blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
     entry_addr: int
-    device: DeviceConfig = DeviceConfig()
-
-    @property
-    def code_end(self) -> int:
-        return self.base + 4 * len(self.code)
 
 
-def build_image(program: Program, entry: str | None = None,
-                device: DeviceConfig = DeviceConfig()) -> Image:
+def build_image(program: Program, entry: str | None = None) -> Image:
     """Decode a program into the flat form the interpreter consumes: each
     instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
     as ``imm, rs``, targets resolved, padded with 0 to three operands."""
@@ -117,8 +168,7 @@ def build_image(program: Program, entry: str | None = None,
         (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
     )
-    return Image(base=program.base, code=tuple(code), blobs=blobs,
-                 entry_addr=entry_addr, device=device)
+    return Image(code=tuple(code), blobs=blobs, entry_addr=entry_addr)
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:
@@ -321,7 +371,7 @@ def _seed_tags(symbolic: SymbolicRun, seed: int) -> list[int]:
     position, after the literal tag 0, evaluated from the oldest up with
     one root per domain."""
     roots = {d: root(seed, d) for d in _INPUTS}
-    mask = _salt.TAG_MASK
+    mask = TAG_MASK
     t = [0]
     it = iter(symbolic.calcs)
     for d, p, x, q, y in zip(it, it, it, it, it):
@@ -358,8 +408,8 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
         mixed = set()
     out = bytearray()
     faults: list[Fault] = []
-    dev = image.device
-    base, end = image.base, image.code_end
+    base, end = BASE_ADDRESS, BASE_ADDRESS + 4 * len(image.code)
+    dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
     pc = image.entry_addr
     steps = 0
@@ -382,11 +432,11 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
 
         if op == "sw" or op == "sb":
             ea_lo = (lo[c] + b) & M32
-            if dev.base <= ea_lo < dev.base + dev.size:
-                off = ea_lo - dev.base  # devices decode the value lines only
-                if off == dev.print_offset:
+            if DEVICE_BASE <= ea_lo < dev_end:
+                off = ea_lo - DEVICE_BASE  # devices decode the value lines only
+                if off == PRINT_OFFSET:
                     out.append(lo[a] & 0xFF)
-                elif off == dev.halt_offset:
+                elif off == HALT_OFFSET:
                     halted, exit_reason = True, "halt-device"
                     break
                 pc += 4
@@ -409,7 +459,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
             continue
         if op == "lw" or op == "lb":
             ea_lo = (lo[c] + b) & M32
-            if dev.base <= ea_lo < dev.base + dev.size:
+            if DEVICE_BASE <= ea_lo < dev_end:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
             ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)

@@ -1,6 +1,6 @@
 """Aliasing runs and the differential harness.
 
-`run_aliased` runs a program under the salted-word model of `_salt`;
+`run_aliased` runs a program under the salted-word model of `_engine`;
 `diff_runs` sweeps seeds and reports every aliased run that differs
 from the clean run in a fault, an error, the output, the halt, or a
 final register.  The interpreter in `_engine` states how a sweep
@@ -13,22 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .isa import Program
-from .machine import DEFAULT_FUEL, DeviceConfig, RunOutcome
+from .machine import DEFAULT_FUEL, RunOutcome
 
 
-def build_image(program: Program, entry: str | None = None,
-                device: DeviceConfig = DeviceConfig()):
+def build_image(program: Program, entry: str | None = None):
     """`_engine.build_image`, imported on the first run, so that commands
     which run no program never load the interpreter."""
     from . import _engine
 
-    return _engine.build_image(program, entry, device)
+    return _engine.build_image(program, entry)
 
 
 @dataclass(frozen=True)
 class AliasConfig:
     seed: int = 0
-    device: DeviceConfig = DeviceConfig()
 
 
 def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
@@ -37,7 +35,7 @@ def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
     an arithmetically matching but differently calculated cell."""
     from . import _engine
 
-    image = build_image(program, entry, cfg.device)
+    image = build_image(program, entry)
     return _engine.run_alias_image(image, fuel, cfg.seed)
 
 
@@ -81,8 +79,7 @@ def compare_runs(clean: RunOutcome, aliased: RunOutcome, seed: int) -> Divergenc
 
 
 def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
-              entry: str | None = None,
-              device: DeviceConfig = DeviceConfig()) -> DiffReport:
+              entry: str | None = None) -> DiffReport:
     """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1) with
     ``fuel`` (at least 1) steps a run; the clean run must complete
     without error."""
@@ -90,7 +87,7 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
 
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    image = build_image(program, entry, device)
+    image = build_image(program, entry)
     symbolic = _engine.run_symbolic_image(image, fuel)
     clean = _engine.clean_outcome(image, fuel, symbolic)
     if not clean.ok:

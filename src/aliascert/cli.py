@@ -21,10 +21,7 @@ from .annotation import Annotation
 from .frontend import AsmSyntaxError, DuplicateLabel, parse_program, serialize_annotation
 from .isa import Program, reg_name
 from .machine import (
-    DEFAULT_DEVICE_BASE,
     DEFAULT_FUEL,
-    DEFAULT_HALT_OFFSET,
-    DeviceConfig,
     RunOutcome,
     run as run_clean,
 )
@@ -47,10 +44,6 @@ def _load(path: str) -> Program:
         raise _UsageError(f"error: {e}") from e
     except (AsmSyntaxError, DuplicateLabel) as e:
         raise _UsageError(f"parse error: {e}") from e
-
-
-def _device(args) -> DeviceConfig:
-    return DeviceConfig(base=args.device_base, halt_offset=args.halt_offset)
 
 
 class _RenderCache:
@@ -207,12 +200,11 @@ def cmd_run(args) -> int:
         if args.seed < 1:
             raise _UsageError(f"error: seed must be at least 1, got {args.seed}")
     program = _load(args.file)
-    device = _device(args)
     try:
         if args.mode == "clean":
-            out = run_clean(program, fuel=args.fuel, entry=args.entry, device=device)
+            out = run_clean(program, fuel=args.fuel, entry=args.entry)
         else:
-            cfg = AliasConfig(seed=1 if args.seed is None else args.seed, device=device)
+            cfg = AliasConfig(seed=1 if args.seed is None else args.seed)
             out = run_aliased(program, cfg, fuel=args.fuel, entry=args.entry)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -224,10 +216,8 @@ def cmd_run(args) -> int:
 
 def cmd_diff(args) -> int:
     program = _load(args.file)
-    device = _device(args)
     try:
-        rep = diff_runs(program, seeds=args.seeds, fuel=args.fuel,
-                        entry=args.entry, device=device)
+        rep = diff_runs(program, seeds=args.seeds, fuel=args.fuel, entry=args.entry)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -263,10 +253,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def running(sp):  # the commands that run the program on a machine
         common(sp)
-        sp.add_argument("--device-base", type=lambda s: int(s, 0),
-                        default=DEFAULT_DEVICE_BASE)
-        sp.add_argument("--halt-offset", type=lambda s: int(s, 0),
-                        default=DEFAULT_HALT_OFFSET)
         sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
     c = sub.add_parser("certify", help="infer an annotated theory and a verdict")

@@ -2,7 +2,8 @@
 
 Program lines are one of: ``label:``, an instruction, a ``.bytes`` data
 directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
-an instruction, and at most one ``assume`` per label.
+an instruction, and at most one ``assume`` per label.  Code comes before
+data: no instruction follows a ``.bytes`` directive.
 Annotations render canonically as ``sp*=c^[32,0]!{16,24,28}, ra=u^0, ...``
 with registers in index order, then slots ``(n)=...`` ascending; towers
 are written current-frame first.  This grammar is the single source of
@@ -26,6 +27,7 @@ from .annot import (
 )
 from .annotation import Annotation
 from .isa import (
+    BASE_ADDRESS,
     FORMATS,
     IMM_MAX,
     IMM_MIN,
@@ -172,7 +174,8 @@ def parse_program(text: str) -> Program:
     ``isa.BASE_ADDRESS``."""
     prog = Program()
     pending_labels: list[tuple[str, int]] = []
-    addr = prog.base
+    addr = BASE_ADDRESS
+    data_line = 0  # the line of the first .bytes directive
     referenced: list[tuple[str, int]] = []
     subjects: list[tuple[str, int]] = []  # the label each pragma names, and its line
     entry_line = 0
@@ -215,10 +218,14 @@ def parse_program(text: str) -> Program:
             if not pending_labels:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
             prog.blobs[pending_labels[-1][0]] = blob
+            data_line = data_line or line_no
             place_labels(addr, line_no)
             addr += _align4(max(len(blob.data), 1))
             continue
         instr = _parse_instruction(line, line_no, referenced)
+        if data_line:  # code runs on from BASE_ADDRESS with no gap
+            raise AsmSyntaxError(
+                line_no, f"instruction after the data of line {data_line}; code comes first")
         place_labels(addr, line_no)
         prog.source_lines[addr] = line
         prog.instructions.append(instr)

@@ -105,7 +105,8 @@ class DataBlob:
 
 @dataclass
 class Program:
-    """An addressed program: code at base+4k, data blobs after the code.
+    """An addressed program: code at BASE_ADDRESS + 4k, data blobs after
+    the code; `frontend` refuses an instruction after a blob.
     ``entry`` is the label of its ``#@ entry`` pragma, ``assumes`` the
     hypothesis of each ``#@ assume`` pragma by label."""
 
@@ -114,13 +115,12 @@ class Program:
     blobs: dict[str, DataBlob] = field(default_factory=dict)
     entry: str | None = None
     assumes: dict[str, Annotation] = field(default_factory=dict)
-    base: int = BASE_ADDRESS
     source_lines: dict[int, str] = field(default_factory=dict)  # addr -> text
     _label_index: tuple[int, dict[int, str]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def instruction_at(self, addr: int) -> Instruction | None:
-        k = (addr - self.base) // 4
+        k = (addr - BASE_ADDRESS) // 4
         if 0 <= k < len(self.instructions) and addr % 4 == 0:
             return self.instructions[k]
         return None

@@ -3,13 +3,13 @@
 The single-step function below is the executable form of the instruction
 semantics table: a state-to-state transformation over 32 registers, a
 sparse word memory, and the program counter.  Bytes sit little-endian
-within their word; a memory-mapped device region turns stores into
-console output and a halt signal.  Whole-program runs go through the
-interpreter loop in `_engine`, whose clean machine is its aliasing
-machine with every calculation tagged alike; ``step`` is the independent
-single-step reference it is tested against.  Every run, by the loop or
-by ``step``, shares the device layout and the outcome record defined
-here, so that any two runs can be compared.
+within their word; a memory-mapped device region at a fixed address
+turns stores into console output and a halt signal.  Whole-program runs
+go through the interpreter loop in `_engine`, whose clean machine is its
+aliasing machine with every calculation tagged alike; ``step`` is the
+independent single-step reference it is tested against.  Every run, by the loop or
+by ``step``, shares the memory map and the outcome record defined here,
+so that any two runs can be compared.
 """
 
 from __future__ import annotations
@@ -20,25 +20,16 @@ from .isa import Instruction, Program, RA, SP, ZERO
 
 M32 = 0xFFFFFFFF
 
-DEFAULT_DEVICE_BASE = 0xB0000000
-DEFAULT_DEVICE_SIZE = 0x100
-DEFAULT_PRINT_OFFSET = 0x00
-DEFAULT_HALT_OFFSET = 0x10
+# the device region: a store at PRINT_OFFSET prints its low byte, a store
+# at HALT_OFFSET halts, any other store is ignored and any load faults
+DEVICE_BASE = 0xB0000000
+DEVICE_SIZE = 0x100
+PRINT_OFFSET = 0x00
+HALT_OFFSET = 0x10
 DEFAULT_STACK_BASE = 0x7FFFF000  # the initial sp of every run
 RETURN_SENTINEL = 0xFFFFFFFC  # initial ra; jumping here ends the run
 
 DEFAULT_FUEL = 1_000_000
-
-
-@dataclass(frozen=True)
-class DeviceConfig:
-    base: int = DEFAULT_DEVICE_BASE
-    size: int = DEFAULT_DEVICE_SIZE
-    print_offset: int = DEFAULT_PRINT_OFFSET
-    halt_offset: int = DEFAULT_HALT_OFFSET
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.size
 
 
 @dataclass
@@ -81,7 +72,6 @@ class MachineState:
     pc: int = 0
     output: bytearray = field(default_factory=bytearray)
     halted: bool = False
-    device: DeviceConfig = DeviceConfig()
 
     def reg(self, r: int) -> int:
         return 0 if r == ZERO else self.regs[r]
@@ -106,11 +96,11 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
 
     if op in ("sw", "sb"):
         ea = (st.reg(i.rs) + i.imm) & M32
-        if st.device.contains(ea):
-            off = ea - st.device.base
-            if off == st.device.print_offset:
+        if DEVICE_BASE <= ea < DEVICE_BASE + DEVICE_SIZE:
+            off = ea - DEVICE_BASE
+            if off == PRINT_OFFSET:
                 st.output.append(st.reg(i.rd) & 0xFF)
-            elif off == st.device.halt_offset:
+            elif off == HALT_OFFSET:
                 st.halted = True
             st.pc = pc + 4
             return st
@@ -126,7 +116,7 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
         return st
     if op in ("lw", "lb"):
         ea = (st.reg(i.rs) + i.imm) & M32
-        if st.device.contains(ea):
+        if DEVICE_BASE <= ea < DEVICE_BASE + DEVICE_SIZE:
             raise MachineError("DeviceReadUnsupported", pc, hex(ea))
         if op == "lw":
             if ea & 3:
@@ -173,18 +163,17 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
     return st
 
 
-def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
-        device: DeviceConfig = DeviceConfig()) -> RunOutcome:
+def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None) -> RunOutcome:
     """Run on the clean machine until halt, return, error, or fuel out."""
     from . import _engine
 
-    return _engine.run_clean_image(_engine.build_image(program, entry, device), fuel)
+    return _engine.run_clean_image(_engine.build_image(program, entry), fuel)
 
 
-def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None,
-                 device: DeviceConfig = DeviceConfig()) -> RunOutcome:
+def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL,
+                 entry: str | None = None) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
-    st = MachineState(pc=program.entry_address(entry), device=device)
+    st = MachineState(pc=program.entry_address(entry))
     st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
     for name, blob in program.blobs.items():

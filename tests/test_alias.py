@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import _engine, _salt
-from aliascert._salt import T_ADDIU, T_EA, T_INIT, T_LI, pack, tag
+from aliascert import _engine
+from aliascert._engine import T_ADDIU, T_EA, T_INIT, T_LI, pack, tag
 from aliascert.aliasing import (
     AliasConfig,
     DiffReport,
@@ -171,7 +171,7 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkey
     # 8-bit tags collide often, so the per-seed check must send some seeds
     # to the seeded loop and still take the symbolic run for others; the
     # tag width is the one point the seeded loop and the check both read
-    monkeypatch.setattr(_salt, "TAG_MASK", (1 << bits) - 1)
+    monkeypatch.setattr(_engine, "TAG_MASK", (1 << bits) - 1)
     assert _engine.tag(5, T_LI, 7) < 1 << bits
     seeded = []
     loop = _engine._run
@@ -285,7 +285,7 @@ def test_load_of_a_lane_another_calculation_wrote(bits, clean_runs, monkeypatch)
     # the reload through sp reads a lane the byte store wrote through
     # another calculation: the sweep keeps its clean run, and seeds whose
     # narrow tags merge the two calculations agree with the clean run
-    monkeypatch.setattr(_salt, "TAG_MASK", (1 << bits) - 1)
+    monkeypatch.setattr(_engine, "TAG_MASK", (1 << bits) - 1)
     p = parse_program(_LANE_OVERWRITE)
     symbolic = _engine.run_symbolic_image(build_image(p), DEFAULT_FUEL)
     assert symbolic.outcome.ok and symbolic.outcome.regs[2] == 0x01020304

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aliascert import _salt, cli, run_aliased
+from aliascert import _engine, cli, run_aliased
 from aliascert.cli import main
 
 from conftest import corpus_path
@@ -143,7 +143,7 @@ def test_diff_says_how_its_seeds_were_settled(monkeypatch, capsys):
     assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "10"]) == 1
     assert "\nseeds settled by a check over 1 word\n" in capsys.readouterr().out
     # 3-bit tags make some seeds merge the two calculations of ra's slot
-    monkeypatch.setattr(_salt, "TAG_MASK", 7)
+    monkeypatch.setattr(_engine, "TAG_MASK", 7)
     assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "40"]) == 1
     out = capsys.readouterr().out
     line = re.search(r"^seeds settled by a check over 1 word and (\d+) seeded runs$", out, re.M)
@@ -175,25 +175,15 @@ def test_fuel_below_one_exits_two(command, fuel, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
 @pytest.mark.parametrize("flag, value", [("--device-base", "0xdead"),
                                          ("--halt-offset", "0x20")])
-def test_certify_rejects_the_device_options(flag, value, capsys):
-    # certify runs nothing, so a device option is a usage error
+def test_every_command_rejects_the_device_options(command, flag, value, capsys):
+    # the device region is fixed by the machine, so no command takes it
     with pytest.raises(SystemExit) as e:
-        main(["certify", str(corpus_path("hello.s")), flag, value])
+        main([command, str(corpus_path("hello.s")), flag, value])
     assert e.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-
-
-def test_custom_device_addresses(capsys, tmp_path):
-    src = tmp_path / "dev.s"
-    src.write_text(
-        "#@ entry main\n#@ assume main: ra=u^0\n"
-        "main:\n  li v1 0xc0000020\n  sb zero 0(v1)\n  jr ra\n")
-    code = main(["run", str(src), "--mode", "clean",
-                 "--device-base", "0xc0000000", "--halt-offset", "0x20"])
-    assert code == 0
-    assert "halt-device" in capsys.readouterr().out
 
 
 def test_internal_error_is_one_line_with_its_own_exit_code(monkeypatch, capsys):
@@ -255,6 +245,16 @@ def test_pragma_error_names_the_pragma_line(tmp_path, capsys):
     assert main(["certify", str(src)]) == 2
     assert capsys.readouterr().err == \
         "parse error: line 1: pragma refers to unknown label 'nosuch'\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_code_after_data_exits_two(command, tmp_path, capsys):
+    src = tmp_path / "p.s"
+    src.write_text("#@ entry main\nmsg: .bytes 1 2\nmain: li v0 7\n  jr ra\n")
+    assert main([command, str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 3: ")
 
 
 # small alphabets of the dialect's own pieces, well and badly formed

@@ -115,6 +115,16 @@ def test_pragma_error_names_its_line(source, message):
     assert str(e.value) == message
 
 
+def test_instruction_after_data_is_refused_at_its_line():
+    # code runs on from BASE_ADDRESS, so an instruction past a blob would
+    # sit at an address no instruction index reaches
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program("#@ entry main\nmsg: .bytes 1 2\nmain: li v0 7\n  jr ra\n")
+    assert str(e.value) == "line 3: instruction after the data of line 2; code comes first"
+    p = parse_program("main:\n  jr ra\nmsg:\n  .bytes 1 2\nend:\n")
+    assert p.labels["end"] == p.labels["msg"] + 4
+
+
 def test_bytes_without_a_label_is_refused_after_its_bytes_parse():
     with pytest.raises(AsmSyntaxError) as e:
         parse_program(".bytes 256\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from aliascert.aliasing import AliasConfig, run_aliased
 from aliascert.frontend import parse_program
 from aliascert.isa import RA, SP, V0, Instruction, REG_INDEX
 from aliascert._engine import build_image
@@ -98,7 +99,17 @@ def test_engine_matches_step_reference(corpus_programs):
         "  li t0 0xB0000000\n  lb v0 0(t0)\n  jr ra\n",
         "  move t0 zero\n  jr t0\n",
     )]
-    for p in programs:
+    # the edges of the device region 0xB0000000-0xB00000FF: a store inside
+    # it at neither offset, a byte store to its last byte (the reload
+    # faults only inside the region), a word stored and reloaded just past
+    # it, and a load just below it
+    edges = [parse_program("#@ entry main\nmain:\n" + body + "  jr ra\n") for body in (
+        "  li t0 0xB0000004\n  sw t0 0(t0)\n",
+        "  li t0 0xB00000FF\n  sb t0 0(t0)\n  lb v0 0(t0)\n",
+        "  li t0 0xB0000100\n  sw t0 0(t0)\n  lw v0 0(t0)\n",
+        "  li t0 0xAFFFFFFC\n  lw v0 0(t0)\n",
+    )]
+    for p in programs + edges:
         fast, slow = run(p), run_by_steps(p)
         assert fast.output == slow.output
         assert fast.regs == slow.regs
@@ -106,6 +117,18 @@ def test_engine_matches_step_reference(corpus_programs):
         assert (fast.halted, fast.error, fast.error_pc, fast.exit_reason) == (
             slow.halted, slow.error, slow.error_pc, slow.exit_reason)
     assert sum(run(p).error is not None for p in programs) == 5
+    assert [run(p).error for p in edges] == [
+        None, "DeviceReadUnsupported", None, "UninitializedRead"]
+    assert run(edges[2]).regs[V0] == 0xB0000100
+    for p in edges:
+        clean = run(p)
+        for seed in (1, 2, 7):
+            aliased = run_aliased(p, AliasConfig(seed=seed))
+            assert not aliased.faults
+            assert (aliased.output, aliased.regs, aliased.steps, aliased.error,
+                    aliased.error_pc, aliased.exit_reason) == (
+                clean.output, clean.regs, clean.steps, clean.error,
+                clean.error_pc, clean.exit_reason)
 
 
 def test_clean_machine_blind_to_arithmetic_restore(corpus_programs):

@@ -21,7 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from aliascert import _engine, _salt, parse_program
+from aliascert import _engine, parse_program
 
 from genprogs import generate_source
 
@@ -63,22 +63,22 @@ def _digest(h, blobs, seed: int, salt) -> None:
 
 def compute_digests() -> dict[str, str]:
     out = {}
-    saved = _salt.TAG_MASK
+    saved = _engine.TAG_MASK
     try:
         for family, cases in _families():
             for bits in TAG_BITS:
-                _salt.TAG_MASK = (1 << bits) - 1
+                _engine.TAG_MASK = (1 << bits) - 1
                 h = hashlib.sha256()
                 for blobs in cases:
                     for seed in SEEDS:
-                        _digest(h, blobs, seed, _salt.tag)
+                        _digest(h, blobs, seed, _engine.tag)
                 out[f"{family}/tag{bits}"] = h.hexdigest()
             h = hashlib.sha256()
             for blobs in cases:
                 _digest(h, blobs, 0, _zero_salt)
             out[f"{family}/zero"] = h.hexdigest()
     finally:
-        _salt.TAG_MASK = saved
+        _engine.TAG_MASK = saved
     return out
 
 
