@@ -39,7 +39,6 @@ from .frontend import (
     parse_program,
     parse_type,
     serialize_annotation,
-    serialize_type,
 )
 from .isa import DataBlob, Instruction, Program
 from .machine import MachineState, RunOutcome, run, step
@@ -57,7 +56,7 @@ __all__ = [
     "check_safety",
     "StackInstr", "location_candidates", "render_machine",
     "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
-    "parse_type", "serialize_annotation", "serialize_type",
+    "parse_type", "serialize_annotation",
     "DataBlob", "Instruction", "Program",
     "MachineState", "run", "step",
     "RunOutcome",

@@ -28,29 +28,34 @@ A failure does not always go back to the latest open choice: the search
 *backjumps* (conflict-directed backjumping, Prosser 1993) over the open
 choices it cannot depend on.  Its *conflict set* is computed only when a
 reading fails, from the journal, read backwards from the failure: the
-locations (registers, and the stack slots as one) whose types the failing
-instruction inspects are *live*; a row that inspects types makes its
-operands live, a ``move`` between unstarred registers passes liveness
-from its destination to its source, and a row that overwrites a register
-outright ends that register's liveness.  An open choice joins the set
-when a location its readings may write is live just after it, and so do
-the choices whose earlier readings failed before the row or choice that
-now stands (their conflicts are carried along).  A call, a return, or a
-branch whose target side has ended (a join, which compares whole
+locations (registers, and the stack slots as one) whose types or bindings
+the failing instruction inspects are *live*.  Going back over a row ends
+the liveness of a register it overwrites outright and makes the
+locations it inspects live; a blind row, which cannot fail on any type it
+sees, does so only when a location it writes is live, so a copy passes
+liveness from its destination to its source.  An open choice joins the
+set when a location its readings may write is live just after it, and so
+do the choices whose earlier readings failed before the row or choice
+that now stands (their conflicts are carried along).  A call, a return,
+or a branch whose target side has ended (a join, which compares whole
 annotations) puts every open choice before it into the set; so does a
 failure other than a missing reading or a return register that is not
-``u^0``, and any failure while a unifier is in force.  The search then
-undoes everything after the latest open choice in the set and tries that
-choice's next reading; a choice whose readings are exhausted passes on the
-conflicts of all its readings.  In a skipped subtree the chronological
-search would only have rejected readings and met again, at the same
-depths and in the same order, failures it has already met, so the first
-theory, the verdict, the deepest failure and the error a routine raises
-are exactly those of the chronological search.
-Rows that only copy, compute plain words or introduce constants
-(``li``, ``move``, ``addu``, ``nand``) cannot fail on any type they see,
-which is what lets the choices between ``li`` and a later rejecting read
-be skipped.
+``u^0``, and any failure while a unifier is in force.  (A call misses
+its reading only where no register holds the stack pointer, which no
+reading changes, so that failure makes no location live.)  The search
+then undoes everything after the latest open choice in the set and tries
+that choice's next reading; a choice whose readings are exhausted passes
+on the conflicts of all its readings.  In a skipped subtree the
+chronological search would only have rejected readings and met again, at
+the same depths and in the same order, failures it has already met, so
+the first theory, the verdict, the deepest failure and the error a
+routine raises are exactly those of the chronological search.
+`disasm.READINGS` states which readings are blind (those that only copy,
+compute plain words or introduce constants) and which operand each one
+writes; `_effects` derives each instruction's effects from that table
+alone, and a test checks them against the small-step rules.  Blind rows
+are what let the choices between a constant's readings and a later
+rejecting read be skipped.
 
 The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
 that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
@@ -70,13 +75,16 @@ from .annot import (C0, U0, AnnotError, Calc, Rep, Subst, UnifyMismatch, Uncalc,
 from .annotation import Annotation, unify_annotations
 from .disasm import (
     BYTE_OPS,
+    LI_READINGS,
+    NEITHER,
     READ_OPS,
+    READINGS,
     STACK_ACCESS,
     StackInstr,
     WRITE_OPS,
     raw_alternatives,
 )
-from .isa import RA, SP, ZERO, Instruction, Program, reg_name
+from .isa import FORMATS, RA, SP, ZERO, Instruction, Program, reg_name
 from .smallstep import PatternMismatch, apply_smallstep
 
 BYTE_POLICIES = ("forbid", "small-structs", "permissive")
@@ -194,13 +202,22 @@ class _Choice:
 _NO_CONFLICTS: frozenset[int] = frozenset()
 # The stack slots, as one location beside the registers 0..31.
 _SLOTS = -1
-# Ops whose readings cannot fail on the types they see, only on which
-# register holds the stack pointer (no reading moves it) and on which
-# registers are bound (the readings of one instruction bind alike).
-_BLIND = frozenset({"li", "move", "addu", "nand", "nop", "j"})
-# Ops whose every reading overwrites ``rd`` outright, unless an operand
-# holds the stack pointer.
-_REPLACES = frozenset({"li", "move", "addiu", "lw", "lb", "addu", "nand"})
+
+
+def _unstarred(readings: tuple, same: bool):
+    """``(blind, outright, written)`` for the readings that admit no
+    operand holding the stack pointer, with ``same`` whether ``rd`` and
+    ``rs`` are one register: whether every one is blind, whether every one
+    overwrites ``rd`` outright, and the operands any of them writes."""
+    admitted = [r for r in readings if r.admits(NEITHER, same)]
+    return (all(r.blind for r in admitted), all(r.writes == "rd" for r in admitted),
+            tuple(sorted({r.writes for r in admitted} - {None})))
+
+
+# What the search knows of each mnemonic's readings, keyed by mnemonic and
+# ``same``; ``li`` is the one mnemonic `READINGS` leaves out.
+_EFFECTS = {(m, same): _unstarred(READINGS.get(m, LI_READINGS), same)
+            for m in FORMATS for same in (False, True)}
 
 
 def _effects(instr: Instruction, star: int | None):
@@ -208,17 +225,21 @@ def _effects(instr: Instruction, star: int | None):
     ``instr`` with the stack pointer in ``star``: whether they are blind to
     types, the locations whose types or bindings they may inspect, the
     locations any of them may write, and those every one of them
-    overwrites.  A ``move`` between unstarred registers is blind, and its
-    result is its source's type."""
-    op, rd, rs, rt = instr.op, instr.rd, instr.rs, instr.rt
+    overwrites without reading.  An operand that holds the stack pointer
+    makes every operand and the stack slots inspected and written."""
+    rd, rs, rt = instr.rd, instr.rs, instr.rt
     regs = {r for r in (rd, rs, rt) if r is not None}
     if star in regs:
         regs.add(_SLOTS)
         return False, regs, regs, set()
-    replaced = {rd} if op in _REPLACES else set()
-    inspects = regs - replaced | {r for r in (rs, rt) if r is not None}
-    writes = {rs} if op in ("sw", "sb") else replaced
-    return op in _BLIND, inspects, writes, replaced
+    blind, outright, written = _EFFECTS[instr.op, rd == rs]
+    inspects = {r for r in (rs, rt) if r is not None}
+    replaced = set()
+    if outright and rd not in inspects:
+        replaced.add(rd)
+    elif rd is not None:
+        inspects.add(rd)
+    return blind, inspects, {getattr(instr, f) for f in written}, replaced
 
 
 class _Walk:
@@ -406,10 +427,9 @@ class _Walk:
         with the stack pointer in ``star``, depends on (see the module
         docstring); every open choice while a unifier is in force."""
         choices, journal, rows = self.choices, self.journal, self.rows
-        instr = self.program.instruction_at(addr)
-        if self.subst or instr.op == "jal":
+        if self.subst:
             return self._open()
-        live = _effects(instr, star)[1]
+        live = _effects(self.program.instruction_at(addr), star)[1]
         pending = set()
         p = self.pending
         while p is not None:
@@ -423,25 +443,21 @@ class _Walk:
             a = journal[pos]
             while k >= 0 and choices[k].mark > pos:
                 k -= 1
-            instr = self.program.instruction_at(a)
-            op = instr.op
-            if op in ("jal", "jr") or (op in ("bnez", "beq") and a + 4 not in pending):
+            row = rows[a]
+            op = row.chosen.op
+            if op in ("gosub", "return") or (op in ("ifnz", "ifeq") and a + 4 not in pending):
                 # a call, or a path that has ended since: a join or a
                 # return compares what every choice before it wrote
                 out.update(c.addr for c in choices[:k + 1])
                 break
-            blind, inspects, writes, replaced = _effects(instr, rows[a].pre.star)
+            blind, inspects, writes, replaced = _effects(self.program.instruction_at(a),
+                                                         row.pre.star)
             if k >= 0 and choices[k].mark == pos and writes & live:
                 out.add(a)
             carried = self.carried.get(a)
             if carried:
                 out |= carried
-            if blind:
-                if writes & live:
-                    live -= replaced
-                    if op == "move":
-                        live.add(instr.rs)
-            else:
+            if not blind or writes & live:
                 live -= replaced
                 live |= inspects
         return frozenset(out)

@@ -169,8 +169,11 @@ def cmd_certify(args) -> int:
                        certify_program(program, entry=args.entry, policy=args.byte_policy))
     _print_report(rep)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rep, fh, indent=2)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(rep, fh, indent=2)
+        except OSError as e:
+            raise _UsageError(f"error: {e}") from e
     clean = (rep["verdict"] == SAFE
              and rep["oracle"] is not None and rep["oracle"]["ok"]
              and rep["safety"] is not None and rep["safety"]["ok"])

@@ -5,6 +5,8 @@ readings, one table (`READINGS`) for every mnemonic but ``li``.
 `raw_alternatives` keeps those that fit where the stack pointer register
 sits (the location constraints each reading states), in table order; the
 certifier tries them in that order, each against its small-step rule.
+Each reading also states what the certifier's backjumping needs of that
+rule: whether it is blind to types, and which operand it writes.
 """
 
 from __future__ import annotations
@@ -71,12 +73,24 @@ class _Reading:
     demands that ``rd`` and ``rs`` be one register; ``sign`` is the sign
     the immediate must have, and a negative one reads ``n = -imm``.  The
     reading keeps the operands its stack op prints, ``n`` taken from the
-    immediate; ``return`` prints bare but keeps ``rd``."""
+    immediate; ``return`` prints bare but keeps ``rd``.
+
+    ``blind`` and ``writes`` state what the certifier's backjumping needs
+    of the reading's rule.  A blind reading fails only on where the stack
+    pointer sits, on an unbound register or on the zero register as its
+    destination, never on a type.  ``writes`` names the operand whose type
+    the reading changes: ``rd``, overwritten outright (the new type does not
+    depend on ``rd``'s old one unless ``rd`` is also a source), or ``rs``,
+    changed in place (a store grows its offset set, a push adds a frame).
+    A reading that needs the stack pointer in an operand may also change
+    the stack slots."""
 
     op: str
     star: tuple[bool, bool] | None = None
     same: bool = False
     sign: int = 0
+    blind: bool = False
+    writes: str | None = None
     keep: frozenset[str] = field(init=False)
 
     def __post_init__(self):
@@ -102,20 +116,37 @@ class _Reading:
 
 # Every mnemonic but ``li`` (whose readings depend on its data blob), with
 # its readings in search order.  ``mspt``/``stepto``/``pushto`` have no
-# small-step rules and are never produced.
+# small-step rules and are never produced.  A string step (``stepx``)
+# leaves its pointer's type as it was.  A call (``gosub``) is applied by
+# the calling convention, not by a small-step rule, and the certifier takes
+# it to depend on every choice before it.
 READINGS: dict[str, tuple[_Reading, ...]] = {
-    "move": (_Reading("cspt", RS_ONLY), _Reading("cspf", RD_ONLY),
-             _Reading("rspf", RD_ONLY), _Reading("mov", NEITHER)),
-    "addiu": (_Reading("push", BOTH, same=True, sign=-1),
-              _Reading("stepx", NEITHER, same=True, sign=1), _Reading("addaiu", NEITHER)),
-    "lw": (_Reading("get", RS_ONLY), _Reading("lwfh", NEITHER), _Reading("getx", NEITHER)),
-    "lb": (_Reading("getb", RS_ONLY), _Reading("lbfh", NEITHER), _Reading("getbx", NEITHER)),
-    "sw": (_Reading("put", RS_ONLY), _Reading("swth", NEITHER), _Reading("putx", NEITHER)),
-    "sb": (_Reading("putb", RS_ONLY), _Reading("sbth", NEITHER), _Reading("putbx", NEITHER)),
-    "jal": (_Reading("gosub"),), "jr": (_Reading("return"),), "j": (_Reading("goto"),),
+    "move": (_Reading("cspt", RS_ONLY, blind=True, writes="rd"),
+             _Reading("cspf", RD_ONLY, writes="rd"), _Reading("rspf", RD_ONLY, writes="rd"),
+             _Reading("mov", NEITHER, blind=True, writes="rd")),
+    "addiu": (_Reading("push", BOTH, same=True, sign=-1, blind=True, writes="rs"),
+              _Reading("stepx", NEITHER, same=True, sign=1),
+              _Reading("addaiu", NEITHER, writes="rd")),
+    "lw": (_Reading("get", RS_ONLY, writes="rd"), _Reading("lwfh", NEITHER, writes="rd"),
+           _Reading("getx", NEITHER, writes="rd")),
+    "lb": (_Reading("getb", RS_ONLY, writes="rd"), _Reading("lbfh", NEITHER, writes="rd"),
+           _Reading("getbx", NEITHER, writes="rd")),
+    "sw": (_Reading("put", RS_ONLY, writes="rs"), _Reading("swth", NEITHER, writes="rs"),
+           _Reading("putx", NEITHER, writes="rs")),
+    "sb": (_Reading("putb", RS_ONLY, writes="rs"), _Reading("sbth", NEITHER, writes="rs"),
+           _Reading("putbx", NEITHER, writes="rs")),
+    "jal": (_Reading("gosub"),), "jr": (_Reading("return"),),
+    "j": (_Reading("goto", blind=True),),
     "bnez": (_Reading("ifnz"),), "beq": (_Reading("ifeq"),),
-    "addu": (_Reading("addop"),), "nand": (_Reading("nandop"),), "nop": (_Reading("nop"),),
+    "addu": (_Reading("addop", blind=True, writes="rd"),),
+    "nand": (_Reading("nandop", blind=True, writes="rd"),),
+    "nop": (_Reading("nop", blind=True),),
 }
+# ``li``'s readings, which `raw_alternatives` builds from the data blob the
+# label names: a string stepped through (``newx``) or an array (``newh``,
+# the only reading of a raw address).
+LI_READINGS = (_Reading("newx", blind=True, writes="rd"),
+               _Reading("newh", blind=True, writes="rd"))
 
 
 def _ops(*mnemonics: str, star: tuple[bool, bool] | None = None) -> frozenset[str]:

@@ -57,10 +57,6 @@ class DuplicateLabel(Exception):
 # annotation serialization
 
 
-def serialize_type(t: AnnotatedType) -> str:
-    return str(t)
-
-
 def serialize_annotation(a: Annotation,
                          type_text: Callable[[AnnotatedType], str] = str) -> str:
     """Deterministic rendering; round-trips through parse_annotation.

@@ -7,6 +7,7 @@ of its instructions is reachable.
 from __future__ import annotations
 
 import random
+import re
 
 from aliascert import Program, parse_program
 
@@ -290,3 +291,36 @@ def generate_source(seed: int, max_instructions: int = 12) -> str:
 
 def generate_program(seed: int, max_instructions: int = 12) -> Program:
     return parse_program(generate_source(seed, max_instructions))
+
+
+# -- mutants: one small edit of a generated program ---------------------------
+
+_MUTANT_REGS = ("t0", "t1", "t2", "t3", "v0", "v1", "a0", "a1", "sp", "gp", "fp", "zero")
+_REGISTER = re.compile(r"\b(" + "|".join(_MUTANT_REGS) + r")\b")
+_IMMEDIATE = re.compile(r"(?<![\w$])-?\d+\b")
+
+
+def mutate_source(source: str, seed: int) -> str:
+    """``source`` with one instruction line edited: a register swapped for
+    another, an immediate or offset bumped, or the line duplicated.  The
+    source comes back unchanged when the drawn edit finds nothing to edit."""
+    rng = random.Random(f"mutate/{seed}")
+    lines = source.split("\n")
+    code = [i for i, line in enumerate(lines)
+            if line.startswith("    ") and not line.lstrip().startswith(".")]
+    kind = rng.choice(("register", "immediate", "duplicate"))
+    i = rng.choice(code)
+    if kind == "duplicate":
+        lines.insert(i + 1, lines[i])
+        return "\n".join(lines)
+    line = lines[i]
+    hits = list((_REGISTER if kind == "register" else _IMMEDIATE).finditer(line))
+    if not hits:
+        return source
+    m = rng.choice(hits)
+    if kind == "register":
+        new = rng.choice([r for r in _MUTANT_REGS if r != m.group()])
+    else:
+        new = str(int(m.group()) + rng.choice((-4, -1, 1, 4)))
+    lines[i] = line[:m.start()] + new + line[m.end():]
+    return "\n".join(lines)

@@ -8,11 +8,13 @@ from aliascert import certifier, certify_program, check_program, check_safety, p
 from aliascert.annot import C0, U0, calc
 from aliascert.annotation import Annotation
 from aliascert.cli import _print_report, build_report
-from aliascert.frontend import serialize_type
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 
 from conftest import load
-from genprogs import kli_branch_source, kli_callee_source, kli_move_source, kli_source
+from genprogs import (generate_source, kli_branch_source, kli_callee_source, kli_move_source,
+                      kli_source, mutate_source)
+
+SEARCH_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
 
 A0 = REG_INDEX["a0"]
 FP = REG_INDEX["fp"]
@@ -61,7 +63,7 @@ def test_call_continuation_matches_convention(hello, hello_report):
     assert row.post.reg(A0) == C0
     assert row.post.reg(GP) == C0
     assert row.post.reg(V0) == C0
-    assert serialize_type(row.post.reg(V1)) == "u^1!{0}"
+    assert str(row.post.reg(V1)) == "u^1!{0}"
     # the caller's frame and slots come back untouched
     assert row.post.star_type() == row.pre.star_type()
     assert row.post.slots == row.pre.slots
@@ -71,7 +73,7 @@ def test_handle_call_halt_exit(hello_report):
     theory = hello_report.theory
     row = theory.routines[theory.entry_key].rows[0x400024]
     assert str(row.chosen) == "gosub halt"
-    assert serialize_type(row.post.reg(V1)) == "u^1!{0}"
+    assert str(row.post.reg(V1)) == "u^1!{0}"
     assert row.post.star_type() == row.pre.star_type() == calc(32, 0, offs=[16, 24, 28])
 
 
@@ -291,6 +293,31 @@ def test_kli_variants_certify_at_k_24():
             assert report.stats.readings <= 2 * 24 * 24, (make.__name__, report.stats)
 
 
+def _outcome(program):
+    report = certify_program(program)
+    rows = report.theory and {key: [(a, str(row.chosen)) for a, row in sorted(cert.rows.items())]
+                              for key, cert in report.theory.routines.items()}
+    return report.verdict, [str(f) for f in report.failures], rows, report.stats.backjumps
+
+
+def test_backjumping_agrees_with_the_chronological_search(corpus_programs, monkeypatch):
+    # the same verdict, failures and chosen rows as a search that goes back
+    # to the latest open choice on every failure, on the corpus, the k-li
+    # families and mutants of generated programs, many of them UNSAFE
+    families = [parse_program(make(k, unsafe)) for make in SEARCH_FAMILIES
+                for k in range(4, 9) for unsafe in (False, True)]
+    mutants = [parse_program(mutate_source(generate_source(seed, 24), seed))
+               for seed in range(300)]
+    programs = [*corpus_programs.values(), *families, *mutants]
+    backjumping = [_outcome(p) for p in programs]
+    assert sum(verdict == "UNSAFE" for verdict, *_ in backjumping[-len(mutants):]) >= 50
+    assert sum(jumps > 0 for *_, jumps in backjumping[-len(mutants):]) >= 10
+    monkeypatch.setattr(certifier._Walk, "_conflicts", lambda self, addr, star: self._open())
+    chronological = [_outcome(p) for p in programs]
+    assert all(jumps == 0 for *_, jumps in chronological)
+    assert [o[:3] for o in backjumping] == [o[:3] for o in chronological]
+
+
 def test_failure_after_an_ended_path_steps_back_chronologically():
     # the failing read is on the fall-through, after the branch target has
     # returned and recorded the exit annotation every later return must
@@ -333,7 +360,7 @@ def test_failure_while_a_type_variable_is_bound():
     assert report.verdict == "SAFE"
     assert (report.stats.backtracks, report.stats.backjumps) == (1, 0)
     (cert,) = report.theory.routines.values()
-    assert serialize_type(cert.entry.reg(REG_INDEX["fp"])) == "u^4!{0,1,2,3}"
+    assert str(cert.entry.reg(REG_INDEX["fp"])) == "u^4!{0,1,2,3}"
     assert [str(cert.rows[a].chosen) for a in sorted(cert.rows)][1:4] == \
         ["newh fp blob 4", "ifnz t0 skip", "lwfh t0 0(fp)"]
     assert check_program(report.theory) == []

@@ -216,6 +216,13 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("parse error: line 1"), source
 
 
+@pytest.mark.parametrize("path", ["nosuch/out.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_json_path_exits_two(path, tmp_path, capsys):
+    assert main(["certify", str(corpus_path("hello.s")), "--json", str(tmp_path / path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err, err
+
+
 # test_unknown_entry_exits_two covers an undefined label; ``end`` labels
 # the address past the data, which follows the code
 _CODE_AND_DATA = "main:\n  jr ra\nmsg:\n  .bytes 1 2\nend:\n"

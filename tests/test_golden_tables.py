@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import certify_program, serialize_type
+from aliascert import certify_program
 from aliascert.annotation import Annotation
 from aliascert.isa import REG_INDEX, SP
 
@@ -28,7 +28,7 @@ def cell_value(ann: Annotation, col: str) -> str:
         t = ann.slot(int(col[1:-1]))
     else:
         t = ann.reg(REG_INDEX[col])
-    return serialize_type(t) if t is not None else ""
+    return str(t) if t is not None else ""
 
 
 def render_table(program, cert, columns):
