@@ -70,8 +70,22 @@ step depends on words only, so the machine branches alike and halts or
 fails at the same step with the same error.  Hence, when every load is
 self-sourced, the symbolic run is the clean run and every seeded run,
 failed or not (`clean_outcome`, `run_alias_image`), and a sweep runs
-nothing more.  Otherwise the clean run is run, and a seed's run equals
-the symbolic run when its tags are distinct among the effective-address
+nothing more.
+
+Otherwise the same induction gives the clean machine's state just
+before the first load that is not self-sourced, and the clean run goes
+on from there (`CleanStart`), never from step 0: the symbolic run's pc,
+steps, output and register words, tag 0 on every register and key, and
+a flat memory.  That memory preloads every blob as the clean machine
+does, then overlays each lane the symbolic run's writers record from
+the cell of its last writer (any key of a loader tuple: each filled the
+lane with the same byte).  The clean machine's one cell of a word holds
+each lane's latest write over all calculations; the last writer's cell
+holds that writer's latest write, which is the same.  A lane nobody
+wrote keeps its ``noinit`` byte or 0.  Every word of the flat memory is
+written, by tag 0.  So a sweep costs one symbolic run plus the clean
+machine's steps from that load on.  A seed's run equals the symbolic
+run when its tags are distinct among the effective-address
 calculations that key each word such a load reads: the load's cell
 then holds the writes through its own calculation only, as in the
 symbolic run, and a miss stays a miss.  `run_alias_image` given the
@@ -89,6 +103,7 @@ profiler can wrap them here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .isa import BASE_ADDRESS, FORMATS, RA, SP, Program
 from .machine import (DEFAULT_STACK_BASE, DEVICE_BASE, DEVICE_SIZE, HALT_OFFSET, M32,
@@ -246,9 +261,10 @@ def _own(src, e: int, w: int, lanes, unloaded) -> bool:
     return True
 
 
-def run_clean_image(image: Image, fuel: int) -> RunOutcome:
-    """The clean machine: one tag for every calculation, all data preloaded."""
-    return _run(image, fuel, 0, _zero_tag, image.blobs)
+def run_clean_image(image: Image, fuel: int, start: CleanStart | None = None) -> RunOutcome:
+    """The clean machine: one tag for every calculation, all data preloaded.
+    Given ``start``, the run goes on from that state instead of step 0."""
+    return _run(image, fuel, 0, _zero_tag, image.blobs, None, start)
 
 
 def run_alias_image(image: Image, fuel: int, seed: int,
@@ -266,11 +282,44 @@ def run_alias_image(image: Image, fuel: int, seed: int,
 
 def clean_outcome(image: Image, fuel: int, symbolic: SymbolicRun) -> RunOutcome:
     """The clean run of ``image``: ``symbolic``'s outcome when every load
-    is self-sourced (see the module docstring), a run of the clean
-    machine otherwise."""
-    if not symbolic.mixed:
+    is self-sourced (see the module docstring), else the clean machine
+    resumed from ``symbolic.start``."""
+    if symbolic.start is None:
         return symbolic.outcome
-    return run_clean_image(image, fuel)
+    return run_clean_image(image, fuel, symbolic.start)
+
+
+class CleanStart(NamedTuple):
+    """The clean machine's state just before the symbolic run's first
+    load that is not self-sourced: the load's pc, the steps before it,
+    the register words, the output so far and the memory, every key
+    ``(0, word address)`` and every value ``(0, word)``."""
+
+    pc: int
+    steps: int
+    regs: tuple[int, ...]
+    output: bytes
+    memory: dict[tuple[int, int], tuple[int, int]]
+
+
+def _clean_start(image: Image, pc: int, steps: int, lo: list[int], out: bytearray,
+                 mem: dict, written: dict) -> CleanStart:
+    """The clean machine's state where the symbolic run stands with ``mem``
+    and ``written``: every blob preloaded, then each lane somebody wrote
+    overlaid from the cell of its last writer (for a loader tuple, any of
+    its keys: each filled the lane with the same byte)."""
+    memory = _preload(image.blobs, 0, _zero_tag)[0]
+    for w, src in written.items():
+        if type(src) is not tuple:
+            memory[(0, w)] = (0, mem[(src, w)][1])
+            continue
+        word = memory.get((0, w), (0, 0))[1]
+        for lane, x in enumerate(src):
+            if x is not None:
+                m = 0xFF << 8 * lane
+                word = word & ~m | mem[(x[0] if type(x) is tuple else x, w)][1] & m
+        memory[(0, w)] = (0, word)
+    return CleanStart(pc, steps, tuple(lo), bytes(out), memory)
 
 
 # The inputs `_run` passes with each tag domain: how many, and how many
@@ -285,7 +334,9 @@ class SymbolicRun:
     far as a seed's collision check needs it.
 
     ``mixed`` holds the words read by loads that are not self-sourced;
-    with none, the run is every seed's and the clean machine's.
+    with none, the run is every seed's and the clean machine's, and
+    ``start`` is None.  Otherwise ``start`` is the clean machine's state
+    just before the first of those loads, where its clean run resumes.
 
     ``calcs`` lists every calculation that ``groups`` reaches through its
     inputs, oldest first, as five flat fields ``domain, p, x, q, y`` (no
@@ -301,13 +352,15 @@ class SymbolicRun:
     calcs: list[int | None]
     groups: tuple[tuple[int, ...], ...]
     mixed: frozenset[int]
+    start: CleanStart | None = None
 
 
 def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     """The aliasing machine with one tag per distinct calculation: ids 1,
     2, 3, ... in creation order, so no two calculations collide."""
     mixed: set[int] = set()
-    outcome, ids = _run_interned(image, fuel, mixed)
+    snapshot: list[CleanStart] = []
+    outcome, ids = _run_interned(image, fuel, mixed, snapshot)
     if not mixed:
         return SymbolicRun(outcome, [], (), frozenset())
     # every effective address keys or probes a cell of its word, lo + imm
@@ -341,14 +394,15 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
             q, y = (pos[b >> 32], b & M32) if salted == 2 else (0 if n == 2 else None, b)
             calcs += domain, p, x, q, y
             pos[i] = len(calcs) // 5
-    return SymbolicRun(outcome, calcs,
-                       tuple(tuple(pos[i] for i in g) for g in groups), frozenset(mixed))
+    return SymbolicRun(outcome, calcs, tuple(tuple(pos[i] for i in g) for g in groups),
+                       frozenset(mixed), snapshot[0])
 
 
-def _run_interned(image: Image, fuel: int,
-                  mixed: set[int]) -> tuple[RunOutcome, dict[int, int]]:
+def _run_interned(image: Image, fuel: int, mixed: set[int],
+                  snapshot: list[CleanStart]) -> tuple[RunOutcome, dict[int, int]]:
     """The symbolic run, adding to ``mixed`` the words of the loads that
-    are not self-sourced, and its table from the key of each calculation
+    are not self-sourced and to ``snapshot`` the clean machine's state before
+    the first of them, and its table from the key of each calculation
     to its id, in creation order.  A key holds the domain in bits 0-7,
     the first input in bits 8-71 and the second, if any, in bits 72-135,
     so a salted input's tag starts at bit 40 or 104.  One int per key
@@ -362,7 +416,7 @@ def _run_interned(image: Image, fuel: int,
             i = ids[key] = len(ids) + 1
         return i
 
-    outcome = _run(image, fuel, 0, intern, _initialized(image), mixed)
+    outcome = _run(image, fuel, 0, intern, _initialized(image), mixed, None, snapshot)
     return outcome, ids
 
 
@@ -389,30 +443,36 @@ def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
 
 
 def _run(image: Image, fuel: int, seed: int, salt, blobs,
-         mixed: set[int] | None = None) -> RunOutcome:
+         mixed: set[int] | None = None, start: CleanStart | None = None,
+         snapshot: list[CleanStart] | None = None) -> RunOutcome:
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
     calculation and the data of ``blobs`` preloaded, adding to ``mixed``
-    the words of the loads that are not self-sourced."""
+    the words of the loads that are not self-sourced and to ``snapshot``
+    the clean machine's state before the first of them.  Given ``start``,
+    a state of the clean machine, the run goes on from there."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
     hi = [0] * 32
-    lo = [0] * 32
-    for i in range(1, 32):
-        hi[i] = salt(seed, T_INIT, i)
-    lo[SP] = DEFAULT_STACK_BASE
-    lo[RA] = RETURN_SENTINEL
-    mem, written = _preload(blobs, seed, salt)
+    if start is None:
+        lo = [0] * 32
+        for i in range(1, 32):
+            hi[i] = salt(seed, T_INIT, i)
+        lo[SP] = DEFAULT_STACK_BASE
+        lo[RA] = RETURN_SENTINEL
+        mem, written = _preload(blobs, seed, salt)
+        pc, steps, out = image.entry_addr, 0, bytearray()
+    else:
+        lo, mem = list(start.regs), dict(start.memory)
+        written = {w: 0 for _, w in mem}
+        pc, steps, out = start.pc, start.steps, bytearray(start.output)
     # the bytes of the blobs left unwritten here that the clean machine preloads
     unloaded = {b[0] + k for b in image.blobs if b not in blobs for k in range(len(b[1]))}
     if mixed is None:
         mixed = set()
-    out = bytearray()
     faults: list[Fault] = []
     base, end = BASE_ADDRESS, BASE_ADDRESS + 4 * len(image.code)
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
-    pc = image.entry_addr
-    steps = 0
     halted = False
     exit_reason = None
     error = error_pc = None
@@ -468,18 +528,18 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
                 break
             w = ea_lo & ~3
             cell = mem.get((ea_hi, w))
-            if cell is None:
+            if cell is None or written[w] != ea_hi and not _own(
+                    written[w], ea_hi, w, _WORD if op == "lw" else (ea_lo & 3,), unloaded):
+                if snapshot is not None and not mixed:
+                    snapshot.append(_clean_start(image, pc, steps - 1, lo, out, mem, written))
                 mixed.add(w)
-                if w in written:
-                    faults.append(Fault("AliasFault", pc, ea_lo))
-                    error, error_pc = "AliasFault", pc
-                else:
-                    error, error_pc = "UninitializedRead", pc
-                break
-            src = written[w]
-            if src != ea_hi and not _own(src, ea_hi, w, _WORD if op == "lw" else (ea_lo & 3,),
-                                         unloaded):
-                mixed.add(w)
+                if cell is None:
+                    if w in written:
+                        faults.append(Fault("AliasFault", pc, ea_lo))
+                        error, error_pc = "AliasFault", pc
+                    else:
+                        error, error_pc = "UninitializedRead", pc
+                    break
             if op == "lw":
                 vhi, vlo = cell
             else:

@@ -52,9 +52,11 @@ class DiffReport:
     divergences: list[Divergence]
     # how the sweep settled its seeds, kept out of equality: the words
     # the per-seed check covered (0 when the symbolic run stood for every
-    # run) and the seeds that ran the seeded loop
+    # run), the seeds that ran the seeded loop, and the step the clean run
+    # was resumed at (None when the symbolic run stood for it)
     checked_words: int = field(default=0, compare=False)
     seeded_runs: int = field(default=0, compare=False)
+    resumed_at: int | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -102,4 +104,5 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
         if d is not None:
             divergences.append(d)
     return DiffReport(seeds=seeds, clean=clean, divergences=divergences,
-                      checked_words=len(symbolic.mixed), seeded_runs=seeded_runs)
+                      checked_words=len(symbolic.mixed), seeded_runs=seeded_runs,
+                      resumed_at=None if symbolic.start is None else symbolic.start.steps)

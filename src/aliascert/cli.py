@@ -42,6 +42,8 @@ def _load(path: str) -> Program:
             return parse_program(fh.read())
     except OSError as e:
         raise _UsageError(f"error: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _UsageError(f"error: {path}: {e}") from e
     except (AsmSyntaxError, DuplicateLabel) as e:
         raise _UsageError(f"parse error: {e}") from e
 
@@ -230,6 +232,8 @@ def cmd_diff(args) -> int:
         print(f"  seed {d.seed}: {d.reason}")
     if len(rep.divergences) > 10:
         print(f"  ... and {len(rep.divergences) - 10} more")
+    if rep.resumed_at is not None:
+        print(f"clean run: {rep.clean.steps} steps, resumed at step {rep.resumed_at}")
     print(f"seeds settled by {_settlement(rep)}")
     return EXIT_OK if rep.ok else EXIT_FAIL
 

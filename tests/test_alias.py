@@ -17,7 +17,7 @@ from aliascert._engine import build_image
 from aliascert.machine import run
 from aliascert.machine import DEFAULT_FUEL, M32
 
-from genprogs import generate_program
+from genprogs import generate_program, generate_source, mutate_source
 
 
 # salted words as (lo, hi): the arithmetic word and its calculation tag,
@@ -154,13 +154,14 @@ def _seeded_sweep(program, seeds: int) -> DiffReport:
 
 @pytest.fixture
 def clean_runs(monkeypatch):
-    """The images `_engine.run_clean_image` runs, in call order."""
+    """How each call of `_engine.run_clean_image` ran, in call order:
+    "full" from step 0, or "resumed" from a symbolic run's state."""
     calls = []
     clean_loop = _engine.run_clean_image
 
-    def counted(image, fuel):
-        calls.append(image)
-        return clean_loop(image, fuel)
+    def counted(image, fuel, start=None):
+        calls.append("full" if start is None else "resumed")
+        return clean_loop(image, fuel, start)
 
     monkeypatch.setattr(_engine, "run_clean_image", counted)
     return calls
@@ -189,11 +190,13 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkey
         reference = _seeded_sweep(p, 30)
         del seeded[:], clean_runs[:]
         assert diff_runs(p, seeds=30) == reference
+        assert "full" not in clean_runs
         fallbacks += len(seeded)
         without_clean_run += not clean_runs
     if bits == 8:
         assert 0 < fallbacks < 30 * len(programs)
-    # the symbolic run stands for the clean run on some programs, not all
+    # the symbolic run stands for the clean run on some programs, not all;
+    # no sweep runs the clean machine from step 0
     assert 0 < without_clean_run < len(programs)
 
 
@@ -268,7 +271,8 @@ def test_sweep_runs_the_clean_machine_only_when_needed(name, expected, corpus_pr
     # string both as an array and along the string chain; the endless loop
     # loads nothing, so its failed symbolic run is the failed clean run.
     # The other two reload a word through sp after another calculation
-    # wrote it
+    # wrote it, so the clean machine resumes from the symbolic run's state
+    # before that reload, never from step 0
     p = corpus_programs.get(name) or parse_program(
         {"two_calculations": _TWO_CALCULATIONS, "lane_overwrite": _LANE_OVERWRITE,
          "endless": _ENDLESS}[name])
@@ -277,14 +281,15 @@ def test_sweep_runs_the_clean_machine_only_when_needed(name, expected, corpus_pr
             diff_runs(p, seeds=5, fuel=1000)
     else:
         diff_runs(p, seeds=5)
-    assert len(clean_runs) == expected
+    assert clean_runs == ["resumed"] * expected
 
 
 @pytest.mark.parametrize("bits", [32, 8, 3])
 def test_load_of_a_lane_another_calculation_wrote(bits, clean_runs, monkeypatch):
     # the reload through sp reads a lane the byte store wrote through
-    # another calculation: the sweep keeps its clean run, and seeds whose
-    # narrow tags merge the two calculations agree with the clean run
+    # another calculation: the sweep resumes the clean machine before that
+    # reload, and seeds whose narrow tags merge the two calculations agree
+    # with the clean run
     monkeypatch.setattr(_engine, "TAG_MASK", (1 << bits) - 1)
     p = parse_program(_LANE_OVERWRITE)
     symbolic = _engine.run_symbolic_image(build_image(p), DEFAULT_FUEL)
@@ -293,13 +298,42 @@ def test_load_of_a_lane_another_calculation_wrote(bits, clean_runs, monkeypatch)
     assert run(p).regs[2] == 0x01024104
     del clean_runs[:]
     rep = diff_runs(p, seeds=30)
-    assert len(clean_runs) == 1
+    assert clean_runs == ["resumed"]
     assert rep == _seeded_sweep(p, 30)
     if bits == 32:
         assert [d.reason for d in rep.divergences] == \
             ["register 2 ends 0x01020304 vs clean 0x01024104"] * 30
     if bits == 3:
         assert 0 < len(rep.divergences) < 30
+
+
+def test_resumed_clean_run_equals_the_full_run(corpus_programs):
+    # the clean machine resumed from the symbolic run's state before its
+    # first load that is not self-sourced: that load misses in
+    # foo_bad_caller and most mutants, hits in the two calculations and
+    # the lane overwrite (whose resumed memory merges two writers' lanes),
+    # and after the byte store of `_NOINIT_AFTER_STORE` reads lanes of a
+    # `noinit` blob nobody wrote.  Fuel ends the runs before that load,
+    # at it and after it
+    sources = [_TWO_CALCULATIONS, _LANE_OVERWRITE, _NOINIT_AFTER_STORE]
+    sources += [_overwritten_words(base, 6) for base in
+                ("addiu t1 sp 0", "addu t1 sp zero", "nand t1 sp sp\n  nand t1 t1 t1")]
+    sources += [mutate_source(generate_source(s, n), s) for s in range(200) for n in (24, 64)]
+    programs = [corpus_programs["foo_bad_caller"]] + [parse_program(s) for s in sources]
+    resumed = hits = 0
+    for p in programs:
+        image = build_image(p)
+        start = _engine.run_symbolic_image(image, DEFAULT_FUEL).start
+        if start is None:
+            continue
+        for fuel in sorted({1, max(start.steps, 1), start.steps + 1, DEFAULT_FUEL}):
+            symbolic = _engine.run_symbolic_image(image, fuel)
+            assert (symbolic.start is not None) == (fuel > start.steps)
+            assert _engine.clean_outcome(image, fuel, symbolic) == \
+                _engine.run_clean_image(image, fuel)
+            resumed += symbolic.start is not None
+            hits += symbolic.start is not None and symbolic.outcome.steps > start.steps + 1
+    assert resumed > 60 and hits >= 6
 
 
 def test_noinit_blob_is_preloaded_on_the_clean_machine_only():

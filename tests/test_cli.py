@@ -151,6 +151,16 @@ def test_diff_says_how_its_seeds_were_settled(monkeypatch, capsys):
     assert line and 0 < int(line.group(1)) == 40 - diverged
 
 
+def test_diff_says_where_its_clean_run_came_from(capsys):
+    # foo_bad_caller.s resumes the clean machine before its reload of ra,
+    # after 8 steps; hello.s's symbolic run stands for its clean run
+    assert main(["diff", str(corpus_path("foo_bad_caller.s")), "--seeds", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "\nclean run: 11 steps, resumed at step 8\nseeds settled by" in out
+    assert main(["diff", str(corpus_path("hello.s")), "--seeds", "10"]) == 0
+    assert "clean run:" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
 def test_unknown_entry_exits_two(command, capsys):
     assert main([command, str(corpus_path("hello.s")), "--entry", "nosuch"]) == 2
@@ -262,6 +272,17 @@ def test_code_after_data_exits_two(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: line 3: ")
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_source_not_utf8_exits_two(command, tmp_path, capsys):
+    src = tmp_path / "p.s"
+    src.write_bytes(b"\xff\xfe\x00")
+    assert main([command, str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {src}: 'utf-8' codec can't decode byte 0xff "
+                            "in position 0: invalid start byte\n")
 
 
 # small alphabets of the dialect's own pieces, well and badly formed

@@ -34,9 +34,9 @@ def test_certified_program_is_settled_by_one_run(seed, size):
             runs.append(("seeded", seed))
         return loop(image, fuel, seed, salt, blobs, *rest)
 
-    def clean(image, fuel):
-        runs.append(("clean",))
-        return clean_loop(image, fuel)
+    def clean(image, fuel, start=None):
+        runs.append(("clean", "full" if start is None else "resumed"))
+        return clean_loop(image, fuel, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "_run", seeded)
