@@ -90,11 +90,12 @@ calculations that key each word such a load reads: the load's cell
 then holds the writes through its own calculation only, as in the
 symbolic run, and a miss stays a miss.  `run_alias_image` given the
 symbolic run checks this for its seed over the few calculations
-concerned, decoded once by the symbolic run, and runs the seeded loop
-only on a collision.  A seed's tag of a calculation is :func:`tag`
-applied to the tags of its inputs, so the check evaluates it from that
-numbering alone; the tag 0 of the zero register, of byte stores and of
-preloaded data is a literal, not a calculation.
+concerned, which the symbolic run keeps as their interned keys, and runs
+the seeded loop only on a collision.  A seed's tag of a calculation is
+:func:`tag` applied to the tags of its inputs, and a key names each
+salted input by its id, so the check folds every tag from the bits of
+its key, oldest first; the tag 0 of the zero register, of byte stores
+and of preloaded data is a literal, not a calculation.
 
 Callers look the entry points up in this module at call time, so a
 profiler can wrap them here.
@@ -338,18 +339,16 @@ class SymbolicRun:
     ``start`` is None.  Otherwise ``start`` is the clean machine's state
     just before the first of those loads, where its clean run resumes.
 
-    ``calcs`` lists every calculation that ``groups`` reaches through its
-    inputs, oldest first, as five flat fields ``domain, p, x, q, y`` (no
-    tuple per calculation keeps it small): the tag of the calculation at
-    position n is ``fold(fold(root(seed, domain), t[p] << 32 | x),
-    t[q] << 32 | y)``, the second fold only when ``q`` is not None,
-    where ``t[0]`` is the literal tag 0 and ``t[n]`` the tag at position
-    n, counted from 1.  An unsalted input is ``x`` or ``y`` whole with
-    position 0.  Each group holds the positions of the effective
-    addresses, two or more, that key one word of ``mixed``."""
+    ``closure`` maps the id of every calculation that ``groups`` reaches
+    through its inputs, oldest first, to its interned key: the domain in
+    bits 0-7, the first input in bits 8-71 and the second, if any, in
+    bits 72-135, a salted input holding its id as its tag (bits 40-71 or
+    104-135), and the id 0 standing for the literal tag 0.  Each group
+    holds the ids of the effective addresses, two or more, that key one
+    word of ``mixed``."""
 
     outcome: RunOutcome
-    calcs: list[int | None]
+    closure: dict[int, int]
     groups: tuple[tuple[int, ...], ...]
     mixed: frozenset[int]
     start: CleanStart | None = None
@@ -358,56 +357,7 @@ class SymbolicRun:
 def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     """The aliasing machine with one tag per distinct calculation: ids 1,
     2, 3, ... in creation order, so no two calculations collide."""
-    mixed: set[int] = set()
-    snapshot: list[CleanStart] = []
-    outcome, ids = _run_interned(image, fuel, mixed, snapshot)
-    if not mixed:
-        return SymbolicRun(outcome, [], (), frozenset())
-    # every effective address keys or probes a cell of its word, lo + imm
-    words: dict[int, list[int]] = {w: [] for w in mixed}
-    for k, i in ids.items():
-        if k & 0xFF == T_EA:
-            g = words.get((((k >> 8) & M32) + (k >> 72)) & M32 & ~3)
-            if g is not None:
-                g.append(i)
-    groups = [g for g in words.values() if len(g) > 1]
-    del words  # freed before the closure's tables grow
-    # the inputs of a calculation are older than it, so one walk down
-    # from the newest id collects the closure, however long the chains
-    pos = dict.fromkeys(i for g in groups for i in g)
-    for k, i in reversed(ids.items()):
-        if i in pos:
-            salted = _INPUTS[k & 0xFF][1]
-            if salted:
-                pos[(k >> 40) & M32] = None
-            if salted == 2:
-                pos[k >> 104] = None
-    # then one walk up numbers the closure in place, after the literal 0
-    pos[0] = 0
-    calcs = []
-    for k, i in ids.items():
-        if i in pos:
-            domain = k & 0xFF
-            n, salted = _INPUTS[domain]
-            a, b = (k >> 8) & M64, k >> 72
-            p, x = (pos[a >> 32], a & M32) if salted else (0, a)
-            q, y = (pos[b >> 32], b & M32) if salted == 2 else (0 if n == 2 else None, b)
-            calcs += domain, p, x, q, y
-            pos[i] = len(calcs) // 5
-    return SymbolicRun(outcome, calcs, tuple(tuple(pos[i] for i in g) for g in groups),
-                       frozenset(mixed), snapshot[0])
-
-
-def _run_interned(image: Image, fuel: int, mixed: set[int],
-                  snapshot: list[CleanStart]) -> tuple[RunOutcome, dict[int, int]]:
-    """The symbolic run, adding to ``mixed`` the words of the loads that
-    are not self-sourced and to ``snapshot`` the clean machine's state before
-    the first of them, and its table from the key of each calculation
-    to its id, in creation order.  A key holds the domain in bits 0-7,
-    the first input in bits 8-71 and the second, if any, in bits 72-135,
-    so a salted input's tag starts at bit 40 or 104.  One int per key
-    keeps the table small."""
-    ids: dict[int, int] = {}
+    ids: dict[int, int] = {}  # interned key -> id; one int per key keeps it small
 
     def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
         key = ((b & M64) << 64 | (a & M64)) << 8 | domain
@@ -416,23 +366,48 @@ def _run_interned(image: Image, fuel: int, mixed: set[int],
             i = ids[key] = len(ids) + 1
         return i
 
+    mixed: set[int] = set()
+    snapshot: list[CleanStart] = []
     outcome = _run(image, fuel, 0, intern, _initialized(image), mixed, None, snapshot)
-    return outcome, ids
+    if not mixed:
+        return SymbolicRun(outcome, {}, (), frozenset())
+    # every effective address keys or probes a cell of its word, lo + imm
+    words: dict[int, list[int]] = {w: [] for w in mixed}
+    for k, i in ids.items():
+        if k & 0xFF == T_EA:
+            g = words.get((((k >> 8) & M32) + (k >> 72)) & M32 & ~3)
+            if g is not None:
+                g.append(i)
+    groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
+    # the inputs of a calculation are older than it, so one walk down
+    # from the newest id collects the closure, however long the chains
+    need = {i for g in groups for i in g}
+    for k, i in reversed(ids.items()):
+        if i in need:
+            salted = _INPUTS[k & 0xFF][1]
+            if salted:
+                need.add((k >> 40) & M32)
+            if salted == 2:
+                need.add(k >> 104)
+    closure = {i: k for k, i in ids.items() if i in need}
+    return SymbolicRun(outcome, closure, groups, frozenset(mixed), snapshot[0])
 
 
-def _seed_tags(symbolic: SymbolicRun, seed: int) -> list[int]:
-    """``seed``'s tag of every calculation of ``symbolic.calcs`` by
-    position, after the literal tag 0, evaluated from the oldest up with
-    one root per domain."""
+def _seed_tags(symbolic: SymbolicRun, seed: int) -> dict[int, int]:
+    """``seed``'s tag of every calculation of ``symbolic.closure`` by id,
+    and the literal tag 0 at id 0, evaluated from the oldest up with one
+    root per domain."""
     roots = {d: root(seed, d) for d in _INPUTS}
     mask = TAG_MASK
-    t = [0]
-    it = iter(symbolic.calcs)
-    for d, p, x, q, y in zip(it, it, it, it, it):
-        h = fold(roots[d], t[p] << 32 | x)
-        if q is not None:
-            h = fold(h, t[q] << 32 | y)
-        t.append(h & mask)
+    t = {0: 0}
+    for i, k in symbolic.closure.items():
+        d = k & 0xFF
+        n, salted = _INPUTS[d]
+        a, b = (k >> 8) & M64, k >> 72
+        h = fold(roots[d], t[a >> 32] << 32 | a & M32 if salted else a)
+        if n == 2:
+            h = fold(h, t[b >> 32] << 32 | b & M32 if salted == 2 else b)
+        t[i] = h & mask
     return t
 
 
@@ -473,13 +448,12 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
     base, end = BASE_ADDRESS, BASE_ADDRESS + 4 * len(image.code)
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
-    halted = False
     exit_reason = None
     error = error_pc = None
 
     while True:
         if pc == RETURN_SENTINEL:
-            halted, exit_reason = True, "returned"
+            exit_reason = "returned"
             break
         if steps >= fuel:
             error, error_pc = "FuelExhausted", pc
@@ -497,7 +471,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
                 if off == PRINT_OFFSET:
                     out.append(lo[a] & 0xFF)
                 elif off == HALT_OFFSET:
-                    halted, exit_reason = True, "halt-device"
+                    exit_reason = "halt-device"
                     break
                 pc += 4
                 continue
@@ -593,6 +567,5 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
             continue
         pc += 4  # nop
 
-    return RunOutcome(regs=lo, output=bytes(out), halted=halted, steps=steps,
-                      faults=faults, error=error, error_pc=error_pc,
-                      exit_reason=exit_reason)
+    return RunOutcome(regs=lo, output=bytes(out), steps=steps, faults=faults,
+                      error=error, error_pc=error_pc, exit_reason=exit_reason)

@@ -41,6 +41,10 @@ class UnresolvedVariable(AnnotError):
     pass
 
 
+class Misaligned(AnnotError):
+    pass
+
+
 @dataclass(frozen=True)
 class OutOfBounds(AnnotError):
     offset: int
@@ -126,10 +130,6 @@ class SetVar:
 OffsetSet = Union[Offsets, SetVar]
 
 NO_OFFSETS = Offsets(frozenset())
-
-
-def offsets(*ks: int) -> Offsets:
-    return Offsets(frozenset(ks))
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +261,26 @@ def check_read(t: AnnotatedType, k: int, w: int = WORD) -> None:
         raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
     if k not in t.offs.members:
         raise ReadBeforeWrite(k)
+
+
+# The machine faults on a word access off a word boundary.  The stack and
+# every data blob start on one, so the pointers built from them stay on
+# one while each pushed frame and each string step is a whole number of
+# words, and a word access then needs only a whole-word offset.
+
+
+def check_frame(n: int) -> None:
+    if n % WORD:
+        raise Misaligned(f"frame {n} is not a multiple of {WORD}")
+
+
+def check_aligned(t: AnnotatedType, k: int, w: int = WORD) -> None:
+    """A ``w``-byte access at ``k`` through ``t`` stays on a word boundary."""
+    if w == WORD and k % WORD:
+        raise Misaligned(f"word offset {k} is not a multiple of {WORD}")
+    if w == WORD and isinstance(t, Calc) and isinstance(t.tower, Rep) and t.tower.step % WORD:
+        raise Misaligned(f"word access through string step {t.tower.step}, "
+                         f"not a multiple of {WORD}")
 
 
 # --------------------------------------------------------------------------

@@ -70,8 +70,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .annot import (C0, U0, AnnotError, Calc, Rep, Subst, UnifyMismatch, Uncalc, apply_subst,
-                    check_read, record_write)
+from .annot import (C0, U0, AnnotError, Calc, Rep, Subst, UnifyMismatch, Uncalc, check_aligned,
+                    check_frame, check_read, record_write)
 from .annotation import Annotation, unify_annotations
 from .disasm import (
     BYTE_OPS,
@@ -191,12 +191,10 @@ class _Choice:
     ann: Annotation
     alts: list[StackInstr]
     next: int                     # index of the next reading to try
-    last_err: CertError | None
     mark: int                     # journal length when the visit began
     subst: Subst
     exit_ann: Annotation | None
     pending: tuple | None
-    conf: frozenset[int]          # open choices the failed readings depended on
 
 
 _NO_CONFLICTS: frozenset[int] = frozenset()
@@ -322,7 +320,9 @@ class _Walk:
                 last_err: CertError | None, conf: frozenset[int]):
         """Take the first reading from ``alts[i:]`` whose own step succeeds,
         leaving a choice open when readings remain after it.  ``conf`` holds
-        the open choices that the readings before ``i`` failed on."""
+        the open choices that the readings before ``i`` failed on.  No
+        instruction has more than two readings, so a choice is opened only
+        before the first, with no failed readings to carry."""
         reasons: list[str] = []
         choices = self.choices
         engine = self.engine
@@ -332,8 +332,8 @@ class _Walk:
             i += 1
             stats.readings += 1
             if i < len(alts):
-                choices.append(_Choice(addr, ann, alts, i, last_err, len(self.journal),
-                                       self.subst, self.exit_ann, self.pending, conf))
+                choices.append(_Choice(addr, ann, alts, i, len(self.journal),
+                                       self.subst, self.exit_ann, self.pending))
             try:
                 step = self._take(addr, ann, s)
             except PatternMismatch as e:
@@ -341,7 +341,7 @@ class _Walk:
             except CertError as e:
                 last_err = e
             else:
-                if conf and i == len(alts):
+                if conf:
                     self.carried[addr] = conf
                 return step
             if i < len(alts):
@@ -359,15 +359,12 @@ class _Walk:
         op = s.op
         rows = self.rows
         if op == "gosub":
-            post, callee_key = self.engine._gosub(addr, s, ann, len(rows), self.subst,
-                                                  self.call_stack)
+            post, callee_key = self.engine._gosub(addr, s, ann, len(rows), self.call_stack)
             self._insert(addr, Row(ann, s, post, callee=callee_key))
             return addr + 4, post
 
         if op == "return":
             t = ann.reg(s.rd)
-            if t is not None:
-                t = apply_subst(t, self.subst)
             if t != U0:
                 raise self.engine._record(len(rows), Failure(
                     addr, str(s), "ReturnRegisterNotU0",
@@ -436,8 +433,6 @@ class _Walk:
             pending.add(p[0])
             p = p[3]
         out: set[int] = set()
-        for c in choices:
-            out |= c.conf
         k = len(choices) - 1
         for pos in range(len(journal) - 1, -1, -1):
             a = journal[pos]
@@ -484,12 +479,12 @@ class _Walk:
             del choices[t:]
             self._undo(c.mark)
             self.subst, self.exit_ann, self.pending = c.subst, c.exit_ann, c.pending
-            c.conf = c.conf | (conf & self._open())
+            conf &= self._open()
             try:
-                return self._choose(c.addr, c.ann, c.alts, c.next, err, c.conf)
+                return self._choose(c.addr, c.ann, c.alts, c.next, err, conf)
             except CertError as e:
                 err = e
-            conf = c.conf | self._conflicts(c.addr, c.ann.star)
+            conf |= self._conflicts(c.addr, c.ann.star)
 
 
 class _Engine:
@@ -542,7 +537,8 @@ class _Engine:
     # -- the refined calling convention ---------------------------------------
 
     def _gosub(self, site: int, s: StackInstr, ann: Annotation,
-               depth: int, subst: Subst, call_stack: tuple[int, ...]):
+               depth: int, call_stack: tuple[int, ...]):
+        """The call ``s`` under ``ann``, which the walk has substituted."""
         star = ann.star
         if star is None:  # the pre-pattern of gosub
             raise PatternMismatch(str(s), "no register holds the stack pointer")
@@ -557,8 +553,6 @@ class _Engine:
         # the callee sees the caller's registers, a fresh return address, and
         # an empty local frame in the same stack-pointer register
         entry = ann.set_reg(RA, U0).set_reg(star, C0).with_slots()
-        if subst:
-            entry = entry.substituted(subst)
         try:
             cert = self.certify_routine(callee_addr, entry, call_stack)
         except CertError as e:
@@ -634,7 +628,8 @@ def certify_program(program: Program, entry: str | None = None,
                                    "calls nest deeper than Python's stack allows")],
                           engine.stats)
     except CertError as e:
-        failure = engine.deepest[1] if engine.deepest else e.failure
+        # every CertError comes from _record, so a deepest failure is set
+        failure = engine.deepest[1]
         verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE
         return CertReport(verdict, theory, [failure], engine.stats)
     theory.entry_key = cert.key
@@ -646,10 +641,11 @@ def certify_program(program: Program, entry: str | None = None,
 
 
 def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
-    """Re-walk every chosen stack/heap access in a theory, confirming the
-    write-bound and read-after-write guards against the recorded
-    pre-annotations and enforcing the byte policy.  An empty result means
-    the theory exhibits only single-calculation addressing."""
+    """Re-walk every chosen stack/heap access and push in a theory,
+    confirming the write-bound, read-after-write and alignment guards
+    against the recorded pre-annotations and enforcing the byte policy.
+    An empty result means the theory exhibits only single-calculation
+    addressing."""
     _check_policy(policy)
     out: list[Failure] = []
     for cert in theory.routines.values():
@@ -659,21 +655,20 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
                 reason = _byte_policy_reason(s, row.pre, policy)
                 if reason is not None:
                     out.append(Failure(addr, str(s), "BytePolicyForbidden", reason))
-            if s.op not in READ_OPS and s.op not in WRITE_OPS:
-                continue
-            if s.op in STACK_ACCESS:
-                base = row.pre.star_type()
-            else:
-                base = row.pre.reg(s.rs)
-            if base is None:
-                out.append(Failure(addr, str(s), "MissingBase",
-                                   "no type for the base register"))
-                continue
             try:
-                if s.op in WRITE_OPS:
-                    record_write(base, s.n, s.width())
-                else:
-                    check_read(base, s.n, s.width())
+                if s.op == "push":
+                    check_frame(s.n)
+                elif s.op in READ_OPS or s.op in WRITE_OPS:
+                    base = row.pre.star_type() if s.op in STACK_ACCESS else row.pre.reg(s.rs)
+                    if base is None:
+                        out.append(Failure(addr, str(s), "MissingBase",
+                                           "no type for the base register"))
+                        continue
+                    if s.op in WRITE_OPS:
+                        record_write(base, s.n, s.width())
+                    else:
+                        check_read(base, s.n, s.width())
+                    check_aligned(base, s.n, s.width())
             except AnnotError as e:
                 kind = type(e).__name__
                 out.append(Failure(addr, str(s), kind, str(e)))

@@ -72,12 +72,15 @@ def serialize_annotation(a: Annotation,
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# a type variable, or a tower or size with its optional offsets suffix:
+# ``{}``, comma-separated numbers in braces, or an offset-set variable
 _TYPE_RE = re.compile(
     r"""^(?:
         \?(?P<tvar>%(n)s)
-      | c\^\[(?P<frames>\d+(?:,\d+)*)\](?P<coffs>!(?:\{\d*(?:,\d+)*\}|\?%(n)s))?
-      | c\^rep\((?P<step>\d+)\)(?P<roffs>!(?:\{\d*(?:,\d+)*\}|\?%(n)s))?
-      | u\^(?P<size>\d+)(?P<uoffs>!(?:\{\d*(?:,\d+)*\}|\?%(n)s))?
+      | (?: c\^\[(?P<frames>\d+(?:,\d+)*)\]
+          | c\^rep\((?P<step>\d+)\)
+          | u\^(?P<size>\d+)
+        )(?P<offs>!(?:\{(?:\d+(?:,\d+)*)?\}|\?%(n)s))?
     )$""" % {"n": _NAME},
     re.VERBOSE,
 )
@@ -89,24 +92,22 @@ def parse_type(text: str) -> AnnotatedType:
         raise ValueError(f"malformed annotated type {text!r}")
     if m.group("tvar"):
         return TypeVar(m.group("tvar"))
+    offs = _parse_offs(m.group("offs"))
     if m.group("size") is not None:
-        return Uncalc(int(m.group("size")), _parse_offs(m.group("uoffs")))
+        return Uncalc(int(m.group("size")), offs)
     if m.group("step") is not None:
-        return Calc(Rep(int(m.group("step"))), _parse_offs(m.group("roffs")))
-    frames = tuple(int(f) for f in m.group("frames").split(","))
-    return Calc(Finite(frames), _parse_offs(m.group("coffs")))
+        return Calc(Rep(int(m.group("step"))), offs)
+    return Calc(Finite(tuple(int(f) for f in m.group("frames").split(","))), offs)
 
 
 def _parse_offs(suffix: str | None):
+    """The offsets of a suffix ``_TYPE_RE`` matched: ``!?name``, or
+    ``!{...}`` holding no numbers or comma-separated ones."""
     if not suffix:
         return Offsets(frozenset())
-    body = suffix[1:]  # strip '!'
-    if body.startswith("?"):
-        return SetVar(body[1:])
-    inner = body[1:-1]  # strip braces
-    if not inner:
-        return Offsets(frozenset())
-    return Offsets(frozenset(int(k) for k in inner.split(",")))
+    if suffix[1] == "?":
+        return SetVar(suffix[2:])
+    return Offsets(frozenset(int(k) for k in suffix[2:-1].split(",") if k))
 
 
 _BINDING_RE = re.compile(

@@ -46,7 +46,6 @@ class Fault:
 class RunOutcome:
     regs: list[int]                 # final 32-bit values (lo words)
     output: bytes
-    halted: bool
     steps: int
     faults: list[Fault] = field(default_factory=list)
     error: str | None = None
@@ -55,6 +54,10 @@ class RunOutcome:
 
     @property
     def ok(self) -> bool:
+        return self.error is None
+
+    @property
+    def halted(self) -> bool:  # by a return or the halt device: every run without error
         return self.error is None
 
 
@@ -185,7 +188,6 @@ def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL,
     resolve = program.resolve
     while not st.halted:
         if st.pc == RETURN_SENTINEL:
-            st.halted = True
             exit_reason = "returned"
             break
         if steps >= fuel:
@@ -201,8 +203,7 @@ def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL,
         except MachineError as e:
             error, error_pc = e.kind, e.pc
             break
-    if st.halted and exit_reason is None:
+    if st.halted:
         exit_reason = "halt-device"
-    return RunOutcome(regs=list(st.regs), output=bytes(st.output), halted=st.halted,
-                      steps=steps, error=error, error_pc=error_pc,
-                      exit_reason=exit_reason)
+    return RunOutcome(regs=list(st.regs), output=bytes(st.output), steps=steps,
+                      error=error, error_pc=error_pc, exit_reason=exit_reason)

@@ -18,6 +18,8 @@ from .annot import (
     Offsets,
     Rep,
     Uncalc,
+    check_aligned,
+    check_frame,
     check_read,
     pop_frame,
     push_frame,
@@ -116,6 +118,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         st = _need_star(s, a)
         try:
             new = push_frame(st, s.n)
+            check_frame(s.n)
         except AnnotError as e:
             _fail(s, str(e))
         return a.set_reg(a.star, new).with_slots()
@@ -158,6 +161,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         val = _need_reg(s, a, s.rd)
         try:
             new = record_write(st, s.n, s.width())
+            check_aligned(st, s.n, s.width())
         except AnnotError as e:
             _fail(s, str(e))
         stored = val if op == "put" else C0  # a byte store leaves plain data
@@ -169,6 +173,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         _need_writable(s, s.rd)
         try:
             check_read(st, s.n, s.width())
+            check_aligned(st, s.n, s.width())
         except AnnotError as e:
             _fail(s, str(e))
         stored = a.slot(s.n)
@@ -190,6 +195,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
             _fail(s, f"stored value {reg_name(s.rd)} must be calculated, got {val}")
         try:
             new = record_write(base, s.n, s.width())
+            check_aligned(base, s.n, s.width())
         except AnnotError as e:
             _fail(s, str(e))
         return a.set_reg(s.rs, new)
@@ -206,6 +212,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
                 _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
         try:
             check_read(base, s.n, s.width())
+            check_aligned(base, s.n, s.width())
         except AnnotError as e:
             _fail(s, str(e))
         return a.set_reg(s.rd, C0)  # heap loads yield plain data

@@ -12,6 +12,7 @@ from aliascert.annot import (
     Finite,
     FrameMismatch,
     ImmutableValue,
+    Misaligned,
     NonPositiveFrame,
     NotStackLike,
     Offsets,
@@ -21,6 +22,8 @@ from aliascert.annot import (
     TypeVar,
     Uncalc,
     calc,
+    check_aligned,
+    check_frame,
     check_read,
     pop_frame,
     push_frame,
@@ -171,6 +174,22 @@ def test_bound_matches_bruteforce_enumeration():
             assert admitted == set()
         else:
             assert admitted == set(range(0, max(bound - w, -1) + 1))
+
+
+def test_word_access_stays_on_word_boundaries():
+    # every base starts word-aligned: a word offset, a pushed frame and a
+    # string's step must each be whole words; a byte access goes anywhere
+    for t in (calc(8, 0), uncalc(8), rep(4), rep(3)):
+        check_aligned(t, 2, 1)
+    for t in (calc(8, 0), uncalc(8), rep(4), rep(8)):
+        check_aligned(t, 4)
+        with pytest.raises(Misaligned, match="^word offset 2 is not a multiple of 4$"):
+            check_aligned(t, 2)
+    with pytest.raises(Misaligned, match="^word access through string step 6, not a multiple"):
+        check_aligned(rep(6), 0)
+    check_frame(8)
+    with pytest.raises(Misaligned, match="^frame 7 is not a multiple of 4$"):
+        check_frame(7)
 
 
 def test_c0_and_u0_are_accessless():

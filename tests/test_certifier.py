@@ -428,6 +428,18 @@ _T0 = "#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, t0=c^[0]\nmain:\n"
      "addop t0 sp t1: register sp holds the stack pointer"),
     ("  addiu t0 t1 4\n  jr ra\n",
      "NoDisassembly at 0x00400000 [addiu t0 t1 4]: addaiu t0 t1 4: register t1 is unbound"),
+    # the callee loops forever, so the call has no continuation
+    ("  move gp ra\n  jal f\n  move ra gp\n  jr ra\nf:\n  j f\n",
+     "CalleeUnsafe at 0x00400004 [gosub f]: f never returns"),
+    # a word access off a word boundary: at an offset, below a frame that
+    # is no whole number of words, or through a string stepped by one
+    ("  move gp sp\n  addiu sp sp -8\n  sw ra 1(sp)\n  lw ra 1(sp)\n  move sp gp\n  jr ra\n",
+     "NoDisassembly at 0x00400008 [sw ra 1(sp)]: put ra 1: word offset 1 is not a multiple of 4"),
+    ("  move gp sp\n  addiu sp sp -6\n  sw t0 0(sp)\n  move sp gp\n  jr ra\n",
+     "NoDisassembly at 0x00400004 [addiu sp sp -6]: push 6: frame 6 is not a multiple of 4"),
+    ("  li t1 msg\n  addiu t1 t1 6\n  sw t0 0(t1)\n  jr ra\nmsg:\n  .bytes step=6\n",
+     "NoDisassembly at 0x00400008 [sw t0 0(t1)]: swth t0 0(t1): base t1 is not an array "
+     "pointer: c^rep(6); putx t0 0(t1): word access through string step 6, not a multiple of 4"),
 ])
 def test_failure_names_its_rule(body, failure):
     report = certify_program(parse_program(_T0 + body))

@@ -161,6 +161,20 @@ def test_diff_says_where_its_clean_run_came_from(capsys):
     assert "clean run:" not in capsys.readouterr().out
 
 
+def test_diff_reports_an_output_divergence(tmp_path, capsys):
+    # the reload through sp reads 'A' on every seed, where the clean run
+    # reads the 'B' stored through sp + 0, and prints it: no fault, no
+    # error, only the output differs
+    src = tmp_path / "print_reload.s"
+    src.write_text("#@ entry main\nmain:\n  li t0 65\n  sw t0 0(sp)\n  addiu t1 sp 0\n"
+                   "  li t0 66\n  sw t0 0(t1)\n  lw v0 0(sp)\n  li t2 0xB0000000\n"
+                   "  sb v0 0(t2)\n  jr ra\n")
+    assert main(["diff", str(src), "--seeds", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "clean output: b'B'\ndivergences: 3/3\n" + "".join(
+        f"  seed {s}: output b'A' vs clean b'B'\n" for s in (1, 2, 3)) in out
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
 def test_unknown_entry_exits_two(command, capsys):
     assert main([command, str(corpus_path("hello.s")), "--entry", "nosuch"]) == 2

@@ -17,7 +17,7 @@ from aliascert.disasm import (
     render_machine,
 )
 from aliascert.frontend import parse_program
-from aliascert.isa import GP, RA, SP, V0, Instruction, REG_INDEX
+from aliascert.isa import FORMATS, GP, RA, SP, V0, ZERO, DataBlob, Instruction, REG_INDEX
 from aliascert.smallstep import PatternMismatch, apply_smallstep
 
 A0 = REG_INDEX["a0"]
@@ -105,6 +105,24 @@ def test_access_sets_come_from_the_load_and_store_readings():
     assert WRITE_OPS == {"put", "putb", "putx", "putbx", "swth", "sbth"}
     assert BYTE_OPS == {"getb", "putb", "getbx", "putbx", "lbfh", "sbth"}
     assert STACK_ACCESS == {"get", "put", "getb", "putb"}
+
+
+def test_no_instruction_admits_a_third_reading():
+    # the search opens a choice only before an instruction's first
+    # reading, so no failed reading is ever carried by an open choice;
+    # that holds while every instruction, ``li`` included, has at most two
+    # readings at each placement of the stack pointer
+    blobs = {"s": DataBlob(b"ab\0"), "w": DataBlob(b"abcdefgh", step=4)}
+    pools = {"rd": (ZERO, T0, SP), "rs": (ZERO, T0, SP), "rt": (T0, SP), "imm": (-4, 0, 4),
+             "target": ("s", "w", 0x400000)}
+    most = 0
+    for op, fields in FORMATS.items():
+        names = [n for f in fields for n in (("imm", "rs") if f == "mem" else (f,))]
+        for values in itertools.product(*(pools[n] for n in names)):
+            i = Instruction(op, **dict(zip(names, values)))
+            for star in (None, T0, SP):
+                most = max(most, len(raw_alternatives(i, star, blobs)))
+    assert most == 2
 
 
 # -- the readings that apply (location, then small step) ---------------------

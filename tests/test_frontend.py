@@ -101,6 +101,19 @@ def test_pragmas_parse():
     assert ann.reg(RA) == uncalc(0)
 
 
+def _assume(bindings: str) -> str:
+    return f"#@ entry main\n#@ assume main{bindings}\nmain:\n  jr ra\n"
+
+
+def _code(line: str) -> str:
+    return f"#@ entry main\nmain:\n  {line}\n  jr ra\nmsg:\n  .bytes 1\n"
+
+
+def _data(body: str) -> str:
+    return f"#@ entry main\nmain:\n  jr ra\nmsg:\n  .bytes {body}\n"
+
+
+# every input error names its line, pragmas first, then operands and data
 @pytest.mark.parametrize("source, message", [
     ("#@ entry main\nmain:\n  nop\n#@ entry main\n",
      "line 4: second entry pragma; the entry is 'main'"),
@@ -108,6 +121,20 @@ def test_pragmas_parse():
      "line 4: second assume pragma for 'main'"),
     ("main:\n  jr ra\n#@ entry msg\nmsg:\n  .bytes 1 2\n",
      "line 3: entry label 'msg' does not mark an instruction"),
+    (_assume(": sp*=c^[0]!{,4}"), "line 2: malformed annotated type 'c^[0]!{,4}'"),
+    (_assume(": sp*=c^[0]!{4,}"), "line 2: malformed annotated type 'c^[0]!{4,}'"),
+    (_assume(": sp*c^[0]"), "line 2: malformed binding 'sp*c^[0]'"),
+    (_assume(": xx=c^[0]"), "line 2: unknown register 'xx'"),
+    (_assume(" sp*=c^[0]"), "line 2: expected '#@ assume LABEL: bindings'"),
+    (_assume(": a0=c^rep(0)"), "line 2: repeating step must be >= 1"),
+    (_assume(": sp*=u^4"), "line 2: starred register must hold a finite stack type, got u^4"),
+    (_assume(": sp*=c^[8]!{0}, (4)=c^[0]"), "line 2: slot (4) bound outside written offsets {0}"),
+    (_assume(": (0)=c^[0]"), "line 2: slot bindings require a starred register"),
+    (_code("j 0x100000000"), "line 3: address 0x100000000 exceeds 32 bits"),
+    (_code("j 1abc"), "line 3: malformed label reference '1abc'"),
+    (_data('"ab\\'), "line 5: dangling escape in string"),
+    (_data('"a\\qb"'), "line 5: unknown escape \\q"),
+    (_data("1 2 step=0"), "line 5: step must be >= 1"),
 ])
 def test_pragma_error_names_its_line(source, message):
     with pytest.raises(AsmSyntaxError) as e:

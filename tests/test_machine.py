@@ -94,6 +94,7 @@ def test_engine_matches_step_reference(corpus_programs):
     # runs that end in an error, so that error_pc is compared too
     programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
         "  lw v0 0(sp)\n  jr ra\n",
+        "  lb v0 3(sp)\n  jr ra\n",
         "  addiu t0 sp 2\n  sw v0 0(t0)\n  jr ra\n",
         "  li t0 buf\n  lw v0 1(t0)\n  jr ra\nbuf:\n  .bytes 1 2 3 4 5 6 7 8\n",
         "  li t0 0xB0000000\n  lb v0 0(t0)\n  jr ra\n",
@@ -116,7 +117,12 @@ def test_engine_matches_step_reference(corpus_programs):
         assert fast.steps == slow.steps
         assert (fast.halted, fast.error, fast.error_pc, fast.exit_reason) == (
             slow.halted, slow.error, slow.error_pc, slow.exit_reason)
-    assert sum(run(p).error is not None for p in programs) == 5
+    assert sum(run(p).error is not None for p in programs) == 6
+    # a run out of fuel stops at the same step, on the same pc
+    endless = parse_program("#@ entry main\nmain:\n  addiu t0 t0 1\n  j main\n")
+    fast, slow = run(endless, fuel=25), run_by_steps(endless, fuel=25)
+    assert fast == slow
+    assert (fast.error, fast.error_pc, fast.steps) == ("FuelExhausted", 0x400004, 25)
     assert [run(p).error for p in edges] == [
         None, "DeviceReadUnsupported", None, "UninitializedRead"]
     assert run(edges[2]).regs[V0] == 0xB0000100

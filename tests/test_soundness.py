@@ -2,7 +2,8 @@
 accept the theory of a program the certifier calls SAFE, and each of its
 loads reads only bytes that the load's own calculation wrote, so one
 symbolic run settles every seed of a sweep and stands for the clean run
-(see the `_engine` docstring)."""
+(see the `_engine` docstring).  Nor does the clean run of a SAFE program,
+mutated or not, fault on a word access off a word boundary."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from aliascert import _engine, certify_program, check_program, check_safety, parse_program
 from aliascert.aliasing import diff_runs
-from aliascert.machine import DEFAULT_FUEL
+from aliascert.machine import DEFAULT_FUEL, run
 
-from genprogs import generate_source
+from genprogs import generate_source, mutate_source
 
 
 @settings(max_examples=100, derandomize=True, deadline=None,
@@ -44,3 +45,32 @@ def test_certified_program_is_settled_by_one_run(seed, size):
         rep = diff_runs(p, seeds=20)
     assert rep.ok and not runs
     assert (rep.checked_words, rep.seeded_runs) == (0, 0)
+
+
+# both ran clean into UnalignedWordAccess once certified SAFE: a word
+# stored and reloaded at offset 1, and a mutant whose frame is 7 bytes
+_MISALIGNED = [
+    ("#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -8\n  sw ra 1(sp)\n"
+     "  lw ra 1(sp)\n  move sp gp\n  jr ra\n", "sw ra 1(sp)"),
+    (mutate_source(generate_source(180, 24), 180), "addiu sp sp -7"),
+]
+
+
+@pytest.mark.parametrize("source, line", _MISALIGNED, ids=["offset", "frame"])
+def test_misaligned_word_access_is_unsafe(source, line):
+    p = parse_program(source)
+    assert run(p).error == "UnalignedWordAccess"
+    report = certify_program(p)
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    assert p.source_lines[failure.addr] == line
+    assert "not a multiple of 4" in failure.detail
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), size=st.sampled_from((24, 64)))
+def test_certified_mutant_never_faults_on_alignment(seed, size):
+    p = parse_program(mutate_source(generate_source(seed, size), seed))
+    assume(certify_program(p).safe)
+    assert run(p).error != "UnalignedWordAccess"

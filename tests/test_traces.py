@@ -18,7 +18,7 @@ from aliascert.annot import (
     uncalc,
 )
 from aliascert.annotation import Annotation
-from aliascert.certifier import RoutineCert, Theory, certify_program
+from aliascert.certifier import Row, RoutineCert, Theory, certify_program, check_safety
 from aliascert.disasm import StackInstr
 from aliascert.frontend import parse_program
 from aliascert.isa import REG_INDEX, SP, V0
@@ -270,6 +270,34 @@ def test_frame_growth_across_loop_flagged():
     theory = Theory(p, "main@x", {"main@x": cert})
     violations = check_program(theory)
     assert any(v.equation == "(*)" for v in violations)
+
+
+def test_return_through_a_plain_word_flagged():
+    # hand-build the theory the certifier refuses: ra holds no return address
+    p = parse_program("#@ entry main\nmain:\n  jr ra\n")
+    base = p.labels["main"]
+    a = Annotation.make(star=SP, regs={SP: C0, RA: C0, 0: C0})
+    cert = RoutineCert("main@x", "main", base, a, {base: Row(a, StackInstr("return", rd=RA), a)}, a)
+    violations = check_program(Theory(p, "main@x", {"main@x": cert}))
+    assert [str(v) for v in violations] == \
+        ["return at 0x00400000: jump register ra holds c^[0], not u^0"]
+
+
+def test_byte_store_and_reload_in_a_frame():
+    # putb and getb fold a byte mark on the stack pointer and plain data
+    # into the slot and the destination; only the permissive policy lets
+    # the stack take byte access
+    p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0, t0=c^[0]\nmain:\n"
+                      "  move gp sp\n  addiu sp sp -4\n  sb t0 0(sp)\n  lb v0 0(sp)\n"
+                      "  move sp gp\n  jr ra\n")
+    assert not certify_program(p).safe
+    report = certify_program(p, policy="permissive")
+    assert report.safe
+    cert = report.theory.routines[report.theory.entry_key]
+    assert [str(cert.rows[a].chosen) for a in sorted(cert.rows)] == \
+        ["cspt gp", "push 4", "putb t0 0", "getb v0 0", "rspf gp", "return"]
+    assert check_program(report.theory) == []
+    assert check_safety(report.theory, "permissive") == []
 
 
 def test_tower_mismatch_on_restore_flagged():
