@@ -2,14 +2,15 @@
 
 ``preload_digests.json`` holds, per family of data blobs and per salt,
 the sha256 of the memory ``_engine._preload`` builds and of the words it
-marks written, over a fixed grid: seeds 0 to 5 under the seeded salt at
+marks written, and apart from them (under ``.../writers``) the sha256 of
+the writers it records for each word's lanes, over a fixed grid: seeds 0 to 5 under the seeded salt at
 32-, 8- and 3-bit tags (narrow tags make distinct calculations collide,
 so cells merge), and the salt that tags every calculation 0.  The blob
 families are synthetic blobs of steps 1 to 9 and lengths 0 to 23 at each
 alignment, pairs of blobs that share a word, and the blobs of the corpus
 and of ``genprogs`` seeds 0 to 59 at sizes 12, 32 and 64.  Any change to
-which cells the loader fills, with what, or which words count as written
-shows up as a changed digest.
+which cells the loader fills, with what, which words count as written
+or which calculation wrote each lane shows up as a changed digest.
 
 Regenerate the fixture (only when a change to the preloaded memory is
 intended) with ``PYTHONPATH=src python tests/test_preload_digests.py``.
@@ -55,10 +56,11 @@ def _families():
     yield "programs", sorted({blobs for blobs in map(_program_blobs, sources) if blobs})
 
 
-def _digest(h, blobs, seed: int, salt) -> None:
+def _digest(h, writers, blobs, seed: int, salt) -> None:
     mem, written = _engine._preload(blobs, seed, salt)
     h.update(repr(sorted(mem.items())).encode() + b"\n")
     h.update(repr(sorted(written)).encode() + b"\n")
+    writers.update(repr(sorted(written.items())).encode() + b"\n")
 
 
 def compute_digests() -> dict[str, str]:
@@ -68,15 +70,17 @@ def compute_digests() -> dict[str, str]:
         for family, cases in _families():
             for bits in TAG_BITS:
                 _engine.TAG_MASK = (1 << bits) - 1
-                h = hashlib.sha256()
+                h, writers = hashlib.sha256(), hashlib.sha256()
                 for blobs in cases:
                     for seed in SEEDS:
-                        _digest(h, blobs, seed, _engine.tag)
+                        _digest(h, writers, blobs, seed, _engine.tag)
                 out[f"{family}/tag{bits}"] = h.hexdigest()
-            h = hashlib.sha256()
+                out[f"{family}/tag{bits}/writers"] = writers.hexdigest()
+            h, writers = hashlib.sha256(), hashlib.sha256()
             for blobs in cases:
-                _digest(h, blobs, 0, _zero_salt)
+                _digest(h, writers, blobs, 0, _zero_salt)
             out[f"{family}/zero"] = h.hexdigest()
+            out[f"{family}/zero/writers"] = writers.hexdigest()
     finally:
         _engine.TAG_MASK = saved
     return out
