@@ -1,9 +1,12 @@
 """The interpreter: one loop over a decoded program image, three salts.
 
 `build_image` decodes a program into the image the loop runs: each
-instruction as its mnemonic and up to three operands, each data blob as
-its address, bytes, step and whether it is initialized.  No other module
-reads that layout.
+instruction, keyed by its address, as its mnemonic and up to three
+operands, each data blob as its address, bytes, step and whether it is
+initialized.  No other module reads that layout.  The loop looks up its
+pc once a step; a pc that holds no instruction ends the run, as returned
+at the return sentinel, else as ``FuelExhausted`` when the fuel is spent,
+else as ``BadProgramCounter``.
 
 Under hardware aliasing a value is a salted word: its 32-bit arithmetic
 word (``lo``) plus a 32-bit tag (``hi``) recording *how* it was
@@ -18,7 +21,12 @@ disagree with overwhelming probability.  A tag is a :func:`root` per
 seed and domain, folded with each input in turn by :func:`fold`, so a
 check that evaluates many calculations of one seed computes each
 domain's root once and calls the same two functions.  ``TAG_MASK`` is
-the tag width, read at every call.
+the tag width, read at every call.  Every tag and every word the loop
+holds is below 2**32: words are taken modulo 2**32, a seeded tag is
+masked by ``TAG_MASK``, the clean tag is 0, and a symbolic tag numbers
+the calculations interned so far, far fewer than 2**32 in any run that
+fits in memory.  So the loop forms a salted word as ``hi << 32 | lo``,
+which is ``pack(hi, lo)`` without its masks.
 
 Memory is keyed by (tag, address) pairs, so that differently calculated
 aliases of one address select different cells: the hardware-aliasing
@@ -35,6 +43,16 @@ run has exact 32-bit semantics with no alias fault.  The two machines
 differ in one more way: the clean one preloads every data blob, the
 aliasing one only the initialized blobs.  `machine.step` is the
 independent single-step reference both runs are tested against.
+
+The clean machine's memory needs no chains (`_clean_memory`).  Under tag
+0 every store of the loader keys the cell ``(0, word)``, and each stores
+the blob's own bytes at their own addresses: a word when its span holds
+the whole aligned word, else one byte.  Whatever the chains, the cells
+end up holding each byte of each blob at its address, tagged 0, with 0
+in every lane no blob covers.  Blobs never overlap (the parser lays them
+out one after another), so a word two blobs share holds the lanes of
+both.  That is the memory every clean run starts from, at the entry or
+from a `CleanStart`; only the aliasing machines walk the chains.
 
 Beside the cells, the loop keeps for each written word the calculation
 (the tag of the effective address) that last wrote each of its four byte
@@ -76,14 +94,15 @@ Otherwise the same induction gives the clean machine's state just
 before the first load that is not self-sourced, and the clean run goes
 on from there (`CleanStart`), never from step 0: the symbolic run's pc,
 steps, output and register words, tag 0 on every register and key, and
-a flat memory.  That memory preloads every blob as the clean machine
-does, then overlays each lane the symbolic run's writers record from
-the cell of its last writer (any key of a loader tuple: each filled the
-lane with the same byte).  The clean machine's one cell of a word holds
-each lane's latest write over all calculations; the last writer's cell
-holds that writer's latest write, which is the same.  A lane nobody
-wrote keeps its ``noinit`` byte or 0.  Every word of the flat memory is
-written, by tag 0.  So a sweep costs one symbolic run plus the clean
+a flat memory.  That memory is the clean machine's memory of every
+blob, overlaid with each lane whose last writer the symbolic run
+records as one calculation, from that writer's cell.  The clean
+machine's one cell of a word holds each lane's latest write over all
+calculations; the last writer's cell holds that writer's latest write,
+which is the same.  A lane whose writer is a loader tuple was written by
+the loader only, so it holds the blob's byte, as the clean memory does;
+a lane nobody wrote keeps its ``noinit`` byte or 0.  Every word of the
+flat memory is written, by tag 0.  So a sweep costs one symbolic run plus the clean
 machine's steps from that load on.  A seed's run equals the symbolic
 run when its tags are distinct among the effective-address
 calculations that key each word such a load reads: the load's cell
@@ -156,21 +175,22 @@ def pack(hi: int, lo: int) -> int:
 
 @dataclass(frozen=True)
 class Image:
-    """A decoded program ready for interpretation, its code from
-    ``BASE_ADDRESS``."""
+    """A decoded program ready for interpretation, each instruction keyed
+    by its address."""
 
-    code: tuple[tuple[str, int, int, int], ...]  # (mnemonic, a, b, c)
+    code: dict[int, tuple[str, int, int, int]]  # address -> (mnemonic, a, b, c)
     blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
     entry_addr: int
 
 
 def build_image(program: Program, entry: str | None = None) -> Image:
-    """Decode a program into the flat form the interpreter consumes: each
-    instruction's mnemonic, then its operands in ``FORMATS`` order, ``mem``
-    as ``imm, rs``, targets resolved, padded with 0 to three operands."""
+    """Decode a program into the flat form the interpreter consumes: at
+    each instruction's address, its mnemonic, then its operands in
+    ``FORMATS`` order, ``mem`` as ``imm, rs``, targets resolved, padded
+    with 0 to three operands."""
     entry_addr = program.entry_address(entry)
-    code = []
-    for i in program.instructions:
+    code = {}
+    for n, i in enumerate(program.instructions):
         ops = [i.op]
         for f in FORMATS[i.op]:
             if f == "mem":
@@ -179,21 +199,16 @@ def build_image(program: Program, entry: str | None = None) -> Image:
                 ops.append(program.resolve(i.target))
             else:
                 ops.append(getattr(i, f))
-        code.append((*ops, *(0,) * (4 - len(ops))))
+        code[BASE_ADDRESS + 4 * n] = (*ops, *(0,) * (4 - len(ops)))
     blobs = tuple(
         (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
     )
-    return Image(code=tuple(code), blobs=blobs, entry_addr=entry_addr)
+    return Image(code=code, blobs=blobs, entry_addr=entry_addr)
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:
     return 0
-
-
-def _initialized(image: Image) -> list:
-    """The blobs the aliasing machine preloads."""
-    return [b for b in image.blobs if b[3]]
 
 
 def _preload(blobs, seed: int, salt):
@@ -203,16 +218,18 @@ def _preload(blobs, seed: int, salt):
     stride spans the next ``step`` bytes (the string reading).  Each
     offset in a span is one effective address; it stores the aligned word
     starting there when the span holds it, and its byte otherwise.  A
-    lane's writer is its one key, or the tuple of its keys."""
+    lane's writer is its one key, or the tuple of its keys in the order
+    they first wrote it."""
     mem: dict[tuple[int, int], tuple[int, int]] = {}
     lanes: dict[int, int | tuple[int, ...]] = {}  # byte address -> its keys
     for addr, data, step, _init in blobs:
         p_hi, p_lo = salt(seed, T_LI, addr), addr
         off, span = 0, len(data)
         while span > 0:
+            ptr = pack(p_hi, p_lo)
             for j in range(span):
                 a, k = p_lo + j, off + j
-                t = salt(seed, T_EA, pack(p_hi, p_lo), j)
+                t = salt(seed, T_EA, ptr, j)
                 if a & 3 == 0 and j + 4 <= span:
                     mem[(t, a)] = (0, int.from_bytes(data[k:k + 4], "little"))
                     covered = range(a, a + 4)
@@ -222,15 +239,21 @@ def _preload(blobs, seed: int, salt):
                     mem[(t, w)] = (0, cur & ~(0xFF << lane) | data[k] << lane)
                     covered = (a,)
                 for b in covered:
-                    x = lanes.setdefault(b, t)
-                    if x != t and (type(x) is not tuple or t not in x):
-                        lanes[b] = x + (t,) if type(x) is tuple else (x, t)
-            p_hi, p_lo = salt(seed, T_ADDIU, pack(p_hi, p_lo), step), (p_lo + step) & M32
+                    x = lanes.get(b)
+                    if x is None:
+                        lanes[b] = t
+                    elif x != t:
+                        if type(x) is not tuple:
+                            lanes[b] = (x, t)
+                        elif t not in x:
+                            lanes[b] = x + (t,)
+            p_hi, p_lo = salt(seed, T_ADDIU, ptr, step), (p_lo + step) & M32
             off += step
             span = min(step, len(data) - off)
     written = {}
+    get = lanes.get
     for w in {b & ~3 for b in lanes}:
-        rec = tuple(lanes.get(b) for b in range(w, w + 4))
+        rec = (get(w), get(w + 1), get(w + 2), get(w + 3))
         written[w] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
     return mem, written
 
@@ -262,10 +285,36 @@ def _own(src, e: int, w: int, lanes, unloaded) -> bool:
     return True
 
 
+# the register words at the entry: sp at the stack base, ra at the return
+# sentinel, every other register 0
+_ENTRY_REGS = tuple(DEFAULT_STACK_BASE if r == SP else RETURN_SENTINEL if r == RA else 0
+                    for r in range(32))
+
+
+def _clean_memory(blobs) -> dict[tuple[int, int], tuple[int, int]]:
+    """The clean machine's memory of ``blobs``: each byte at its address,
+    in the cell ``(0, word address)``, with tag 0 on every value."""
+    mem = {}
+    for addr, data, _step, _init in blobs:
+        if not data:
+            continue
+        lead = addr & 3
+        padded = bytes(lead) + data
+        for i in range(0, len(padded), 4):
+            key = (0, addr - lead + i)
+            word = int.from_bytes(padded[i:i + 4], "little")
+            if key in mem:  # a word shared with the blob before
+                word |= mem[key][1]
+            mem[key] = (0, word)
+    return mem
+
+
 def run_clean_image(image: Image, fuel: int, start: CleanStart | None = None) -> RunOutcome:
     """The clean machine: one tag for every calculation, all data preloaded.
-    Given ``start``, the run goes on from that state instead of step 0."""
-    return _run(image, fuel, 0, _zero_tag, image.blobs, None, start)
+    Given ``start``, the run goes on from that state instead of the entry."""
+    if start is None:
+        start = CleanStart(image.entry_addr, 0, _ENTRY_REGS, b"", _clean_memory(image.blobs))
+    return _run(image, fuel, 0, _zero_tag, start=start)
 
 
 def run_alias_image(image: Image, fuel: int, seed: int,
@@ -278,7 +327,7 @@ def run_alias_image(image: Image, fuel: int, seed: int,
     seeded loop otherwise."""
     if symbolic is not None and _collision_free(symbolic, seed):
         return symbolic.outcome
-    return _run(image, fuel, seed, tag, _initialized(image))
+    return _run(image, fuel, seed, tag)
 
 
 def clean_outcome(image: Image, fuel: int, symbolic: SymbolicRun) -> RunOutcome:
@@ -306,19 +355,20 @@ class CleanStart(NamedTuple):
 def _clean_start(image: Image, pc: int, steps: int, lo: list[int], out: bytearray,
                  mem: dict, written: dict) -> CleanStart:
     """The clean machine's state where the symbolic run stands with ``mem``
-    and ``written``: every blob preloaded, then each lane somebody wrote
-    overlaid from the cell of its last writer (for a loader tuple, any of
-    its keys: each filled the lane with the same byte)."""
-    memory = _preload(image.blobs, 0, _zero_tag)[0]
+    and ``written``: the clean memory of every blob, then each lane whose
+    last writer is one calculation overlaid from that writer's cell.  A
+    lane whose writer is a loader tuple still holds its loaded byte, which
+    the clean memory holds already."""
+    memory = _clean_memory(image.blobs)
     for w, src in written.items():
         if type(src) is not tuple:
             memory[(0, w)] = (0, mem[(src, w)][1])
             continue
         word = memory.get((0, w), (0, 0))[1]
         for lane, x in enumerate(src):
-            if x is not None:
+            if type(x) is int:
                 m = 0xFF << 8 * lane
-                word = word & ~m | mem[(x[0] if type(x) is tuple else x, w)][1] & m
+                word = word & ~m | mem[(x, w)][1] & m
         memory[(0, w)] = (0, word)
     return CleanStart(pc, steps, tuple(lo), bytes(out), memory)
 
@@ -368,7 +418,7 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
 
     mixed: set[int] = set()
     snapshot: list[CleanStart] = []
-    outcome = _run(image, fuel, 0, intern, _initialized(image), mixed, None, snapshot)
+    outcome = _run(image, fuel, 0, intern, mixed, None, snapshot)
     if not mixed:
         return SymbolicRun(outcome, {}, (), frozenset())
     # every effective address keys or probes a cell of its word, lo + imm
@@ -417,51 +467,51 @@ def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
     return all(len({t[i] for i in g}) == len(g) for g in symbolic.groups)
 
 
-def _run(image: Image, fuel: int, seed: int, salt, blobs,
+def _run(image: Image, fuel: int, seed: int, salt,
          mixed: set[int] | None = None, start: CleanStart | None = None,
          snapshot: list[CleanStart] | None = None) -> RunOutcome:
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
-    calculation and the data of ``blobs`` preloaded, adding to ``mixed``
-    the words of the loads that are not self-sourced and to ``snapshot``
-    the clean machine's state before the first of them.  Given ``start``,
-    a state of the clean machine, the run goes on from there."""
+    calculation, adding to ``mixed`` the words of the loads that are not
+    self-sourced and to ``snapshot`` the clean machine's state before the
+    first of them.  From the entry, the aliasing machine's initialized
+    blobs are preloaded; given ``start``, a state of the clean machine,
+    the run goes on from there."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
     hi = [0] * 32
     if start is None:
-        lo = [0] * 32
+        lo = list(_ENTRY_REGS)
         for i in range(1, 32):
             hi[i] = salt(seed, T_INIT, i)
-        lo[SP] = DEFAULT_STACK_BASE
-        lo[RA] = RETURN_SENTINEL
-        mem, written = _preload(blobs, seed, salt)
+        mem, written = _preload([b for b in image.blobs if b[3]], seed, salt)
         pc, steps, out = image.entry_addr, 0, bytearray()
+        # the bytes of the ``noinit`` blobs, which only the clean machine preloads
+        unloaded = {a + k for a, data, _, init in image.blobs if not init
+                    for k in range(len(data))}
     else:
         lo, mem = list(start.regs), dict(start.memory)
         written = {w: 0 for _, w in mem}
         pc, steps, out = start.pc, start.steps, bytearray(start.output)
-    # the bytes of the blobs left unwritten here that the clean machine preloads
-    unloaded = {b[0] + k for b in image.blobs if b not in blobs for k in range(len(b[1]))}
+        unloaded = set()
     if mixed is None:
         mixed = set()
     faults: list[Fault] = []
-    base, end = BASE_ADDRESS, BASE_ADDRESS + 4 * len(image.code)
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
     exit_reason = None
     error = error_pc = None
 
     while True:
-        if pc == RETURN_SENTINEL:
-            exit_reason = "returned"
+        ins = code.get(pc)
+        if ins is None or steps >= fuel:  # no instruction here, or no fuel left
+            if pc == RETURN_SENTINEL:
+                exit_reason = "returned"
+            elif steps >= fuel:
+                error, error_pc = "FuelExhausted", pc
+            else:
+                error, error_pc = "BadProgramCounter", pc
             break
-        if steps >= fuel:
-            error, error_pc = "FuelExhausted", pc
-            break
-        if pc < base or pc >= end or pc & 3:
-            error, error_pc = "BadProgramCounter", pc
-            break
-        op, a, b, c = code[(pc - base) >> 2]
+        op, a, b, c = ins
         steps += 1
 
         if op == "sw" or op == "sb":
@@ -475,7 +525,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
                     break
                 pc += 4
                 continue
-            ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
+            ea_hi = salt(seed, T_EA, hi[c] << 32 | lo[c], b)
             w = ea_lo & ~3
             if op == "sw":
                 if ea_lo & 3:
@@ -496,7 +546,7 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
             if DEVICE_BASE <= ea_lo < dev_end:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
-            ea_hi = salt(seed, T_EA, pack(hi[c], lo[c]), b)
+            ea_hi = salt(seed, T_EA, hi[c] << 32 | lo[c], b)
             if op == "lw" and ea_lo & 3:
                 error, error_pc = "UnalignedWordAccess", pc
                 break
@@ -534,18 +584,18 @@ def _run(image: Image, fuel: int, seed: int, salt, blobs,
             continue
         if op == "addiu":
             if a != 0:
-                hi[a], lo[a] = salt(seed, T_ADDIU, pack(hi[b], lo[b]), c), (lo[b] + c) & M32
+                hi[a], lo[a] = salt(seed, T_ADDIU, hi[b] << 32 | lo[b], c), (lo[b] + c) & M32
             pc += 4
             continue
         if op == "addu":
             if a != 0:
-                hi[a], lo[a] = (salt(seed, T_ADDU, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
+                hi[a], lo[a] = (salt(seed, T_ADDU, hi[b] << 32 | lo[b], hi[c] << 32 | lo[c]),
                                 (lo[b] + lo[c]) & M32)
             pc += 4
             continue
         if op == "nand":
             if a != 0:
-                hi[a], lo[a] = (salt(seed, T_NAND, pack(hi[b], lo[b]), pack(hi[c], lo[c])),
+                hi[a], lo[a] = (salt(seed, T_NAND, hi[b] << 32 | lo[b], hi[c] << 32 | lo[c]),
                                 ~(lo[b] & lo[c]) & M32)
             pc += 4
             continue

@@ -171,9 +171,10 @@ def cmd_certify(args) -> int:
                        certify_program(program, entry=args.entry, policy=args.byte_policy))
     _print_report(rep)
     if args.json:
+        text = json.dumps(rep, indent=2)  # one write; json.dump makes many small ones
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(rep, fh, indent=2)
+                fh.write(text)
         except OSError as e:
             raise _UsageError(f"error: {e}") from e
     clean = (rep["verdict"] == SAFE

@@ -177,10 +177,10 @@ def test_sweep_equals_the_seeded_sweep(bits, corpus_programs, clean_runs, monkey
     seeded = []
     loop = _engine._run
 
-    def counted(image, fuel, seed, salt, blobs, *rest):
+    def counted(image, fuel, seed, salt, *rest, **kwargs):
         if salt is _engine.tag:
             seeded.append(seed)
-        return loop(image, fuel, seed, salt, blobs, *rest)
+        return loop(image, fuel, seed, salt, *rest, **kwargs)
 
     monkeypatch.setattr(_engine, "_run", counted)
     programs = list(corpus_programs.values()) + [generate_program(s) for s in range(40)]
@@ -238,7 +238,7 @@ def test_collision_check_evaluates_the_seeded_tags(hello, corpus_programs):
                     words.setdefault(((vals[0] & M32) + vals[1]) & M32 & ~3, set()).add(t)
                 return t
 
-            _engine._run(image, DEFAULT_FUEL, seed, recording, [b for b in image.blobs if b[3]])
+            _engine._run(image, DEFAULT_FUEL, seed, recording)
             t = _engine._seed_tags(symbolic, seed)
             assert sorted(sorted(t[i] for i in g) for g in symbolic.groups) == \
                 sorted(sorted(words[w]) for w in symbolic.mixed if len(words[w]) > 1)

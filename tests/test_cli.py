@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from aliascert import _engine, cli, run_aliased
 from aliascert.cli import main
 
-from conftest import corpus_path
+from conftest import CORPUS, corpus_path
 
 
 def test_certify_safe_exit_zero(capsys, tmp_path):
@@ -238,6 +238,22 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
         bad.write_text(source)
         assert main([command, str(bad)]) == 2, source
         assert capsys.readouterr().err.startswith("parse error: line 1"), source
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.s")))
+def test_json_report_is_the_report_dumped_with_indent_2(name, tmp_path, capsys, monkeypatch):
+    reports = []
+    build = cli.build_report
+
+    def kept(*args):
+        reports.append(build(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "build_report", kept)
+    out = tmp_path / "report.json"
+    main(["certify", str(corpus_path(name)), "--json", str(out)])
+    capsys.readouterr()
+    assert out.read_bytes() == json.dumps(reports[0], indent=2).encode()
 
 
 @pytest.mark.parametrize("path", ["nosuch/out.json", "."], ids=["missing-directory", "directory"])

@@ -91,6 +91,16 @@ def test_engine_matches_step_reference(corpus_programs):
             "addu t8 sp t6", "sb t7 0(t8)", "bnez t6 loop",
             "lw s0 0(sp)", "lb s1 0(sp)", "lb s2 1(sp)", "lb s3 2(sp)", "lb s4 3(sp)",
             "nop", "addiu sp sp 8", "jr ra"))))
+    # data the clean machine lays out in closed form: a `noinit` blob, a
+    # blob read a word a step, and a blob whose last word is part filled
+    programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
+        "  li t0 buf\n  lw t1 0(t0)\n  lb t2 5(t0)\n  jr ra\n"
+        "buf:\n  .bytes 1 2 3 4 5 6 7 8 noinit\n",
+        "  li a0 words\nloop:\n  lw t0 0(a0)\n  addiu a0 a0 4\n  addu v0 v0 t0\n"
+        "  bnez t0 loop\n  jr ra\nwords:\n  .bytes \"abcdefgh\" 0 0 0 0 step=4\n",
+        "  li t0 msg\n  lw t1 4(t0)\n  lb t2 6(t0)\n  lb t3 7(t0)\n  jr ra\n"
+        "msg:\n  .bytes \"abcdefg\"\n",
+    )]
     # runs that end in an error, so that error_pc is compared too
     programs += [parse_program("#@ entry main\nmain:\n" + body) for body in (
         "  lw v0 0(sp)\n  jr ra\n",

@@ -3,9 +3,10 @@
 ``preload_digests.json`` holds, per family of data blobs and per salt,
 the sha256 of the memory ``_engine._preload`` builds and of the words it
 marks written, and apart from them (under ``.../writers``) the sha256 of
-the writers it records for each word's lanes, over a fixed grid: seeds 0 to 5 under the seeded salt at
-32-, 8- and 3-bit tags (narrow tags make distinct calculations collide,
-so cells merge), and the salt that tags every calculation 0.  The blob
+the writers it records for each word's lanes, over a fixed grid: seeds 0
+to 5 under the seeded salt at 32-, 8- and 3-bit tags (narrow tags make
+distinct calculations collide, so cells merge), and the salt that tags
+every calculation 0.  The blob
 families are synthetic blobs of steps 1 to 9 and lengths 0 to 23 at each
 alignment, pairs of blobs that share a word, and the blobs of the corpus
 and of ``genprogs`` seeds 0 to 59 at sizes 12, 32 and 64.  Any change to
@@ -92,6 +93,17 @@ def test_preloaded_memory_matches_recorded_digests():
     assert sorted(actual) == sorted(expected)
     changed = [key for key in expected if actual[key] != expected[key]]
     assert not changed, changed
+
+
+def test_clean_memory_is_the_preload_under_tag_0():
+    # under tag 0 the loader's chains leave each byte at its address, the
+    # memory the clean machine lays out without them
+    for family, cases in _families():
+        for blobs in cases:
+            mem, written = _engine._preload(blobs, 0, _zero_salt)
+            clean = _engine._clean_memory(blobs)
+            assert clean == mem, (family, blobs)
+            assert sorted(w for _, w in clean) == sorted(written), (family, blobs)
 
 
 if __name__ == "__main__":
