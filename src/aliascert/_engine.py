@@ -9,50 +9,53 @@ at the return sentinel, else as ``FuelExhausted`` when the fuel is spent,
 else as ``BadProgramCounter``.
 
 Under hardware aliasing a value is a salted word: its 32-bit arithmetic
-word (``lo``) plus a 32-bit tag (``hi``) recording *how* it was
-calculated.  Copies, loads and stores preserve both halves verbatim;
-every arithmetic step (`li`, `addiu`, `addu`, `nand`, the return address
-of `jal`, an effective address, a register's initial value) re-tags its
-result with the loop's salt.  The seeded salt :func:`tag` mixes the
-seed, the operation's domain and the full (tag, value) representation of
-its inputs (:func:`pack`): the same calculation always yields the same
-tag, while distinct calculations of an arithmetically equal value
-disagree with overwhelming probability.  A tag is a :func:`root` per
-seed and domain, folded with each input in turn by :func:`fold`, so a
-check that evaluates many calculations of one seed computes each
-domain's root once and calls the same two functions.  ``TAG_MASK`` is
-the tag width, read at every call.  Every tag and every word the loop
-holds is below 2**32: words are taken modulo 2**32, a seeded tag is
-masked by ``TAG_MASK``, the clean tag is 0, and a symbolic tag numbers
-the calculations interned so far, far fewer than 2**32 in any run that
-fits in memory.  So the loop forms a salted word as ``hi << 32 | lo``,
-which is ``pack(hi, lo)`` without its masks.
+word plus a 32-bit tag recording *how* it was calculated, held as the
+one int ``tag << 32 | word``.  Registers, cells and cell keys all hold
+that form.  Every tag and every word is below 2**32: words are taken
+modulo 2**32, a seeded tag is masked by ``TAG_MASK``, the clean tag is
+0, and a symbolic tag numbers the calculations interned so far, far
+fewer than 2**32 in any run that fits in memory.  So ``& M32`` reads the
+word and ``>> 32`` the tag.  Copies, loads and stores preserve a salted
+word verbatim; every arithmetic step (`li`, `addiu`, `addu`, `nand`, the
+return address of `jal`, an effective address, a register's initial
+value) re-tags its result with the loop's salt.  The seeded salt
+:func:`tag` mixes the seed, the operation's domain and the salted words
+of its inputs: the same calculation always yields the same tag, while
+distinct calculations of an arithmetically equal value disagree with
+overwhelming probability.  A tag is a :func:`root` per seed and domain,
+folded with each input in turn by :func:`fold`, so a check that
+evaluates many calculations of one seed computes each domain's root
+once and calls the same two functions.  ``TAG_MASK`` is the tag width,
+read at every call.
 
-Memory is keyed by (tag, address) pairs, so that differently calculated
-aliases of one address select different cells: the hardware-aliasing
-model under test (`run_alias_image`).  Comparisons and device decoding
-see the arithmetic word only.  A ``sw`` fills the cell of its word with
-the salted value, a ``sb`` one lane of the cell of its word with a plain
-byte.  A load that misses its cell is an alias fault when the word is
-written under some other key, and an uninitialized read otherwise.  The
-loader fills cells as if each blob had been stored along its canonical
-access chains (`_preload`).  The clean machine is the same loop with a
-salt that tags every calculation 0 (`run_clean_image`): every key is
-then (0, address), every alias of an address hits its one cell, and the
-run has exact 32-bit semantics with no alias fault.  The two machines
-differ in one more way: the clean one preloads every data blob, the
-aliasing one only the initialized blobs.  `machine.step` is the
-independent single-step reference both runs are tested against.
+A cell is keyed by its effective address's tag over its word address,
+``tag << 32 | word address``, so that differently calculated aliases of
+one address select different cells: the hardware-aliasing model under
+test (`run_alias_image`).  Comparisons, jumps and device decoding see
+the arithmetic word only.  A ``sw`` fills the cell of its word with the
+salted value, a ``sb`` one lane of the cell of its word with a plain
+byte, leaving the cell's tag 0.  A load that misses its cell is an alias
+fault when the word is written under some other key, and an
+uninitialized read otherwise.  The loader fills cells as if each blob
+had been stored along its canonical access chains (`_preload`).  The
+clean machine is the same loop with a salt that tags every calculation
+0 (`run_clean_image`): every key is then the word address itself, every
+alias of an address hits its one cell, and the run has exact 32-bit
+semantics with no alias fault.  The two machines differ in one more
+way: the clean one preloads every data blob, the aliasing one only the
+initialized blobs.  `machine.step` is the independent single-step
+reference both runs are tested against.
 
 The clean machine's memory needs no chains (`_clean_memory`).  Under tag
-0 every store of the loader keys the cell ``(0, word)``, and each stores
-the blob's own bytes at their own addresses: a word when its span holds
-the whole aligned word, else one byte.  Whatever the chains, the cells
-end up holding each byte of each blob at its address, tagged 0, with 0
-in every lane no blob covers.  Blobs never overlap (the parser lays them
-out one after another), so a word two blobs share holds the lanes of
-both.  That is the memory every clean run starts from, at the entry or
-from a `CleanStart`; only the aliasing machines walk the chains.
+0 every store of the loader keys the cell of its word address, and each
+stores the blob's own bytes at their own addresses: a word when its span
+holds the whole aligned word, else one byte.  Whatever the chains, the
+cells end up holding each byte of each blob at its address, tagged 0,
+with 0 in every lane no blob covers: a plain map from word address to
+word.  Blobs never overlap (the parser lays them out one after another),
+so a word two blobs share holds the lanes of both.  That is the memory
+every clean run starts from, at the entry or from a `CleanStart`; only
+the aliasing machines walk the chains.
 
 Beside the cells, the loop keeps for each written word the calculation
 (the tag of the effective address) that last wrote each of its four byte
@@ -90,31 +93,31 @@ self-sourced, the symbolic run is the clean run and every seeded run,
 failed or not (`clean_outcome`, `run_alias_image`), and a sweep runs
 nothing more.
 
-Otherwise the same induction gives the clean machine's state just
-before the first load that is not self-sourced, and the clean run goes
-on from there (`CleanStart`), never from step 0: the symbolic run's pc,
-steps, output and register words, tag 0 on every register and key, and
-a flat memory.  That memory is the clean machine's memory of every
-blob, overlaid with each lane whose last writer the symbolic run
-records as one calculation, from that writer's cell.  The clean
-machine's one cell of a word holds each lane's latest write over all
-calculations; the last writer's cell holds that writer's latest write,
-which is the same.  A lane whose writer is a loader tuple was written by
-the loader only, so it holds the blob's byte, as the clean memory does;
-a lane nobody wrote keeps its ``noinit`` byte or 0.  Every word of the
-flat memory is written, by tag 0.  So a sweep costs one symbolic run plus the clean
-machine's steps from that load on.  A seed's run equals the symbolic
-run when its tags are distinct among the effective-address
-calculations that key each word such a load reads: the load's cell
-then holds the writes through its own calculation only, as in the
-symbolic run, and a miss stays a miss.  `run_alias_image` given the
-symbolic run checks this for its seed over the few calculations
-concerned, which the symbolic run keeps as their interned keys, and runs
-the seeded loop only on a collision.  A seed's tag of a calculation is
-:func:`tag` applied to the tags of its inputs, and a key names each
-salted input by its id, so the check folds every tag from the bits of
-its key, oldest first; the tag 0 of the zero register, of byte stores
-and of preloaded data is a literal, not a calculation.
+Otherwise the same induction gives the clean machine's state just before
+the first load that is not self-sourced, and the clean run goes on from
+there (`CleanStart`), never from step 0: the symbolic run's pc, steps,
+output and register words, and a map from word address to word, which
+are the clean machine's salted words and cells under tag 0.  That memory
+is the clean machine's memory of every blob, overlaid with each lane
+whose last writer the symbolic run records as one calculation, from that
+writer's cell.  The clean machine's one cell of a word holds each lane's
+latest write over all calculations; the last writer's cell holds that
+writer's latest write, which is the same.  A lane whose writer is a
+loader tuple was written by the loader only, so it holds the blob's
+byte, as the clean memory does; a lane nobody wrote keeps its ``noinit``
+byte or 0.  Every word of that memory is written, by tag 0.  So a sweep
+costs one symbolic run plus the clean machine's steps from that load on.
+A seed's run equals the symbolic run when its tags are distinct among
+the effective-address calculations that key each word such a load reads:
+the load's cell then holds the writes through its own calculation only,
+as in the symbolic run, and a miss stays a miss.  `run_alias_image`
+given the symbolic run checks this for its seed over the few
+calculations concerned, which the symbolic run keeps as their interned
+keys, and runs the seeded loop only on a collision.  A seed's tag of a
+calculation is :func:`tag` applied to the tags of its inputs, and a key
+names each salted input by its id, so the check folds every tag from the
+bits of its key, oldest first; the tag 0 of the zero register, of byte
+stores and of preloaded data is a literal, not a calculation.
 
 Callers look the entry points up in this module at call time, so a
 profiler can wrap them here.
@@ -169,10 +172,6 @@ def tag(seed: int, domain: int, *vals: int) -> int:
     return h & TAG_MASK
 
 
-def pack(hi: int, lo: int) -> int:
-    return ((hi & 0xFFFFFFFF) << 32) | (lo & 0xFFFFFFFF)
-
-
 @dataclass(frozen=True)
 class Image:
     """A decoded program ready for interpretation, each instruction keyed
@@ -220,23 +219,21 @@ def _preload(blobs, seed: int, salt):
     starting there when the span holds it, and its byte otherwise.  A
     lane's writer is its one key, or the tuple of its keys in the order
     they first wrote it."""
-    mem: dict[tuple[int, int], tuple[int, int]] = {}
+    mem: dict[int, int] = {}
     lanes: dict[int, int | tuple[int, ...]] = {}  # byte address -> its keys
     for addr, data, step, _init in blobs:
-        p_hi, p_lo = salt(seed, T_LI, addr), addr
+        ptr = salt(seed, T_LI, addr) << 32 | addr
         off, span = 0, len(data)
         while span > 0:
-            ptr = pack(p_hi, p_lo)
             for j in range(span):
-                a, k = p_lo + j, off + j
+                a, k = (ptr & M32) + j, off + j
                 t = salt(seed, T_EA, ptr, j)
                 if a & 3 == 0 and j + 4 <= span:
-                    mem[(t, a)] = (0, int.from_bytes(data[k:k + 4], "little"))
+                    mem[t << 32 | a] = int.from_bytes(data[k:k + 4], "little")
                     covered = range(a, a + 4)
                 else:
-                    w, lane = a & ~3, 8 * (a & 3)
-                    cur = mem.get((t, w), (0, 0))[1]
-                    mem[(t, w)] = (0, cur & ~(0xFF << lane) | data[k] << lane)
+                    key, lane = t << 32 | a & ~3, 8 * (a & 3)
+                    mem[key] = mem.get(key, 0) & ~(0xFF << lane) | data[k] << lane
                     covered = (a,)
                 for b in covered:
                     x = lanes.get(b)
@@ -247,7 +244,7 @@ def _preload(blobs, seed: int, salt):
                             lanes[b] = (x, t)
                         elif t not in x:
                             lanes[b] = x + (t,)
-            p_hi, p_lo = salt(seed, T_ADDIU, ptr, step), (p_lo + step) & M32
+            ptr = salt(seed, T_ADDIU, ptr, step) << 32 | (ptr + step) & M32
             off += step
             span = min(step, len(data) - off)
     written = {}
@@ -291,21 +288,19 @@ _ENTRY_REGS = tuple(DEFAULT_STACK_BASE if r == SP else RETURN_SENTINEL if r == R
                     for r in range(32))
 
 
-def _clean_memory(blobs) -> dict[tuple[int, int], tuple[int, int]]:
+def _clean_memory(blobs) -> dict[int, int]:
     """The clean machine's memory of ``blobs``: each byte at its address,
-    in the cell ``(0, word address)``, with tag 0 on every value."""
-    mem = {}
+    as a map from word address to word."""
+    mem: dict[int, int] = {}
     for addr, data, _step, _init in blobs:
         if not data:
             continue
         lead = addr & 3
         padded = bytes(lead) + data
         for i in range(0, len(padded), 4):
-            key = (0, addr - lead + i)
-            word = int.from_bytes(padded[i:i + 4], "little")
-            if key in mem:  # a word shared with the blob before
-                word |= mem[key][1]
-            mem[key] = (0, word)
+            w = addr - lead + i
+            # a word shared with the blob before keeps that blob's lanes
+            mem[w] = mem.get(w, 0) | int.from_bytes(padded[i:i + 4], "little")
     return mem
 
 
@@ -342,17 +337,17 @@ def clean_outcome(image: Image, fuel: int, symbolic: SymbolicRun) -> RunOutcome:
 class CleanStart(NamedTuple):
     """The clean machine's state just before the symbolic run's first
     load that is not self-sourced: the load's pc, the steps before it,
-    the register words, the output so far and the memory, every key
-    ``(0, word address)`` and every value ``(0, word)``."""
+    the register words, the output so far and the memory, a map from
+    word address to word."""
 
     pc: int
     steps: int
     regs: tuple[int, ...]
     output: bytes
-    memory: dict[tuple[int, int], tuple[int, int]]
+    memory: dict[int, int]
 
 
-def _clean_start(image: Image, pc: int, steps: int, lo: list[int], out: bytearray,
+def _clean_start(image: Image, pc: int, steps: int, regs: list[int], out: bytearray,
                  mem: dict, written: dict) -> CleanStart:
     """The clean machine's state where the symbolic run stands with ``mem``
     and ``written``: the clean memory of every blob, then each lane whose
@@ -362,19 +357,19 @@ def _clean_start(image: Image, pc: int, steps: int, lo: list[int], out: bytearra
     memory = _clean_memory(image.blobs)
     for w, src in written.items():
         if type(src) is not tuple:
-            memory[(0, w)] = (0, mem[(src, w)][1])
+            memory[w] = mem[src << 32 | w] & M32
             continue
-        word = memory.get((0, w), (0, 0))[1]
+        word = memory.get(w, 0)
         for lane, x in enumerate(src):
             if type(x) is int:
                 m = 0xFF << 8 * lane
-                word = word & ~m | mem[(x, w)][1] & m
-        memory[(0, w)] = (0, word)
-    return CleanStart(pc, steps, tuple(lo), bytes(out), memory)
+                word = word & ~m | mem[x << 32 | w] & m
+        memory[w] = word
+    return CleanStart(pc, steps, tuple(v & M32 for v in regs), bytes(out), memory)
 
 
 # The inputs `_run` passes with each tag domain: how many, and how many
-# of them lead with a salted word, pack(tag, value).
+# of them lead with a salted word.
 _INPUTS = {T_LI: (1, 0), T_JAL: (1, 0), T_INIT: (1, 0),
            T_ADDIU: (2, 1), T_EA: (2, 1), T_ADDU: (2, 2), T_NAND: (2, 2)}
 
@@ -421,7 +416,7 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     outcome = _run(image, fuel, 0, intern, mixed, None, snapshot)
     if not mixed:
         return SymbolicRun(outcome, {}, (), frozenset())
-    # every effective address keys or probes a cell of its word, lo + imm
+    # every effective address keys or probes a cell of its word, word + imm
     words: dict[int, list[int]] = {w: [] for w in mixed}
     for k, i in ids.items():
         if k & 0xFF == T_EA:
@@ -478,19 +473,16 @@ def _run(image: Image, fuel: int, seed: int, salt,
     the run goes on from there."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
-    hi = [0] * 32
     if start is None:
-        lo = list(_ENTRY_REGS)
-        for i in range(1, 32):
-            hi[i] = salt(seed, T_INIT, i)
+        r = [0] + [salt(seed, T_INIT, i) << 32 | _ENTRY_REGS[i] for i in range(1, 32)]
         mem, written = _preload([b for b in image.blobs if b[3]], seed, salt)
         pc, steps, out = image.entry_addr, 0, bytearray()
         # the bytes of the ``noinit`` blobs, which only the clean machine preloads
         unloaded = {a + k for a, data, _, init in image.blobs if not init
                     for k in range(len(data))}
     else:
-        lo, mem = list(start.regs), dict(start.memory)
-        written = {w: 0 for _, w in mem}
+        r, mem = list(start.regs), dict(start.memory)
+        written = dict.fromkeys(mem, 0)
         pc, steps, out = start.pc, start.steps, bytearray(start.output)
         unloaded = set()
     if mixed is None:
@@ -515,107 +507,100 @@ def _run(image: Image, fuel: int, seed: int, salt,
         steps += 1
 
         if op == "sw" or op == "sb":
-            ea_lo = (lo[c] + b) & M32
-            if DEVICE_BASE <= ea_lo < dev_end:
-                off = ea_lo - DEVICE_BASE  # devices decode the value lines only
+            ea = (r[c] + b) & M32
+            if DEVICE_BASE <= ea < dev_end:
+                off = ea - DEVICE_BASE  # devices decode the value lines only
                 if off == PRINT_OFFSET:
-                    out.append(lo[a] & 0xFF)
+                    out.append(r[a] & 0xFF)
                 elif off == HALT_OFFSET:
                     exit_reason = "halt-device"
                     break
                 pc += 4
                 continue
-            ea_hi = salt(seed, T_EA, hi[c] << 32 | lo[c], b)
-            w = ea_lo & ~3
+            t = salt(seed, T_EA, r[c], b)
+            w = ea & ~3
             if op == "sw":
-                if ea_lo & 3:
+                if ea & 3:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
-                mem[(ea_hi, w)] = (hi[a], lo[a])
-                written[w] = ea_hi
+                mem[t << 32 | w] = r[a]
+                written[w] = t
             else:
-                lane = 8 * (ea_lo & 3)
-                cur = mem.get((ea_hi, w), (0, 0))[1]
-                mem[(ea_hi, w)] = (0, cur & ~(0xFF << lane) | (lo[a] & 0xFF) << lane)
-                if written.get(w) != ea_hi:
-                    _write_lane(written, w, ea_lo & 3, ea_hi)
+                key, lane = t << 32 | w, 8 * (ea & 3)
+                mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << lane) | (r[a] & 0xFF) << lane
+                if written.get(w) != t:
+                    _write_lane(written, w, ea & 3, t)
             pc += 4
             continue
         if op == "lw" or op == "lb":
-            ea_lo = (lo[c] + b) & M32
-            if DEVICE_BASE <= ea_lo < dev_end:
+            ea = (r[c] + b) & M32
+            if DEVICE_BASE <= ea < dev_end:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
-            ea_hi = salt(seed, T_EA, hi[c] << 32 | lo[c], b)
-            if op == "lw" and ea_lo & 3:
+            t = salt(seed, T_EA, r[c], b)
+            if op == "lw" and ea & 3:
                 error, error_pc = "UnalignedWordAccess", pc
                 break
-            w = ea_lo & ~3
-            cell = mem.get((ea_hi, w))
-            if cell is None or written[w] != ea_hi and not _own(
-                    written[w], ea_hi, w, _WORD if op == "lw" else (ea_lo & 3,), unloaded):
+            w = ea & ~3
+            cell = mem.get(t << 32 | w)
+            if cell is None or written[w] != t and not _own(
+                    written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
                 if snapshot is not None and not mixed:
-                    snapshot.append(_clean_start(image, pc, steps - 1, lo, out, mem, written))
+                    snapshot.append(_clean_start(image, pc, steps - 1, r, out, mem, written))
                 mixed.add(w)
                 if cell is None:
                     if w in written:
-                        faults.append(Fault("AliasFault", pc, ea_lo))
+                        faults.append(Fault("AliasFault", pc, ea))
                         error, error_pc = "AliasFault", pc
                     else:
                         error, error_pc = "UninitializedRead", pc
                     break
-            if op == "lw":
-                vhi, vlo = cell
-            else:
-                vhi, vlo = 0, (cell[1] >> (8 * (ea_lo & 3))) & 0xFF
             if a != 0:
-                hi[a], lo[a] = vhi, vlo
+                r[a] = cell if op == "lw" else cell >> 8 * (ea & 3) & 0xFF
             pc += 4
             continue
         if op == "move":
             if a != 0:
-                hi[a], lo[a] = hi[b], lo[b]
+                r[a] = r[b]
             pc += 4
             continue
         if op == "li":
             if a != 0:
-                hi[a], lo[a] = salt(seed, T_LI, b & M32), b & M32
+                r[a] = salt(seed, T_LI, b & M32) << 32 | b & M32
             pc += 4
             continue
         if op == "addiu":
             if a != 0:
-                hi[a], lo[a] = salt(seed, T_ADDIU, hi[b] << 32 | lo[b], c), (lo[b] + c) & M32
+                r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
             pc += 4
             continue
         if op == "addu":
             if a != 0:
-                hi[a], lo[a] = (salt(seed, T_ADDU, hi[b] << 32 | lo[b], hi[c] << 32 | lo[c]),
-                                (lo[b] + lo[c]) & M32)
+                r[a] = salt(seed, T_ADDU, r[b], r[c]) << 32 | (r[b] + r[c]) & M32
             pc += 4
             continue
         if op == "nand":
             if a != 0:
-                hi[a], lo[a] = (salt(seed, T_NAND, hi[b] << 32 | lo[b], hi[c] << 32 | lo[c]),
-                                ~(lo[b] & lo[c]) & M32)
+                r[a] = salt(seed, T_NAND, r[b], r[c]) << 32 | ~(r[b] & r[c]) & M32
             pc += 4
             continue
         if op == "beq":
-            pc = c if lo[a] == lo[b] else pc + 4  # aliases test as equal
+            pc = c if r[a] & M32 == r[b] & M32 else pc + 4  # aliases test as equal
             continue
         if op == "bnez":
-            pc = b if lo[a] != 0 else pc + 4
+            pc = b if r[a] & M32 else pc + 4
             continue
         if op == "j":
             pc = a
             continue
         if op == "jal":
-            hi[RA], lo[RA] = salt(seed, T_JAL, pc + 4), pc + 4
+            r[RA] = salt(seed, T_JAL, pc + 4) << 32 | pc + 4
             pc = a
             continue
         if op == "jr":
-            pc = lo[a]
+            pc = r[a] & M32
             continue
         pc += 4  # nop
 
-    return RunOutcome(regs=lo, output=bytes(out), steps=steps, faults=faults,
+    return RunOutcome(regs=[v & M32 for v in r], output=bytes(out), steps=steps, faults=faults,
                       error=error, error_pc=error_pc, exit_reason=exit_reason)

@@ -185,7 +185,7 @@ def cmd_certify(args) -> int:
 
 def _print_outcome(out: RunOutcome, aliased: bool) -> None:
     print(f"output: {out.output!r}")
-    print(f"halted: {out.halted}" + (f" ({out.exit_reason})" if out.exit_reason else ""))
+    print(f"halted: {out.ok}" + (f" ({out.exit_reason})" if out.exit_reason else ""))
     print(f"steps:  {out.steps}")
     if out.error:
         where = f" at pc=0x{out.error_pc:08x}" if out.error_pc is not None else ""

@@ -44,7 +44,7 @@ class Fault:
 
 @dataclass
 class RunOutcome:
-    regs: list[int]                 # final 32-bit values (lo words)
+    regs: list[int]                 # final 32-bit words, tags dropped
     output: bytes
     steps: int
     faults: list[Fault] = field(default_factory=list)
@@ -54,10 +54,6 @@ class RunOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.error is None
-
-    @property
-    def halted(self) -> bool:  # by a return or the halt device: every run without error
         return self.error is None
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .annot import (
     NO_OFFSETS,
     U0,
+    WORD,
     AnnotatedType,
     C0,
     Calc,
@@ -91,6 +92,18 @@ class TraceViolation:
         return f"{self.equation}{where}: {self.detail}"
 
 
+def _off_word(equation: str, e: Write | Read, step: int = 0) -> TraceViolation | None:
+    """The violation of ``equation`` when ``e`` accesses a word at an
+    offset, or through a string step ``step``, that is not whole words:
+    the machine faults on a word access off a word boundary."""
+    if e.w == WORD and e.k % WORD:
+        return TraceViolation(equation, f"word access at {e.k}, not a multiple of {WORD}")
+    if e.w == WORD and step % WORD:
+        return TraceViolation(equation, f"word access through string step {step}, "
+                                        f"not a multiple of {WORD}")
+    return None
+
+
 def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
     """One step of the running-type calculation along a trace.
 
@@ -111,11 +124,11 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
         X = t.offs.members
         if isinstance(e, Write):
             if t.size - e.w >= e.k >= 0:
-                return Uncalc(t.size, Offsets(X | {e.k}))
+                return _off_word("eq1", e) or Uncalc(t.size, Offsets(X | {e.k}))
             return TraceViolation("eq1", f"write {e.k} outside [0, {t.size}-{e.w}]")
         if isinstance(e, Read):
             if e.k in X and e.k >= 0:
-                return t
+                return _off_word("eq2", e) or t
             return TraceViolation("eq2", f"read {e.k} not in written set {t.offs}")
         return TraceViolation("(c)", f"array pointers admit no frame shifts: {e} on {t}")
 
@@ -128,20 +141,20 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
             return TraceViolation("eq3", f"step {e.n} != string increment {n}")
         if isinstance(e, Write):
             if n - e.w >= e.k >= 0:
-                return Calc(t.tower, Offsets(X | {e.k}))
+                return _off_word("eq4", e, n) or Calc(t.tower, Offsets(X | {e.k}))
             return TraceViolation("eq4", f"write {e.k} outside [0, {n}-{e.w}]")
         if isinstance(e, Read):
             if e.k in X and e.k >= 0:
-                return t
+                return _off_word("eq5", e, n) or t
             return TraceViolation("eq5", f"read {e.k} not in written set {t.offs}")
         return TraceViolation("(d)", f"string pointers only step down: {e} on {t}")
 
     frames = t.tower.frames
     X = t.offs.members
     if isinstance(e, FrameUp):
-        if e.n > 0:
+        if e.n > 0 and e.n % WORD == 0:
             return Calc(Finite((e.n,) + frames), NO_OFFSETS)
-        return TraceViolation("eq6", f"frame size {e.n} must be positive")
+        return TraceViolation("eq6", f"frame size {e.n} must be a positive multiple of {WORD}")
     if isinstance(e, FrameDown):
         n = frames[0] if e.n is None else e.n
         if frames[0] == n and len(frames) > 1:
@@ -149,11 +162,11 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
         return TraceViolation("eq7", f"cannot pop {n} from tower {t.tower}")
     if isinstance(e, Write):
         if frames[0] - e.w >= e.k >= 0:
-            return Calc(t.tower, Offsets(X | {e.k}))
+            return _off_word("eq8", e) or Calc(t.tower, Offsets(X | {e.k}))
         return TraceViolation("eq8", f"write {e.k} outside [0, {frames[0]}-{e.w}]")
     if isinstance(e, Read):
         if e.k in X and e.k >= 0:
-            return t
+            return _off_word("eq9", e) or t
         return TraceViolation("eq9", f"read {e.k} not in written set {t.offs}")
     return TraceViolation("(d)", f"unhandled event {e} on {t}")
 

@@ -10,6 +10,8 @@ from aliascert.annot import (
     U0,
     AnnotError,
     calc,
+    check_aligned,
+    check_frame,
     check_read,
     pop_frame,
     push_frame,
@@ -21,7 +23,7 @@ from aliascert.annotation import Annotation
 from aliascert.certifier import Row, RoutineCert, Theory, certify_program, check_safety
 from aliascert.disasm import StackInstr
 from aliascert.frontend import parse_program
-from aliascert.isa import REG_INDEX, SP, V0
+from aliascert.isa import RA, REG_INDEX, SP, V0
 from aliascert.traces import (
     Arith,
     Copy,
@@ -67,6 +69,14 @@ def test_string_write_read_bounds():
     assert isinstance(v, TraceViolation) and v.equation == "eq4"
     v = fold_event(rep(4), Read(0, 4))
     assert isinstance(v, TraceViolation) and v.equation == "eq5"
+    # a word access keeps to a word boundary, at its offset and along the
+    # string's step; a byte access need not
+    for t, e, eq in [(rep(8), Write(2, 4), "eq4"), (rep(6), Write(0, 4), "eq4"),
+                     (rep(8, offs=[2]), Read(2, 4), "eq5"), (rep(6, offs=[0]), Read(0, 4), "eq5")]:
+        v = fold_event(t, e)
+        assert isinstance(v, TraceViolation) and v.equation == eq, (t, e)
+    assert fold_event(rep(6), Write(1, 1)) == rep(6, offs=[1])
+    assert fold_event(rep(6, offs=[1]), Read(1, 1)) == rep(6, offs=[1])
 
 
 def test_stack_shift_parenthesis():
@@ -96,12 +106,15 @@ def test_stack_write_read():
 ])
 @pytest.mark.parametrize("w", [1, 4])
 def test_write_guard_boundary_by_enumeration(make, bound, w):
-    # brute force every k in [0, n]: exactly those with n-w >= k admit a write
+    # brute force every k in [0, n]: exactly those with n-w >= k admit a
+    # write, a word write only at a multiple of 4 and, along a string,
+    # only when the string's step is one too
     for n in (w, w + 1, 8, 12):
         t = make(n)
+        step = max(n, 1) if bound == "step" else 0
         for k in range(0, n + 1):
             out = fold_event(t, Write(k, w))
-            if n - w >= k >= 0:
+            if n - w >= k >= 0 and (w == 1 or k % 4 == 0 and step % 4 == 0):
                 assert not isinstance(out, TraceViolation), (n, k, w)
                 assert k in out.offs.members
             else:
@@ -136,18 +149,21 @@ def _random_event(rng):
     return rng.choice([
         Write(rng.randrange(0, 16), rng.choice([1, 4])),
         Read(rng.randrange(0, 16), rng.choice([1, 4])),
-        FrameUp(rng.randrange(0, 17, 4)),
+        FrameUp(rng.randrange(0, 17, 2)),
         FrameDown(rng.choice([1, 2, 4, 8, 16, 32])),
     ])
 
 
 def _apply_via_ops(t, e):
     if isinstance(e, Write):
+        check_aligned(t, e.k, e.w)
         return record_write(t, e.k, e.w)
     if isinstance(e, Read):
+        check_aligned(t, e.k, e.w)
         check_read(t, e.k, e.w)
         return t
     if isinstance(e, FrameUp):
+        check_frame(e.n)
         return push_frame(t, e.n)
     return pop_frame(t, e.n)
 
@@ -238,6 +254,18 @@ def test_out_of_bounds_access_flagged():
     row.chosen = StackInstr("put", rd=0, n=32)  # beyond the 32-byte frame
     violations = check_program(theory)
     assert any(v.equation == "eq8" for v in violations)
+
+
+def test_misaligned_word_write_flagged():
+    # the frame holds offset 1, but the machine faults on a word stored
+    # there; the oracle refuses it as the safety re-check does
+    theory = _safe_theory("foo_good.s")
+    cert = theory.routines[theory.entry_key]
+    addr = next(a for a, r in cert.rows.items() if str(r.chosen) == "put zero 8")
+    cert.rows[addr].chosen = StackInstr("put", rd=RA, n=1)
+    assert [str(v) for v in check_program(theory)] == \
+        [f"eq8 at 0x{addr:08x}: word access at 1, not a multiple of 4"]
+    assert [v.kind for v in check_safety(theory)] == ["Misaligned"]
 
 
 def test_read_before_write_flagged():
