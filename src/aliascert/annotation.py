@@ -1,14 +1,16 @@
 """Bindings of registers and stack slots to annotated types.
 
-One register may be starred as the current stack-pointer holder; its type
-is then a calculated type with a finite frame tower.  Slot bindings are
+The registers are a register file: a 32-tuple indexed by register number,
+holding ``None`` where a register is unbound.  The slots are sorted
+``(offset, type)`` pairs, few because a frame has few slots.  One
+register may be starred as the current stack-pointer holder; its type is
+then a calculated type with a finite frame tower.  Slot bindings are
 meaningful only for the current frame and only at offsets the starred
 type records as written.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .annot import (
@@ -21,32 +23,19 @@ from .annot import (
     apply_subst,
     unify,
 )
-from .isa import reg_name
+from .isa import REG_NAMES, reg_name
 
 
-Pairs = tuple[tuple[int, AnnotatedType], ...]  # sorted by index, one per index
+Regs = tuple[AnnotatedType | None, ...]  # indexed by register, None if unbound
+Pairs = tuple[tuple[int, AnnotatedType], ...]  # sorted by offset, one per offset
 
-
-def _first(pair: tuple[int, AnnotatedType]) -> int:
-    return pair[0]
-
-
-def _put(pairs: Pairs, k: int, t: AnnotatedType) -> Pairs:
-    """``pairs`` with ``k`` bound to ``t``: the one pair is replaced or
-    inserted in order, and every other pair object is shared.  Binding
-    ``k`` to the object it already holds returns ``pairs`` itself."""
-    i = bisect_left(pairs, k, key=_first)
-    if i < len(pairs) and pairs[i][0] == k:
-        if pairs[i][1] is t:
-            return pairs
-        return pairs[:i] + ((k, t),) + pairs[i + 1:]
-    return pairs[:i] + ((k, t),) + pairs[i:]
+_UNBOUND: Regs = (None,) * len(REG_NAMES)
 
 
 @dataclass(frozen=True, slots=True)
 class Annotation:
     star: int | None = None
-    regs: Pairs = ()
+    regs: Regs = _UNBOUND
     slots: Pairs = ()
 
     # -- construction helpers ------------------------------------------------
@@ -55,11 +44,10 @@ class Annotation:
     def make(star: int | None = None,
              regs: dict[int, AnnotatedType] | None = None,
              slots: dict[int, AnnotatedType] | None = None) -> "Annotation":
-        a = Annotation(
-            star=star,
-            regs=tuple(sorted((regs or {}).items())),
-            slots=tuple(sorted((slots or {}).items())),
-        )
+        file = list(_UNBOUND)
+        for r, t in (regs or {}).items():
+            file[r] = t
+        a = Annotation(star, tuple(file), tuple(sorted((slots or {}).items())))
         a.validate()
         return a
 
@@ -78,19 +66,13 @@ class Annotation:
     # -- reads ---------------------------------------------------------------
 
     def reg(self, r: int) -> AnnotatedType | None:
-        for i, t in self.regs:
-            if i == r:
-                return t
-        return None
+        return self.regs[r]
 
     def slot(self, k: int) -> AnnotatedType | None:
         for i, t in self.slots:
             if i == k:
                 return t
         return None
-
-    def reg_map(self) -> dict[int, AnnotatedType]:
-        return dict(self.regs)
 
     def slot_map(self) -> dict[int, AnnotatedType]:
         return dict(self.slots)
@@ -99,17 +81,23 @@ class Annotation:
         return self.reg(self.star) if self.star is not None else None
 
     # -- functional updates ---------------------------------------------------
-    # An update copies the tuple it changes and shares every other pair, so
-    # the annotations along a path hold one new pair per step; an update
-    # that changes nothing returns the annotation itself.
+    # An update copies only the register file or the slot pairs it changes;
+    # the other part and every type object are shared with the annotation
+    # it came from.  An update that changes nothing returns the annotation
+    # itself.
 
     def set_reg(self, r: int, t: AnnotatedType) -> "Annotation":
-        regs = _put(self.regs, r, t)
-        return self if regs is self.regs else Annotation(self.star, regs, self.slots)
+        regs = self.regs
+        if regs[r] is t:
+            return self
+        return Annotation(self.star, regs[:r] + (t,) + regs[r + 1:], self.slots)
 
     def set_slot(self, k: int, t: AnnotatedType) -> "Annotation":
-        slots = _put(self.slots, k, t)
-        return self if slots is self.slots else Annotation(self.star, self.regs, slots)
+        if self.slot(k) is t:
+            return self
+        slots = self.slot_map()
+        slots[k] = t
+        return Annotation(self.star, self.regs, tuple(sorted(slots.items())))
 
     def with_slots(self, slots: Pairs = ()) -> "Annotation":
         """The same registers with ``slots``, sorted pairs such as another
@@ -123,7 +111,7 @@ class Annotation:
     def substituted(self, s: Subst) -> "Annotation":
         return Annotation(
             self.star,
-            tuple((r, apply_subst(t, s)) for r, t in self.regs),
+            tuple(None if t is None else apply_subst(t, s) for t in self.regs),
             tuple((k, apply_subst(t, s)) for k, t in self.slots),
         )
 
@@ -139,13 +127,13 @@ def unify_annotations(a: Annotation, b: Annotation, s: Subst | None = None) -> S
     s = dict(s) if s else {}
     if a.star != b.star:
         raise UnifyMismatch(f"star {_star_str(a)}", f"star {_star_str(b)}")
-    am, bm = a.reg_map(), b.reg_map()
-    if am.keys() != bm.keys():
-        extra = am.keys() ^ bm.keys()
-        raise UnifyMismatch(f"registers {{{', '.join(reg_name(r) for r in sorted(extra))}}}",
+    extra = [r for r, (ta, tb) in enumerate(zip(a.regs, b.regs)) if (ta is None) != (tb is None)]
+    if extra:
+        raise UnifyMismatch(f"registers {{{', '.join(reg_name(r) for r in extra)}}}",
                             "bound on one path only")
-    for r in am:
-        s = unify(am[r], bm[r], s)
+    for ta, tb in zip(a.regs, b.regs):
+        if ta is not None:
+            s = unify(ta, tb, s)
     asl, bsl = a.slot_map(), b.slot_map()
     if asl.keys() != bsl.keys():
         extra = asl.keys() ^ bsl.keys()

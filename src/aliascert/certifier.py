@@ -177,9 +177,9 @@ def entry_annotation_for(program: Program, label: str) -> Annotation:
     assumed = program.assumes.get(label)
     if assumed is None:
         return Annotation.make(star=SP, regs={SP: C0, RA: U0, ZERO: C0})
-    regs = assumed.reg_map()
-    regs.setdefault(ZERO, C0)  # conventionally holds the zero word
-    return Annotation.make(star=assumed.star, regs=regs, slots=assumed.slot_map())
+    if assumed.reg(ZERO) is not None:
+        return assumed
+    return assumed.set_reg(ZERO, C0)  # conventionally holds the zero word
 
 
 @dataclass(slots=True)

@@ -63,7 +63,9 @@ def serialize_annotation(a: Annotation,
     ``type_text`` renders one type; a caching renderer may stand in for
     ``str``."""
     parts = []
-    for r, t in a.regs:  # already sorted by register index
+    for r, t in enumerate(a.regs):
+        if t is None:
+            continue
         star = "*" if r == a.star else ""
         parts.append(f"{reg_name(r)}{star}={type_text(t)}")
     for k, t in a.slots:
@@ -357,6 +359,8 @@ def _parse_bytes(body: str, line_no: int) -> DataBlob:
                         data.append(_ESCAPES[esc])
                     else:
                         raise AsmSyntaxError(line_no, f"unknown escape \\{esc}")
+                elif ord(body[i]) > 0xFF:
+                    raise AsmSyntaxError(line_no, f"character {body[i]!r} is not a byte")
                 else:
                     data.append(ord(body[i]))
                 i += 1

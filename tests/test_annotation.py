@@ -48,10 +48,13 @@ def test_with_slots_matches_make(regs, slots, other):
 
 
 def test_update_shares_unchanged_pairs():
-    a = make({1: C0, 2: U0, 3: rep(1)}, {})
+    a = make({1: C0, 2: U0, 3: rep(1)}, {4: U0, 8: C0})
     b = a.set_reg(2, C0)
-    assert b.regs[0] is a.regs[0] and b.regs[2] is a.regs[2] and b.regs[3] is a.regs[3]
-    assert a.set_reg(1, a.reg(1)) is a
+    assert b.reg(2) is C0 and b.slots is a.slots
+    assert all(b.regs[r] is a.regs[r] for r in range(32) if r != 2)
+    c = a.set_slot(4, C0)
+    assert c.regs is a.regs and c.slot(4) is C0 and c.slot(8) is a.slot(8)
+    assert a.set_reg(1, a.reg(1)) is a and a.set_slot(8, a.slot(8)) is a
 
 
 @pytest.mark.parametrize("other,message", [

@@ -488,3 +488,122 @@ def test_safety_recheck_flags_a_mutated_theory(addr, change, oracle, safety, cap
     out = capsys.readouterr().out
     assert (f"\ntrace oracle: VIOLATIONS\n  {oracle}\n"
             f"safety re-check (small-structs): VIOLATIONS\n  {safety}\n") in out
+
+
+# the first `li` has two readings and its register is overwritten before the
+# call, so the call's entry is the same under both, and f fails inside
+_MEMO_FAILURE = """#@ entry main
+main:
+  move gp sp
+  addiu sp sp -8
+  sw ra 4(sp)
+  li t0 msg
+  li t0 1
+  jal f
+  lw ra 4(sp)
+  move sp gp
+  jr ra
+f:
+  lw v0 0(t5)
+  jr ra
+msg:
+  .bytes "hi"
+"""
+
+
+def test_a_callee_failure_is_memoized_under_its_entry(monkeypatch):
+    program = parse_program(_MEMO_FAILURE)
+    walked, calls = [], []
+    run, certify_routine = certifier._Walk.run, certifier._Engine.certify_routine
+
+    def counted_run(walk, addr, ann):
+        walked.append(program.label_at(addr))
+        return run(walk, addr, ann)
+
+    def counted_certify(engine, addr, entry, call_stack):
+        calls.append(program.label_at(addr))
+        return certify_routine(engine, addr, entry, call_stack)
+
+    monkeypatch.setattr(certifier._Walk, "run", counted_run)
+    monkeypatch.setattr(certifier._Engine, "certify_routine", counted_certify)
+    report = certify_program(program)
+    assert report.verdict == "UNSAFE" and report.stats.backtracks == 1
+    (failure,) = report.failures
+    assert (failure.kind, failure.addr) == ("CalleeUnsafe", program.labels["main"] + 20)
+    assert failure.detail.startswith("f: NoDisassembly at 0x00400024 [lw v0 0(t5)]: ")
+    # both readings of the `li` call f; the second call re-raises the first's failure
+    assert calls == ["main", "f", "f"]
+    assert walked == ["main", "f"]
+
+
+def _unreachable_entry(monkeypatch):
+    return certify_program(parse_program("main:\n  jr ra\n"), entry="nosuch")
+
+
+def _budget_exhausted(monkeypatch):
+    monkeypatch.setattr(certifier, "SEARCH_BUDGET", 2)
+    return certify_program(parse_program(kli_source(4, False)))
+
+
+@pytest.mark.parametrize("make, kind, detail", [
+    (_unreachable_entry, "UnreachableEntry", "entry label 'nosuch' is not defined"),
+    (_budget_exhausted, "SearchBudgetExhausted", "tried more than 2 readings"),
+], ids=["unreachable-entry", "search-budget"])
+def test_report_of_a_verdict_without_a_theory(make, kind, detail, monkeypatch, capsys):
+    report = make(monkeypatch)
+    assert report.verdict == "UNSUPPORTED" and report.theory is None
+    rep = build_report("p.s", "main", "small-structs", report)
+    assert rep == {
+        "schema": "aliascert-report/1", "file": "p.s", "entry": "main",
+        "byte_policy": "small-structs", "verdict": "UNSUPPORTED",
+        "failures": [{"address": None, "rule": None, "kind": kind, "detail": detail}],
+        "routines": [], "calls": [], "oracle": None, "safety": None,
+    }
+    _print_report(rep)
+    assert capsys.readouterr().out == \
+        f"failure: {kind} at <program>: {detail}\n\nverdict: UNSUPPORTED\n"
+
+
+def test_a_routine_that_never_returns_has_no_exit(capsys):
+    program = parse_program("#@ entry main\nmain:\n  li v1 0xB0000010\n  sb zero 0(v1)\n"
+                            "stop: j stop\n")
+    report = certify_program(program)
+    assert report.safe
+    (cert,) = report.theory.routines.values()
+    assert cert.exit_ann is None
+    rep = build_report("halt.s", "main", "small-structs", report)
+    (routine,) = rep["routines"]
+    assert routine["exit"] is None and rep["oracle"]["ok"] and rep["safety"]["ok"]
+    _print_report(rep)
+    out = capsys.readouterr().out
+    assert "  exit:" not in out and out.endswith("\nverdict: SAFE\n")
+
+
+def test_a_copy_with_an_offset_set_variable_cannot_restore_the_stack_pointer():
+    report = certify_program(parse_program(
+        "#@ entry main\n#@ assume main: sp*=c^[0], gp=c^[0]!?s, ra=u^0\n"
+        "main:\n  move sp gp\n  jr ra\n"))
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    assert (failure.kind, failure.addr) == ("NoDisassembly", 0x00400000)
+    assert failure.detail == ("cspf gp: offset set of c^[0]!?s is not concrete; "
+                              "rspf gp: offset set of c^[0]!?s is not concrete")
+
+
+_PUSH_AND_RETURN = "  addiu sp sp -8\n  jr ra\n"
+
+
+def test_the_entry_routine_is_exempt_from_handing_the_stack_pointer_back():
+    # the convention is checked at the call site: the entry returns to the
+    # sentinel, and nothing reloads through its stack pointer after that
+    entry = certify_program(parse_program("#@ entry main\nmain:\n" + _PUSH_AND_RETURN))
+    assert entry.safe
+    assert str(entry.theory.routines[entry.theory.entry_key].exit_ann.star_type()) == "c^[8,0]"
+    assert check_program(entry.theory) == [] and check_safety(entry.theory) == []
+    called = certify_program(parse_program(
+        "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -8\n  sw ra 4(sp)\n  jal f\n"
+        "  lw ra 4(sp)\n  move sp gp\n  jr ra\nf:\n" + _PUSH_AND_RETURN))
+    assert called.verdict == "UNSAFE"
+    (failure,) = called.failures
+    assert (failure.kind, failure.rule, failure.detail) == \
+        ("StackNotRestored", "gosub f", "f hands back c^[8,0] in sp")

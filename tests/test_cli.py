@@ -234,8 +234,9 @@ def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
                    "    ,\n",                    # no mnemonic
                    'msg: .bytes "\\xZZ"\n',     # escape without hex digits
                    'msg: .bytes "ab\\x"\n',     # escape cut off by the quote
-                   "msg: .bytes 1 2 size=-4\n"):  # negative extent
-        bad.write_text(source)
+                   "msg: .bytes 1 2 size=-4\n",  # negative extent
+                   'msg: .bytes "\u20ac"\n'):     # a character above U+00FF
+        bad.write_text(source, encoding="utf-8")
         assert main([command, str(bad)]) == 2, source
         assert capsys.readouterr().err.startswith("parse error: line 1"), source
 

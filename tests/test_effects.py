@@ -91,7 +91,7 @@ class _Picks(random.Random):
     def redrawn(self, ann: Annotation, locations, keep_bindings: bool = False) -> Annotation:
         """``ann`` with the types at ``locations`` picked again; with
         ``keep_bindings`` every location stays bound or unbound as it was."""
-        regs = ann.reg_map()
+        regs = {r: t for r, t in enumerate(ann.regs) if t is not None}
         for r in REGS:
             if r in locations:
                 t = self.type(r, ann.star, r in regs if keep_bindings else None)

@@ -93,6 +93,17 @@ def test_data_blob_and_attributes():
     assert p.labels["msg"] == BASE_ADDRESS + 4
 
 
+def test_init_token_marks_a_blob_preloaded():
+    for text in ("1 2 init", "1 2 noinit init"):
+        blob = parse_program(f"msg:\n  .bytes {text}\n").blobs["msg"]
+        assert (blob.data, blob.init) == (b"\x01\x02", True), text
+
+
+def test_string_characters_up_to_u00ff_keep_their_byte():
+    p = parse_program('msg: .bytes "A\u00e9\u00ff"\n')
+    assert p.blobs["msg"].data == b"A\xe9\xff"
+
+
 def test_pragmas_parse():
     p = parse_program("#@ entry main\n#@ assume main: sp*=c^[0], ra=u^0\nmain:\nnop\n")
     assert p.entry == "main"
@@ -135,6 +146,9 @@ def _data(body: str) -> str:
     (_data('"ab\\'), "line 5: dangling escape in string"),
     (_data('"a\\qb"'), "line 5: unknown escape \\q"),
     (_data("1 2 step=0"), "line 5: step must be >= 1"),
+    (_data('"a\u20ac"'), "line 5: character '\u20ac' is not a byte"),
+    (_data('"\U0001f600"'), "line 5: character '\U0001f600' is not a byte"),
+    (_data('"\u0100"'), "line 5: character '\u0100' is not a byte"),
 ])
 def test_pragma_error_names_its_line(source, message):
     with pytest.raises(AsmSyntaxError) as e:
