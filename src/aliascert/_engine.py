@@ -28,6 +28,17 @@ evaluates many calculations of one seed computes each domain's root
 once and calls the same two functions.  ``TAG_MASK`` is the tag width,
 read at every call.
 
+For the length of one run, the loop keeps for each memory instruction
+the salted word its base register last held there and the tag of the
+effective address calculated from it, keyed by the instruction's pc (an
+inline cache).  A pc fixes the offset, and a run fixes the seed, the salt
+and ``TAG_MASK``; every salt is a pure function of these and its inputs.
+So while the base is unchanged the tag is too, and the loop calls the
+salt only when the base differs.  Under the interning salt of
+`run_symbolic_image` a call skipped this way would only have found its
+key interned already, so the ids and the order they are handed out in
+are those of a run that calls the salt at every step.
+
 A cell is keyed by its effective address's tag over its word address,
 ``tag << 32 | word address``, so that differently calculated aliases of
 one address select different cells: the hardware-aliasing model under
@@ -113,7 +124,11 @@ the load's cell then holds the writes through its own calculation only,
 as in the symbolic run, and a miss stays a miss.  `run_alias_image`
 given the symbolic run checks this for its seed over the few
 calculations concerned, which the symbolic run keeps as their interned
-keys, and runs the seeded loop only on a collision.  A seed's tag of a
+keys, and runs the seeded loop only on a collision.  Ids are handed out
+in the order keys are interned, so the list of keys holds id ``i``'s key
+at ``i - 1``: the symbolic run collects those calculations by a walk
+from the groups' ids down through their salted inputs, touching no other
+key, and keeps them sorted by id.  A seed's tag of a
 calculation is :func:`tag` applied to the tags of its inputs, and a key
 names each salted input by its id, so the check folds every tag from the
 bits of its key, oldest first; the tag 0 of the zero register, of byte
@@ -218,44 +233,78 @@ def _preload(blobs, seed: int, salt):
     offset in a span is one effective address; it stores the aligned word
     starting there when the span holds it, and its byte otherwise.  A
     lane's writer is its one key, or the tuple of its keys in the order
-    they first wrote it."""
+    they first wrote it.
+
+    The keys are calculated in the chain's order, then stored span by
+    span.  Every store puts the blob's own bytes at their own addresses,
+    so a cell holds the lanes stored through its key whatever the order."""
     mem: dict[int, int] = {}
-    lanes: dict[int, int | tuple[int, ...]] = {}  # byte address -> its keys
+    written: dict[int, int | tuple] = {}
+    get = mem.get
     for addr, data, step, _init in blobs:
+        n = len(data)
         ptr = salt(seed, T_LI, addr) << 32 | addr
-        off, span = 0, len(data)
-        while span > 0:
-            for j in range(span):
-                a, k = (ptr & M32) + j, off + j
-                t = salt(seed, T_EA, ptr, j)
-                if a & 3 == 0 and j + 4 <= span:
-                    mem[t << 32 | a] = int.from_bytes(data[k:k + 4], "little")
-                    covered = range(a, a + 4)
-                else:
-                    key, lane = t << 32 | a & ~3, 8 * (a & 3)
-                    mem[key] = mem.get(key, 0) & ~(0xFF << lane) | data[k] << lane
-                    covered = (a,)
-                for b in covered:
-                    x = lanes.get(b)
-                    if x is None:
-                        lanes[b] = t
-                    elif x != t:
-                        if type(x) is not tuple:
-                            lanes[b] = (x, t)
-                        elif t not in x:
-                            lanes[b] = x + (t,)
+        if not n:
+            continue
+        base = [salt(seed, T_EA, ptr, j) for j in range(n)]  # offset x's key at x
+        chain = []  # offset x's key at x - step
+        for off in range(step, n + step, step):
             ptr = salt(seed, T_ADDIU, ptr, step) << 32 | (ptr + step) & M32
-            off += step
-            span = min(step, len(data) - off)
-    written = {}
-    get = lanes.get
-    for w in {b & ~3 for b in lanes}:
-        rec = (get(w), get(w + 1), get(w + 2), get(w + 3))
-        written[w] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
+            for j in range(min(step, n - off)):
+                chain.append(salt(seed, T_EA, ptr, j))
+        lead = addr & 3
+        lanes = [None] * (lead + n + 3 & ~3)  # offset x's writers at lead + x
+        _store_span(mem, lanes, lead, addr, data, base, 0, 0, n)
+        if step < 4:  # a span shorter than a word stores one byte per offset
+            for a, t, v in zip(range(addr + step, addr + n), chain, data[step:]):
+                key = t << 32 | a & ~3
+                mem[key] = get(key, 0) | v << 8 * (a & 3)
+            lanes[lead + step:lead + n] = [
+                e if e == t else (e, t) if type(e) is not tuple else e if t in e else e + (t,)
+                for e, t in zip(lanes[lead + step:lead + n], chain)]
+        else:
+            for off in range(step, n, step):
+                _store_span(mem, lanes, lead, addr, data, chain, step, off, min(off + step, n))
+        for i in range(0, len(lanes), 4):
+            rec = tuple(lanes[i:i + 4])
+            w = addr - lead + i
+            old = written.get(w)
+            if old is not None:  # a word shared with the blob before
+                rec = tuple(y if x is None else x for x, y in zip(old, rec))
+            written[w] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
     return mem, written
 
 
+def _store_span(mem: dict, lanes: list, lead: int, addr: int, data: bytes, keys: list,
+                first: int, off: int, end: int) -> None:
+    """Store the span of offsets ``off`` to ``end`` of the blob at ``addr``,
+    offset ``x`` through ``keys[x - first]``, adding each key to the
+    writers ``lanes[lead + x]`` of the offsets it covers."""
+    get = mem.get
+    for x in range(off, end):
+        t = keys[x - first]
+        a = addr + x
+        lane = a & 3
+        if lane == 0 and x + 4 <= end:
+            mem[t << 32 | a] = int.from_bytes(data[x:x + 4], "little")
+            new = t
+        else:
+            key = t << 32 | a - lane
+            mem[key] = get(key, 0) | data[x] << 8 * lane
+            # the key of the word this span stored over x first, if any
+            u = keys[x - lane - first] if x - lane >= off and x - lane + 4 <= end else t
+            new = t if u == t else (u, t)
+        e = lanes[lead + x]
+        if e is None:
+            lanes[lead + x] = new
+        elif e != new:
+            seen = list(e) if type(e) is tuple else [e]
+            seen += [v for v in (new if type(new) is tuple else (new,)) if v not in seen]
+            lanes[lead + x] = tuple(seen)
+
+
 _WORD = range(4)  # the lanes a ``lw`` reads
+_NO_MEMO = (None, 0)  # the memo entry of a pc not yet run
 
 
 def _write_lane(written: dict, w: int, lane: int, e: int) -> None:
@@ -403,10 +452,13 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     """The aliasing machine with one tag per distinct calculation: ids 1,
     2, 3, ... in creation order, so no two calculations collide."""
     ids: dict[int, int] = {}  # interned key -> id; one int per key keeps it small
+    get = ids.get
 
     def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
-        key = ((b & M64) << 64 | (a & M64)) << 8 | domain
-        i = ids.get(key)
+        # ``a`` is a word or a salted word, below 2**64; ``b`` may be a
+        # negative immediate
+        key = ((b & M64) << 64 | a) << 8 | domain
+        i = get(key)
         if i is None:
             i = ids[key] = len(ids) + 1
         return i
@@ -418,23 +470,27 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
         return SymbolicRun(outcome, {}, (), frozenset())
     # every effective address keys or probes a cell of its word, word + imm
     words: dict[int, list[int]] = {w: [] for w in mixed}
-    for k, i in ids.items():
-        if k & 0xFF == T_EA:
-            g = words.get((((k >> 8) & M32) + (k >> 72)) & M32 & ~3)
-            if g is not None:
-                g.append(i)
+    for w, i in [(w, i) for k, i in ids.items() if k & 0xFF == T_EA
+                 and (w := ((k >> 8) + (k >> 72)) & M32 & ~3) in words]:
+        words[w].append(i)
     groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
-    # the inputs of a calculation are older than it, so one walk down
-    # from the newest id collects the closure, however long the chains
-    need = {i for g in groups for i in g}
-    for k, i in reversed(ids.items()):
-        if i in need:
-            salted = _INPUTS[k & 0xFF][1]
-            if salted:
-                need.add((k >> 40) & M32)
+    # the closure, from the groups' ids down through their inputs; id i's
+    # key is keys[i - 1]
+    keys = list(ids)
+    need: set[int] = set()
+    todo = [i for g in groups for i in g]
+    while todo:
+        i = todo.pop()
+        if i in need or i == 0:  # id 0 is the literal tag 0
+            continue
+        need.add(i)
+        k = keys[i - 1]
+        salted = _INPUTS[k & 0xFF][1]
+        if salted:
+            todo.append((k >> 40) & M32)
             if salted == 2:
-                need.add(k >> 104)
-    closure = {i: k for k, i in ids.items() if i in need}
+                todo.append(k >> 104)
+    closure = {i: keys[i - 1] for i in sorted(need)}
     return SymbolicRun(outcome, closure, groups, frozenset(mixed), snapshot[0])
 
 
@@ -488,6 +544,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
     if mixed is None:
         mixed = set()
     faults: list[Fault] = []
+    memo: dict[int, tuple[int, int]] = {}  # pc -> (base, tag of its effective address)
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
     exit_reason = None
@@ -517,7 +574,10 @@ def _run(image: Image, fuel: int, seed: int, salt,
                     break
                 pc += 4
                 continue
-            t = salt(seed, T_EA, r[c], b)
+            m = memo.get(pc, _NO_MEMO)
+            if m[0] != r[c]:
+                m = memo[pc] = (r[c], salt(seed, T_EA, r[c], b))
+            t = m[1]
             w = ea & ~3
             if op == "sw":
                 if ea & 3:
@@ -537,7 +597,10 @@ def _run(image: Image, fuel: int, seed: int, salt,
             if DEVICE_BASE <= ea < dev_end:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
-            t = salt(seed, T_EA, r[c], b)
+            m = memo.get(pc, _NO_MEMO)
+            if m[0] != r[c]:
+                m = memo[pc] = (r[c], salt(seed, T_EA, r[c], b))
+            t = m[1]
             if op == "lw" and ea & 3:
                 error, error_pc = "UnalignedWordAccess", pc
                 break

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .aliasing import AliasConfig, DiffReport, diff_runs, run_aliased
@@ -216,7 +217,6 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     _print_outcome(out, args.mode == "alias")
-    sys.stdout.flush()
     return EXIT_OK if out.ok else EXIT_FAIL
 
 
@@ -292,7 +292,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that is gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in its buffer goes to
+        # devnull, so that exit prints nothing, and the exit code is that
+        # of any other output that cannot be written
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        return EXIT_USAGE
     except _UsageError as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE

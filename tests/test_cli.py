@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +13,7 @@ from aliascert import _engine, cli, run_aliased
 from aliascert.cli import main
 
 from conftest import CORPUS, corpus_path
+from genprogs import generate_source, mutate_source
 
 
 def test_certify_safe_exit_zero(capsys, tmp_path):
@@ -225,6 +229,40 @@ def test_internal_error_is_one_line_with_its_own_exit_code(monkeypatch, capsys):
     assert "Traceback" not in captured.out
 
 
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises.  Its file
+    descriptor is ``fd``, or none when ``fd`` is None."""
+
+    def __init__(self, fd: int | None):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        if self._fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self._fd
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["run"], ["run", "--mode", "alias", "--seed", "3"],
+                                  ["diff", "--seeds", "3"]])
+def test_a_closed_stdout_exits_two_and_prints_nothing(argv, tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main([argv[0], str(corpus_path("hello.s")), *argv[1:]]) == cli.EXIT_USAGE
+        # the descriptor now writes to devnull, so the flush at exit prints nothing
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+    # a stdout with no descriptor is left as it is
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(None))
+    assert main([argv[0], str(corpus_path("hello.s")), *argv[1:]]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
 def test_load_errors_exit_two_in_every_command(command, tmp_path, capsys):
     assert main([command, str(tmp_path / "missing.s")]) == 2
@@ -348,3 +386,17 @@ def test_no_source_text_ends_in_an_internal_error(tmp_path, source):
     path = tmp_path / "fuzz.s"
     path.write_text(source + "\n")
     assert main(["certify", str(path)]) in (0, 1, 2), source
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**6), size=st.sampled_from((12, 32, 64)))
+def test_no_mutant_run_ends_in_an_internal_error(tmp_path, seed, size):
+    # programs that parse, edited by one mutation: every interpreter command
+    # ends in a run's outcome or a usage error, never in an internal error
+    source = mutate_source(generate_source(seed, size), seed)
+    path = tmp_path / "mutant.s"
+    path.write_text(source)
+    for argv in (["run"], ["run", "--mode", "alias", "--seed", "3"], ["diff", "--seeds", "3"]):
+        assert main([argv[0], str(path), *argv[1:], "--fuel", "2000"]) in (0, 1, 2), (argv, source)
