@@ -564,7 +564,8 @@ def _run(image: Image, fuel: int, seed: int, salt,
         steps += 1
 
         if op == "sw" or op == "sb":
-            ea = (r[c] + b) & M32
+            base = r[c]
+            ea = (base + b) & M32
             if DEVICE_BASE <= ea < dev_end:
                 off = ea - DEVICE_BASE  # devices decode the value lines only
                 if off == PRINT_OFFSET:
@@ -575,8 +576,8 @@ def _run(image: Image, fuel: int, seed: int, salt,
                 pc += 4
                 continue
             m = memo.get(pc, _NO_MEMO)
-            if m[0] != r[c]:
-                m = memo[pc] = (r[c], salt(seed, T_EA, r[c], b))
+            if m[0] != base:
+                m = memo[pc] = (base, salt(seed, T_EA, base, b))
             t = m[1]
             w = ea & ~3
             if op == "sw":
@@ -593,13 +594,14 @@ def _run(image: Image, fuel: int, seed: int, salt,
             pc += 4
             continue
         if op == "lw" or op == "lb":
-            ea = (r[c] + b) & M32
+            base = r[c]
+            ea = (base + b) & M32
             if DEVICE_BASE <= ea < dev_end:
                 error, error_pc = "DeviceReadUnsupported", pc
                 break
             m = memo.get(pc, _NO_MEMO)
-            if m[0] != r[c]:
-                m = memo[pc] = (r[c], salt(seed, T_EA, r[c], b))
+            if m[0] != base:
+                m = memo[pc] = (base, salt(seed, T_EA, base, b))
             t = m[1]
             if op == "lw" and ea & 3:
                 error, error_pc = "UnalignedWordAccess", pc
