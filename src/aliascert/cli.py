@@ -299,10 +299,13 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed stdout: what is left in its buffer goes to
         # devnull, so that exit prints nothing, and the exit code is that
         # of any other output that cannot be written
+        devnull = os.open(os.devnull, os.O_WRONLY)
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(devnull, sys.stdout.fileno())
         except (OSError, ValueError):  # a stdout with no file descriptor
             pass
+        finally:
+            os.close(devnull)
         return EXIT_USAGE
     except _UsageError as e:
         print(e, file=sys.stderr)

@@ -436,3 +436,31 @@ def test_a_byte_store_leaves_a_plain_word():
         assert out.regs[9] == p.labels["buf"]  # t1
     rep = diff_runs(p, seeds=30)
     assert [d.seed for d in rep.divergences] == list(range(1, 31))
+
+
+# a counter reloaded and stored back through sp, then a string read byte
+# by byte through a pointer that steps on every iteration
+_MEMO_LOOPS = ("#@ entry main\nmain:\n  addiu t1 zero 20\n  sw t1 8(sp)\nloop:\n  lw t1 8(sp)\n"
+               "  addiu t1 t1 -1\n  sw t1 8(sp)\n  bnez t1 loop\n  li a0 msg\nnext:\n"
+               "  lb a1 0(a0)\n  addiu a0 a0 1\n  bnez a1 next\n  jr ra\nmsg:\n  .bytes \"abc\\0\"\n")
+
+
+def test_a_memory_instruction_salts_its_address_once_per_base():
+    # each of the three accesses through sp calculates its tag once; the
+    # byte load's base differs on each of its four steps
+    p = parse_program(_MEMO_LOOPS)
+    image = build_image(p)
+    bases = []
+
+    def counted(seed, domain, *vals):
+        if domain == T_EA:
+            bases.append(vals[0])
+        return tag(seed, domain, *vals)
+
+    _engine._preload(image.blobs, 7, counted)
+    preloaded = len(bases)
+    out = _engine._run(image, DEFAULT_FUEL, 7, counted)
+    assert out == _engine.run_alias_image(image, DEFAULT_FUEL, 7) == run(p)
+    looped = bases[2 * preloaded:]
+    assert looped[:3] == [looped[0]] * 3 and len(looped) == 3 + 4
+    assert len(set(looped[3:])) == 4
