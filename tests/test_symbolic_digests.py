@@ -26,7 +26,6 @@ import json
 from pathlib import Path
 
 from aliascert import _engine, parse_program
-from aliascert.frontend import AsmSyntaxError, DuplicateLabel
 
 from genprogs import generate_source, mutate_source
 
@@ -94,14 +93,6 @@ def _families():
     yield "loops", [(source, fuel) for source, fuel, _ in _loops()]
 
 
-def _images(cases):
-    for source, fuel in cases:
-        try:
-            yield _engine.build_image(parse_program(source)), fuel
-        except (AsmSyntaxError, DuplicateLabel, ValueError):
-            continue  # a mutant that does not parse or has no entry
-
-
 def _symbolic_record(sym: _engine.SymbolicRun, clean) -> bytes:
     start = sym.start
     if start is not None:
@@ -115,10 +106,10 @@ def compute_digests() -> dict[str, str]:
     saved = _engine.TAG_MASK
     try:
         for family, cases in _families():
-            images = list(_images(cases))
             h = hashlib.sha256()
             runs = []
-            for image, fuel in images:
+            for source, fuel in cases:
+                image = _engine.build_image(parse_program(source))
                 sym = _engine.run_symbolic_image(image, fuel)
                 h.update(_symbolic_record(sym, _engine.clean_outcome(image, fuel, sym)))
                 runs.append((image, fuel, sym))
