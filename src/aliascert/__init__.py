@@ -12,7 +12,6 @@ from .annot import (
     AnnotatedType,
     Calc,
     Finite,
-    Offsets,
     Rep,
     SetVar,
     TypeVar,
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasConfig", "diff_runs", "run_aliased",
-    "AnnotatedType", "Calc", "Finite", "Offsets", "Rep", "SetVar", "TypeVar",
+    "AnnotatedType", "Calc", "Finite", "Rep", "SetVar", "TypeVar",
     "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
     "Annotation", "unify_annotations",
     "CertReport", "Failure", "Theory", "certify_program",

@@ -108,16 +108,6 @@ Tower = Union[Finite, Rep]
 
 
 @dataclass(frozen=True, slots=True)
-class Offsets:
-    """A concrete set of byte offsets written through the value."""
-
-    members: frozenset[int]
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(k) for k in sorted(self.members)) + "}"
-
-
-@dataclass(frozen=True, slots=True)
 class SetVar:
     """A formal stand-in for an unknown set of offsets."""
 
@@ -127,9 +117,8 @@ class SetVar:
         return f"?{self.name}"
 
 
-OffsetSet = Union[Offsets, SetVar]
-
-NO_OFFSETS = Offsets(frozenset())
+# a concrete set of byte offsets written through the value, or a variable
+OffsetSet = Union[frozenset[int], SetVar]
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +130,7 @@ class Calc:
     """A calculated value: frame tower plus written offsets."""
 
     tower: Tower
-    offs: OffsetSet = NO_OFFSETS
+    offs: OffsetSet = frozenset()
 
     def __str__(self) -> str:
         return f"c^{self.tower}" + _offs_suffix(self.offs)
@@ -152,7 +141,7 @@ class Uncalc:
     """An uncalculated value: opaque pointer to `size` bytes."""
 
     size: int
-    offs: OffsetSet = NO_OFFSETS
+    offs: OffsetSet = frozenset()
 
     def __str__(self) -> str:
         return f"u^{self.size}" + _offs_suffix(self.offs)
@@ -169,24 +158,27 @@ class TypeVar:
 AnnotatedType = Union[Calc, Uncalc, TypeVar]
 
 
-def _offs_suffix(o: OffsetSet) -> str:
+def offs_text(o: OffsetSet) -> str:
+    """``{0,4}`` for a concrete set, ``?X`` for a variable."""
     if isinstance(o, SetVar):
-        return f"!?{o.name}"
-    if not o.members:
-        return ""
-    return "!" + str(o)
+        return str(o)
+    return "{" + ",".join(str(k) for k in sorted(o)) + "}"
+
+
+def _offs_suffix(o: OffsetSet) -> str:
+    return "!" + offs_text(o) if o else ""  # the empty set prints nothing
 
 
 def calc(*frames: int, offs: Iterable[int] = ()) -> Calc:
-    return Calc(Finite(tuple(frames)), Offsets(frozenset(offs)))
+    return Calc(Finite(tuple(frames)), frozenset(offs))
 
 
 def rep(step: int, offs: Iterable[int] = ()) -> Calc:
-    return Calc(Rep(step), Offsets(frozenset(offs)))
+    return Calc(Rep(step), frozenset(offs))
 
 
 def uncalc(size: int, offs: Iterable[int] = ()) -> Uncalc:
-    return Uncalc(size, Offsets(frozenset(offs)))
+    return Uncalc(size, frozenset(offs))
 
 
 C0 = calc(0)
@@ -203,7 +195,7 @@ def push_frame(t: AnnotatedType, n: int) -> Calc:
         raise NonPositiveFrame(f"new frame must be positive, got {n}")
     if not isinstance(t, Calc) or not isinstance(t.tower, Finite):
         raise NotStackLike(f"cannot push a frame onto {t}")
-    return Calc(Finite((n,) + t.tower.frames), NO_OFFSETS)
+    return Calc(Finite((n,) + t.tower.frames), frozenset())
 
 
 def pop_frame(t: AnnotatedType, n: int) -> Calc:
@@ -224,7 +216,7 @@ def pop_frame(t: AnnotatedType, n: int) -> Calc:
         raise FrameMismatch(f"pop of {n} does not match current frame {frames[0]}")
     if len(frames) == 1:
         raise FrameMismatch(f"no enclosing frame beneath {t}")
-    return Calc(Finite(frames[1:]), NO_OFFSETS)
+    return Calc(Finite(frames[1:]), frozenset())
 
 
 def _bound_of(t: AnnotatedType) -> int:
@@ -244,9 +236,9 @@ def record_write(t: AnnotatedType, k: int, w: int = WORD) -> AnnotatedType:
         raise OutOfBounds(k, bound, w)
     if isinstance(t.offs, SetVar):
         raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
-    if k in t.offs.members:
+    if k in t.offs:
         return t
-    new = Offsets(t.offs.members | {k})
+    new = t.offs | {k}
     if isinstance(t, Uncalc):
         return Uncalc(t.size, new)
     return Calc(t.tower, new)
@@ -259,7 +251,7 @@ def check_read(t: AnnotatedType, k: int, w: int = WORD) -> None:
         raise OutOfBounds(k, bound, w)
     if isinstance(t.offs, SetVar):
         raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
-    if k not in t.offs.members:
+    if k not in t.offs:
         raise ReadBeforeWrite(k)
 
 
@@ -345,6 +337,6 @@ def _unify_offs(o1: OffsetSet, o2: OffsetSet, s: Subst, t1, t2) -> Subst:
     if isinstance(o2, SetVar):
         s[("s", o2.name)] = o1
         return s
-    if o1.members != o2.members:
+    if o1 != o2:
         raise UnifyMismatch(t1, t2)
     return s

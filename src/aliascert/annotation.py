@@ -17,10 +17,11 @@ from .annot import (
     AnnotatedType,
     Calc,
     Finite,
-    Offsets,
+    SetVar,
     Subst,
     UnifyMismatch,
     apply_subst,
+    offs_text,
     unify,
 )
 from .isa import REG_NAMES, reg_name
@@ -56,10 +57,11 @@ class Annotation:
             t = self.reg(self.star)
             if not (isinstance(t, Calc) and isinstance(t.tower, Finite)):
                 raise ValueError(f"starred register must hold a finite stack type, got {t}")
-            if isinstance(t.offs, Offsets):
+            if not isinstance(t.offs, SetVar):
                 for k, _ in self.slots:
-                    if k not in t.offs.members:
-                        raise ValueError(f"slot ({k}) bound outside written offsets {t.offs}")
+                    if k not in t.offs:
+                        raise ValueError(f"slot ({k}) bound outside written offsets "
+                                         f"{offs_text(t.offs)}")
         elif self.slots:
             raise ValueError("slot bindings require a starred register")
 

@@ -19,7 +19,6 @@ from .annot import (
     AnnotatedType,
     Calc,
     Finite,
-    Offsets,
     Rep,
     SetVar,
     TypeVar,
@@ -106,10 +105,10 @@ def _parse_offs(suffix: str | None):
     """The offsets of a suffix ``_TYPE_RE`` matched: ``!?name``, or
     ``!{...}`` holding no numbers or comma-separated ones."""
     if not suffix:
-        return Offsets(frozenset())
+        return frozenset()
     if suffix[1] == "?":
         return SetVar(suffix[2:])
-    return Offsets(frozenset(int(k) for k in suffix[2:-1].split(",") if k))
+    return frozenset(int(k) for k in suffix[2:-1].split(",") if k)
 
 
 _BINDING_RE = re.compile(

@@ -15,8 +15,8 @@ from .annot import (
     AnnotatedType,
     Calc,
     Finite,
-    Offsets,
     Rep,
+    SetVar,
     Uncalc,
     check_aligned,
     check_frame,
@@ -66,9 +66,9 @@ def _need_writable(s: StackInstr, r: int):
 
 
 def _concrete_offsets(s: StackInstr, t) -> frozenset[int]:
-    if not isinstance(t.offs, Offsets):
+    if isinstance(t.offs, SetVar):
         _fail(s, f"offset set of {t} is not concrete")
-    return t.offs.members
+    return t.offs
 
 
 def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
@@ -221,9 +221,9 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         _need_unstarred(s, a, s.rd)
         _need_writable(s, s.rd)
         if op == "newx":
-            t: AnnotatedType = Calc(Rep(s.n), Offsets(s.offs))
+            t: AnnotatedType = Calc(Rep(s.n), s.offs)
         else:
-            t = Uncalc(s.n, Offsets(s.offs))
+            t = Uncalc(s.n, s.offs)
         return a.set_reg(s.rd, t)
 
     if op == "gosub":

@@ -16,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annot import (
-    NO_OFFSETS,
     U0,
     WORD,
     AnnotatedType,
     C0,
     Calc,
     Finite,
-    Offsets,
     Rep,
+    SetVar,
     TypeVar,
     Uncalc,
+    offs_text,
 )
 from .annotation import Annotation
 from .certifier import RoutineCert, Theory
@@ -108,8 +108,10 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
     """One step of the running-type calculation along a trace.
 
     Returns the rebound type when the matching equation's guard holds, or
-    a violation naming the equation/constraint that failed.  ``t`` must be
-    ground except under Copy.
+    a violation naming the equation/constraint that failed.  Only a read
+    or a write looks at the written set X: frame shifts and copies fold
+    through a variable X, and a read or write through one is a ``(d)``
+    violation, as is any event but a copy on a type variable.
     """
     if isinstance(e, Copy):
         return t
@@ -119,55 +121,56 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
         return TraceViolation("(d)", f"introduction event on live value {t}")
     if isinstance(t, TypeVar):
         return TraceViolation("(d)", f"event {e} on unresolved hypothesis {t}")
+    X = t.offs
+    if isinstance(e, (Write, Read)) and isinstance(X, SetVar):
+        return TraceViolation("(d)", f"event {e} through unresolved offset set of {t}")
 
     if isinstance(t, Uncalc):
-        X = t.offs.members
         if isinstance(e, Write):
             if t.size - e.w >= e.k >= 0:
-                return _off_word("eq1", e) or Uncalc(t.size, Offsets(X | {e.k}))
+                return _off_word("eq1", e) or Uncalc(t.size, X | {e.k})
             return TraceViolation("eq1", f"write {e.k} outside [0, {t.size}-{e.w}]")
         if isinstance(e, Read):
             if e.k in X and e.k >= 0:
                 return _off_word("eq2", e) or t
-            return TraceViolation("eq2", f"read {e.k} not in written set {t.offs}")
+            return TraceViolation("eq2", f"read {e.k} not in written set {offs_text(X)}")
         return TraceViolation("(c)", f"array pointers admit no frame shifts: {e} on {t}")
 
     if isinstance(t.tower, Rep):
-        n, X = t.tower.step, t.offs.members
+        n = t.tower.step
         if isinstance(e, FrameDown):
             if e.n is None or e.n == n:
                 # the same written pattern recurs at every increment
-                return Calc(t.tower, t.offs)
+                return t
             return TraceViolation("eq3", f"step {e.n} != string increment {n}")
         if isinstance(e, Write):
             if n - e.w >= e.k >= 0:
-                return _off_word("eq4", e, n) or Calc(t.tower, Offsets(X | {e.k}))
+                return _off_word("eq4", e, n) or Calc(t.tower, X | {e.k})
             return TraceViolation("eq4", f"write {e.k} outside [0, {n}-{e.w}]")
         if isinstance(e, Read):
             if e.k in X and e.k >= 0:
                 return _off_word("eq5", e, n) or t
-            return TraceViolation("eq5", f"read {e.k} not in written set {t.offs}")
+            return TraceViolation("eq5", f"read {e.k} not in written set {offs_text(X)}")
         return TraceViolation("(d)", f"string pointers only step down: {e} on {t}")
 
     frames = t.tower.frames
-    X = t.offs.members
     if isinstance(e, FrameUp):
         if e.n > 0 and e.n % WORD == 0:
-            return Calc(Finite((e.n,) + frames), NO_OFFSETS)
+            return Calc(Finite((e.n,) + frames), frozenset())
         return TraceViolation("eq6", f"frame size {e.n} must be a positive multiple of {WORD}")
     if isinstance(e, FrameDown):
         n = frames[0] if e.n is None else e.n
         if frames[0] == n and len(frames) > 1:
-            return Calc(Finite(frames[1:]), NO_OFFSETS)
+            return Calc(Finite(frames[1:]), frozenset())
         return TraceViolation("eq7", f"cannot pop {n} from tower {t.tower}")
     if isinstance(e, Write):
         if frames[0] - e.w >= e.k >= 0:
-            return _off_word("eq8", e) or Calc(t.tower, Offsets(X | {e.k}))
+            return _off_word("eq8", e) or Calc(t.tower, X | {e.k})
         return TraceViolation("eq8", f"write {e.k} outside [0, {frames[0]}-{e.w}]")
     if isinstance(e, Read):
         if e.k in X and e.k >= 0:
             return _off_word("eq9", e) or t
-        return TraceViolation("eq9", f"read {e.k} not in written set {t.offs}")
+        return TraceViolation("eq9", f"read {e.k} not in written set {offs_text(X)}")
     return TraceViolation("(d)", f"unhandled event {e} on {t}")
 
 
@@ -351,9 +354,9 @@ class _Walker:
                         return None
                 t = src
             elif isinstance(ev.event, IntroString):
-                t = Calc(Rep(ev.event.n), Offsets(ev.event.offs))
+                t = Calc(Rep(ev.event.n), ev.event.offs)
             elif isinstance(ev.event, IntroArray):
-                t = Uncalc(ev.event.n, Offsets(ev.event.offs))
+                t = Uncalc(ev.event.n, ev.event.offs)
             elif isinstance(ev.event, Arith):
                 t = C0
             else:
@@ -371,7 +374,7 @@ class _Walker:
             return state.with_slots()
         if s.op == "cspf":
             offs = state.star_type().offs
-            return state.prune_slots(offs.members if isinstance(offs, Offsets) else frozenset())
+            return state.prune_slots(frozenset() if isinstance(offs, SetVar) else offs)
         return state
 
     def _apply_call(self, addr: int, row, state: Annotation) -> Annotation | None:

@@ -103,7 +103,7 @@ def test_criterion_4_event_algebra():
         for k in range(n + 1):
             out = fold_event(make(n), Write(k, w))
             if n - w >= k >= 0 and (w == 1 or k % 4 == 0):
-                assert k in out.offs.members, (n, k, w)
+                assert k in out.offs, (n, k, w)
             else:
                 assert isinstance(out, TraceViolation) and out.equation == eq
             checked += 1

@@ -15,7 +15,6 @@ from aliascert.annot import (
     Misaligned,
     NonPositiveFrame,
     NotStackLike,
-    Offsets,
     OutOfBounds,
     ReadBeforeWrite,
     Rep,
@@ -125,10 +124,8 @@ towers = st.one_of(
     st.integers(1, 16).map(Rep),
 )
 ground_types = st.one_of(
-    st.builds(Calc, towers, st.sets(st.integers(0, 60)).map(
-        lambda s: Offsets(frozenset(s)))),
-    st.builds(Uncalc, st.integers(0, 64), st.sets(st.integers(0, 60)).map(
-        lambda s: Offsets(frozenset(s)))),
+    st.builds(Calc, towers, st.frozensets(st.integers(0, 60))),
+    st.builds(Uncalc, st.integers(0, 64), st.frozensets(st.integers(0, 60))),
 )
 
 
@@ -139,7 +136,7 @@ def test_pop_undoes_push_modulo_offsets(t, n):
     except NotStackLike:
         return
     popped = pop_frame(pushed, n)
-    assert popped == Calc(t.tower, Offsets(frozenset()))
+    assert popped == Calc(t.tower, frozenset())
 
 
 @given(ground_types, st.integers(0, 70), st.sampled_from([1, 4]))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import sys
 
@@ -177,6 +178,77 @@ def test_diff_reports_an_output_divergence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "clean output: b'B'\ndivergences: 3/3\n" + "".join(
         f"  seed {s}: output b'A' vs clean b'B'\n" for s in (1, 2, 3)) in out
+
+
+def _certify_clean(path, capsys) -> None:
+    assert main(["certify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: SAFE" in out
+    assert "\ntrace oracle: ok\n" in out
+    assert "safety re-check (small-structs): ok\n" in out
+
+
+def test_push_onto_a_stack_with_an_open_offset_set_is_safe(tmp_path, capsys):
+    # a frame shift folds through the hypothesis's offset-set variable X:
+    # the pushed frame starts with no offsets written, whatever X is
+    src = tmp_path / "push.s"
+    src.write_text("#@ entry main\n#@ assume main: sp*=c^[0]!?X, ra=u^0\n"
+                   "main:\n  addiu sp sp -8\n  jr ra\n")
+    _certify_clean(src, capsys)
+
+
+def test_string_steps_with_an_open_offset_set_are_safe(tmp_path, capsys):
+    # a string step keeps the written pattern, here the variable X
+    src = tmp_path / "steps.s"
+    src.write_text("#@ entry main\n#@ assume main: t0=c^rep(4)!?X, ra=u^0\n"
+                   "main:\n  addiu t0 t0 4\n  addiu t0 t0 4\n  jr ra\n")
+    _certify_clean(src, capsys)
+
+
+# hypotheses that leave a type (?x) or an offset set (!?X) open on stack,
+# string and array pointers, one binding or none drawn per register
+_OPEN_BINDINGS = (("sp*=c^[0]!?X", "sp*=c^[8,0]!?X", "sp*=c^[8,0]!{0,4}", "sp*=c^[0]"),
+                  ("t0=c^rep(4)!?Y", "t0=c^rep(1)!?Y", "t0=u^8!?Y", "t0=?x", "t0=c^[0]", ""),
+                  ("t1=u^8!{0,4}", "t1=c^rep(4)!?Z", "t1=?y", ""),
+                  ("gp=c^[8,0]!?W", "gp=c^[0]", "gp=?z", ""))
+_OPEN_REGS = ("t0", "t1", "sp", "gp")
+# weighted towards the instructions most often certified
+_OPEN_OPS = ("addiu", "addiu", "addiu", "lw", "sw", "lb", "sb", "move", "move", "li", "jal", "nop")
+
+
+def _open_instruction(rng: random.Random) -> str:
+    a = rng.choice(_OPEN_REGS)
+    b = rng.choice((a, rng.choice(_OPEN_REGS)))  # one register at least half the time
+    op = rng.choice(_OPEN_OPS)
+    if op == "addiu":
+        return f"addiu {a} {b} {rng.choice((-8, -4, 4, 8))}"
+    if op in ("lw", "sw", "lb", "sb"):
+        return f"{op} {a} {rng.choice((0, 4))}({b})"
+    return {"move": f"move {a} {b}", "li": f"li {a} msg", "jal": "jal f", "nop": "nop"}[op]
+
+
+def _open_hypothesis_source(rng: random.Random) -> str:
+    hypothesis = ", ".join(b for b in (rng.choice(c) for c in _OPEN_BINDINGS) if b)
+    body = "".join(f"  {_open_instruction(rng)}\n" for _ in range(rng.randint(1, 4)))
+    return (f"#@ entry main\n#@ assume main: {hypothesis}, ra=u^0\nmain:\n{body}  jr ra\n"
+            f"f:\n  jr ra\nmsg:\n  .bytes \"abcdefgh\"\n")
+
+
+def test_no_open_hypothesis_ends_in_an_internal_error(tmp_path, capsys):
+    # one to four instructions under hypotheses with ?x and !?X: a verdict,
+    # never an internal error, and SAFE only with a clean oracle and re-check
+    path = tmp_path / "open.s"
+    safe = 0
+    for seed in range(400):
+        source = _open_hypothesis_source(random.Random(seed))
+        path.write_text(source)
+        code = main(["certify", str(path)])
+        out = capsys.readouterr().out
+        assert code in (0, 1), source
+        if "verdict: SAFE" in out:
+            assert code == 0, source
+            safe += 1
+    assert safe >= 40  # the draw certifies a share of its programs, not none
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])

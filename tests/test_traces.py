@@ -9,6 +9,11 @@ from aliascert.annot import (
     C0,
     U0,
     AnnotError,
+    Calc,
+    Finite,
+    Rep,
+    SetVar,
+    Uncalc,
     calc,
     check_aligned,
     check_frame,
@@ -99,6 +104,28 @@ def test_stack_write_read():
     assert isinstance(v, TraceViolation) and v.equation == "eq9"
 
 
+def test_unread_offset_message_lists_the_written_set():
+    v = fold_event(uncalc(8, offs=[4, 0]), Read(1, 1))
+    assert str(v) == "eq2: read 1 not in written set {0,4}"
+
+
+def test_shifts_fold_through_an_offset_set_variable():
+    # only a read or a write looks at the written set X: frame shifts and
+    # copies fold through a variable X as push_frame and pop_frame do, and
+    # a read or write through one is a (d) violation
+    X = SetVar("X")
+    stack, string = Calc(Finite((0,)), X), Calc(Rep(4), X)
+    assert fold_event(stack, FrameUp(8)) == calc(8, 0) == push_frame(stack, 8)
+    assert fold_event(string, FrameDown(4)) == string == pop_frame(string, 4)
+    assert fold_event(Calc(Finite((8, 0)), X), FrameDown(8)) == calc(0)
+    assert fold_event(stack, Copy()) == stack
+    for t in (Calc(Finite((8, 0)), X), string, Uncalc(8, X)):
+        for e in (Read(0, 4), Write(0, 4), Read(0, 1), Write(0, 1)):
+            v = fold_event(t, e)
+            assert isinstance(v, TraceViolation) and v.equation == "(d)", (t, e)
+            assert "?X" in v.detail, v
+
+
 @pytest.mark.parametrize("make,bound", [
     (lambda n: uncalc(n), "size"),       # array bound
     (lambda n: rep(max(n, 1)), "step"),  # string increment
@@ -116,7 +143,7 @@ def test_write_guard_boundary_by_enumeration(make, bound, w):
             out = fold_event(t, Write(k, w))
             if n - w >= k >= 0 and (w == 1 or k % 4 == 0 and step % 4 == 0):
                 assert not isinstance(out, TraceViolation), (n, k, w)
-                assert k in out.offs.members
+                assert k in out.offs
             else:
                 assert isinstance(out, TraceViolation), (n, k, w)
 

@@ -7,7 +7,6 @@ from aliascert.annot import (
     U0,
     Calc,
     Finite,
-    Offsets,
     Rep,
     SetVar,
     TypeVar,
@@ -66,10 +65,10 @@ types = st.one_of(
               st.one_of(st.lists(st.integers(0, 8), min_size=1, max_size=3)
                           .map(lambda f: Finite(tuple(f))),
                         st.integers(1, 4).map(Rep)),
-              st.one_of(st.sets(st.integers(0, 6)).map(lambda x: Offsets(frozenset(x))),
+              st.one_of(st.frozensets(st.integers(0, 6)),
                         st.sampled_from("XY").map(SetVar))),
     st.builds(Uncalc, st.integers(0, 8),
-              st.sets(st.integers(0, 6)).map(lambda x: Offsets(frozenset(x)))),
+              st.frozensets(st.integers(0, 6))),
     st.sampled_from("xyz").map(TypeVar),
 )
 
