@@ -63,9 +63,10 @@ stores the blob's own bytes at their own addresses: a word when its span
 holds the whole aligned word, else one byte.  Whatever the chains, the
 cells end up holding each byte of each blob at its address, tagged 0,
 with 0 in every lane no blob covers: a plain map from word address to
-word.  Blobs never overlap (the parser lays them out one after another),
-so a word two blobs share holds the lanes of both.  That is the memory
-every clean run starts from, at the entry or from a `CleanStart`; only
+word.  Each blob is aligned to 4 bytes, and no two share a word (the
+parser lays them out so, and `build_image` refuses any other layout), so
+each word holds the bytes of one blob.  That is the memory every clean
+run starts from, at the entry or from a `CleanStart`; only
 the aliasing machines walk the chains.
 
 Beside the cells, the loop keeps for each written word the calculation
@@ -190,7 +191,8 @@ def tag(seed: int, domain: int, *vals: int) -> int:
 @dataclass(frozen=True)
 class Image:
     """A decoded program ready for interpretation, each instruction keyed
-    by its address."""
+    by its address.  Each blob starts on a word boundary, and no two
+    share a word."""
 
     code: dict[int, tuple[str, int, int, int]]  # address -> (mnemonic, a, b, c)
     blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
@@ -201,7 +203,9 @@ def build_image(program: Program, entry: str | None = None) -> Image:
     """Decode a program into the flat form the interpreter consumes: at
     each instruction's address, its mnemonic, then its operands in
     ``FORMATS`` order, ``mem`` as ``imm, rs``, targets resolved, padded
-    with 0 to three operands."""
+    with 0 to three operands.  A ``ValueError`` for a blob off a word
+    boundary or in a word of the blob before it, a layout the parser never
+    makes."""
     entry_addr = program.entry_address(entry)
     code = {}
     for n, i in enumerate(program.instructions):
@@ -218,6 +222,15 @@ def build_image(program: Program, entry: str | None = None) -> Image:
         (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
     )
+    end, before = 0, None  # the first address past the blob before, and its name
+    for addr, name in sorted((program.labels[name], name) for name in program.blobs):
+        if addr & 3:
+            raise ValueError(f"data blob {name!r} at 0x{addr:08x} is not on a word boundary")
+        if addr < end:
+            raise ValueError(f"data blob {name!r} at 0x{addr:08x} shares a word "
+                             f"with data blob {before!r}")
+        # an empty blob takes a word, as the parser lays it out
+        end, before = addr + max(len(program.blobs[name].data), 1) + 3 & ~3, name
     return Image(code=code, blobs=blobs, entry_addr=entry_addr)
 
 
@@ -252,34 +265,29 @@ def _preload(blobs, seed: int, salt):
             ptr = salt(seed, T_ADDIU, ptr, step) << 32 | (ptr + step) & M32
             for j in range(min(step, n - off)):
                 chain.append(salt(seed, T_EA, ptr, j))
-        lead = addr & 3
-        lanes = [None] * (lead + n + 3 & ~3)  # offset x's writers at lead + x
-        _store_span(mem, lanes, lead, addr, data, base, 0, 0, n)
+        lanes = [None] * (n + 3 & ~3)  # offset x's writers
+        _store_span(mem, lanes, addr, data, base, 0, 0, n)
         if step < 4:  # a span shorter than a word stores one byte per offset
             for a, t, v in zip(range(addr + step, addr + n), chain, data[step:]):
                 key = t << 32 | a & ~3
                 mem[key] = get(key, 0) | v << 8 * (a & 3)
-            lanes[lead + step:lead + n] = [
+            lanes[step:n] = [
                 e if e == t else (e, t) if type(e) is not tuple else e if t in e else e + (t,)
-                for e, t in zip(lanes[lead + step:lead + n], chain)]
+                for e, t in zip(lanes[step:n], chain)]
         else:
             for off in range(step, n, step):
-                _store_span(mem, lanes, lead, addr, data, chain, step, off, min(off + step, n))
-        for i in range(0, len(lanes), 4):
+                _store_span(mem, lanes, addr, data, chain, step, off, min(off + step, n))
+        for i in range(0, n, 4):
             rec = tuple(lanes[i:i + 4])
-            w = addr - lead + i
-            old = written.get(w)
-            if old is not None:  # a word shared with the blob before
-                rec = tuple(y if x is None else x for x, y in zip(old, rec))
-            written[w] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
+            written[addr + i] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
     return mem, written
 
 
-def _store_span(mem: dict, lanes: list, lead: int, addr: int, data: bytes, keys: list,
+def _store_span(mem: dict, lanes: list, addr: int, data: bytes, keys: list,
                 first: int, off: int, end: int) -> None:
     """Store the span of offsets ``off`` to ``end`` of the blob at ``addr``,
     offset ``x`` through ``keys[x - first]``, adding each key to the
-    writers ``lanes[lead + x]`` of the offsets it covers."""
+    writers ``lanes[x]`` of the offsets it covers."""
     get = mem.get
     for x in range(off, end):
         t = keys[x - first]
@@ -294,13 +302,13 @@ def _store_span(mem: dict, lanes: list, lead: int, addr: int, data: bytes, keys:
             # the key of the word this span stored over x first, if any
             u = keys[x - lane - first] if x - lane >= off and x - lane + 4 <= end else t
             new = t if u == t else (u, t)
-        e = lanes[lead + x]
+        e = lanes[x]
         if e is None:
-            lanes[lead + x] = new
+            lanes[x] = new
         elif e != new:
             seen = list(e) if type(e) is tuple else [e]
             seen += [v for v in (new if type(new) is tuple else (new,)) if v not in seen]
-            lanes[lead + x] = tuple(seen)
+            lanes[x] = tuple(seen)
 
 
 _WORD = range(4)  # the lanes a ``lw`` reads
@@ -340,17 +348,8 @@ _ENTRY_REGS = tuple(DEFAULT_STACK_BASE if r == SP else RETURN_SENTINEL if r == R
 def _clean_memory(blobs) -> dict[int, int]:
     """The clean machine's memory of ``blobs``: each byte at its address,
     as a map from word address to word."""
-    mem: dict[int, int] = {}
-    for addr, data, _step, _init in blobs:
-        if not data:
-            continue
-        lead = addr & 3
-        padded = bytes(lead) + data
-        for i in range(0, len(padded), 4):
-            w = addr - lead + i
-            # a word shared with the blob before keeps that blob's lanes
-            mem[w] = mem.get(w, 0) | int.from_bytes(padded[i:i + 4], "little")
-    return mem
+    return {addr + i: int.from_bytes(data[i:i + 4], "little")
+            for addr, data, _step, _init in blobs for i in range(0, len(data), 4)}
 
 
 def run_clean_image(image: Image, fuel: int, start: CleanStart | None = None) -> RunOutcome:

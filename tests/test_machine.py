@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from aliascert.aliasing import AliasConfig, run_aliased
@@ -9,7 +11,7 @@ from aliascert._engine import build_image
 from aliascert.machine import MachineState, MachineError, run, run_by_steps, step
 from aliascert.machine import RETURN_SENTINEL
 
-from genprogs import generate_program
+from genprogs import generate_program, generate_source, mutate_source
 
 
 def test_addiu_semantics():
@@ -176,6 +178,33 @@ def test_missing_entry_rejected():
             with pytest.raises(ValueError) as e:
                 start(program, entry=entry)
             assert str(e.value) == message
+
+
+def test_build_image_refuses_blobs_the_parser_never_lays_out():
+    # the parser starts each blob on a word boundary and never puts two in
+    # one word; a hand-built program that breaks that layout is refused
+    p = parse_program("#@ entry main\nmain:\n  jr ra\nmsg:\n  .bytes 1 2 3 4 5\n"
+                      "buf:\n  .bytes 6 7\n")
+    msg = p.labels["msg"]
+    assert build_image(p).blobs == ((msg, bytes([1, 2, 3, 4, 5]), 1, True),
+                                    (msg + 8, bytes([6, 7]), 1, True))
+    for addr, message in [
+        (msg + 9, f"data blob 'buf' at 0x{msg + 9:08x} is not on a word boundary"),
+        (msg + 4, f"data blob 'buf' at 0x{msg + 4:08x} shares a word with data blob 'msg'"),
+    ]:
+        moved = dataclasses.replace(p, labels={**p.labels, "buf": addr})
+        with pytest.raises(ValueError) as e:
+            build_image(moved)
+        assert str(e.value) == message
+
+
+def test_every_parsed_program_has_the_blob_layout(corpus_programs):
+    sources = [generate_source(seed, size) for seed in range(60) for size in (12, 32, 64)]
+    programs = list(corpus_programs.values()) + [parse_program(s) for s in sources]
+    programs += [parse_program(mutate_source(s, seed)) for seed, s in enumerate(sources)]
+    for p in programs:
+        if p.blobs and p.entry is not None:
+            build_image(p)  # raises for a blob off a word boundary or in a shared word
 
 
 def test_sentinel_constant_is_aligned():

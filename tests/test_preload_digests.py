@@ -7,9 +7,9 @@ the writers it records for each word's lanes, over a fixed grid: seeds 0
 to 5 under the seeded salt at 32-, 8- and 3-bit tags (narrow tags make
 distinct calculations collide, so cells merge), and the salt that tags
 every calculation 0.  The blob
-families are synthetic blobs of steps 1 to 9 and lengths 0 to 23 at each
-alignment, pairs of blobs that share a word, and the blobs of the corpus
-and of ``genprogs`` seeds 0 to 59 at sizes 12, 32 and 64.  Any change to
+families are synthetic blobs of steps 1 to 9 and lengths 0 to 23 on a
+word boundary, where the parser places every blob, and the blobs of the
+corpus and of ``genprogs`` seeds 0 to 59 at sizes 12, 32 and 64.  Any change to
 which cells the loader fills, with what, which words count as written
 or which calculation wrote each lane shows up as a changed digest.
 
@@ -48,11 +48,7 @@ def _program_blobs(source: str):
 
 def _families():
     data = bytes(range(0xA0, 0xA0 + 24))
-    yield "synthetic", [((BASE + align, data[:n], step, True),)
-                        for step in range(1, 10) for n in range(24) for align in range(4)]
-    # the second blob starts in the word where the first ends
-    yield "shared_words", [((BASE, data[:n], step, True), (BASE + n, data[n:n + 9], 2, True))
-                           for step in (1, 3, 4) for n in range(1, 8)]
+    yield "synthetic", [((BASE, data[:n], step, True),) for step in range(1, 10) for n in range(24)]
     sources = [path.read_text() for path in sorted(CORPUS.glob("*.s"))]
     sources += [generate_source(seed, size) for seed in range(60) for size in (12, 32, 64)]
     yield "programs", sorted({blobs for blobs in map(_program_blobs, sources) if blobs})
