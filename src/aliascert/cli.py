@@ -14,6 +14,7 @@ from .certifier import (
     BYTE_POLICIES,
     SAFE,
     CertReport,
+    Failure,
     certify_program,
     check_safety,
 )
@@ -143,10 +144,7 @@ def _print_report(rep: dict) -> None:
         if routine["exit"] is not None:
             print(f"  exit:  {routine['exit']}")
     for f in rep["failures"]:
-        addr = f["address"]
-        where = f"0x{addr:08x}" if addr is not None else "<program>"
-        rule = f" [{f['rule']}]" if f["rule"] else ""
-        print(f"failure: {f['kind']} at {where}{rule}: {f['detail']}")
+        print(f"failure: {Failure(f['address'], f['rule'], f['kind'], f['detail'])}")
     if rep["oracle"] is not None:
         status = "ok" if rep["oracle"]["ok"] else "VIOLATIONS"
         print(f"\ntrace oracle: {status}")
