@@ -199,14 +199,14 @@ class Image:
     entry_addr: int
 
 
-def build_image(program: Program, entry: str | None = None) -> Image:
+def build_image(program: Program) -> Image:
     """Decode a program into the flat form the interpreter consumes: at
     each instruction's address, its mnemonic, then its operands in
     ``FORMATS`` order, ``mem`` as ``imm, rs``, targets resolved, padded
     with 0 to three operands.  A ``ValueError`` for a blob off a word
     boundary or in a word of the blob before it, a layout the parser never
     makes."""
-    entry_addr = program.entry_address(entry)
+    entry_addr = program.entry_address()
     code = {}
     for n, i in enumerate(program.instructions):
         ops = [i.op]

@@ -16,12 +16,12 @@ from .isa import Program
 from .machine import DEFAULT_FUEL, RunOutcome
 
 
-def build_image(program: Program, entry: str | None = None):
+def build_image(program: Program):
     """`_engine.build_image`, imported on the first run, so that commands
     which run no program never load the interpreter."""
     from . import _engine
 
-    return _engine.build_image(program, entry)
+    return _engine.build_image(program)
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,12 @@ class AliasConfig:
 
 
 def run_aliased(program: Program, cfg: AliasConfig = AliasConfig(),
-                fuel: int = DEFAULT_FUEL, entry: str | None = None) -> RunOutcome:
+                fuel: int = DEFAULT_FUEL) -> RunOutcome:
     """Run under the aliasing model; the fault log records reads that hit
     an arithmetically matching but differently calculated cell."""
     from . import _engine
 
-    image = build_image(program, entry)
+    image = build_image(program)
     return _engine.run_alias_image(image, fuel, cfg.seed)
 
 
@@ -78,8 +78,7 @@ def compare_runs(clean: RunOutcome, aliased: RunOutcome, seed: int) -> Divergenc
     return None
 
 
-def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
-              entry: str | None = None) -> DiffReport:
+def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL) -> DiffReport:
     """Clean-vs-aliased sweep over seeds 1 to ``seeds`` (at least 1) with
     ``fuel`` (at least 1) steps a run; the clean run must complete
     without error."""
@@ -87,7 +86,7 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL,
 
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    image = build_image(program, entry)
+    image = build_image(program)
     symbolic = _engine.run_symbolic_image(image, fuel)
     clean = _engine.clean_outcome(image, fuel, symbolic)
     if not clean.ok:

@@ -173,8 +173,8 @@ class CertReport:
         return self.verdict == SAFE
 
 
-def entry_annotation_for(program: Program, label: str) -> Annotation:
-    assumed = program.assumes.get(label)
+def entry_annotation_for(program: Program) -> Annotation:
+    assumed = program.assumes.get(program.entry)
     if assumed is None:
         return Annotation.make(star=SP, regs={SP: C0, RA: U0, ZERO: C0})
     if assumed.reg(ZERO) is not None:
@@ -604,16 +604,15 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown byte policy {policy!r}")
 
 
-def certify_program(program: Program, entry: str | None = None,
-                    policy: str = DEFAULT_POLICY) -> CertReport:
+def certify_program(program: Program, policy: str = DEFAULT_POLICY) -> CertReport:
     """Infer a covering theory for ``program`` from its entry label."""
     _check_policy(policy)
     try:
-        entry_addr = program.entry_address(entry)
+        entry_addr = program.entry_address()
     except ValueError as e:
         return CertReport(UNSUPPORTED, None, [Failure(None, None, "UnreachableEntry", str(e))])
     engine = _Engine(program, policy)
-    entry_ann = entry_annotation_for(program, entry or program.entry)
+    entry_ann = entry_annotation_for(program)
     theory = engine.theory
     try:
         cert = engine.certify_routine(entry_addr, entry_ann, ())

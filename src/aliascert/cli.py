@@ -38,16 +38,21 @@ class _UsageError(Exception):
     """Ends a command with EXIT_USAGE; the message goes to stderr."""
 
 
-def _load(path: str) -> Program:
+def _load(args) -> Program:
+    """The program of ``args.file``, entered at ``--entry`` when given."""
+    path = args.file
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_program(fh.read())
+            program = parse_program(fh.read())
     except OSError as e:
         raise _UsageError(f"error: {e}") from e
     except UnicodeDecodeError as e:
         raise _UsageError(f"error: {path}: {e}") from e
     except (AsmSyntaxError, DuplicateLabel) as e:
         raise _UsageError(f"parse error: {e}") from e
+    if args.entry:
+        program.entry = args.entry
+    return program
 
 
 class _RenderCache:
@@ -159,15 +164,15 @@ def _print_report(rep: dict) -> None:
 
 
 def cmd_certify(args) -> int:
-    program = _load(args.file)
+    program = _load(args)
     try:
-        program.entry_address(args.entry)
+        program.entry_address()
     except ValueError as e:
         raise _UsageError(f"error: {e}") from None
     # nothing keeps the certificate once it is rendered, so its theory is
     # freed before the report is printed
-    rep = build_report(args.file, args.entry or program.entry, args.byte_policy,
-                       certify_program(program, entry=args.entry, policy=args.byte_policy))
+    rep = build_report(args.file, program.entry, args.byte_policy,
+                       certify_program(program, policy=args.byte_policy))
     _print_report(rep)
     if args.json:
         text = json.dumps(rep, indent=2)  # one write; json.dump makes many small ones
@@ -182,49 +187,42 @@ def cmd_certify(args) -> int:
     return EXIT_OK if clean else EXIT_FAIL
 
 
-def _print_outcome(out: RunOutcome, aliased: bool) -> None:
+def _print_outcome(out: RunOutcome) -> None:
     print(f"output: {out.output!r}")
     print(f"halted: {out.ok}" + (f" ({out.exit_reason})" if out.exit_reason else ""))
     print(f"steps:  {out.steps}")
     if out.error:
         where = f" at pc=0x{out.error_pc:08x}" if out.error_pc is not None else ""
         print(f"error:  {out.error}{where}")
-    if aliased:
-        for f in out.faults:
-            print(f"fault:  {f}")
+    for f in out.faults:  # only the aliasing machine records a fault
+        print(f"fault:  {f}")
     regs = ", ".join(f"{reg_name(r)}=0x{out.regs[r]:08x}"
                      for r in range(32) if out.regs[r])
     print(f"regs:   {regs or '(all zero)'}")
 
 
 def cmd_run(args) -> int:
-    if args.seed is not None:
-        # diff sweeps seeds 1..N; a seed means nothing to the clean machine
-        if args.mode != "alias":
-            raise _UsageError("error: --seed needs --mode alias")
-        if args.seed < 1:
-            raise _UsageError(f"error: seed must be at least 1, got {args.seed}")
-    program = _load(args.file)
+    # a seed picks the aliasing machine; diff sweeps seeds 1..N
+    if args.seed is not None and args.seed < 1:
+        raise _UsageError(f"error: seed must be at least 1, got {args.seed}")
+    program = _load(args)
     try:
-        if args.mode == "clean":
-            out = run_clean(program, fuel=args.fuel, entry=args.entry)
+        if args.seed is None:
+            out = run_clean(program, fuel=args.fuel)
         else:
-            cfg = AliasConfig(seed=1 if args.seed is None else args.seed)
-            out = run_aliased(program, cfg, fuel=args.fuel, entry=args.entry)
+            out = run_aliased(program, AliasConfig(seed=args.seed), fuel=args.fuel)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_outcome(out, args.mode == "alias")
+        raise _UsageError(f"error: {e}") from None
+    _print_outcome(out)
     return EXIT_OK if out.ok else EXIT_FAIL
 
 
 def cmd_diff(args) -> int:
-    program = _load(args.file)
+    program = _load(args)
     try:
-        rep = diff_runs(program, seeds=args.seeds, fuel=args.fuel, entry=args.entry)
+        rep = diff_runs(program, seeds=args.seeds, fuel=args.fuel)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"error: {e}") from None
     print(f"clean output: {rep.clean.output!r}")
     print(f"divergences: {len(rep.divergences)}/{rep.seeds}")
     for d in rep.divergences[:10]:
@@ -269,9 +267,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run on the clean or aliasing machine")
     running(r)
-    r.add_argument("--mode", choices=("clean", "alias"), default="clean")
     r.add_argument("--seed", type=int,
-                   help="aliasing seed, at least 1 (default 1); needs --mode alias")
+                   help="run the aliasing machine at this seed, at least 1 "
+                        "(default: the clean machine)")
     r.set_defaults(func=cmd_run)
 
     d = sub.add_parser("diff", help="sweep seeds and compare aliased runs to clean")

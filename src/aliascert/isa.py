@@ -107,8 +107,9 @@ class DataBlob:
 class Program:
     """An addressed program: code at BASE_ADDRESS + 4k, data blobs after
     the code; `frontend` refuses an instruction after a blob.
-    ``entry`` is the label of its ``#@ entry`` pragma, ``assumes`` the
-    hypothesis of each ``#@ assume`` pragma by label."""
+    ``entry`` is the label of its ``#@ entry`` pragma unless a caller sets
+    another, and every command starts there; ``assumes`` is the hypothesis
+    of each ``#@ assume`` pragma by label."""
 
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
@@ -130,10 +131,10 @@ class Program:
             return t
         return self.labels[t]
 
-    def entry_address(self, label: str | None = None) -> int:
-        """The address of ``label``, or of the entry pragma's label when
-        none is given; a ``ValueError`` unless it marks an instruction."""
-        label = label or self.entry
+    def entry_address(self) -> int:
+        """The address of the entry label; a ``ValueError`` unless it marks
+        an instruction."""
+        label = self.entry
         if label is None:
             raise ValueError("program has no entry pragma and no entry was given")
         if label not in self.labels:

@@ -162,17 +162,16 @@ def step(st: MachineState, i: Instruction, resolve=None) -> MachineState:
     return st
 
 
-def run(program: Program, fuel: int = DEFAULT_FUEL, entry: str | None = None) -> RunOutcome:
+def run(program: Program, fuel: int = DEFAULT_FUEL) -> RunOutcome:
     """Run on the clean machine until halt, return, error, or fuel out."""
     from . import _engine
 
-    return _engine.run_clean_image(_engine.build_image(program, entry), fuel)
+    return _engine.run_clean_image(_engine.build_image(program), fuel)
 
 
-def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL,
-                 entry: str | None = None) -> RunOutcome:
+def run_by_steps(program: Program, fuel: int = DEFAULT_FUEL) -> RunOutcome:
     """Slow clean run driven by :func:`step`; cross-checks the interpreter."""
-    st = MachineState(pc=program.entry_address(entry))
+    st = MachineState(pc=program.entry_address())
     st.regs[SP] = DEFAULT_STACK_BASE
     st.regs[RA] = RETURN_SENTINEL
     for name, blob in program.blobs.items():

@@ -65,12 +65,6 @@ def _need_writable(s: StackInstr, r: int):
         _fail(s, "the zero register cannot be a destination")
 
 
-def _concrete_offsets(s: StackInstr, t) -> frozenset[int]:
-    if isinstance(t.offs, SetVar):
-        _fail(s, f"offset set of {t} is not concrete")
-    return t.offs
-
-
 def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
     """Post-annotation of ``s`` on pre-annotation ``a``.
 
@@ -104,12 +98,14 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         t = _need_reg(s, a, s.rs)
         if not (isinstance(t, Calc) and isinstance(t.tower, Finite)):
             _fail(s, f"saved copy {reg_name(s.rs)} is not a finite stack type: {t}")
-        members = _concrete_offsets(s, t)
         if op == "cspf":
+            if isinstance(t.offs, SetVar):
+                _fail(s, f"offset set of {t} is not concrete")
             if t.tower != st.tower:
                 _fail(s, f"copy tower {t.tower} differs from current {st.tower}")
-            return a.set_reg(a.star, t).prune_slots(members)
-        # rspf: the current frame must sit exactly one level above the copy
+            return a.set_reg(a.star, t).prune_slots(t.offs)
+        # rspf: the current frame must sit exactly one level above the copy,
+        # which goes in as it is, so its written set may be a variable
         if st.tower.frames[1:] != t.tower.frames:
             _fail(s, f"{t.tower} is not the enclosing tower of {st.tower}")
         return a.set_reg(a.star, t).with_slots()

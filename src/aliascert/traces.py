@@ -122,56 +122,51 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
     if isinstance(t, TypeVar):
         return TraceViolation("(d)", f"event {e} on unresolved hypothesis {t}")
     X = t.offs
-    if isinstance(e, (Write, Read)) and isinstance(X, SetVar):
+    access = isinstance(e, (Write, Read))
+    if access and isinstance(X, SetVar):
         return TraceViolation("(d)", f"event {e} through unresolved offset set of {t}")
 
+    # frame shifts fold per kind of pointer; a read or a write takes the
+    # bound, the string step and the write and read equations of its kind
+    # to the one guard below
     if isinstance(t, Uncalc):
-        if isinstance(e, Write):
-            if t.size - e.w >= e.k >= 0:
-                return _off_word("eq1", e) or Uncalc(t.size, X | {e.k})
-            return TraceViolation("eq1", f"write {e.k} outside [0, {t.size}-{e.w}]")
-        if isinstance(e, Read):
-            if e.k in X and e.k >= 0:
-                return _off_word("eq2", e) or t
-            return TraceViolation("eq2", f"read {e.k} not in written set {offs_text(X)}")
-        return TraceViolation("(c)", f"array pointers admit no frame shifts: {e} on {t}")
-
-    if isinstance(t.tower, Rep):
+        if not access:
+            return TraceViolation("(c)", f"array pointers admit no frame shifts: {e} on {t}")
+        bound, step, (eq_write, eq_read) = t.size, 0, ("eq1", "eq2")
+    elif isinstance(t.tower, Rep):
         n = t.tower.step
         if isinstance(e, FrameDown):
             if e.n is None or e.n == n:
                 # the same written pattern recurs at every increment
                 return t
             return TraceViolation("eq3", f"step {e.n} != string increment {n}")
-        if isinstance(e, Write):
-            if n - e.w >= e.k >= 0:
-                return _off_word("eq4", e, n) or Calc(t.tower, X | {e.k})
-            return TraceViolation("eq4", f"write {e.k} outside [0, {n}-{e.w}]")
-        if isinstance(e, Read):
-            if e.k in X and e.k >= 0:
-                return _off_word("eq5", e, n) or t
-            return TraceViolation("eq5", f"read {e.k} not in written set {offs_text(X)}")
-        return TraceViolation("(d)", f"string pointers only step down: {e} on {t}")
+        if not access:
+            return TraceViolation("(d)", f"string pointers only step down: {e} on {t}")
+        bound, step, (eq_write, eq_read) = n, n, ("eq4", "eq5")
+    else:
+        frames = t.tower.frames
+        if isinstance(e, FrameUp):
+            if e.n > 0 and e.n % WORD == 0:
+                return Calc(Finite((e.n,) + frames), frozenset())
+            return TraceViolation("eq6", f"frame size {e.n} must be a positive multiple of {WORD}")
+        if isinstance(e, FrameDown):
+            n = frames[0] if e.n is None else e.n
+            if frames[0] == n and len(frames) > 1:
+                return Calc(Finite(frames[1:]), frozenset())
+            return TraceViolation("eq7", f"cannot pop {n} from tower {t.tower}")
+        if not access:
+            return TraceViolation("(d)", f"unhandled event {e} on {t}")
+        bound, step, (eq_write, eq_read) = frames[0], 0, ("eq8", "eq9")
 
-    frames = t.tower.frames
-    if isinstance(e, FrameUp):
-        if e.n > 0 and e.n % WORD == 0:
-            return Calc(Finite((e.n,) + frames), frozenset())
-        return TraceViolation("eq6", f"frame size {e.n} must be a positive multiple of {WORD}")
-    if isinstance(e, FrameDown):
-        n = frames[0] if e.n is None else e.n
-        if frames[0] == n and len(frames) > 1:
-            return Calc(Finite(frames[1:]), frozenset())
-        return TraceViolation("eq7", f"cannot pop {n} from tower {t.tower}")
     if isinstance(e, Write):
-        if frames[0] - e.w >= e.k >= 0:
-            return _off_word("eq8", e) or Calc(t.tower, X | {e.k})
-        return TraceViolation("eq8", f"write {e.k} outside [0, {frames[0]}-{e.w}]")
-    if isinstance(e, Read):
-        if e.k in X and e.k >= 0:
-            return _off_word("eq9", e) or t
-        return TraceViolation("eq9", f"read {e.k} not in written set {offs_text(X)}")
-    return TraceViolation("(d)", f"unhandled event {e} on {t}")
+        if bound - e.w >= e.k >= 0:
+            written = X | {e.k}
+            return _off_word(eq_write, e, step) or (
+                Uncalc(t.size, written) if isinstance(t, Uncalc) else Calc(t.tower, written))
+        return TraceViolation(eq_write, f"write {e.k} outside [0, {bound}-{e.w}]")
+    if e.k in X and e.k >= 0:
+        return _off_word(eq_read, e, step) or t
+    return TraceViolation(eq_read, f"read {e.k} not in written set {offs_text(X)}")
 
 
 # --------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_missing_entry_is_unsupported():
         (p, "nosuch", "entry label 'nosuch' is not defined"),
         (p, "msg", "entry label 'msg' does not mark an instruction"),
     ]:
-        report = certify_program(program, entry=entry)
+        report = certify_program(dataclasses.replace(program, entry=entry))
         assert report.verdict == "UNSUPPORTED" and report.theory is None
         assert [(f.kind, f.detail) for f in report.failures] == [("UnreachableEntry", message)]
 
@@ -210,7 +210,7 @@ def test_default_entry_annotation():
 # -- byte policy ---------------------------------------------------------------
 
 def test_forbid_policy_blocks_byte_access(corpus_programs):
-    report = certify_program(load("hello.s"), entry="halt", policy="forbid")
+    report = certify_program(dataclasses.replace(load("hello.s"), entry="halt"), policy="forbid")
     assert report.verdict == "UNSAFE"
     assert report.failures[0].kind == "NoDisassembly"
 
@@ -537,7 +537,7 @@ def test_a_callee_failure_is_memoized_under_its_entry(monkeypatch):
 
 
 def _unreachable_entry(monkeypatch):
-    return certify_program(parse_program("main:\n  jr ra\n"), entry="nosuch")
+    return certify_program(dataclasses.replace(parse_program("main:\n  jr ra\n"), entry="nosuch"))
 
 
 def _budget_exhausted(monkeypatch):
@@ -587,7 +587,7 @@ def test_a_copy_with_an_offset_set_variable_cannot_restore_the_stack_pointer():
     (failure,) = report.failures
     assert (failure.kind, failure.addr) == ("NoDisassembly", 0x00400000)
     assert failure.detail == ("cspf gp: offset set of c^[0]!?s is not concrete; "
-                              "rspf gp: offset set of c^[0]!?s is not concrete")
+                              "rspf gp: [0] is not the enclosing tower of [0]")
 
 
 _PUSH_AND_RETURN = "  addiu sp sp -8\n  jr ra\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aliascert import _engine, cli, run_aliased
+from aliascert import _engine, certify_program, cli, parse_program
 from aliascert.cli import main
 
 from conftest import CORPUS, corpus_path
@@ -87,41 +88,36 @@ def test_parse_error_exit_two(tmp_path, capsys):
 
 
 def test_run_clean_prints_output(capsys):
-    code = main(["run", str(corpus_path("hello.s")), "--mode", "clean"])
+    code = main(["run", str(corpus_path("hello.s"))])
     assert code == 0
     assert "b'Hi'" in capsys.readouterr().out
 
 
 def test_run_alias_clean_program(capsys):
-    code = main(["run", str(corpus_path("hello.s")), "--mode", "alias", "--seed", "7"])
+    code = main(["run", str(corpus_path("hello.s")), "--seed", "7"])
     assert code == 0
     assert "b'Hi'" in capsys.readouterr().out
 
 
 def test_run_alias_bad_program_faults(capsys):
-    code = main(["run", str(corpus_path("foo_bad_caller.s")),
-                 "--mode", "alias", "--seed", "7"])
+    code = main(["run", str(corpus_path("foo_bad_caller.s")), "--seed", "7"])
     assert code == 1
     assert "AliasFault" in capsys.readouterr().out
 
 
-def test_run_alias_without_seed_takes_seed_one(monkeypatch, capsys):
-    seeds = []
-
-    def recording(program, cfg, **kw):
-        seeds.append(cfg.seed)
-        return run_aliased(program, cfg, **kw)
-
-    monkeypatch.setattr(cli, "run_aliased", recording)
-    assert main(["run", str(corpus_path("hello.s")), "--mode", "alias"]) == 0
-    assert seeds == [1]
+def test_run_takes_no_mode(capsys):
+    # the seed alone picks the machine
+    with pytest.raises(SystemExit) as e:
+        main(["run", str(corpus_path("hello.s")), "--mode", "alias"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --mode alias" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--seed", "5"], "--seed needs --mode alias"),
-    (["--mode", "clean", "--seed", "5"], "--seed needs --mode alias"),
-    (["--mode", "alias", "--seed", "0"], "seed must be at least 1, got 0"),
-    (["--mode", "alias", "--seed", "-3"], "seed must be at least 1, got -3"),
+    pytest.param(["--seed", "0"], "seed must be at least 1, got 0",
+                 id="argv2-seed must be at least 1, got 0"),
+    pytest.param(["--seed", "-3"], "seed must be at least 1, got -3",
+                 id="argv3-seed must be at least 1, got -3"),
 ])
 def test_run_seed_needs_alias_mode_and_is_positive(argv, message, capsys):
     assert main(["run", str(corpus_path("hello.s")), *argv]) == 2
@@ -205,6 +201,18 @@ def test_string_steps_with_an_open_offset_set_are_safe(tmp_path, capsys):
     _certify_clean(src, capsys)
 
 
+def test_restoring_the_stack_pointer_from_a_copy_with_an_open_offset_set_is_safe(
+        tmp_path, capsys):
+    # rspf pops the current frame and installs the saved copy as it is, so
+    # the copy's written set may stay the variable W
+    src = tmp_path / "rspf.s"
+    src.write_text("#@ entry main\n#@ assume main: sp*=c^[8,0]!{0,4}, gp=c^[0]!?W, ra=u^0\n"
+                   "main:\n  move sp gp\n  jr ra\n")
+    _certify_clean(src, capsys)
+    assert main(["diff", str(src), "--seeds", "10"]) == 0
+    assert "divergences: 0/10\n" in capsys.readouterr().out
+
+
 # hypotheses that leave a type (?x) or an offset set (!?X) open on stack,
 # string and array pointers, one binding or none drawn per register
 _OPEN_BINDINGS = (("sp*=c^[0]!?X", "sp*=c^[8,0]!?X", "sp*=c^[8,0]!{0,4}", "sp*=c^[0]"),
@@ -249,6 +257,41 @@ def test_no_open_hypothesis_ends_in_an_internal_error(tmp_path, capsys):
             assert code == 0, source
             safe += 1
     assert safe >= 40  # the draw certifies a share of its programs, not none
+
+
+_HELLO = corpus_path("hello.s").read_text()
+
+
+def _entered_at(label: str) -> str:
+    """hello.s with its entry pragma naming ``label``."""
+    assert _HELLO.count("#@ entry main\n") == 1
+    return _HELLO.replace("#@ entry main\n", f"#@ entry {label}\n")
+
+
+@pytest.mark.parametrize("label", ["main", "halt", "printstr"])
+@pytest.mark.parametrize("argv", [["certify"], ["certify", "--json", "report.json"], ["run"],
+                                  ["run", "--seed", "3"], ["diff", "--seeds", "10"]],
+                         ids=" ".join)
+def test_entry_option_acts_as_the_entry_pragma(argv, label, tmp_path, monkeypatch, capsys):
+    # --entry L prints what the source prints with its pragma naming L; each
+    # side runs in a directory of its own on a file of the same name, so
+    # that the report's file name agrees
+    seen = []
+    for side, source, entry in (("option", _HELLO, ["--entry", label]),
+                                ("pragma", _entered_at(label), [])):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        (tmp_path / side / "hello.s").write_text(source)
+        code = main([argv[0], "hello.s", *argv[1:], *entry])
+        report = (tmp_path / side / "report.json").read_text() if "--json" in argv else None
+        seen.append((code, capsys.readouterr(), report))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("label", ["main", "halt", "printstr"])
+def test_a_program_given_another_entry_certifies_as_its_rewritten_source(label, hello):
+    assert (certify_program(dataclasses.replace(hello, entry=label))
+            == certify_program(parse_program(_entered_at(label))))
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
@@ -317,7 +360,7 @@ class _ClosedPipe(io.TextIOBase):
         return self._fd
 
 
-@pytest.mark.parametrize("argv", [["certify"], ["run"], ["run", "--mode", "alias", "--seed", "3"],
+@pytest.mark.parametrize("argv", [["certify"], ["run"], ["run", "--seed", "3"],
                                   ["diff", "--seeds", "3"]])
 def test_a_closed_stdout_exits_two_and_prints_nothing(argv, tmp_path, capsys, monkeypatch):
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
@@ -470,5 +513,5 @@ def test_no_mutant_run_ends_in_an_internal_error(tmp_path, seed, size):
     source = mutate_source(generate_source(seed, size), seed)
     path = tmp_path / "mutant.s"
     path.write_text(source)
-    for argv in (["run"], ["run", "--mode", "alias", "--seed", "3"], ["diff", "--seeds", "3"]):
+    for argv in (["run"], ["run", "--seed", "3"], ["diff", "--seeds", "3"]):
         assert main([argv[0], str(path), *argv[1:], "--fuel", "2000"]) in (0, 1, 2), (argv, source)

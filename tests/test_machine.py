@@ -176,7 +176,7 @@ def test_missing_entry_rejected():
     ]:
         for start in (build_image, run_by_steps):
             with pytest.raises(ValueError) as e:
-                start(program, entry=entry)
+                start(dataclasses.replace(program, entry=entry))
             assert str(e.value) == message
 
 

@@ -239,8 +239,8 @@ def test_get_reads_sp_trace_not_the_slot_link():
 
 # -- whole-theory checking --------------------------------------------------------
 
-def _safe_theory(name="hello.s", entry=None):
-    report = certify_program(load(name), entry=entry)
+def _safe_theory(name="hello.s"):
+    report = certify_program(load(name))
     assert report.safe
     return report.theory
 
