@@ -1,12 +1,26 @@
 """The interpreter: one loop over a decoded program image, three salts.
 
 `build_image` decodes a program into the image the loop runs: each
-instruction, keyed by its address, as its mnemonic and up to three
-operands, each data blob as its address, bytes, step and whether it is
-initialized.  No other module reads that layout.  The loop looks up its
-pc once a step; a pc that holds no instruction ends the run, as returned
-at the return sentinel, else as ``FuelExhausted`` when the fuel is spent,
-else as ``BadProgramCounter``.
+instruction, keyed by its address, as that address, its mnemonic and up
+to three operands, each data blob as its address, bytes, step and
+whether it is initialized.  No other module reads that layout.
+
+The loop dispatches once per basic block.  The first time a run reaches
+a pc, it builds the block there (`_block`) and keeps it for the rest of
+the run: the instructions from that pc up to and including the first
+control transfer (``beq``, ``bnez``, ``j``, ``jal``, ``jr``), or to the
+last address that holds an instruction.  Only the pcs a run reaches get
+a block.  A block holds instructions at consecutive addresses and only
+its last one moves the pc anywhere but on, so running it runs the steps
+one step at a time would, in the same order, with the same salt calls.
+A pc that holds no instruction ends the run, as returned at the return
+sentinel, else as ``FuelExhausted`` when the fuel is spent, else as
+``BadProgramCounter``.  With fewer steps of fuel left than the block
+holds, the loop runs only that many of its instructions, so fuel ends
+the run at the step and pc it would one step at a time.  A run that
+stops inside a block (an error, an alias fault, an uninitialized read or
+the halt device) counts its steps up to and including the instruction
+it stops at, read off that instruction's distance from the block's pc.
 
 Under hardware aliasing a value is a salted word: its 32-bit arithmetic
 word plus a 32-bit tag recording *how* it was calculated, held as the
@@ -194,22 +208,23 @@ class Image:
     by its address.  Each blob starts on a word boundary, and no two
     share a word."""
 
-    code: dict[int, tuple[str, int, int, int]]  # address -> (mnemonic, a, b, c)
+    code: dict[int, tuple[int, str, int, int, int]]  # address -> (address, mnemonic, a, b, c)
     blobs: tuple[tuple[int, bytes, int, bool], ...]  # addr, data, step, init
     entry_addr: int
 
 
 def build_image(program: Program) -> Image:
     """Decode a program into the flat form the interpreter consumes: at
-    each instruction's address, its mnemonic, then its operands in
-    ``FORMATS`` order, ``mem`` as ``imm, rs``, targets resolved, padded
-    with 0 to three operands.  A ``ValueError`` for a blob off a word
-    boundary or in a word of the blob before it, a layout the parser never
-    makes."""
+    each instruction's address, that address, its mnemonic, then its
+    operands in ``FORMATS`` order, ``mem`` as ``imm, rs``, targets
+    resolved, padded with 0 to three operands.  A ``ValueError`` for a
+    blob off a word boundary or in a word of the blob before it, a layout
+    the parser never makes."""
     entry_addr = program.entry_address()
     code = {}
     for n, i in enumerate(program.instructions):
-        ops = [i.op]
+        addr = BASE_ADDRESS + 4 * n
+        ops = [addr, i.op]
         for f in FORMATS[i.op]:
             if f == "mem":
                 ops += (i.imm, i.rs)
@@ -217,7 +232,7 @@ def build_image(program: Program) -> Image:
                 ops.append(program.resolve(i.target))
             else:
                 ops.append(getattr(i, f))
-        code[BASE_ADDRESS + 4 * n] = (*ops, *(0,) * (4 - len(ops)))
+        code[addr] = (*ops, *(0,) * (5 - len(ops)))
     blobs = tuple(
         (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
@@ -313,6 +328,21 @@ def _store_span(mem: dict, lanes: list, addr: int, data: bytes, keys: list,
 
 _WORD = range(4)  # the lanes a ``lw`` reads
 _NO_MEMO = (None, 0)  # the memo entry of a pc not yet run
+_TRANSFERS = frozenset(("beq", "bnez", "j", "jal", "jr"))  # the mnemonics that end a block
+
+
+def _block(code: dict, pc: int) -> tuple:
+    """The block at ``pc``: the image's ``(pc, op, a, b, c)`` of each
+    instruction from ``pc`` up to and including the first control
+    transfer, or to the last address that holds an instruction; empty
+    when ``pc`` holds none."""
+    block = []
+    while (ins := code.get(pc)) is not None:
+        block.append(ins)
+        if ins[1] in _TRANSFERS:
+            break
+        pc += 4
+    return tuple(block)
 
 
 def _write_lane(written: dict, w: int, lane: int, e: int) -> None:
@@ -544,127 +574,123 @@ def _run(image: Image, fuel: int, seed: int, salt,
         mixed = set()
     faults: list[Fault] = []
     memo: dict[int, tuple[int, int]] = {}  # pc -> (base, tag of its effective address)
+    blocks: dict[int, tuple] = {}  # pc -> its block, for the pcs the run reached
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
     exit_reason = None
     error = error_pc = None
 
     while True:
-        ins = code.get(pc)
-        if ins is None or steps >= fuel:  # no instruction here, or no fuel left
+        block = blocks.get(pc)
+        if block is None:
+            block = blocks[pc] = _block(code, pc)
+        left = fuel - steps
+        if not block or left <= 0:  # no instruction here, or no fuel left
             if pc == RETURN_SENTINEL:
                 exit_reason = "returned"
-            elif steps >= fuel:
+            elif left <= 0:
                 error, error_pc = "FuelExhausted", pc
             else:
                 error, error_pc = "BadProgramCounter", pc
             break
-        op, a, b, c = ins
-        steps += 1
-
-        if op == "sw" or op == "sb":
-            base = r[c]
-            ea = (base + b) & M32
-            if DEVICE_BASE <= ea < dev_end:
-                off = ea - DEVICE_BASE  # devices decode the value lines only
-                if off == PRINT_OFFSET:
-                    out.append(r[a] & 0xFF)
-                elif off == HALT_OFFSET:
-                    exit_reason = "halt-device"
+        if left < len(block):
+            block = block[:left]
+        first = pc
+        for pc, op, a, b, c in block:
+            if op == "lw" or op == "lb":
+                base = r[c]
+                ea = (base + b) & M32
+                if DEVICE_BASE <= ea < dev_end:
+                    error, error_pc = "DeviceReadUnsupported", pc
                     break
-                pc += 4
-                continue
-            m = memo.get(pc, _NO_MEMO)
-            if m[0] != base:
-                m = memo[pc] = (base, salt(seed, T_EA, base, b))
-            t = m[1]
-            w = ea & ~3
-            if op == "sw":
-                if ea & 3:
+                m = memo.get(pc, _NO_MEMO)
+                if m[0] != base:
+                    m = memo[pc] = (base, salt(seed, T_EA, base, b))
+                t = m[1]
+                if op == "lw" and ea & 3:
                     error, error_pc = "UnalignedWordAccess", pc
                     break
-                mem[t << 32 | w] = r[a]
-                written[w] = t
-            else:
-                key, lane = t << 32 | w, 8 * (ea & 3)
-                mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << lane) | (r[a] & 0xFF) << lane
-                if written.get(w) != t:
-                    _write_lane(written, w, ea & 3, t)
-            pc += 4
+                w = ea & ~3
+                cell = mem.get(t << 32 | w)
+                if cell is None or written[w] != t and not _own(
+                        written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
+                    if snapshot is not None and not mixed:
+                        snapshot.append(_clean_start(image, pc, steps + (pc - first) // 4, r,
+                                                     out, mem, written))
+                    mixed.add(w)
+                    if cell is None:
+                        if w in written:
+                            faults.append(Fault("AliasFault", pc, ea))
+                            error, error_pc = "AliasFault", pc
+                        else:
+                            error, error_pc = "UninitializedRead", pc
+                        break
+                if a != 0:
+                    r[a] = cell if op == "lw" else cell >> 8 * (ea & 3) & 0xFF
+                continue
+            if op == "addiu":
+                if a != 0:
+                    r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
+                continue
+            if op == "sw" or op == "sb":
+                base = r[c]
+                ea = (base + b) & M32
+                if DEVICE_BASE <= ea < dev_end:
+                    off = ea - DEVICE_BASE  # devices decode the value lines only
+                    if off == PRINT_OFFSET:
+                        out.append(r[a] & 0xFF)
+                    elif off == HALT_OFFSET:
+                        exit_reason = "halt-device"
+                        break
+                    continue
+                m = memo.get(pc, _NO_MEMO)
+                if m[0] != base:
+                    m = memo[pc] = (base, salt(seed, T_EA, base, b))
+                t = m[1]
+                w = ea & ~3
+                if op == "sw":
+                    if ea & 3:
+                        error, error_pc = "UnalignedWordAccess", pc
+                        break
+                    mem[t << 32 | w] = r[a]
+                    written[w] = t
+                else:
+                    key, lane = t << 32 | w, 8 * (ea & 3)
+                    mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << lane) | (r[a] & 0xFF) << lane
+                    if written.get(w) != t:
+                        _write_lane(written, w, ea & 3, t)
+                continue
+            if op == "bnez":
+                pc = b if r[a] & M32 else pc + 4
+            elif op == "move":
+                if a != 0:
+                    r[a] = r[b]
+            elif op == "li":
+                if a != 0:
+                    r[a] = salt(seed, T_LI, b & M32) << 32 | b & M32
+            elif op == "addu":
+                if a != 0:
+                    r[a] = salt(seed, T_ADDU, r[b], r[c]) << 32 | (r[b] + r[c]) & M32
+            elif op == "nand":
+                if a != 0:
+                    r[a] = salt(seed, T_NAND, r[b], r[c]) << 32 | ~(r[b] & r[c]) & M32
+            elif op == "beq":
+                pc = c if r[a] & M32 == r[b] & M32 else pc + 4  # aliases test as equal
+            elif op == "j":
+                pc = a
+            elif op == "jal":
+                r[RA] = salt(seed, T_JAL, pc + 4) << 32 | pc + 4
+                pc = a
+            elif op == "jr":
+                pc = r[a] & M32
+            # else nop
+        else:  # the block ran to its end: a transfer set pc, else fall through
+            steps += len(block)
+            if op not in _TRANSFERS:
+                pc += 4
             continue
-        if op == "lw" or op == "lb":
-            base = r[c]
-            ea = (base + b) & M32
-            if DEVICE_BASE <= ea < dev_end:
-                error, error_pc = "DeviceReadUnsupported", pc
-                break
-            m = memo.get(pc, _NO_MEMO)
-            if m[0] != base:
-                m = memo[pc] = (base, salt(seed, T_EA, base, b))
-            t = m[1]
-            if op == "lw" and ea & 3:
-                error, error_pc = "UnalignedWordAccess", pc
-                break
-            w = ea & ~3
-            cell = mem.get(t << 32 | w)
-            if cell is None or written[w] != t and not _own(
-                    written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
-                if snapshot is not None and not mixed:
-                    snapshot.append(_clean_start(image, pc, steps - 1, r, out, mem, written))
-                mixed.add(w)
-                if cell is None:
-                    if w in written:
-                        faults.append(Fault("AliasFault", pc, ea))
-                        error, error_pc = "AliasFault", pc
-                    else:
-                        error, error_pc = "UninitializedRead", pc
-                    break
-            if a != 0:
-                r[a] = cell if op == "lw" else cell >> 8 * (ea & 3) & 0xFF
-            pc += 4
-            continue
-        if op == "move":
-            if a != 0:
-                r[a] = r[b]
-            pc += 4
-            continue
-        if op == "li":
-            if a != 0:
-                r[a] = salt(seed, T_LI, b & M32) << 32 | b & M32
-            pc += 4
-            continue
-        if op == "addiu":
-            if a != 0:
-                r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
-            pc += 4
-            continue
-        if op == "addu":
-            if a != 0:
-                r[a] = salt(seed, T_ADDU, r[b], r[c]) << 32 | (r[b] + r[c]) & M32
-            pc += 4
-            continue
-        if op == "nand":
-            if a != 0:
-                r[a] = salt(seed, T_NAND, r[b], r[c]) << 32 | ~(r[b] & r[c]) & M32
-            pc += 4
-            continue
-        if op == "beq":
-            pc = c if r[a] & M32 == r[b] & M32 else pc + 4  # aliases test as equal
-            continue
-        if op == "bnez":
-            pc = b if r[a] & M32 else pc + 4
-            continue
-        if op == "j":
-            pc = a
-            continue
-        if op == "jal":
-            r[RA] = salt(seed, T_JAL, pc + 4) << 32 | pc + 4
-            pc = a
-            continue
-        if op == "jr":
-            pc = r[a] & M32
-            continue
-        pc += 4  # nop
+        steps += (pc - first) // 4 + 1  # up to and including the stopping instruction
+        break
 
     return RunOutcome(regs=[v & M32 for v in r], output=bytes(out), steps=steps, faults=faults,
                       error=error, error_pc=error_pc, exit_reason=exit_reason)

@@ -50,7 +50,7 @@ def _load(args) -> Program:
         raise _UsageError(f"error: {path}: {e}") from e
     except (AsmSyntaxError, DuplicateLabel) as e:
         raise _UsageError(f"parse error: {e}") from e
-    if args.entry:
+    if args.entry is not None:
         program.entry = args.entry
     return program
 

@@ -14,7 +14,7 @@ from aliascert.aliasing import (
 from aliascert.certifier import certify_program
 from aliascert.frontend import parse_program
 from aliascert._engine import build_image
-from aliascert.machine import run
+from aliascert.machine import run, run_by_steps
 from aliascert.machine import DEFAULT_FUEL, M32
 
 from genprogs import generate_program, generate_source, mutate_source
@@ -334,6 +334,35 @@ def test_resumed_clean_run_equals_the_full_run(corpus_programs):
             resumed += symbolic.start is not None
             hits += symbolic.start is not None and symbolic.outcome.steps > start.steps + 1
     assert resumed > 60 and hits >= 6
+
+
+def test_every_fuel_stops_where_single_steps_stop(corpus_programs):
+    # the loop runs a basic block at a time; at every fuel up to the clean
+    # run's end, each machine stops at the step, pc and state of the
+    # single-step reference.  Fuel cuts blocks short; hello.s enters the
+    # block of `$B` both at `$B` and at the return from printchar just
+    # before it, and halts inside a block; foo_bad_caller and some
+    # mutants fault on the aliasing machine
+    sources = [generate_source(s, 24) for s in range(8)]
+    sources += [mutate_source(src, s) for s, src in enumerate(sources)]
+    programs = list(corpus_programs.values()) + [parse_program(s) for s in sources]
+    cut = ends = faults = 0
+    for p in programs:
+        image = build_image(p)
+        for fuel in range(1, _engine.run_clean_image(image, DEFAULT_FUEL).steps + 2):
+            clean = _engine.run_clean_image(image, fuel)
+            assert clean == run_by_steps(p, fuel)
+            symbolic = _engine.run_symbolic_image(image, fuel)
+            assert _engine.clean_outcome(image, fuel, symbolic) == clean
+            for seed in (1, 2, 3):
+                aliased = _engine.run_alias_image(image, fuel, seed)
+                assert _engine.run_alias_image(image, fuel, seed, symbolic) == aliased
+                faults += aliased.error == "AliasFault"
+            before = image.code.get((clean.error_pc or 0) - 4)
+            cut += clean.error == "FuelExhausted" and before is not None and \
+                before[1] not in _engine._TRANSFERS
+            ends += clean.exit_reason == "halt-device"
+    assert cut > 300 and ends and faults
 
 
 def test_noinit_blob_is_preloaded_on_the_clean_machine_only():

@@ -426,13 +426,14 @@ _NO_INSTRUCTION = "entry label '{}' does not mark an instruction"
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
 @pytest.mark.parametrize("source, argv, err", [
     (_CODE_AND_DATA, [], "error: program has no entry pragma and no entry was given"),
+    (_CODE_AND_DATA, ["--entry", ""], "error: entry label '' is not defined"),
     (_CODE_AND_DATA, ["--entry", "msg"], "error: " + _NO_INSTRUCTION.format("msg")),
     (_CODE_AND_DATA, ["--entry", "end"], "error: " + _NO_INSTRUCTION.format("end")),
     ("#@ entry msg\n" + _CODE_AND_DATA, [],
      "parse error: line 1: " + _NO_INSTRUCTION.format("msg")),
     ("#@ entry end\n" + _CODE_AND_DATA, [],
      "parse error: line 1: " + _NO_INSTRUCTION.format("end")),
-], ids=["no-entry", "data", "past-the-code", "pragma-data", "pragma-past-the-code"])
+], ids=["no-entry", "empty", "data", "past-the-code", "pragma-data", "pragma-past-the-code"])
 def test_every_entry_problem_exits_two(command, source, argv, err, tmp_path, capsys):
     src = tmp_path / "p.s"
     src.write_text(source)
