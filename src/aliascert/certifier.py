@@ -312,8 +312,13 @@ class _Walk:
         if instr is None:
             raise self.engine._record(len(rows), Failure(
                 addr, None, "NoInstruction", "control flow left the code segment"))
-        alts = raw_alternatives(instr, ann.star, self.program.blobs)
-        alts = [s for s in alts if self.engine._policy_allows(s, ann)]
+        engine = self.engine
+        key = (id(instr), ann.star)
+        hit = engine.readings.get(key)
+        if hit is None:
+            hit = engine.readings[key] = (
+                instr, tuple(raw_alternatives(instr, ann.star, self.program.blobs)))
+        alts = [s for s in hit[1] if engine._policy_allows(s, ann)]
         return self._choose(addr, ann, alts, 0, None, _NO_CONFLICTS)
 
     def _choose(self, addr: int, ann: Annotation, alts: list[StackInstr], i: int,
@@ -488,11 +493,23 @@ class _Walk:
 
 
 class _Engine:
+    """The search state of one :func:`certify_program` call.
+
+    ``memo`` holds each routine's outcome by entry address and annotation.
+    ``readings`` holds the ``raw_alternatives`` of each instruction object
+    by ``(id(instr), star)``, with the instruction it was read from, so no
+    id is reused while the engine lives; repeated lines and the walks after
+    a backtrack share their :class:`StackInstr` objects.  The byte policy
+    is applied to them anew at every visit, since it reads the annotation.
+    """
+
     def __init__(self, program: Program, policy: str):
         self.program = program
         self.policy = policy
         self.theory = Theory(program)
         self.memo: dict[tuple[int, Annotation], RoutineCert | CertError] = {}
+        self.readings: dict[tuple[int, int | None],
+                            tuple[Instruction, tuple[StackInstr, ...]]] = {}
         self.deepest: tuple[int, Failure] | None = None
         self.stats = SearchStats()
 

@@ -169,8 +169,14 @@ _MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\((%s|r\d+)\)$" % _NAM
 
 def parse_program(text: str) -> Program:
     """Parse assembly source into a :class:`Program` addressed from
-    ``isa.BASE_ADDRESS``."""
+    ``isa.BASE_ADDRESS``.
+
+    Lines with the same instruction text (labels and comments stripped)
+    share one :class:`Instruction`: a memo keyed by that text lives for
+    this call.  Each line still records the label its instruction names,
+    so an unresolved label is reported at its first line."""
     prog = Program()
+    parsed: dict[str, Instruction] = {}  # instruction text -> its one Instruction
     pending_labels: list[tuple[str, int]] = []
     addr = BASE_ADDRESS
     data_line = 0  # the line of the first .bytes directive
@@ -220,7 +226,11 @@ def parse_program(text: str) -> Program:
             place_labels(addr, line_no)
             addr += _align4(max(len(blob.data), 1))
             continue
-        instr = _parse_instruction(line, line_no, referenced)
+        instr = parsed.get(line)
+        if instr is None:
+            instr = parsed[line] = _parse_instruction(line, line_no)
+        if isinstance(instr.target, str):
+            referenced.append((instr.target, line_no))
         if data_line:  # code runs on from BASE_ADDRESS with no gap
             raise AsmSyntaxError(
                 line_no, f"instruction after the data of line {data_line}; code comes first")
@@ -288,7 +298,7 @@ def _parse_imm16(tok: str, line_no: int) -> int:
     return v
 
 
-def _parse_target(tok: str, line_no: int, referenced: list):
+def _parse_target(tok: str, line_no: int):
     if re.fullmatch(r"-?(?:0x[0-9a-fA-F]+|\d+)", tok):
         v = _parse_int(tok, line_no)
         if not (0 <= v <= 0xFFFFFFFF):
@@ -297,11 +307,10 @@ def _parse_target(tok: str, line_no: int, referenced: list):
     tok = tok.strip("<>")
     if not re.fullmatch(_LBL, tok):
         raise AsmSyntaxError(line_no, f"malformed label reference {tok!r}")
-    referenced.append((tok, line_no))
     return tok
 
 
-def _parse_instruction(line: str, line_no: int, referenced: list) -> Instruction:
+def _parse_instruction(line: str, line_no: int) -> Instruction:
     toks = line.replace(",", " ").split()
     if not toks:
         raise AsmSyntaxError(line_no, "expected an instruction")
@@ -322,7 +331,7 @@ def _parse_instruction(line: str, line_no: int, referenced: list) -> Instruction
         elif f == "imm":
             operands[f] = _parse_imm16(tok, line_no)
         elif f == "target":
-            operands[f] = _parse_target(tok, line_no, referenced)
+            operands[f] = _parse_target(tok, line_no)
         else:
             operands[f] = _parse_reg(tok, line_no)
     return Instruction(op, **operands)

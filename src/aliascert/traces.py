@@ -238,10 +238,17 @@ def events_of(s: StackInstr) -> list[Located]:
 
 
 class _Walker:
+    """The walk of one :func:`check_program` call.  ``events`` holds the
+    ``events_of`` list of each stack instruction object by ``id(s)``, with
+    the instruction, so no id is reused while the walker lives: rows that
+    share a :class:`StackInstr` build its events once.  The events are
+    still folded at every row."""
+
     def __init__(self, theory: Theory):
         self.theory = theory
         self.program = theory.program
         self.violations: list[TraceViolation] = []
+        self.events: dict[int, tuple[StackInstr, list[Located]]] = {}
 
     def bad(self, addr: int | None, equation: str, detail: str):
         self.violations.append(TraceViolation(equation, detail, addr))
@@ -331,7 +338,10 @@ class _Walker:
     def _apply_events(self, addr: int, s: StackInstr,
                       state: Annotation) -> Annotation | None:
         """The annotation after ``s``'s events, or None after a violation."""
-        for ev in events_of(s):
+        hit = self.events.get(id(s))
+        if hit is None:
+            hit = self.events[id(s)] = (s, events_of(s))
+        for ev in hit[1]:
             if isinstance(ev.event, Copy):
                 src = self._loc_get(state, ev.src, addr)
                 if src is None:

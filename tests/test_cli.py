@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aliascert import _engine, certify_program, cli, parse_program
+from aliascert.isa import FORMATS
 from aliascert.cli import main
 
 from conftest import CORPUS, corpus_path
@@ -502,6 +503,100 @@ def test_no_source_text_ends_in_an_internal_error(tmp_path, source):
     path = tmp_path / "fuzz.s"
     path.write_text(source + "\n")
     assert main(["certify", str(path)]) in (0, 1, 2), source
+
+
+# programs drawn from the grammar the parser accepts: mnemonics and operand
+# fields from isa.FORMATS, code and data labels that jumps and li name
+# (rarely one that is not defined), entry and assume pragmas, blobs with
+# their attributes after the code, and lines repeated
+_G_REGS = ("zero", "sp", "ra", "gp", "t0", "t1", "a0", "v0")
+_G_IMMS = ("-32", "-8", "-4", "0", "1", "4", "8", "28")
+_G_TARGETS = ("main", "f", "loop") * 3 + ("msg", "buf") * 3 + ("0x00400000", "nosuch")
+_G_BINDINGS = (("sp*=c^[0]", "sp*=c^[0]!?X", "sp*=c^[8,0]!{0,4}", "sp=c^[0]"),
+               ("ra=u^0", "ra=?r"), ("gp=c^[0]", "gp=c^[0]!?W"), ("t0=c^[0]", "t0=?x"),
+               ("a0=u^4!{0,1,2,3}", "a0=c^rep(1)!{0}"))
+
+
+def _g_operand(field: str):
+    if field == "mem":
+        return st.builds("{}({})".format, st.sampled_from(_G_IMMS), st.sampled_from(_G_REGS))
+    if field == "imm":
+        return st.sampled_from(_G_IMMS)
+    if field == "target":
+        return st.sampled_from(_G_TARGETS)
+    return st.sampled_from(_G_REGS)
+
+
+_g_instruction = st.sampled_from(sorted(FORMATS)).flatmap(
+    lambda op: st.tuples(*map(_g_operand, FORMATS[op])).map(lambda args: " ".join((op, *args))))
+
+
+def _g_hypothesis(draw, label: str) -> str:
+    bindings = [draw(st.sampled_from(group)) for group in _G_BINDINGS if draw(st.booleans())]
+    return f"#@ assume {label}: {', '.join(bindings) or 'ra=u^0'}"
+
+
+@st.composite
+def _grammar_sources(draw) -> str:
+    body: list[str] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.integers(0, 9))
+        if body and kind < 3:
+            body.append(draw(st.sampled_from(body)))  # a repeated line
+        elif kind == 3:
+            body.append(draw(st.sampled_from(("jal main", "jal f", "jal loop"))))
+        else:
+            body.append(draw(_g_instruction))
+    if draw(st.integers(0, 3)):
+        body.append("jr ra")
+    labels = {0: ["main"]}
+    for name in ("f", "loop"):
+        labels.setdefault(draw(st.integers(0, len(body) - 1)), []).append(name)
+    lines = [f"#@ entry {draw(st.sampled_from(('main',) * 25 + ('f', 'msg', 'nosuch')))}"]
+    if draw(st.integers(0, 3)):
+        lines.append(_g_hypothesis(draw, "main"))
+    if draw(st.booleans()):
+        lines.append(_g_hypothesis(draw, "f"))
+    for i, line in enumerate(body):
+        lines += [f"{name}:" for name in labels.get(i, ())] + [f"  {line}"]
+    step = draw(st.sampled_from(("", " step=1", " step=2", " step=4")))
+    size = draw(st.sampled_from(("", " size=1", " size=4", " size=8")))
+    noinit = draw(st.sampled_from(("", " noinit")))
+    lines += ["msg:", f'  .bytes "abcdefg\\0"{step}{size}',
+              "buf:", f"  .bytes 1 2 3 4{noinit}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_no_grammar_source_ends_in_an_internal_error(tmp_path, monkeypatch, capsys):
+    # every command ends in a verdict, a run's outcome or a usage error on
+    # programs that mostly parse; most of them reach the search, and a
+    # SAFE verdict comes with a clean oracle and re-check
+    reached, verdicts, drawn = [], [], []
+    monkeypatch.setattr(cli, "certify_program",
+                        lambda *a, **k: reached.append(1) or certify_program(*a, **k))
+    path, report = tmp_path / "g.s", tmp_path / "g.json"
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(source=_grammar_sources())
+    def check(source):
+        drawn.append(source)
+        path.write_text(source)
+        report.unlink(missing_ok=True)
+        code = main(["certify", str(path), "--json", str(report)])
+        assert code in (0, 1, 2), source
+        if report.exists():
+            verdict = json.loads(report.read_text())["verdict"]
+            verdicts.append(verdict)
+            assert code == (0 if verdict == "SAFE" else 1), source
+        for argv in (["run"], ["run", "--seed", "3"], ["diff", "--seeds", "3"]):
+            assert main([argv[0], str(path), *argv[1:], "--fuel", "200"]) in (0, 1, 2), \
+                (argv, source)
+        capsys.readouterr()
+
+    check()
+    assert len(reached) >= 0.8 * len(drawn)
+    assert {"SAFE", "UNSAFE", "UNSUPPORTED"} <= set(verdicts)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,

@@ -79,6 +79,19 @@ def test_unresolved_reference_rejected():
         parse_program("j nowhere\n")
 
 
+def test_repeated_instruction_text_shares_one_instruction():
+    p = parse_program("main:\n  sw ra 4(sp)\n  nop\nl: sw ra 4(sp) # again\n  sw ra, 4(sp)\n")
+    first, _, again, spelled = p.instructions
+    assert again is first
+    assert spelled == first and spelled is not first
+
+
+def test_a_repeated_unresolved_label_names_its_first_line():
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program("main:\n  nop\n  jal nosuch\n  jal nosuch\n  jr ra\n")
+    assert str(e.value) == "line 3: unresolved label 'nosuch'"
+
+
 def test_pragma_on_an_unknown_label_names_its_line():
     with pytest.raises(AsmSyntaxError) as e:
         parse_program("main:\n  jr ra\n#@ assume nosuch: ra=u^0\n")
