@@ -10,6 +10,7 @@ calculation-dependent address aliasing.
 from .aliasing import AliasConfig, diff_runs, run_aliased
 from .annot import (
     AnnotatedType,
+    Annotation,
     Calc,
     Finite,
     Rep,
@@ -17,12 +18,15 @@ from .annot import (
     TypeVar,
     Uncalc,
     check_read,
+    parse_annotation,
+    parse_type,
     pop_frame,
     push_frame,
     record_write,
+    serialize_annotation,
     unify,
+    unify_annotations,
 )
-from .annotation import Annotation, unify_annotations
 from .certifier import (
     CertReport,
     Failure,
@@ -31,14 +35,7 @@ from .certifier import (
     check_safety,
 )
 from .disasm import StackInstr, location_candidates, render_machine
-from .frontend import (
-    AsmSyntaxError,
-    DuplicateLabel,
-    parse_annotation,
-    parse_program,
-    parse_type,
-    serialize_annotation,
-)
+from .frontend import AsmSyntaxError, DuplicateLabel, parse_program
 from .isa import DataBlob, Instruction, Program
 from .machine import MachineState, RunOutcome, run, step
 from .smallstep import PatternMismatch, apply_smallstep
@@ -50,12 +47,12 @@ __all__ = [
     "AliasConfig", "diff_runs", "run_aliased",
     "AnnotatedType", "Calc", "Finite", "Rep", "SetVar", "TypeVar",
     "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
-    "Annotation", "unify_annotations",
+    "Annotation", "unify_annotations", "parse_annotation", "parse_type",
+    "serialize_annotation",
     "CertReport", "Failure", "Theory", "certify_program",
     "check_safety",
     "StackInstr", "location_candidates", "render_machine",
-    "AsmSyntaxError", "DuplicateLabel", "parse_annotation", "parse_program",
-    "parse_type", "serialize_annotation",
+    "AsmSyntaxError", "DuplicateLabel", "parse_program",
     "DataBlob", "Instruction", "Program",
     "MachineState", "run", "step",
     "RunOutcome",

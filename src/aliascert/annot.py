@@ -1,4 +1,5 @@
-"""Annotated types for registers and stack slots.
+"""The annotation calculus: annotated types, bindings, unification, the
+access guard and the canonical text of types and annotations.
 
 A value description is either *calculated* (``c``) -- it may be recomputed,
 and carries a tower of nested frame sizes or a repeating step -- or
@@ -7,12 +8,24 @@ never be recomputed.  Both carry the set of byte offsets already written
 through the value when it was used as a base address.  Type variables and
 offset-set variables stand in for unknown types/sets and are resolved by
 first-order unification.
+
+An :class:`Annotation` binds registers and stack slots to types.  Every
+memory access goes through one guard, :func:`check_access`: the offset
+stays inside the bound, a read follows a write there, and a word access
+stays on a word boundary.  Annotations render canonically as
+``sp*=c^[32,0]!{16,24,28}, ra=u^0, ...`` with registers in index order,
+then slots ``(n)=...`` ascending; towers are written current-frame first.
+``parse_annotation`` reads that text back, and is the grammar of program
+hypotheses and golden annotations alike.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
+
+from .isa import REG_INDEX, REG_NAMES, reg_name
 
 WORD = 4
 
@@ -186,7 +199,7 @@ U0 = uncalc(0)
 
 
 # --------------------------------------------------------------------------
-# frame and offset operations
+# frame operations and the access guard
 
 
 def push_frame(t: AnnotatedType, n: int) -> Calc:
@@ -219,39 +232,37 @@ def pop_frame(t: AnnotatedType, n: int) -> Calc:
     return Calc(Finite(frames[1:]), frozenset())
 
 
-def _bound_of(t: AnnotatedType) -> int:
+def _written(t: AnnotatedType, k: int, w: int) -> frozenset[int]:
+    """The offsets written through ``t``, once a ``w``-byte access at ``k``
+    is found inside its bound."""
     if isinstance(t, TypeVar):
         raise ImmutableValue(f"cannot access through unresolved {t}")
     if isinstance(t, Uncalc):
         if t.size == 0:
             raise ImmutableValue("u^0 forbids memory access")
-        return t.size
-    return t.tower.step if isinstance(t.tower, Rep) else t.tower.frames[0]
+        bound = t.size
+    else:
+        bound = t.tower.step if isinstance(t.tower, Rep) else t.tower.frames[0]
+    if not (0 <= k <= bound - w):
+        raise OutOfBounds(k, bound, w)
+    if isinstance(t.offs, SetVar):
+        raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
+    return t.offs
 
 
 def record_write(t: AnnotatedType, k: int, w: int = WORD) -> AnnotatedType:
     """Mark offset ``k`` written through ``t``; the bound never grows."""
-    bound = _bound_of(t)
-    if not (0 <= k <= bound - w):
-        raise OutOfBounds(k, bound, w)
-    if isinstance(t.offs, SetVar):
-        raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
-    if k in t.offs:
+    offs = _written(t, k, w)
+    if k in offs:
         return t
-    new = t.offs | {k}
     if isinstance(t, Uncalc):
-        return Uncalc(t.size, new)
-    return Calc(t.tower, new)
+        return Uncalc(t.size, offs | {k})
+    return Calc(t.tower, offs | {k})
 
 
 def check_read(t: AnnotatedType, k: int, w: int = WORD) -> None:
     """A read at ``k`` must sit inside the bound and follow a write there."""
-    bound = _bound_of(t)
-    if not (0 <= k <= bound - w):
-        raise OutOfBounds(k, bound, w)
-    if isinstance(t.offs, SetVar):
-        raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
-    if k not in t.offs:
+    if k not in _written(t, k, w):
         raise ReadBeforeWrite(k)
 
 
@@ -273,6 +284,19 @@ def check_aligned(t: AnnotatedType, k: int, w: int = WORD) -> None:
     if w == WORD and isinstance(t, Calc) and isinstance(t.tower, Rep) and t.tower.step % WORD:
         raise Misaligned(f"word access through string step {t.tower.step}, "
                          f"not a multiple of {WORD}")
+
+
+def check_access(t: AnnotatedType, k: int, w: int = WORD, write: bool = False) -> AnnotatedType:
+    """The guard on a ``w``-byte access at offset ``k`` through ``t``: inside
+    the bound, after a write at ``k`` for a read, on a word boundary.  A
+    write returns ``t`` with ``k`` marked written, a read ``t`` itself."""
+    if write:
+        new = record_write(t, k, w)
+    else:
+        check_read(t, k, w)
+        new = t
+    check_aligned(t, k, w)
+    return new
 
 
 # --------------------------------------------------------------------------
@@ -340,3 +364,248 @@ def _unify_offs(o1: OffsetSet, o2: OffsetSet, s: Subst, t1, t2) -> Subst:
     if o1 != o2:
         raise UnifyMismatch(t1, t2)
     return s
+
+
+# --------------------------------------------------------------------------
+# bindings of registers and stack slots
+
+Regs = tuple[AnnotatedType | None, ...]  # indexed by register, None if unbound
+Pairs = tuple[tuple[int, AnnotatedType], ...]  # sorted by offset, one per offset
+
+_UNBOUND: Regs = (None,) * len(REG_NAMES)
+
+
+@dataclass(frozen=True, slots=True)
+class Annotation:
+    """Bindings of registers and stack slots to annotated types.
+
+    The registers are a register file: a 32-tuple indexed by register
+    number, holding ``None`` where a register is unbound.  The slots are
+    sorted ``(offset, type)`` pairs, few because a frame has few slots.
+    One register may be starred as the current stack-pointer holder; its
+    type is then a calculated type with a finite frame tower.  Slot
+    bindings are meaningful only for the current frame and only at
+    offsets the starred type records as written."""
+
+    star: int | None = None
+    regs: Regs = _UNBOUND
+    slots: Pairs = ()
+
+    # -- construction helpers ------------------------------------------------
+
+    @staticmethod
+    def make(star: int | None = None,
+             regs: dict[int, AnnotatedType] | None = None,
+             slots: dict[int, AnnotatedType] | None = None) -> "Annotation":
+        file = list(_UNBOUND)
+        for r, t in (regs or {}).items():
+            file[r] = t
+        a = Annotation(star, tuple(file), tuple(sorted((slots or {}).items())))
+        a.validate()
+        return a
+
+    def validate(self) -> None:
+        if self.star is not None:
+            t = self.reg(self.star)
+            if not (isinstance(t, Calc) and isinstance(t.tower, Finite)):
+                raise ValueError(f"starred register must hold a finite stack type, got {t}")
+            if not isinstance(t.offs, SetVar):
+                for k, _ in self.slots:
+                    if k not in t.offs:
+                        raise ValueError(f"slot ({k}) bound outside written offsets "
+                                         f"{offs_text(t.offs)}")
+        elif self.slots:
+            raise ValueError("slot bindings require a starred register")
+
+    # -- reads ---------------------------------------------------------------
+
+    def reg(self, r: int) -> AnnotatedType | None:
+        return self.regs[r]
+
+    def slot(self, k: int) -> AnnotatedType | None:
+        for i, t in self.slots:
+            if i == k:
+                return t
+        return None
+
+    def slot_map(self) -> dict[int, AnnotatedType]:
+        return dict(self.slots)
+
+    def star_type(self) -> Calc | None:
+        return self.reg(self.star) if self.star is not None else None
+
+    # -- functional updates ---------------------------------------------------
+    # An update copies only the register file or the slot pairs it changes;
+    # the other part and every type object are shared with the annotation
+    # it came from.  An update that changes nothing returns the annotation
+    # itself.
+
+    def set_reg(self, r: int, t: AnnotatedType) -> "Annotation":
+        regs = self.regs
+        if regs[r] is t:
+            return self
+        return Annotation(self.star, regs[:r] + (t,) + regs[r + 1:], self.slots)
+
+    def set_slot(self, k: int, t: AnnotatedType) -> "Annotation":
+        if self.slot(k) is t:
+            return self
+        slots = self.slot_map()
+        slots[k] = t
+        return Annotation(self.star, self.regs, tuple(sorted(slots.items())))
+
+    def with_slots(self, slots: Pairs = ()) -> "Annotation":
+        """The same registers with ``slots``, sorted pairs such as another
+        annotation's ``slots``."""
+        return Annotation(self.star, self.regs, slots)
+
+    def prune_slots(self, keep: frozenset[int]) -> "Annotation":
+        return Annotation(self.star, self.regs,
+                          tuple((k, t) for k, t in self.slots if k in keep))
+
+    def substituted(self, s: Subst) -> "Annotation":
+        return Annotation(
+            self.star,
+            tuple(None if t is None else apply_subst(t, s) for t in self.regs),
+            tuple((k, apply_subst(t, s)) for k, t in self.slots),
+        )
+
+    def __str__(self) -> str:
+        return serialize_annotation(self)
+
+
+def unify_annotations(a: Annotation, b: Annotation, s: Subst | None = None) -> Subst:
+    """Unifier making two annotations identical: same star, same bound
+    locations, unifiable types at each.  Raises UnifyMismatch otherwise."""
+    s = dict(s) if s else {}
+    if a.star != b.star:
+        raise UnifyMismatch(f"star {_star_str(a)}", f"star {_star_str(b)}")
+    extra = [r for r, (ta, tb) in enumerate(zip(a.regs, b.regs)) if (ta is None) != (tb is None)]
+    if extra:
+        raise UnifyMismatch(f"registers {{{', '.join(reg_name(r) for r in extra)}}}",
+                            "bound on one path only")
+    for ta, tb in zip(a.regs, b.regs):
+        if ta is not None:
+            s = unify(ta, tb, s)
+    asl, bsl = a.slot_map(), b.slot_map()
+    if asl.keys() != bsl.keys():
+        extra = asl.keys() ^ bsl.keys()
+        raise UnifyMismatch(f"slots {sorted(extra)}", "bound on one path only")
+    for k in asl:
+        s = unify(asl[k], bsl[k], s)
+    return s
+
+
+def _star_str(a: Annotation) -> str:
+    return reg_name(a.star) if a.star is not None else "none"
+
+
+# --------------------------------------------------------------------------
+# canonical text
+
+
+def serialize_annotation(a: Annotation,
+                         type_text: Callable[[AnnotatedType], str] = str) -> str:
+    """Deterministic rendering; round-trips through parse_annotation.
+    ``type_text`` renders one type; a caching renderer may stand in for
+    ``str``."""
+    parts = []
+    for r, t in enumerate(a.regs):
+        if t is None:
+            continue
+        star = "*" if r == a.star else ""
+        parts.append(f"{reg_name(r)}{star}={type_text(t)}")
+    for k, t in a.slots:
+        parts.append(f"({k})={type_text(t)}")
+    return ", ".join(parts)
+
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# a type variable, or a tower or size with its optional offsets suffix:
+# ``{}``, comma-separated numbers in braces, or an offset-set variable
+_TYPE_RE = re.compile(
+    r"""^(?:
+        \?(?P<tvar>%(n)s)
+      | (?: c\^\[(?P<frames>\d+(?:,\d+)*)\]
+          | c\^rep\((?P<step>\d+)\)
+          | u\^(?P<size>\d+)
+        )(?P<offs>!(?:\{(?:\d+(?:,\d+)*)?\}|\?%(n)s))?
+    )$""" % {"n": _NAME},
+    re.VERBOSE,
+)
+
+
+def parse_type(text: str) -> AnnotatedType:
+    m = _TYPE_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"malformed annotated type {text!r}")
+    if m.group("tvar"):
+        return TypeVar(m.group("tvar"))
+    offs = _parse_offs(m.group("offs"))
+    if m.group("size") is not None:
+        return Uncalc(int(m.group("size")), offs)
+    if m.group("step") is not None:
+        return Calc(Rep(int(m.group("step"))), offs)
+    return Calc(Finite(tuple(int(f) for f in m.group("frames").split(","))), offs)
+
+
+def _parse_offs(suffix: str | None):
+    """The offsets of a suffix ``_TYPE_RE`` matched: ``!?name``, or
+    ``!{...}`` holding no numbers or comma-separated ones."""
+    if not suffix:
+        return frozenset()
+    if suffix[1] == "?":
+        return SetVar(suffix[2:])
+    return frozenset(int(k) for k in suffix[2:-1].split(",") if k)
+
+
+_BINDING_RE = re.compile(
+    r"^(?:(?P<reg>%(n)s)(?P<star>\*)?|\((?P<slot>\d+)\))=(?P<type>.+)$" % {"n": _NAME}
+)
+
+
+def parse_annotation(text: str) -> Annotation:
+    """Parse ``reg[*]=type, (n)=type, ...`` into an Annotation."""
+    star = None
+    regs: dict[int, AnnotatedType] = {}
+    slots: dict[int, AnnotatedType] = {}
+    text = text.strip()
+    if text:
+        for part in _split_bindings(text):
+            m = _BINDING_RE.match(part.strip())
+            if not m:
+                raise ValueError(f"malformed binding {part!r}")
+            t = parse_type(m.group("type"))
+            if m.group("slot") is not None:
+                k = int(m.group("slot"))
+                if k in slots:
+                    raise ValueError(f"slot ({k}) bound twice")
+                slots[k] = t
+            else:
+                name = m.group("reg")
+                if name not in REG_INDEX:
+                    raise ValueError(f"unknown register {name!r}")
+                r = REG_INDEX[name]
+                if r in regs:
+                    raise ValueError(f"register {reg_name(r)} bound twice")
+                regs[r] = t
+                if m.group("star"):
+                    if star is not None:
+                        raise ValueError("more than one starred register")
+                    star = r
+    return Annotation.make(star=star, regs=regs, slots=slots)
+
+
+def _split_bindings(text: str) -> list[str]:
+    # Commas separate bindings but also occur inside towers and offset sets;
+    # split only at depth zero.
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts

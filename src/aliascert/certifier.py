@@ -70,9 +70,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .annot import (C0, U0, AnnotError, Calc, Rep, Subst, UnifyMismatch, Uncalc, check_aligned,
-                    check_frame, check_read, record_write)
-from .annotation import Annotation, unify_annotations
+from .annot import (C0, U0, AnnotError, Annotation, Calc, Rep, Subst, UnifyMismatch, Uncalc,
+                    check_access, check_frame, unify_annotations)
 from .disasm import (
     BYTE_OPS,
     LI_READINGS,
@@ -680,11 +679,7 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
                         out.append(Failure(addr, str(s), "MissingBase",
                                            "no type for the base register"))
                         continue
-                    if s.op in WRITE_OPS:
-                        record_write(base, s.n, s.width())
-                    else:
-                        check_read(base, s.n, s.width())
-                    check_aligned(base, s.n, s.width())
+                    check_access(base, s.n, s.width(), write=s.op in WRITE_OPS)
             except AnnotError as e:
                 kind = type(e).__name__
                 out.append(Failure(addr, str(s), kind, str(e)))

@@ -18,9 +18,8 @@ from .certifier import (
     certify_program,
     check_safety,
 )
-from .annot import AnnotatedType
-from .annotation import Annotation
-from .frontend import AsmSyntaxError, DuplicateLabel, parse_program, serialize_annotation
+from .annot import Annotation, serialize_annotation
+from .frontend import AsmSyntaxError, DuplicateLabel, parse_program
 from .isa import Program, reg_name
 from .machine import (
     DEFAULT_FUEL,
@@ -56,28 +55,22 @@ def _load(args) -> Program:
 
 
 class _RenderCache:
-    """Renders the annotations of one report.  Row i's post is usually
-    row i+1's pre, and annotations share most of their type objects, so
-    each distinct annotation object and type object is rendered once.
-    Entries are keyed by identity and hold their object, so no id is
-    reused while the cache lives."""
+    """Renders the annotations, types and readings of one report.  Row
+    i's post is usually row i+1's pre, annotations share most of their
+    type objects, and rows share their readings, so each distinct object
+    is rendered once.  Entries are keyed by identity and hold their
+    object, so no id is reused while the cache lives."""
 
     def __init__(self):
-        self._anns: dict[int, tuple[Annotation, str]] = {}
-        self._types: dict[int, tuple[AnnotatedType, str]] = {}
+        self._texts: dict[int, tuple[object, str]] = {}
 
-    def type_text(self, t: AnnotatedType) -> str:
-        hit = self._types.get(id(t))
-        if hit is None:
-            hit = self._types[id(t)] = (t, str(t))
-        return hit[1]
-
-    def __call__(self, a: Annotation | None) -> str | None:
-        if a is None:
+    def __call__(self, obj: object) -> str | None:
+        if obj is None:
             return None
-        hit = self._anns.get(id(a))
+        hit = self._texts.get(id(obj))
         if hit is None:
-            hit = self._anns[id(a)] = (a, serialize_annotation(a, self.type_text))
+            text = serialize_annotation(obj, self) if isinstance(obj, Annotation) else str(obj)
+            hit = self._texts[id(obj)] = (obj, text)
         return hit[1]
 
 
@@ -111,7 +104,7 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
                 "address": addr,
                 "label": program.label_at(addr),
                 "machine": program.source_lines.get(addr, ""),
-                "stack": str(row.chosen),
+                "stack": render(row.chosen),
                 "pre": render(row.pre),
                 "post": render(row.post),
             })

@@ -1,30 +1,17 @@
-"""Textual assembly dialect and the canonical annotation grammar.
+"""The textual assembly dialect.
 
 Program lines are one of: ``label:``, an instruction, a ``.bytes`` data
 directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
-an instruction, and at most one ``assume`` per label.  Code comes before
-data: no instruction follows a ``.bytes`` directive.
-Annotations render canonically as ``sp*=c^[32,0]!{16,24,28}, ra=u^0, ...``
-with registers in index order, then slots ``(n)=...`` ascending; towers
-are written current-frame first.  This grammar is the single source of
-truth for program input and golden-annotation comparison.
+an instruction, and at most one ``assume`` per label, whose bindings are
+an annotation in the canonical text ``annot.parse_annotation`` reads.
+Code comes before data: no instruction follows a ``.bytes`` directive.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
 
-from .annot import (
-    AnnotatedType,
-    Calc,
-    Finite,
-    Rep,
-    SetVar,
-    TypeVar,
-    Uncalc,
-)
-from .annotation import Annotation
+from .annot import Annotation, parse_annotation
 from .isa import (
     BASE_ADDRESS,
     FORMATS,
@@ -34,7 +21,6 @@ from .isa import (
     Instruction,
     Program,
     REG_INDEX,
-    reg_name,
 )
 
 
@@ -53,118 +39,11 @@ class DuplicateLabel(Exception):
 
 
 # --------------------------------------------------------------------------
-# annotation serialization
-
-
-def serialize_annotation(a: Annotation,
-                         type_text: Callable[[AnnotatedType], str] = str) -> str:
-    """Deterministic rendering; round-trips through parse_annotation.
-    ``type_text`` renders one type; a caching renderer may stand in for
-    ``str``."""
-    parts = []
-    for r, t in enumerate(a.regs):
-        if t is None:
-            continue
-        star = "*" if r == a.star else ""
-        parts.append(f"{reg_name(r)}{star}={type_text(t)}")
-    for k, t in a.slots:
-        parts.append(f"({k})={type_text(t)}")
-    return ", ".join(parts)
-
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# a type variable, or a tower or size with its optional offsets suffix:
-# ``{}``, comma-separated numbers in braces, or an offset-set variable
-_TYPE_RE = re.compile(
-    r"""^(?:
-        \?(?P<tvar>%(n)s)
-      | (?: c\^\[(?P<frames>\d+(?:,\d+)*)\]
-          | c\^rep\((?P<step>\d+)\)
-          | u\^(?P<size>\d+)
-        )(?P<offs>!(?:\{(?:\d+(?:,\d+)*)?\}|\?%(n)s))?
-    )$""" % {"n": _NAME},
-    re.VERBOSE,
-)
-
-
-def parse_type(text: str) -> AnnotatedType:
-    m = _TYPE_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed annotated type {text!r}")
-    if m.group("tvar"):
-        return TypeVar(m.group("tvar"))
-    offs = _parse_offs(m.group("offs"))
-    if m.group("size") is not None:
-        return Uncalc(int(m.group("size")), offs)
-    if m.group("step") is not None:
-        return Calc(Rep(int(m.group("step"))), offs)
-    return Calc(Finite(tuple(int(f) for f in m.group("frames").split(","))), offs)
-
-
-def _parse_offs(suffix: str | None):
-    """The offsets of a suffix ``_TYPE_RE`` matched: ``!?name``, or
-    ``!{...}`` holding no numbers or comma-separated ones."""
-    if not suffix:
-        return frozenset()
-    if suffix[1] == "?":
-        return SetVar(suffix[2:])
-    return frozenset(int(k) for k in suffix[2:-1].split(",") if k)
-
-
-_BINDING_RE = re.compile(
-    r"^(?:(?P<reg>%(n)s)(?P<star>\*)?|\((?P<slot>\d+)\))=(?P<type>.+)$" % {"n": _NAME}
-)
-
-
-def parse_annotation(text: str) -> Annotation:
-    """Parse ``reg[*]=type, (n)=type, ...`` into an Annotation."""
-    star = None
-    regs: dict[int, AnnotatedType] = {}
-    slots: dict[int, AnnotatedType] = {}
-    text = text.strip()
-    if text:
-        for part in _split_bindings(text):
-            m = _BINDING_RE.match(part.strip())
-            if not m:
-                raise ValueError(f"malformed binding {part!r}")
-            t = parse_type(m.group("type"))
-            if m.group("slot") is not None:
-                slots[int(m.group("slot"))] = t
-            else:
-                name = m.group("reg")
-                if name not in REG_INDEX:
-                    raise ValueError(f"unknown register {name!r}")
-                r = REG_INDEX[name]
-                regs[r] = t
-                if m.group("star"):
-                    if star is not None:
-                        raise ValueError("more than one starred register")
-                    star = r
-    return Annotation.make(star=star, regs=regs, slots=slots)
-
-
-def _split_bindings(text: str) -> list[str]:
-    # Commas separate bindings but also occur inside towers and offset sets;
-    # split only at depth zero.
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-# --------------------------------------------------------------------------
 # program parsing
 
 _LBL = r"[A-Za-z_$][A-Za-z0-9_$]*"
 _LABEL_RE = re.compile(r"^(%s):\s*(.*)$" % _LBL)
-_MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\((%s|r\d+)\)$" % _NAME)
+_MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\(([A-Za-z_][A-Za-z0-9_]*)\)$")
 
 
 def parse_program(text: str) -> Program:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
-    from .annotation import Annotation
+    from .annot import Annotation
 
 BASE_ADDRESS = 0x00400000
 

@@ -4,7 +4,10 @@ Each stack instruction relates the annotation before it to the annotation
 after it.  ``apply_smallstep`` either produces the post-annotation or
 raises :class:`PatternMismatch`, which signals that this disassembly
 choice is impossible at this point.  Bindings the rule does not name are
-left untouched.
+left untouched.  Every stack and heap access goes through
+``annot.check_access``; a failed guard or frame operation raises
+``AnnotError``, which ``apply_smallstep`` turns into ``PatternMismatch``
+in one place.
 """
 
 from __future__ import annotations
@@ -13,19 +16,17 @@ from .annot import (
     C0,
     AnnotError,
     AnnotatedType,
+    Annotation,
     Calc,
     Finite,
     Rep,
     SetVar,
     Uncalc,
-    check_aligned,
+    check_access,
     check_frame,
-    check_read,
     pop_frame,
     push_frame,
-    record_write,
 )
-from .annotation import Annotation
 from .disasm import StackInstr
 from .isa import ZERO, reg_name
 
@@ -72,6 +73,13 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
     unchanged here; the certification engine handles their flow.  gosub is
     not applied here at all -- calls go through the calling convention.
     """
+    try:
+        return _rule(s, a)
+    except AnnotError as e:  # a failed access guard or frame operation
+        _fail(s, str(e))
+
+
+def _rule(s: StackInstr, a: Annotation) -> Annotation:
     op = s.op
 
     if op == "nop" or op == "goto" or op == "return":
@@ -112,11 +120,8 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
 
     if op == "push":
         st = _need_star(s, a)
-        try:
-            new = push_frame(st, s.n)
-            check_frame(s.n)
-        except AnnotError as e:
-            _fail(s, str(e))
+        new = push_frame(st, s.n)
+        check_frame(s.n)
         return a.set_reg(a.star, new).with_slots()
 
     if op == "stepx":
@@ -124,10 +129,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         t = _need_reg(s, a, s.rd)
         if not (isinstance(t, Calc) and isinstance(t.tower, Rep)):
             _fail(s, f"{reg_name(s.rd)} is not a string pointer: {t}")
-        try:
-            new = pop_frame(t, s.n)
-        except AnnotError as e:
-            _fail(s, str(e))
+        new = pop_frame(t, s.n)
         return a.set_reg(s.rd, new)
 
     if op == "addaiu":
@@ -155,11 +157,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         st = _need_star(s, a)
         _need_unstarred(s, a, s.rd)
         val = _need_reg(s, a, s.rd)
-        try:
-            new = record_write(st, s.n, s.width())
-            check_aligned(st, s.n, s.width())
-        except AnnotError as e:
-            _fail(s, str(e))
+        new = check_access(st, s.n, s.width(), write=True)
         stored = val if op == "put" else C0  # a byte store leaves plain data
         return a.set_reg(a.star, new).set_slot(s.n, stored)
 
@@ -167,11 +165,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         st = _need_star(s, a)
         _need_unstarred(s, a, s.rd)
         _need_writable(s, s.rd)
-        try:
-            check_read(st, s.n, s.width())
-            check_aligned(st, s.n, s.width())
-        except AnnotError as e:
-            _fail(s, str(e))
+        check_access(st, s.n, s.width())
         stored = a.slot(s.n)
         if stored is None:
             _fail(s, f"stack slot ({s.n}) holds no binding")
@@ -189,11 +183,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
                 _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
         if not isinstance(val, Calc):
             _fail(s, f"stored value {reg_name(s.rd)} must be calculated, got {val}")
-        try:
-            new = record_write(base, s.n, s.width())
-            check_aligned(base, s.n, s.width())
-        except AnnotError as e:
-            _fail(s, str(e))
+        new = check_access(base, s.n, s.width(), write=True)
         return a.set_reg(s.rs, new)
 
     if op in ("getx", "getbx", "lwfh", "lbfh"):
@@ -206,11 +196,7 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         else:
             if not isinstance(base, Uncalc):
                 _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
-        try:
-            check_read(base, s.n, s.width())
-            check_aligned(base, s.n, s.width())
-        except AnnotError as e:
-            _fail(s, str(e))
+        check_access(base, s.n, s.width())
         return a.set_reg(s.rd, C0)  # heap loads yield plain data
 
     if op in ("newx", "newh"):
@@ -226,4 +212,3 @@ def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
         _fail(s, "subroutine calls are applied by the calling convention")
 
     raise ValueError(f"unknown stack op {op!r}")
-

@@ -26,9 +26,9 @@ from .annot import (
     SetVar,
     TypeVar,
     Uncalc,
+    Annotation,
     offs_text,
 )
-from .annotation import Annotation
 from .certifier import RoutineCert, Theory
 from .disasm import StackInstr
 from .isa import RA, reg_name

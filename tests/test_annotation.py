@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from aliascert.annot import C0, U0, TypeVar, UnifyMismatch, calc, rep, uncalc
-from aliascert.annotation import Annotation, unify_annotations
+from aliascert.annot import (C0, U0, Annotation, TypeVar, UnifyMismatch, calc, rep, uncalc,
+                             unify_annotations)
 from aliascert.isa import REG_INDEX, SP
 
 types = st.sampled_from([C0, U0, calc(8, 0), calc(16, 8, 0, offs=[4]), rep(1),

@@ -5,8 +5,7 @@ import dataclasses
 import pytest
 
 from aliascert import certifier, certify_program, check_program, check_safety, parse_program
-from aliascert.annot import C0, U0, calc
-from aliascert.annotation import Annotation
+from aliascert.annot import C0, U0, Annotation, calc
 from aliascert.cli import _print_report, build_report
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 

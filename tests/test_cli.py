@@ -451,6 +451,15 @@ def test_pragma_error_names_the_pragma_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_a_hypothesis_binding_a_register_twice_exits_two(command, tmp_path, capsys):
+    src = tmp_path / "p.s"
+    src.write_text("#@ entry main\n#@ assume main: r8=c^[0], t0=u^0, sp*=c^[0], ra=u^0\n"
+                   "main:\n  jr ra\n")
+    assert main([command, str(src)]) == 2
+    assert capsys.readouterr() == ("", "parse error: line 2: register t0 bound twice\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
 def test_code_after_data_exits_two(command, tmp_path, capsys):
     src = tmp_path / "p.s"
     src.write_text("#@ entry main\nmsg: .bytes 1 2\nmain: li v0 7\n  jr ra\n")

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from aliascert.annot import calc, rep, uncalc
-from aliascert.annotation import Annotation
+from aliascert.annot import Annotation, calc, rep, uncalc
 from aliascert.disasm import (
     BYTE_OPS,
     READ_OPS,

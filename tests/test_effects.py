@@ -21,8 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aliascert import certifier
-from aliascert.annot import C0, U0, Calc, Finite, Rep, SetVar, TypeVar, calc, rep, uncalc
-from aliascert.annotation import Annotation
+from aliascert.annot import C0, U0, Annotation, Calc, Finite, Rep, SetVar, TypeVar, calc, rep, uncalc
 from aliascert.certifier import DEFAULT_POLICY, _SLOTS, _effects
 from aliascert.disasm import LI_READINGS, NEITHER, READINGS, raw_alternatives
 from aliascert.isa import BASE_ADDRESS, FORMATS, RA, REG_INDEX, SP, ZERO, DataBlob, \

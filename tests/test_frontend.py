@@ -5,16 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aliascert.annot import Calc, Finite, SetVar, TypeVar, calc, rep, uncalc
-from aliascert.annotation import Annotation
-from aliascert.frontend import (
-    AsmSyntaxError,
-    DuplicateLabel,
+from aliascert.annot import (
+    Annotation,
+    Calc,
+    Finite,
+    SetVar,
+    TypeVar,
+    calc,
     parse_annotation,
-    parse_program,
     parse_type,
+    rep,
     serialize_annotation,
+    uncalc,
 )
+from aliascert.frontend import AsmSyntaxError, DuplicateLabel, parse_program
 from aliascert.isa import BASE_ADDRESS, FORMATS, GP, IMM_MAX, IMM_MIN, RA, SP, REG_INDEX, Instruction
 
 
@@ -258,6 +262,19 @@ def test_bare_u_is_unparseable():
 def test_two_stars_rejected():
     with pytest.raises(ValueError):
         parse_annotation("sp*=c^[0], gp*=c^[0]")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("r8=c^[0], t0=u^0, sp*=c^[0], ra=u^0", "register t0 bound twice"),
+    ("sp*=c^[0], sp=c^[0]", "register sp bound twice"),
+    ("r29*=c^[0], sp*=c^[0]", "register sp bound twice"),
+    ("sp*=c^[8]!{0}, (0)=u^0, (0)=c^[0]", "slot (0) bound twice"),
+])
+def test_a_location_bound_twice_is_refused(text, message):
+    # a register counts once under all its names
+    with pytest.raises(ValueError) as e:
+        parse_annotation(text)
+    assert str(e.value) == message
 
 
 def _random_annotation(rng: random.Random) -> Annotation:

@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from aliascert import certify_program
-from aliascert.annotation import Annotation
+from aliascert.annot import Annotation
 from aliascert.isa import REG_INDEX, SP
 
 from conftest import load

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert.annot import C0, U0, TypeVar, calc, rep, uncalc
-from aliascert.annotation import Annotation
+from aliascert.annot import C0, U0, Annotation, TypeVar, calc, rep, uncalc
 from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, SP, V0, REG_INDEX, ZERO
 from aliascert.smallstep import PatternMismatch, apply_smallstep

@@ -9,6 +9,7 @@ from aliascert.annot import (
     C0,
     U0,
     AnnotError,
+    Annotation,
     Calc,
     Finite,
     Rep,
@@ -24,7 +25,6 @@ from aliascert.annot import (
     record_write,
     uncalc,
 )
-from aliascert.annotation import Annotation
 from aliascert.certifier import Row, RoutineCert, Theory, certify_program, check_safety
 from aliascert.disasm import StackInstr
 from aliascert.frontend import parse_program

@@ -1,13 +1,23 @@
-"""Exact work counts of ``certify`` per input.
+"""Exact work counts of ``certify``, ``run --seed`` and ``diff`` per input.
 
-``work_counts.json`` holds, for each input below, what the certify
-command does to it, counted by wrapping functions from the test: the
-instruction lines and the distinct ``Instruction`` objects the parser
+``work_counts.json`` holds, for each certify input below, what the
+certify command does to it, counted by wrapping functions from the test:
+the instruction lines and the distinct ``Instruction`` objects the parser
 makes of them, the calls of ``frontend._parse_instruction``,
-``certifier.raw_alternatives`` and ``traces.events_of``, the rows of the
-theory, and the search's readings, backtracks and backjumps.  The oracle
-runs only on a SAFE theory, as the command runs it.  Counts do not drift
-with the host's speed, so a change to the work shows here exactly.
+``certifier.raw_alternatives``, ``certifier.apply_smallstep`` (and how
+many of them raised ``PatternMismatch``), ``traces.events_of`` and
+``traces.fold_event``, the rows of the theory, and the search's
+readings, backtracks and backjumps.  The oracle runs only on a SAFE
+theory, as the command runs it.
+
+Each ``run/`` entry holds what the interpreter does to one program: the
+steps, the ``_engine._block`` calls and the ``_engine.tag`` calls by
+domain of one aliasing run at seed 1 (``alias_*``), and of a sweep over
+the benchmark's 8 seeds (``sweep_*``), whose steps add up the symbolic
+run, the resumed clean run and the seeded loops, with the clean run's
+steps, the seeded loops run and the size of the symbolic run's closure.
+Counts do not drift with the host's speed, so a change to the work shows
+here exactly.
 
 Regenerate the fixture (only when a change to the work is intended)
 with ``PYTHONPATH=src python tests/test_work_counts.py``.
@@ -21,19 +31,23 @@ from pathlib import Path
 
 import pytest
 
-from aliascert import certifier, frontend, traces
+from aliascert import _engine, certifier, frontend, traces
+from aliascert.aliasing import AliasConfig, diff_runs, run_aliased
 from aliascert.certifier import certify_program
 from aliascert.frontend import parse_program
+from aliascert.smallstep import PatternMismatch
 from aliascert.traces import check_program
 
 from genprogs import (
     call_sites,
+    generate_source,
     kli_branch_source,
     kli_callee_source,
     kli_move_source,
     kli_source,
     straight_line,
 )
+from test_symbolic_digests import _loop_source
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
@@ -43,7 +57,9 @@ SCALE_SIZES = (100, 400, 1600)
 KLI_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
 KLI_KS = (4, 7, 10)
 COUNTED = ((frontend, "_parse_instruction"), (certifier, "raw_alternatives"),
-           (traces, "events_of"))
+           (traces, "events_of"), (traces, "fold_event"), (_engine, "_block"))
+SWEEP_SEEDS = 8  # the benchmark's seeds per sweep
+DOMAINS = {v: k[2:] for k, v in vars(_engine).items() if k.startswith("T_")}
 
 
 def _cases():
@@ -57,6 +73,16 @@ def _cases():
             for unsafe in (False, True):
                 yield (f"kli/{make.__name__[:-7]}_{k:02d}_{'unsafe' if unsafe else 'safe'}",
                        make(k, unsafe))
+
+
+def _run_cases():
+    for path in sorted(CORPUS.glob("*.s")):
+        yield f"run/corpus/{path.name}", path.read_text()
+    for seed in range(10):
+        yield f"run/genprogs/{seed}_32", generate_source(seed, 32)
+    for shape in ("counter", "string"):
+        for faulty in (False, True):
+            yield f"run/loop/{shape}_{'fault' if faulty else 'clean'}", _loop_source(shape, faulty)
 
 
 def work_counts(source: str, calls: Counter) -> dict[str, int]:
@@ -74,11 +100,32 @@ def work_counts(source: str, calls: Counter) -> dict[str, int]:
         "parse_instruction_calls": calls["_parse_instruction"],
         "raw_alternatives_calls": calls["raw_alternatives"],
         "events_of_calls": calls["events_of"],
+        "fold_event_calls": calls["fold_event"],
+        "apply_smallstep_calls": calls["apply_smallstep"],
+        "pattern_mismatches": calls["PatternMismatch"],
         "rows": sum(len(cert.rows) for cert in routines),
         "readings": report.stats.readings,
         "backtracks": report.stats.backtracks,
         "backjumps": report.stats.backjumps,
     }
+
+
+def run_counts(source: str, calls: Counter) -> dict[str, object]:
+    """The work of ``run --seed 1`` and of ``diff --seeds 8`` on
+    ``source``; ``calls`` counts the wrapped functions."""
+    program = parse_program(source)
+    out = {}
+    for phase, run in (("alias", lambda: run_aliased(program, AliasConfig(seed=1))),
+                       ("sweep", lambda: diff_runs(program, seeds=SWEEP_SEEDS))):
+        calls.clear()
+        result = run()
+        out[f"{phase}_steps"] = calls["steps"]
+        out[f"{phase}_blocks"] = calls["_block"]
+        out[f"{phase}_tags"] = {DOMAINS[d]: calls[d] for d in sorted(DOMAINS) if calls[d]}
+    out["clean_steps"] = result.clean.steps
+    out["seeded_runs"] = result.seeded_runs
+    out["closure"] = calls["closure"]
+    return out
 
 
 def _counting(calls: Counter, name: str, fn):
@@ -88,13 +135,54 @@ def _counting(calls: Counter, name: str, fn):
     return wrapper
 
 
-def compute_counts(patch) -> dict[str, dict[str, int]]:
+def _counting_smallstep(calls: Counter, fn):
+    def wrapper(s, a):
+        calls["apply_smallstep"] += 1
+        try:
+            return fn(s, a)
+        except PatternMismatch:
+            calls["PatternMismatch"] += 1
+            raise
+    return wrapper
+
+
+def _counting_tag(calls: Counter, fn):
+    def wrapper(seed, domain, *vals):
+        calls[domain] += 1
+        return fn(seed, domain, *vals)
+    return wrapper
+
+
+def _counting_run(calls: Counter, fn):
+    # the steps one loop executes: a resumed run starts at ``start.steps``
+    def wrapper(image, fuel, seed, salt, mixed=None, start=None, snapshot=None):
+        out = fn(image, fuel, seed, salt, mixed, start, snapshot)
+        calls["steps"] += out.steps - (start.steps if start is not None else 0)
+        return out
+    return wrapper
+
+
+def _closure_size(calls: Counter, fn):
+    def wrapper(image, fuel):
+        symbolic = fn(image, fuel)
+        calls["closure"] += len(symbolic.closure)
+        return symbolic
+    return wrapper
+
+
+def compute_counts(patch) -> dict[str, dict[str, object]]:
     """Every input's counts, with ``patch(module, name, value)`` setting
     each counting wrapper."""
     calls: Counter = Counter()
     for module, name in COUNTED:
         patch(module, name, _counting(calls, name, getattr(module, name)))
-    return {key: work_counts(source, calls) for key, source in _cases()}
+    patch(certifier, "apply_smallstep", _counting_smallstep(calls, certifier.apply_smallstep))
+    patch(_engine, "tag", _counting_tag(calls, _engine.tag))
+    patch(_engine, "_run", _counting_run(calls, _engine._run))
+    patch(_engine, "run_symbolic_image", _closure_size(calls, _engine.run_symbolic_image))
+    counts = {key: work_counts(source, calls) for key, source in _cases()}
+    counts.update((key, run_counts(source, calls)) for key, source in _run_cases())
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +201,8 @@ def test_work_matches_recorded_counts(counts):
 
 def test_each_distinct_instruction_text_is_parsed_once(counts):
     for key, c in counts.items():
-        assert c["parse_instruction_calls"] == c["distinct_instructions"], key
+        if not key.startswith("run/"):
+            assert c["parse_instruction_calls"] == c["distinct_instructions"], key
 
 
 if __name__ == "__main__":
