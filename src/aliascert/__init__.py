@@ -17,12 +17,10 @@ from .annot import (
     SetVar,
     TypeVar,
     Uncalc,
-    check_read,
     parse_annotation,
     parse_type,
     pop_frame,
     push_frame,
-    record_write,
     serialize_annotation,
     unify,
     unify_annotations,
@@ -46,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasConfig", "diff_runs", "run_aliased",
     "AnnotatedType", "Calc", "Finite", "Rep", "SetVar", "TypeVar",
-    "Uncalc", "check_read", "pop_frame", "push_frame", "record_write", "unify",
+    "Uncalc", "pop_frame", "push_frame", "unify",
     "Annotation", "unify_annotations", "parse_annotation", "parse_type",
     "serialize_annotation",
     "CertReport", "Failure", "Theory", "certify_program",

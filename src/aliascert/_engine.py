@@ -244,8 +244,7 @@ def build_image(program: Program) -> Image:
         if addr < end:
             raise ValueError(f"data blob {name!r} at 0x{addr:08x} shares a word "
                              f"with data blob {before!r}")
-        # an empty blob takes a word, as the parser lays it out
-        end, before = addr + max(len(program.blobs[name].data), 1) + 3 & ~3, name
+        end, before = addr + program.blobs[name].extent, name
     return Image(code=code, blobs=blobs, entry_addr=entry_addr)
 
 

@@ -58,22 +58,16 @@ class Misaligned(AnnotError):
     pass
 
 
-@dataclass(frozen=True)
 class OutOfBounds(AnnotError):
-    offset: int
-    bound: int
-    width: int = WORD
-
-    def __str__(self) -> str:
-        return f"offset {self.offset} outside [0, {self.bound}-{self.width}]"
+    def __init__(self, offset: int, bound: int, width: int = WORD):
+        super().__init__(f"offset {offset} outside [0, {bound}-{width}]")
+        self.offset, self.bound, self.width = offset, bound, width
 
 
-@dataclass(frozen=True)
 class ReadBeforeWrite(AnnotError):
-    offset: int
-
-    def __str__(self) -> str:
-        return f"read at offset {self.offset} precedes any write there"
+    def __init__(self, offset: int):
+        super().__init__(f"read at offset {offset} precedes any write there")
+        self.offset = offset
 
 
 class UnifyMismatch(AnnotError):
@@ -232,9 +226,24 @@ def pop_frame(t: AnnotatedType, n: int) -> Calc:
     return Calc(Finite(frames[1:]), frozenset())
 
 
-def _written(t: AnnotatedType, k: int, w: int) -> frozenset[int]:
-    """The offsets written through ``t``, once a ``w``-byte access at ``k``
-    is found inside its bound."""
+# The machine faults on a word access off a word boundary.  The stack and
+# every data blob start on one, so the pointers built from them stay on
+# one while each pushed frame and each string step is a whole number of
+# words, and a word access then needs only a whole-word offset.  A blob
+# takes its bytes or its declared size, whichever is larger, rounded up
+# to a word, so an array's bound never reaches the next blob.
+
+
+def check_frame(n: int) -> None:
+    if n % WORD:
+        raise Misaligned(f"frame {n} is not a multiple of {WORD}")
+
+
+def check_access(t: AnnotatedType, k: int, w: int = WORD, write: bool = False) -> AnnotatedType:
+    """The guard on a ``w``-byte access at offset ``k`` through ``t``: inside
+    the bound, after a write at ``k`` for a read, on a word boundary.  A
+    write returns ``t`` with ``k`` marked written, a read ``t`` itself; the
+    bound never grows."""
     if isinstance(t, TypeVar):
         raise ImmutableValue(f"cannot access through unresolved {t}")
     if isinstance(t, Uncalc):
@@ -245,58 +254,22 @@ def _written(t: AnnotatedType, k: int, w: int) -> frozenset[int]:
         bound = t.tower.step if isinstance(t.tower, Rep) else t.tower.frames[0]
     if not (0 <= k <= bound - w):
         raise OutOfBounds(k, bound, w)
-    if isinstance(t.offs, SetVar):
-        raise UnresolvedVariable(f"offset set {t.offs} is not concrete")
-    return t.offs
-
-
-def record_write(t: AnnotatedType, k: int, w: int = WORD) -> AnnotatedType:
-    """Mark offset ``k`` written through ``t``; the bound never grows."""
-    offs = _written(t, k, w)
-    if k in offs:
+    offs = t.offs
+    if isinstance(offs, SetVar):
+        raise UnresolvedVariable(f"offset set {offs} is not concrete")
+    if not write and k not in offs:
+        raise ReadBeforeWrite(k)
+    if w == WORD:
+        if k % WORD:
+            raise Misaligned(f"word offset {k} is not a multiple of {WORD}")
+        if isinstance(t, Calc) and isinstance(t.tower, Rep) and t.tower.step % WORD:
+            raise Misaligned(f"word access through string step {t.tower.step}, "
+                             f"not a multiple of {WORD}")
+    if not write or k in offs:
         return t
     if isinstance(t, Uncalc):
         return Uncalc(t.size, offs | {k})
     return Calc(t.tower, offs | {k})
-
-
-def check_read(t: AnnotatedType, k: int, w: int = WORD) -> None:
-    """A read at ``k`` must sit inside the bound and follow a write there."""
-    if k not in _written(t, k, w):
-        raise ReadBeforeWrite(k)
-
-
-# The machine faults on a word access off a word boundary.  The stack and
-# every data blob start on one, so the pointers built from them stay on
-# one while each pushed frame and each string step is a whole number of
-# words, and a word access then needs only a whole-word offset.
-
-
-def check_frame(n: int) -> None:
-    if n % WORD:
-        raise Misaligned(f"frame {n} is not a multiple of {WORD}")
-
-
-def check_aligned(t: AnnotatedType, k: int, w: int = WORD) -> None:
-    """A ``w``-byte access at ``k`` through ``t`` stays on a word boundary."""
-    if w == WORD and k % WORD:
-        raise Misaligned(f"word offset {k} is not a multiple of {WORD}")
-    if w == WORD and isinstance(t, Calc) and isinstance(t.tower, Rep) and t.tower.step % WORD:
-        raise Misaligned(f"word access through string step {t.tower.step}, "
-                         f"not a multiple of {WORD}")
-
-
-def check_access(t: AnnotatedType, k: int, w: int = WORD, write: bool = False) -> AnnotatedType:
-    """The guard on a ``w``-byte access at offset ``k`` through ``t``: inside
-    the bound, after a write at ``k`` for a read, on a word boundary.  A
-    write returns ``t`` with ``k`` marked written, a read ``t`` itself."""
-    if write:
-        new = record_write(t, k, w)
-    else:
-        check_read(t, k, w)
-        new = t
-    check_aligned(t, k, w)
-    return new
 
 
 # --------------------------------------------------------------------------

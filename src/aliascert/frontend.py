@@ -96,14 +96,13 @@ def parse_program(text: str) -> Program:
             if not line:
                 continue
         if line.startswith(".bytes"):
-            addr = _align4(addr)
             blob = _parse_bytes(line[len(".bytes"):].strip(), line_no)
             if not pending_labels:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
             prog.blobs[pending_labels[-1][0]] = blob
             data_line = data_line or line_no
             place_labels(addr, line_no)
-            addr += _align4(max(len(blob.data), 1))
+            addr += blob.extent
             continue
         instr = parsed.get(line)
         if instr is None:
@@ -131,10 +130,6 @@ def parse_program(text: str) -> Program:
         except ValueError as e:
             raise AsmSyntaxError(entry_line, str(e)) from None
     return prog
-
-
-def _align4(n: int) -> int:
-    return (n + 3) & ~3
 
 
 def _parse_pragma(body: str, line_no: int) -> tuple[str, Annotation | None]:

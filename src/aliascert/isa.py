@@ -88,9 +88,11 @@ class Instruction:
 class DataBlob:
     """Initialized bytes at a data label, the blob's key in ``Program.blobs``.
 
-    ``step`` is the increment for string-style access, ``size`` the extent
+    ``step`` is the increment for string-style access, ``size`` the bound
     for array-style access; ``init`` marks whether the bytes are considered
-    already written when the label's address is introduced.
+    already written when the label's address is introduced.  In memory the
+    blob takes ``extent`` bytes: its data or its declared size, whichever
+    is larger, rounded up to a word, so the next blob lies past both.
     """
 
     data: bytes
@@ -101,6 +103,11 @@ class DataBlob:
     @property
     def byte_size(self) -> int:
         return self.size if self.size is not None else len(self.data)
+
+    @property
+    def extent(self) -> int:
+        """The bytes the blob takes in memory, at least one word."""
+        return max(len(self.data), self.byte_size, 1) + 3 & ~3
 
 
 @dataclass

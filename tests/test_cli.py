@@ -569,7 +569,7 @@ def _grammar_sources(draw) -> str:
     for i, line in enumerate(body):
         lines += [f"{name}:" for name in labels.get(i, ())] + [f"  {line}"]
     step = draw(st.sampled_from(("", " step=1", " step=2", " step=4")))
-    size = draw(st.sampled_from(("", " size=1", " size=4", " size=8")))
+    size = draw(st.sampled_from(("", " size=1", " size=4", " size=8", " size=16")))
     noinit = draw(st.sampled_from(("", " noinit")))
     lines += ["msg:", f'  .bytes "abcdefg\\0"{step}{size}',
               "buf:", f"  .bytes 1 2 3 4{noinit}"]
@@ -579,7 +579,8 @@ def _grammar_sources(draw) -> str:
 def test_no_grammar_source_ends_in_an_internal_error(tmp_path, monkeypatch, capsys):
     # every command ends in a verdict, a run's outcome or a usage error on
     # programs that mostly parse; most of them reach the search, and a
-    # SAFE verdict comes with a clean oracle and re-check
+    # SAFE verdict comes with a clean oracle and re-check, and with no
+    # divergence
     reached, verdicts, drawn = [], [], []
     monkeypatch.setattr(cli, "certify_program",
                         lambda *a, **k: reached.append(1) or certify_program(*a, **k))
@@ -599,8 +600,9 @@ def test_no_grammar_source_ends_in_an_internal_error(tmp_path, monkeypatch, caps
             verdicts.append(verdict)
             assert code == (0 if verdict == "SAFE" else 1), source
         for argv in (["run"], ["run", "--seed", "3"], ["diff", "--seeds", "3"]):
-            assert main([argv[0], str(path), *argv[1:], "--fuel", "200"]) in (0, 1, 2), \
-                (argv, source)
+            run_code = main([argv[0], str(path), *argv[1:], "--fuel", "200"])
+            assert run_code in (0, 1, 2), (argv, source)
+            assert not (argv[0] == "diff" and code == 0 and run_code == 1), source
         capsys.readouterr()
 
     check()

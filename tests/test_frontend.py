@@ -110,6 +110,16 @@ def test_data_blob_and_attributes():
     assert p.labels["msg"] == BASE_ADDRESS + 4
 
 
+def test_a_blob_takes_its_declared_size_or_its_bytes_rounded_to_a_word():
+    p = parse_program("msg:\n  .bytes 1 2 3 4 size=8\nbuf: .bytes 5 6 7 8\n"
+                      "big: .bytes 1 2 3 4 5 size=2\nend: .bytes\nlast: .bytes 0\n")
+    assert p.labels["buf"] == p.labels["msg"] + 8
+    assert p.labels["big"] == p.labels["buf"] + 4
+    assert p.labels["end"] == p.labels["big"] + 8
+    assert p.labels["last"] == p.labels["end"] + 4
+    assert [b.extent for b in p.blobs.values()] == [8, 4, 8, 4, 4]
+
+
 def test_init_token_marks_a_blob_preloaded():
     for text in ("1 2 init", "1 2 noinit init"):
         blob = parse_program(f"msg:\n  .bytes {text}\n").blobs["msg"]

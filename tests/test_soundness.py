@@ -47,6 +47,24 @@ def test_certified_program_is_settled_by_one_run(seed, size):
     assert (rep.checked_words, rep.seeded_runs) == (0, 0)
 
 
+# the certifier bounds `a` by its declared size; the parser once laid `b`
+# out right after `a`'s four bytes, so the store at `a + 4` wrote `b`
+_DECLARED_SIZE = ("#@ entry main\nmain:\n  li t0 a\n  move t1 zero\n  addiu t1 t1 9\n"
+                  "  sw t1 4(t0)\n  li t2 b\n  lw t3 0(t2)\n  jr ra\n"
+                  "a: .bytes 1 2 3 4 size=8\nb: .bytes 5 6 7 8\n")
+
+
+def test_a_store_inside_a_declared_size_reaches_no_other_blob():
+    p = parse_program(_DECLARED_SIZE)
+    report = certify_program(p)
+    assert report.verdict == "SAFE"
+    assert check_program(report.theory) == [] and check_safety(report.theory) == []
+    for seeds in (5, 10):
+        rep = diff_runs(p, seeds=seeds)
+        assert rep.divergences == [] and rep.seeded_runs == 0
+    assert run(p).regs[11] == 0x08070605
+
+
 # both ran clean into UnalignedWordAccess once certified SAFE: a word
 # stored and reloaded at offset 1, and a mutant whose frame is 7 bytes
 _MISALIGNED = [

@@ -16,13 +16,11 @@ from aliascert.annot import (
     SetVar,
     Uncalc,
     calc,
-    check_aligned,
+    check_access,
     check_frame,
-    check_read,
     pop_frame,
     push_frame,
     rep,
-    record_write,
     uncalc,
 )
 from aliascert.certifier import Row, RoutineCert, Theory, certify_program, check_safety
@@ -179,13 +177,8 @@ def _random_event(rng):
 
 
 def _apply_via_ops(t, e):
-    if isinstance(e, Write):
-        check_aligned(t, e.k, e.w)
-        return record_write(t, e.k, e.w)
-    if isinstance(e, Read):
-        check_aligned(t, e.k, e.w)
-        check_read(t, e.k, e.w)
-        return t
+    if isinstance(e, (Write, Read)):
+        return check_access(t, e.k, e.w, write=isinstance(e, Write))
     if isinstance(e, FrameUp):
         check_frame(e.n)
         return push_frame(t, e.n)
