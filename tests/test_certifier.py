@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 
 from aliascert import certifier, certify_program, check_program, check_safety, parse_program
-from aliascert.annot import C0, U0, Annotation, calc
+from aliascert.annot import C0, U0, Annotation, Calc, Rep, TypeVar, calc, uncalc
 from aliascert.cli import _print_report, build_report
+from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 
 from conftest import load
@@ -233,6 +234,84 @@ def test_small_structs_blocks_wide_string_bytes():
         "msg:\n  .bytes \"abcdefgh\" step=4\n")
     assert certify_program(p, policy="small-structs").verdict == "UNSAFE"
     assert certify_program(p, policy="permissive").verdict == "SAFE"
+
+
+# Each byte reading as the search meets it: ``rs`` is the base of an
+# indexed read or write; ``getb``/``putb`` go through the stack pointer.
+_BYTE_READINGS = (StackInstr("getb", rd=V0, n=0), StackInstr("putb", rd=V0, n=0),
+                  *(StackInstr(op, rd=V0, rs=A0, n=0)
+                    for op in ("getbx", "putbx", "lbfh", "sbth")))
+_BASES = {"c^[0]": C0, "c^[8]": calc(8),
+          "c^rep(1)": Calc(Rep(1)), "c^rep(2)": Calc(Rep(2)), "c^rep(3)": Calc(Rep(3)),
+          "c^rep(4)": Calc(Rep(4)), "c^rep(5)": Calc(Rep(5)),
+          "u^1": uncalc(1), "u^2": uncalc(2), "u^3": uncalc(3), "u^4": uncalc(4),
+          "u^5": uncalc(5), "?T": TypeVar("T"), "None": None}
+# small-structs: the message for a string reading (getbx, putbx) and for an
+# array reading (lbfh, sbth) through each base; None where it is admitted
+_SMALL_STRUCTS = {
+    "c^[0]": ("string step must be < 4 for byte access, base c^[0]",
+              "array size must be < 4 for byte access, base c^[0]"),
+    "c^[8]": ("string step must be < 4 for byte access, base c^[8]",
+              "array size must be < 4 for byte access, base c^[8]"),
+    "c^rep(1)": (None, "array size must be < 4 for byte access, base c^rep(1)"),
+    "c^rep(2)": (None, "array size must be < 4 for byte access, base c^rep(2)"),
+    "c^rep(3)": (None, "array size must be < 4 for byte access, base c^rep(3)"),
+    "c^rep(4)": ("string step must be < 4 for byte access, base c^rep(4)",
+                 "array size must be < 4 for byte access, base c^rep(4)"),
+    "c^rep(5)": ("string step must be < 4 for byte access, base c^rep(5)",
+                 "array size must be < 4 for byte access, base c^rep(5)"),
+    "u^1": ("string step must be < 4 for byte access, base u^1", None),
+    "u^2": ("string step must be < 4 for byte access, base u^2", None),
+    "u^3": ("string step must be < 4 for byte access, base u^3", None),
+    "u^4": ("string step must be < 4 for byte access, base u^4",
+            "array size must be < 4 for byte access, base u^4"),
+    "u^5": ("string step must be < 4 for byte access, base u^5",
+            "array size must be < 4 for byte access, base u^5"),
+    "?T": ("string step must be < 4 for byte access, base ?T",
+           "array size must be < 4 for byte access, base ?T"),
+    "None": ("string step must be < 4 for byte access, base None",
+             "array size must be < 4 for byte access, base None"),
+}
+
+
+def _expected_policy_message(op: str, policy: str, base: str) -> str | None:
+    if policy == "permissive":
+        return None
+    if policy == "forbid":
+        return "byte access is disabled by policy"
+    if op in ("getb", "putb"):
+        return "byte access to the word-written stack"
+    return _SMALL_STRUCTS[base][op in ("lbfh", "sbth")]
+
+
+def _recheck_message(s, ann, policy, program):
+    """The byte-policy message ``check_safety`` gives for one row."""
+    cert = certifier.RoutineCert("main", "main", 0x00400000, ann,
+                                 {0x00400000: certifier.Row(ann, s, ann)}, None)
+    theory = certifier.Theory(program, "main", {"main": cert})
+    found = [f.detail for f in check_safety(theory, policy) if f.kind == "BytePolicyForbidden"]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def _search_admits(s, ann, policy, program):
+    return certifier._Engine(program, policy)._policy_allows(s, ann)
+
+
+def test_byte_policy_rule_and_messages_are_pinned():
+    # every byte reading under every policy and base: the search admits a
+    # reading exactly when the re-check has no message for it, and each
+    # message is the text in the table
+    program = parse_program("#@ entry main\nmain:\n  jr ra\n")
+    for s in _BYTE_READINGS:
+        for policy in certifier.BYTE_POLICIES:
+            for text, base in _BASES.items():
+                regs = {SP: C0} if base is None else {SP: C0, A0: base}
+                ann = Annotation.make(star=SP, regs=regs)
+                message = _recheck_message(s, ann, policy, program)
+                case = (s.op, policy, text)
+                assert message == _expected_policy_message(s.op, policy, text), case
+                assert _search_admits(s, ann, policy, program) == (message is None), case
 
 
 def test_boundary_write_at_frame_edge():
