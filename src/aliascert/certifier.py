@@ -53,9 +53,18 @@ routine raises are exactly those of the chronological search.
 `disasm.READINGS` states which readings are blind (those that only copy,
 compute plain words or introduce constants) and which operand each one
 writes; `_effects` derives each instruction's effects from that table
-alone, and a test checks them against the small-step rules.  Blind rows
-are what let the choices between a constant's readings and a later
+alone, and a test checks them against the small-step rules.  Each
+instruction's effects are read once per call, the first time a failure's
+conflict analysis meets it under a given stack-pointer register.  Blind
+rows are what let the choices between a constant's readings and a later
 rejecting read be skipped.
+
+One call keeps three memos, which live and die with it: each routine's
+outcome by entry address and annotation; each instruction's readings by
+where the stack pointer is, with whether any of them is a byte access,
+the only kind the byte policy filters at a visit; and the effects above,
+under the same key.  A reading the byte policy rejects costs the search
+a predicate, never a message: only the safety re-check says why.
 
 The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
 that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
@@ -68,6 +77,7 @@ the default recursion limit) give UNSUPPORTED with a
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .annot import (C0, U0, AnnotError, Annotation, Calc, Rep, Subst, UnifyMismatch, Uncalc,
@@ -188,7 +198,7 @@ class _Choice:
 
     addr: int
     ann: Annotation
-    alts: list[StackInstr]
+    alts: Sequence[StackInstr]
     next: int                     # index of the next reading to try
     mark: int                     # journal length when the visit began
     subst: Subst
@@ -222,21 +232,23 @@ def _effects(instr: Instruction, star: int | None):
     ``instr`` with the stack pointer in ``star``: whether they are blind to
     types, the locations whose types or bindings they may inspect, the
     locations any of them may write, and those every one of them
-    overwrites without reading.  An operand that holds the stack pointer
-    makes every operand and the stack slots inspected and written."""
+    overwrites without reading, each as a frozenset.  An operand that
+    holds the stack pointer makes every operand and the stack slots
+    inspected and written."""
     rd, rs, rt = instr.rd, instr.rs, instr.rt
     regs = {r for r in (rd, rs, rt) if r is not None}
     if star in regs:
-        regs.add(_SLOTS)
-        return False, regs, regs, set()
+        regs = frozenset(regs | {_SLOTS})
+        return False, regs, regs, frozenset()
     blind, outright, written = _EFFECTS[instr.op, rd == rs]
     inspects = {r for r in (rs, rt) if r is not None}
-    replaced = set()
+    replaced = frozenset()
     if outright and rd not in inspects:
-        replaced.add(rd)
+        replaced = frozenset((rd,))
     elif rd is not None:
         inspects.add(rd)
-    return blind, inspects, {getattr(instr, f) for f in written}, replaced
+    return (blind, frozenset(inspects), frozenset(getattr(instr, f) for f in written),
+            replaced)
 
 
 class _Walk:
@@ -315,12 +327,15 @@ class _Walk:
         key = (id(instr), ann.star)
         hit = engine.readings.get(key)
         if hit is None:
-            hit = engine.readings[key] = (
-                instr, tuple(raw_alternatives(instr, ann.star, self.program.blobs)))
-        alts = [s for s in hit[1] if engine._policy_allows(s, ann)]
+            alts = tuple(raw_alternatives(instr, ann.star, self.program.blobs))
+            hit = engine.readings[key] = (instr, alts, any(s.op in BYTE_OPS for s in alts))
+        _, alts, byte = hit
+        if byte:
+            policy = engine.policy
+            alts = [s for s in alts if _policy_allows(s, ann, policy)]
         return self._choose(addr, ann, alts, 0, None, _NO_CONFLICTS)
 
-    def _choose(self, addr: int, ann: Annotation, alts: list[StackInstr], i: int,
+    def _choose(self, addr: int, ann: Annotation, alts: Sequence[StackInstr], i: int,
                 last_err: CertError | None, conf: frozenset[int]):
         """Take the first reading from ``alts[i:]`` whose own step succeeds,
         leaving a choice open when readings remain after it.  ``conf`` holds
@@ -430,7 +445,8 @@ class _Walk:
         choices, journal, rows = self.choices, self.journal, self.rows
         if self.subst:
             return self._open()
-        live = _effects(self.program.instruction_at(addr), star)[1]
+        effects = self.engine.effects_of
+        live = set(effects(self.program.instruction_at(addr), star)[2])
         pending = set()
         p = self.pending
         while p is not None:
@@ -449,14 +465,14 @@ class _Walk:
                 # return compares what every choice before it wrote
                 out.update(c.addr for c in choices[:k + 1])
                 break
-            blind, inspects, writes, replaced = _effects(self.program.instruction_at(a),
-                                                         row.pre.star)
-            if k >= 0 and choices[k].mark == pos and writes & live:
+            _, blind, inspects, writes, replaced = effects(self.program.instruction_at(a),
+                                                           row.pre.star)
+            if k >= 0 and choices[k].mark == pos and not writes.isdisjoint(live):
                 out.add(a)
             carried = self.carried.get(a)
             if carried:
                 out |= carried
-            if not blind or writes & live:
+            if not blind or not writes.isdisjoint(live):
                 live -= replaced
                 live |= inspects
         return frozenset(out)
@@ -497,9 +513,13 @@ class _Engine:
     ``memo`` holds each routine's outcome by entry address and annotation.
     ``readings`` holds the ``raw_alternatives`` of each instruction object
     by ``(id(instr), star)``, with the instruction it was read from, so no
-    id is reused while the engine lives; repeated lines and the walks after
-    a backtrack share their :class:`StackInstr` objects.  The byte policy
-    is applied to them anew at every visit, since it reads the annotation.
+    id is reused while the engine lives, and whether any of them is a byte
+    access; repeated lines and the walks after a backtrack share their
+    :class:`StackInstr` objects.  The byte policy reads the annotation, so
+    it is applied anew at every visit, and only where a byte access is
+    among the readings.  ``effects`` holds the :func:`_effects` of each
+    instruction object under the same key, with the instruction, filled
+    the first time the conflict analysis of a failure reads it.
     """
 
     def __init__(self, program: Program, policy: str):
@@ -508,9 +528,19 @@ class _Engine:
         self.theory = Theory(program)
         self.memo: dict[tuple[int, Annotation], RoutineCert | CertError] = {}
         self.readings: dict[tuple[int, int | None],
-                            tuple[Instruction, tuple[StackInstr, ...]]] = {}
+                            tuple[Instruction, tuple[StackInstr, ...], bool]] = {}
+        self.effects: dict[tuple[int, int | None], tuple] = {}
         self.deepest: tuple[int, Failure] | None = None
         self.stats = SearchStats()
+
+    def effects_of(self, instr: Instruction, star: int | None) -> tuple:
+        """``(instr, blind, inspects, writes, replaced)``, the
+        :func:`_effects` of ``instr`` with the stack pointer in ``star``."""
+        key = (id(instr), star)
+        hit = self.effects.get(key)
+        if hit is None:
+            hit = self.effects[key] = (instr, *_effects(instr, star))
+        return hit
 
     # -- failure bookkeeping ------------------------------------------------
 
@@ -589,30 +619,36 @@ class _Engine:
         post = exit_ann.set_reg(star, caller_star_type).with_slots(ann.slots)
         return post, cert.key
 
-    # -- byte-access policy ----------------------------------------------------
 
-    def _policy_allows(self, s: StackInstr, ann: Annotation) -> bool:
-        return s.op not in BYTE_OPS or _byte_policy_reason(s, ann, self.policy) is None
+# --------------------------------------------------------------------------
+# the byte-access policy
 
 
-def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str | None:
-    """Why ``policy`` forbids byte access ``s`` under ``ann``, or None.
-    Under ``small-structs``, byte access is allowed only on structures too
-    small for word access to reach."""
-    if policy == "permissive":
-        return None
+def _policy_allows(s: StackInstr, ann: Annotation, policy: str) -> bool:
+    """Whether byte ``policy`` admits reading ``s`` under ``ann``.  Every
+    reading but a byte access is admitted; under ``small-structs``, byte
+    access is allowed only on structures too small for word access to
+    reach: a string of step below 4, or an array of fewer than 4 bytes."""
+    op = s.op
+    if op not in BYTE_OPS or policy == "permissive":
+        return True
+    if policy == "forbid" or op in ("getb", "putb"):
+        return False
+    base = ann.reg(s.rs)
+    if op in ("getbx", "putbx"):
+        return isinstance(base, Calc) and isinstance(base.tower, Rep) and base.tower.step < 4
+    return isinstance(base, Uncalc) and base.size < 4
+
+
+def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str:
+    """Why ``policy`` forbids byte access ``s`` under ``ann``, a reading
+    that :func:`_policy_allows` refuses."""
     if policy == "forbid":
         return "byte access is disabled by policy"
     if s.op in ("getb", "putb"):
         return "byte access to the word-written stack"
-    base = ann.reg(s.rs)
-    if s.op in ("getbx", "putbx"):
-        if isinstance(base, Calc) and isinstance(base.tower, Rep) and base.tower.step < 4:
-            return None
-        return f"string step must be < 4 for byte access, base {base}"
-    if isinstance(base, Uncalc) and base.size < 4:
-        return None
-    return f"array size must be < 4 for byte access, base {base}"
+    what = "string step" if s.op in ("getbx", "putbx") else "array size"
+    return f"{what} must be < 4 for byte access, base {ann.reg(s.rs)}"
 
 
 def _check_policy(policy: str) -> None:
@@ -666,10 +702,9 @@ def check_safety(theory: Theory, policy: str = DEFAULT_POLICY) -> list[Failure]:
     for cert in theory.routines.values():
         for addr, row in sorted(cert.rows.items()):
             s = row.chosen
-            if s.op in BYTE_OPS:
-                reason = _byte_policy_reason(s, row.pre, policy)
-                if reason is not None:
-                    out.append(Failure(addr, str(s), "BytePolicyForbidden", reason))
+            if not _policy_allows(s, row.pre, policy):
+                out.append(Failure(addr, str(s), "BytePolicyForbidden",
+                                   _byte_policy_reason(s, row.pre, policy)))
             try:
                 if s.op == "push":
                     check_frame(s.n)

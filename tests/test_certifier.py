@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from aliascert import certifier, certify_program, check_program, check_safety, parse_program
-from aliascert.annot import C0, U0, Annotation, Calc, Rep, TypeVar, calc, uncalc
+from aliascert.annot import C0, U0, Annotation, Calc, Rep, TypeVar, Uncalc, calc, uncalc
 from aliascert.cli import _print_report, build_report
 from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
@@ -294,10 +294,6 @@ def _recheck_message(s, ann, policy, program):
     return found[0] if found else None
 
 
-def _search_admits(s, ann, policy, program):
-    return certifier._Engine(program, policy)._policy_allows(s, ann)
-
-
 def test_byte_policy_rule_and_messages_are_pinned():
     # every byte reading under every policy and base: the search admits a
     # reading exactly when the re-check has no message for it, and each
@@ -311,7 +307,7 @@ def test_byte_policy_rule_and_messages_are_pinned():
                 message = _recheck_message(s, ann, policy, program)
                 case = (s.op, policy, text)
                 assert message == _expected_policy_message(s.op, policy, text), case
-                assert _search_admits(s, ann, policy, program) == (message is None), case
+                assert certifier._policy_allows(s, ann, policy) == (message is None), case
 
 
 def test_boundary_write_at_frame_edge():
@@ -369,6 +365,26 @@ def test_kli_variants_certify_at_k_24():
             report = certify_program(parse_program(make(24, unsafe)))
             assert report.verdict == ("UNSAFE" if unsafe else "SAFE"), make.__name__
             assert report.stats.readings <= 2 * 24 * 24, (make.__name__, report.stats)
+
+
+def test_rejected_readings_are_not_rendered_and_effects_are_read_once(monkeypatch):
+    # every li's string reading is rejected by a later read: the search
+    # renders no type but the entry's, for the routine's key, and reads
+    # each instruction's effects at most once per stack-pointer register
+    program = parse_program(kli_source(13, False))
+    rendered, read = [], []
+    for cls in (Calc, Uncalc):
+        monkeypatch.setattr(cls, "__str__",
+                            lambda t, show=cls.__str__: rendered.append(t) or show(t))
+    monkeypatch.setattr(certifier, "_effects",
+                        lambda i, star, read_=certifier._effects:
+                        read.append((id(i), star)) or read_(i, star))
+    report = certify_program(program)
+    assert report.verdict == "SAFE" and report.stats.backtracks == 13
+    searched = len(rendered)
+    str(certifier.entry_annotation_for(program))
+    assert searched == len(rendered) - searched
+    assert read and len(read) == len(set(read))
 
 
 def _outcome(program):

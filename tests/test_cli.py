@@ -9,7 +9,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from aliascert import _engine, certify_program, cli, parse_program
 from aliascert.isa import FORMATS
@@ -586,6 +586,9 @@ def test_no_grammar_source_ends_in_an_internal_error(tmp_path, monkeypatch, caps
                         lambda *a, **k: reached.append(1) or certify_program(*a, **k))
     path, report = tmp_path / "g.s", tmp_path / "g.json"
 
+    # an explicit seed, which Hypothesis prefers to ``derandomize``'s seed
+    # from this function's text, so an edit of the body draws the same sources
+    @seed(0)
     @settings(max_examples=300, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(source=_grammar_sources())

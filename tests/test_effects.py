@@ -108,10 +108,9 @@ def _step(program: Program, s, ann: Annotation, policy: str) -> Annotation | Non
     """The post-annotation the search records for reading ``s`` at the
     program's first address under byte ``policy``, or None when the
     reading fails there."""
-    engine = certifier._Engine(program, policy)
-    if not engine._policy_allows(s, ann):
+    if not certifier._policy_allows(s, ann, policy):
         return None
-    walk = certifier._Walk(engine, ())
+    walk = certifier._Walk(certifier._Engine(program, policy), ())
     try:
         walk._take(BASE_ADDRESS, ann, s)
     except (PatternMismatch, certifier.CertError):
