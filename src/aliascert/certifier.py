@@ -446,6 +446,7 @@ class _Walk:
         if self.subst:
             return self._open()
         effects = self.engine.effects_of
+        # a copy of what the failing instruction inspects: the walk back changes it
         live = set(effects(self.program.instruction_at(addr), star)[2])
         pending = set()
         p = self.pending
@@ -467,12 +468,13 @@ class _Walk:
                 break
             _, blind, inspects, writes, replaced = effects(self.program.instruction_at(a),
                                                            row.pre.star)
-            if k >= 0 and choices[k].mark == pos and not writes.isdisjoint(live):
+            touched = not writes.isdisjoint(live)
+            if touched and k >= 0 and choices[k].mark == pos:
                 out.add(a)
             carried = self.carried.get(a)
             if carried:
                 out |= carried
-            if not blind or not writes.isdisjoint(live):
+            if touched or not blind:
                 live -= replaced
                 live |= inspects
         return frozenset(out)

@@ -6,8 +6,8 @@ the instruction lines and the distinct ``Instruction`` objects the parser
 makes of them, the calls of ``frontend._parse_instruction``,
 ``certifier.raw_alternatives``, ``certifier.apply_smallstep`` (and how
 many of them raised ``PatternMismatch``), ``certifier._effects``,
-``traces.events_of`` and ``traces.fold_event``, the rows of the theory, and the search's
-readings, backtracks and backjumps.  The oracle runs only on a SAFE
+``traces.events_of`` and ``traces.fold_event``, the rows of the theory,
+and the search's readings, backtracks and backjumps.  The oracle runs only on a SAFE
 theory, as the command runs it.
 
 Each ``run/`` entry holds what the interpreter does to one program: the
@@ -57,7 +57,8 @@ SCALE_SIZES = (100, 400, 1600)
 KLI_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
 KLI_KS = (4, 7, 10)
 COUNTED = ((frontend, "_parse_instruction"), (certifier, "raw_alternatives"),
-           (certifier, "_effects"), (traces, "events_of"), (traces, "fold_event"), (_engine, "_block"))
+           (certifier, "_effects"), (traces, "events_of"), (traces, "fold_event"),
+           (_engine, "_block"))
 SWEEP_SEEDS = 8  # the benchmark's seeds per sweep
 DOMAINS = {v: k[2:] for k, v in vars(_engine).items() if k.startswith("T_")}
 
