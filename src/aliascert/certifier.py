@@ -4,10 +4,9 @@ A depth-first search over disassembly choices drives the per-instruction
 rules along the control-flow graph.  The first arrival at an address
 records its annotation; every later arrival must unify with it exactly
 (no widening), which realizes the loop/branch convergence requirement.
-Subroutine calls certify the callee per call site in a fresh theory,
-under the convention that a routine builds and destroys its own frame and
-hands the stack pointer back in the register it arrived in, with an empty
-frame.
+A call certifies the callee under the annotation at its site, by the
+convention that a routine builds and destroys its own frame and hands the
+stack pointer back in the register it arrived in, with an empty frame.
 
 The search over one routine is a loop, not a recursion, so its cost is
 linear in the instructions it visits and its depth is not bounded by
@@ -53,18 +52,25 @@ routine raises are exactly those of the chronological search.
 `disasm.READINGS` states which readings are blind (those that only copy,
 compute plain words or introduce constants) and which operand each one
 writes; `_effects` derives each instruction's effects from that table
-alone, and a test checks them against the small-step rules.  Each
-instruction's effects are read once per call, the first time a failure's
-conflict analysis meets it under a given stack-pointer register.  Blind
+alone, and a test checks them against the small-step rules.  Blind
 rows are what let the choices between a constant's readings and a later
 rejecting read be skipped.
 
-One call keeps three memos, which live and die with it: each routine's
-outcome by entry address and annotation; each instruction's readings by
-where the stack pointer is, with whether any of them is a byte access,
-the only kind the byte policy filters at a visit; and the effects above,
-under the same key.  A reading the byte policy rejects costs the search
-a predicate, never a message: only the safety re-check says why.
+One call keeps two memos, which live and die with it, and each fact is
+recorded once.  The routine memo holds each routine's outcome, its
+certificate or its error, by entry address and annotation.  The readings
+memo holds each instruction's readings by where the stack pointer is,
+with whether any of them is a byte access, the only kind the byte policy
+filters at a visit, and its effects above, added the first time a
+failure's conflict analysis reads them.  A reading the byte policy
+rejects costs the search a predicate, never a message: only the safety
+re-check says why.
+
+A :class:`Theory`, the certificate, exists only for a SAFE verdict.
+``certify_program`` builds it once from the routine memo: the entry
+routine and every routine its rows call, through ``Row.callee``, in the
+order they were certified.  A routine that only a reading the search
+abandoned called is in the memo, and not in the certificate.
 
 The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
 that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
@@ -149,17 +155,22 @@ class RoutineCert:
 
 @dataclass
 class Theory:
-    program: Program
-    entry_key: str | None = None
-    routines: dict[str, RoutineCert] = field(default_factory=dict)
+    """The certificate of a SAFE verdict: the entry routine's key, and the
+    entry routine and every routine its rows call, by key."""
 
-    def call_summaries(self) -> dict[tuple[int, str], tuple[Annotation, Annotation]]:
+    program: Program
+    entry_key: str
+    routines: dict[str, RoutineCert]
+
+    def call_summaries(self) -> dict[tuple[int, str, str], tuple[Annotation, Annotation]]:
+        """The entry and exit of each call, by site, callee label and
+        callee routine: one site may call a routine under two entries."""
         out = {}
         for cert in self.routines.values():
             for addr, row in cert.rows.items():
                 if row.callee is not None:
                     callee = self.routines[row.callee]
-                    out[(addr, callee.label)] = (callee.entry, callee.exit_ann)
+                    out[(addr, callee.label, callee.key)] = (callee.entry, callee.exit_ann)
         return out
 
 
@@ -328,8 +339,8 @@ class _Walk:
         hit = engine.readings.get(key)
         if hit is None:
             alts = tuple(raw_alternatives(instr, ann.star, self.program.blobs))
-            hit = engine.readings[key] = (instr, alts, any(s.op in BYTE_OPS for s in alts))
-        _, alts, byte = hit
+            hit = engine.readings[key] = [instr, alts, any(s.op in BYTE_OPS for s in alts), None]
+        _, alts, byte, _ = hit
         if byte:
             policy = engine.policy
             alts = [s for s in alts if _policy_allows(s, ann, policy)]
@@ -447,7 +458,7 @@ class _Walk:
             return self._open()
         effects = self.engine.effects_of
         # a copy of what the failing instruction inspects: the walk back changes it
-        live = set(effects(self.program.instruction_at(addr), star)[2])
+        live = set(effects(self.program.instruction_at(addr), star)[1])
         pending = set()
         p = self.pending
         while p is not None:
@@ -466,8 +477,8 @@ class _Walk:
                 # return compares what every choice before it wrote
                 out.update(c.addr for c in choices[:k + 1])
                 break
-            _, blind, inspects, writes, replaced = effects(self.program.instruction_at(a),
-                                                           row.pre.star)
+            blind, inspects, writes, replaced = effects(self.program.instruction_at(a),
+                                                        row.pre.star)
             touched = not writes.isdisjoint(live)
             if touched and k >= 0 and choices[k].mark == pos:
                 out.add(a)
@@ -512,37 +523,35 @@ class _Walk:
 class _Engine:
     """The search state of one :func:`certify_program` call.
 
-    ``memo`` holds each routine's outcome by entry address and annotation.
-    ``readings`` holds the ``raw_alternatives`` of each instruction object
-    by ``(id(instr), star)``, with the instruction it was read from, so no
-    id is reused while the engine lives, and whether any of them is a byte
-    access; repeated lines and the walks after a backtrack share their
-    :class:`StackInstr` objects.  The byte policy reads the annotation, so
-    it is applied anew at every visit, and only where a byte access is
-    among the readings.  ``effects`` holds the :func:`_effects` of each
-    instruction object under the same key, with the instruction, filled
-    the first time the conflict analysis of a failure reads it.
+    ``memo`` holds each routine's outcome, its :class:`RoutineCert` or
+    its :class:`CertError`, by entry address and annotation, in the order
+    the routines ended; it is the one record of them, and a SAFE
+    verdict's certificate is read from it.  ``readings`` holds, for each
+    instruction object by ``(id(instr), star)``, the list ``[instr, alts,
+    byte, effects]``: the instruction, so no id is reused while the engine
+    lives; its ``raw_alternatives``, which repeated lines and the walks
+    after a backtrack share; whether any of them is a byte access; and
+    its :func:`_effects`, None until the conflict analysis of a failure
+    first reads them.  The byte policy reads the annotation, so it is
+    applied anew at every visit, and only where a byte access is among the
+    readings.
     """
 
     def __init__(self, program: Program, policy: str):
         self.program = program
         self.policy = policy
-        self.theory = Theory(program)
         self.memo: dict[tuple[int, Annotation], RoutineCert | CertError] = {}
-        self.readings: dict[tuple[int, int | None],
-                            tuple[Instruction, tuple[StackInstr, ...], bool]] = {}
-        self.effects: dict[tuple[int, int | None], tuple] = {}
+        self.readings: dict[tuple[int, int | None], list] = {}
         self.deepest: tuple[int, Failure] | None = None
         self.stats = SearchStats()
 
     def effects_of(self, instr: Instruction, star: int | None) -> tuple:
-        """``(instr, blind, inspects, writes, replaced)``, the
-        :func:`_effects` of ``instr`` with the stack pointer in ``star``."""
-        key = (id(instr), star)
-        hit = self.effects.get(key)
-        if hit is None:
-            hit = self.effects[key] = (instr, *_effects(instr, star))
-        return hit
+        """The :func:`_effects` of ``instr``, a visited instruction, with
+        the stack pointer in ``star``."""
+        hit = self.readings[id(instr), star]
+        if hit[3] is None:
+            hit[3] = _effects(instr, star)
+        return hit[3]
 
     # -- failure bookkeeping ------------------------------------------------
 
@@ -578,7 +587,6 @@ class _Engine:
                 exit_ann = exit_ann.substituted(subst)
         digest = hashlib.sha1(str(entry).encode()).hexdigest()[:8]
         cert = RoutineCert(f"{label}@{digest}", label, entry_addr, entry, rows, exit_ann)
-        self.theory.routines[cert.key] = cert
         self.memo[key] = cert
         return cert
 
@@ -650,7 +658,8 @@ def _byte_policy_reason(s: StackInstr, ann: Annotation, policy: str) -> str:
     if s.op in ("getb", "putb"):
         return "byte access to the word-written stack"
     what = "string step" if s.op in ("getbx", "putbx") else "array size"
-    return f"{what} must be < 4 for byte access, base {ann.reg(s.rs)}"
+    base = ann.reg(s.rs) or f"register {reg_name(s.rs)} is unbound"
+    return f"{what} must be < 4 for byte access, base {base}"
 
 
 def _check_policy(policy: str) -> None:
@@ -666,27 +675,35 @@ def certify_program(program: Program, policy: str = DEFAULT_POLICY) -> CertRepor
     except ValueError as e:
         return CertReport(UNSUPPORTED, None, [Failure(None, None, "UnreachableEntry", str(e))])
     engine = _Engine(program, policy)
-    entry_ann = entry_annotation_for(program)
-    theory = engine.theory
     try:
-        cert = engine.certify_routine(entry_addr, entry_ann, ())
+        cert = engine.certify_routine(entry_addr, entry_annotation_for(program), ())
     except SearchBudgetExhausted:
-        return CertReport(UNSUPPORTED, None,
-                          [Failure(None, None, "SearchBudgetExhausted",
-                                   f"tried more than {SEARCH_BUDGET} readings")],
-                          engine.stats)
+        verdict, failure = UNSUPPORTED, Failure(None, None, "SearchBudgetExhausted",
+                                                f"tried more than {SEARCH_BUDGET} readings")
     except RecursionError:
-        return CertReport(UNSUPPORTED, None,
-                          [Failure(None, None, "CallDepthExceeded",
-                                   "calls nest deeper than Python's stack allows")],
-                          engine.stats)
+        verdict, failure = UNSUPPORTED, Failure(None, None, "CallDepthExceeded",
+                                                "calls nest deeper than Python's stack allows")
     except CertError as e:
         # every CertError comes from _record, so a deepest failure is set
         failure = engine.deepest[1]
         verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE
-        return CertReport(verdict, theory, [failure], engine.stats)
-    theory.entry_key = cert.key
-    return CertReport(SAFE, theory, [], engine.stats)
+    else:
+        return CertReport(SAFE, Theory(program, cert.key, _called(engine.memo, cert)), [],
+                          engine.stats)
+    return CertReport(verdict, None, [failure], engine.stats)
+
+
+def _called(memo: dict, entry: RoutineCert) -> dict[str, RoutineCert]:
+    """The routines of ``memo`` that ``entry`` reaches through
+    ``Row.callee``, itself included, by key in the order they were
+    certified; of two certificates under one key, the later one."""
+    certs = {c.key: c for c in memo.values() if isinstance(c, RoutineCert)}
+    reached, todo = {entry.key}, [entry]
+    while todo:
+        callees = {row.callee for row in todo.pop().rows.values()} - reached - {None}
+        reached |= callees
+        todo += [certs[key] for key in callees]
+    return {key: c for key, c in certs.items() if key in reached}
 
 
 # --------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
             "exit": render(cert.exit_ann),
             "rows": rows,
         })
-    for (site, callee), (entry_ann, exit_ann) in sorted(theory.call_summaries().items()):
+    for (site, callee, _), (entry_ann, exit_ann) in sorted(theory.call_summaries().items()):
         out["calls"].append({
             "site": site,
             "callee": callee,

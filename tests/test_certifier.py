@@ -13,6 +13,7 @@ from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 from conftest import load
 from genprogs import (generate_source, kli_branch_source, kli_callee_source, kli_move_source,
                       kli_source, mutate_source)
+from test_report_digests import _cases as report_digest_cases
 
 SEARCH_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
 
@@ -269,8 +270,8 @@ _SMALL_STRUCTS = {
             "array size must be < 4 for byte access, base u^5"),
     "?T": ("string step must be < 4 for byte access, base ?T",
            "array size must be < 4 for byte access, base ?T"),
-    "None": ("string step must be < 4 for byte access, base None",
-             "array size must be < 4 for byte access, base None"),
+    "None": ("string step must be < 4 for byte access, base register a0 is unbound",
+             "array size must be < 4 for byte access, base register a0 is unbound"),
 }
 
 
@@ -702,3 +703,103 @@ def test_the_entry_routine_is_exempt_from_handing_the_stack_pointer_back():
     (failure,) = called.failures
     assert (failure.kind, failure.rule, failure.detail) == \
         ("StackNotRestored", "gosub f", "f hands back c^[8,0] in sp")
+
+
+# -- the certificate -------------------------------------------------------------
+
+# `li t0 s` is first read as a string, and `jal f` certifies f under that
+# entry; `lw t1 0(t0)` then has no reading, so the search backjumps to the
+# `li`, takes the array reading, and certifies f again
+_ORPHAN = """#@ entry main
+main:
+  move gp sp
+  addiu sp sp -8
+  sw ra 4(sp)
+  li t0 s
+  jal f
+  lw t1 0(t0)
+  lw ra 4(sp)
+  move sp gp
+  jr ra
+f:
+  jr ra
+s: .bytes 1 2 3 4
+"""
+
+# f is certified for t0=u^1 and for t0=c^rep(1)!{0}, and each certificate
+# calls g at one site under a different entry
+_CALLS = """#@ entry main
+main:
+  move gp sp
+  addiu sp sp -8
+  sw ra 4(sp)
+  li t0 1
+  jal f
+  li t0 s
+  jal f
+  lw ra 4(sp)
+  move sp gp
+  jr ra
+f:
+  move s0 sp
+  addiu sp sp -8
+  sw ra 4(sp)
+  jal g
+  lw ra 4(sp)
+  move sp s0
+  jr ra
+g:
+  jr ra
+s: .bytes 1 2 3 4
+"""
+
+
+def _reached(theory) -> set[str]:
+    """The keys of the routines reachable from the theory's entry through
+    ``Row.callee``."""
+    reached, todo = {theory.entry_key}, [theory.entry_key]
+    while todo:
+        for row in theory.routines[todo.pop()].rows.values():
+            if row.callee is not None and row.callee not in reached:
+                reached.add(row.callee)
+                todo.append(row.callee)
+    return reached
+
+
+def test_a_certificate_holds_only_the_routines_its_proof_calls():
+    report = certify_program(parse_program(_ORPHAN))
+    assert report.safe
+    theory = report.theory
+    # in the order they were certified: a callee ends before its caller
+    f, main = theory.routines.values()
+    assert (f.label, main.label, main.key) == ("f", "main", theory.entry_key)
+    assert str(f.entry.reg(REG_INDEX["t0"])) == "u^4!{0,1,2,3}"
+    assert check_program(theory) == [] and check_safety(theory) == []
+
+
+def test_a_verdict_other_than_safe_carries_no_theory():
+    report = certify_program(parse_program(_ORPHAN.replace("lw t1 0(t0)", "lw t1 4(t0)")))
+    assert report.verdict == "UNSAFE" and report.theory is None
+
+
+def test_every_safe_certificate_holds_just_what_its_entry_reaches():
+    sources = [("orphan", _ORPHAN, "small-structs"), ("calls", _CALLS, "small-structs")]
+    sources += [(key, source, policy) for key, _, source, policy in report_digest_cases()]
+    for key, source, policy in sources:
+        report = certify_program(parse_program(source), policy)
+        if report.safe:
+            assert set(report.theory.routines) == _reached(report.theory), key
+
+
+def test_the_report_lists_each_call_of_each_callee_routine():
+    report = certify_program(parse_program(_CALLS))
+    assert report.safe
+    calls = {(addr, row.callee) for cert in report.theory.routines.values()
+             for addr, row in cert.rows.items() if row.callee is not None}
+    assert len(calls) == 4
+    rep = build_report("calls.s", "main", "small-structs", report)
+    routines = {r["key"]: r for r in rep["routines"]}
+    expected = sorted((site, routines[key]["label"], key) for site, key in calls)
+    assert [(c["site"], c["callee"], c["entry"], c["exit"]) for c in rep["calls"]] == \
+        [(site, label, routines[key]["entry"], routines[key]["exit"])
+         for site, label, key in expected]

@@ -65,6 +65,21 @@ def test_a_store_inside_a_declared_size_reaches_no_other_blob():
     assert run(p).regs[11] == 0x08070605
 
 
+# the string in `s` ends at its data, yet `c^rep(1)` carries no length: the
+# clean run reads the zero padding byte at `s + 2`, which the aliasing
+# machine's string chain never stored
+_PAST_THE_DATA = ('#@ entry main\nmain:\n  li t0 s\n  move t1 zero\nloop:\n  lb t1 0(t0)\n'
+                  '  addiu t0 t0 1\n  bnez t1 loop\n  jr ra\ns: .bytes "ab"\nt: .bytes "cd\\0"\n')
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: a string read past its blob's data "
+                                       "is certified SAFE")
+def test_a_string_read_past_its_blob_data_is_not_certified_safe():
+    p = parse_program(_PAST_THE_DATA)
+    report = certify_program(p)
+    assert not report.safe or diff_runs(p, seeds=5).ok
+
+
 # both ran clean into UnalignedWordAccess once certified SAFE: a word
 # stored and reloaded at offset 1, and a mutant whose frame is 7 bytes
 _MISALIGNED = [
