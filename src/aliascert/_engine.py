@@ -32,7 +32,8 @@ fewer than 2**32 in any run that fits in memory.  So ``& M32`` reads the
 word and ``>> 32`` the tag.  Copies, loads and stores preserve a salted
 word verbatim; every arithmetic step (`li`, `addiu`, `addu`, `nand`, the
 return address of `jal`, an effective address, a register's initial
-value) re-tags its result with the loop's salt.  The seeded salt
+value) re-tags its result with the loop's salt, unless it is one that
+cannot reach an address (below).  The seeded salt
 :func:`tag` mixes the seed, the operation's domain and the salted words
 of its inputs: the same calculation always yields the same tag, while
 distinct calculations of an arithmetically equal value disagree with
@@ -41,6 +42,19 @@ folded with each input in turn by :func:`fold`, so a check that
 evaluates many calculations of one seed computes each domain's root
 once and calls the same two functions.  ``TAG_MASK`` is the tag width,
 read at every call.
+
+A tag is read only where it keys a cell; registers, comparisons, jumps
+and devices read words.  So `build_image` computes once, over all the
+image's instructions in any order, which registers are
+*address-relevant* (a backward slice, `_address_relevant`): the base of
+every load and store; the register inputs of a ``move``, ``addiu``,
+``addu`` or ``nand`` whose destination is relevant; and, when the
+destination of some ``lw`` is relevant, the value of every ``sw``, since
+a loaded word keeps the tag it was stored with.  ``lb`` loads and ``sb``
+stores a plain byte, so neither adds a register.  A ``li``, ``addiu``,
+``addu`` or ``nand`` whose destination is not relevant is decoded into
+its word-only form: the loop computes its word, tagged 0 under every
+salt, and calls no salt.
 
 For the length of one run, the loop keeps for each memory instruction
 the salted word its base register last held there and the tag of the
@@ -95,29 +109,33 @@ wrote it here, but the clean machine preloaded it).  A load that misses
 is never self-sourced.
 
 A seed's tags stand for how each value was calculated, so a sweep over
-seeds need not run the loop once per seed.  `run_symbolic_image` runs
-it once with a salt that hands out one id per distinct calculation
-(global value numbering by hash-consing), and keeps the words of the
-loads that are not self-sourced.  Take any machine whose tag of a
-calculation depends on the calculation only: a seed's, or the clean
-machine's, which tags every calculation 0.  By induction over steps,
-while every load so far is self-sourced, it has taken the symbolic
-run's steps and its registers hold the same words, each tagged with its
-tag of the same calculation.  A store then writes the same lanes with
-the same value.  Its cell holds in each lane the latest write through
-any calculation of the cell's tag: calculations whose tags collide
-share one cell.  A self-sourced load's lanes were last written, over
-all calculations, through its own, which is among those that collide
-with it, so the shared cell holds the same bytes there.  A lane nobody
-wrote is 0 on both machines, and the rule leaves out the lanes of
-``noinit`` blobs, which only the clean machine preloads.  A ``lw``
-reads every lane, so the word's latest write is its own and the cell's
-tag comes from that write; a ``lb`` loads a plain byte.  Every other
-step depends on words only, so the machine branches alike and halts or
-fails at the same step with the same error.  Hence, when every load is
-self-sourced, the symbolic run is the clean run and every seeded run,
-failed or not (`clean_outcome`, `run_alias_image`), and a sweep runs
-nothing more.
+seeds need not run the loop once per seed.  `run_symbolic_image` runs it
+once with a salt that hands out one id per distinct calculation (global
+value numbering by hash-consing), and keeps the words of the loads that
+are not self-sourced.  Take any machine whose tag of a calculation
+depends on the calculation only: a seed's, or the clean machine's, which
+tags every calculation 0.  By induction over steps, while every load so
+far is self-sourced, it has taken the symbolic run's steps and its
+registers hold the same words, each address-relevant one tagged with its
+tag of the same calculation.  A register that is not relevant may hold
+any tag: it never reaches a relevant one, and so never a base, nor, when
+some ``lw`` destination is relevant, a stored value.  A store then keys
+the same cell through its relevant base and writes the same word, with
+its tag of the same calculation whenever a ``lw`` may load it into a
+relevant register.  Its cell holds in each lane the latest write through
+any calculation of the cell's tag: calculations whose tags collide share
+one cell.  A self-sourced load's lanes were last written, over all
+calculations, through its own, which is among those that collide with
+it, so the shared cell holds the same bytes there.  A lane nobody wrote
+is 0 on both machines, and the rule leaves out the lanes of ``noinit``
+blobs, which only the clean machine preloads.  A ``lw`` reads every
+lane, so the word's latest write is its own and the cell's tag, when its
+destination is relevant, comes from that write; a ``lb`` loads a plain
+byte.  Every other step depends on words only, so the machine branches
+alike and halts or fails at the same step with the same error.  Hence,
+when every load is self-sourced, the symbolic run is the clean run and
+every seeded run, failed or not (`clean_outcome`, `run_alias_image`),
+and a sweep runs nothing more.
 
 Otherwise the same induction gives the clean machine's state just before
 the first load that is not self-sourced, and the clean run goes on from
@@ -217,14 +235,17 @@ def build_image(program: Program) -> Image:
     """Decode a program into the flat form the interpreter consumes: at
     each instruction's address, that address, its mnemonic, then its
     operands in ``FORMATS`` order, ``mem`` as ``imm, rs``, targets
-    resolved, padded with 0 to three operands.  A ``ValueError`` for a
-    blob off a word boundary or in a word of the blob before it, a layout
-    the parser never makes."""
+    resolved, padded with 0 to three operands.  An instruction that only
+    writes a register is a ``nop`` when that register is zero, and an
+    arithmetic one whose destination is not address-relevant
+    (`_address_relevant`) takes its word-only form (``_WORD_ONLY``).  A
+    ``ValueError`` for a blob off a word boundary or in a word of the blob
+    before it, a layout the parser never makes."""
     entry_addr = program.entry_address()
     code = {}
     for n, i in enumerate(program.instructions):
         addr = BASE_ADDRESS + 4 * n
-        ops = [addr, i.op]
+        ops = [addr, "nop" if i.op in _REGISTER_ONLY and i.rd == 0 else i.op]
         for f in FORMATS[i.op]:
             if f == "mem":
                 ops += (i.imm, i.rs)
@@ -233,6 +254,10 @@ def build_image(program: Program) -> Image:
             else:
                 ops.append(getattr(i, f))
         code[addr] = (*ops, *(0,) * (5 - len(ops)))
+    relevant = _address_relevant(code.values())
+    for addr, (_, op, a, b, c) in code.items():
+        if op in _WORD_ONLY and a not in relevant:
+            code[addr] = (addr, _WORD_ONLY[op], a, b, c)
     blobs = tuple(
         (program.labels[name], blob.data, blob.step, blob.init)
         for name, blob in program.blobs.items()
@@ -246,6 +271,37 @@ def build_image(program: Program) -> Image:
                              f"with data blob {before!r}")
         end, before = addr + program.blobs[name].extent, name
     return Image(code=code, blobs=blobs, entry_addr=entry_addr)
+
+
+# the mnemonics whose only effect is to write register ``a``
+_REGISTER_ONLY = frozenset(("move", "li", "addiu", "addu", "nand"))
+# the word-only form of each arithmetic mnemonic: its word, tagged 0
+_WORD_ONLY = {"li": "li.w", "addiu": "addiu.w", "addu": "addu.w", "nand": "nand.w"}
+
+
+def _address_relevant(code) -> set[int]:
+    """The address-relevant registers of the decoded instructions
+    ``code``, by the rule the module docstring states: a walk from every
+    base down through the registers each register's value is made of."""
+    stored = {a for _, op, a, _, _ in code if op == "sw"}
+    inputs: list[set[int]] = [set() for _ in range(32)]  # by register, what its value is made from
+    todo = []
+    for _, op, a, b, c in code:
+        if op in ("lw", "lb", "sw", "sb"):
+            todo.append(c)
+        if op == "lw":
+            inputs[a] |= stored
+        elif op == "move" or op == "addiu":
+            inputs[a].add(b)
+        elif op == "addu" or op == "nand":
+            inputs[a] |= {b, c}
+    relevant: set[int] = set()
+    while todo:
+        r = todo.pop()
+        if r not in relevant:
+            relevant.add(r)
+            todo += inputs[r]
+    return relevant
 
 
 def _zero_tag(seed: int, domain: int, *vals: int) -> int:
@@ -467,12 +523,14 @@ class SymbolicRun:
     bits 72-135, a salted input holding its id as its tag (bits 40-71 or
     104-135), and the id 0 standing for the literal tag 0.  Each group
     holds the ids of the effective addresses, two or more, that key one
-    word of ``mixed``."""
+    word of ``mixed``.  ``interned`` counts the keys the run interned, the
+    size of its table when it ended."""
 
     outcome: RunOutcome
     closure: dict[int, int]
     groups: tuple[tuple[int, ...], ...]
     mixed: frozenset[int]
+    interned: int
     start: CleanStart | None = None
 
 
@@ -495,7 +553,7 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     snapshot: list[CleanStart] = []
     outcome = _run(image, fuel, 0, intern, mixed, None, snapshot)
     if not mixed:
-        return SymbolicRun(outcome, {}, (), frozenset())
+        return SymbolicRun(outcome, {}, (), frozenset(), len(ids))
     # every effective address keys or probes a cell of its word, word + imm
     words: dict[int, list[int]] = {w: [] for w in mixed}
     for w, i in [(w, i) for k, i in ids.items() if k & 0xFF == T_EA
@@ -519,7 +577,7 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
             if salted == 2:
                 todo.append(k >> 104)
     closure = {i: keys[i - 1] for i in sorted(need)}
-    return SymbolicRun(outcome, closure, groups, frozenset(mixed), snapshot[0])
+    return SymbolicRun(outcome, closure, groups, frozenset(mixed), len(ids), snapshot[0])
 
 
 def _seed_tags(symbolic: SymbolicRun, seed: int) -> dict[int, int]:
@@ -628,8 +686,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
                     r[a] = cell if op == "lw" else cell >> 8 * (ea & 3) & 0xFF
                 continue
             if op == "addiu":
-                if a != 0:
-                    r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
+                r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
                 continue
             if op == "sw" or op == "sb":
                 base = r[c]
@@ -661,18 +718,22 @@ def _run(image: Image, fuel: int, seed: int, salt,
                 continue
             if op == "bnez":
                 pc = b if r[a] & M32 else pc + 4
+            elif op == "addiu.w":
+                r[a] = (r[b] + c) & M32
             elif op == "move":
-                if a != 0:
-                    r[a] = r[b]
+                r[a] = r[b]
             elif op == "li":
-                if a != 0:
-                    r[a] = salt(seed, T_LI, b & M32) << 32 | b & M32
+                r[a] = salt(seed, T_LI, b & M32) << 32 | b & M32
+            elif op == "li.w":
+                r[a] = b & M32
             elif op == "addu":
-                if a != 0:
-                    r[a] = salt(seed, T_ADDU, r[b], r[c]) << 32 | (r[b] + r[c]) & M32
+                r[a] = salt(seed, T_ADDU, r[b], r[c]) << 32 | (r[b] + r[c]) & M32
+            elif op == "addu.w":
+                r[a] = (r[b] + r[c]) & M32
             elif op == "nand":
-                if a != 0:
-                    r[a] = salt(seed, T_NAND, r[b], r[c]) << 32 | ~(r[b] & r[c]) & M32
+                r[a] = salt(seed, T_NAND, r[b], r[c]) << 32 | ~(r[b] & r[c]) & M32
+            elif op == "nand.w":
+                r[a] = ~(r[b] & r[c]) & M32
             elif op == "beq":
                 pc = c if r[a] & M32 == r[b] & M32 else pc + 4  # aliases test as equal
             elif op == "j":
@@ -682,7 +743,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
                 pc = a
             elif op == "jr":
                 pc = r[a] & M32
-            # else nop
+            # else nop, which every register write to zero is decoded as
         else:  # the block ran to its end: a transfer set pc, else fall through
             steps += len(block)
             if op not in _TRANSFERS:

@@ -15,7 +15,8 @@ steps, the ``_engine._block`` calls and the ``_engine.tag`` calls by
 domain of one aliasing run at seed 1 (``alias_*``), and of a sweep over
 the benchmark's 8 seeds (``sweep_*``), whose steps add up the symbolic
 run, the resumed clean run and the seeded loops, with the clean run's
-steps, the seeded loops run and the size of the symbolic run's closure.
+steps, the seeded loops run, the size of the symbolic run's closure and
+the number of keys it interned.
 Counts do not drift with the host's speed, so a change to the work shows
 here exactly.
 
@@ -127,6 +128,7 @@ def run_counts(source: str, calls: Counter) -> dict[str, object]:
     out["clean_steps"] = result.clean.steps
     out["seeded_runs"] = result.seeded_runs
     out["closure"] = calls["closure"]
+    out["interned"] = calls["interned"]
     return out
 
 
@@ -164,10 +166,11 @@ def _counting_run(calls: Counter, fn):
     return wrapper
 
 
-def _closure_size(calls: Counter, fn):
+def _symbolic_size(calls: Counter, fn):
     def wrapper(image, fuel):
         symbolic = fn(image, fuel)
         calls["closure"] += len(symbolic.closure)
+        calls["interned"] += symbolic.interned
         return symbolic
     return wrapper
 
@@ -181,7 +184,7 @@ def compute_counts(patch) -> dict[str, dict[str, object]]:
     patch(certifier, "apply_smallstep", _counting_smallstep(calls, certifier.apply_smallstep))
     patch(_engine, "tag", _counting_tag(calls, _engine.tag))
     patch(_engine, "_run", _counting_run(calls, _engine._run))
-    patch(_engine, "run_symbolic_image", _closure_size(calls, _engine.run_symbolic_image))
+    patch(_engine, "run_symbolic_image", _symbolic_size(calls, _engine.run_symbolic_image))
     counts = {key: work_counts(source, calls) for key, source in _cases()}
     counts.update((key, run_counts(source, calls)) for key, source in _run_cases())
     return counts
