@@ -11,11 +11,12 @@ stack pointer back in the register it arrived in, with an empty frame.
 The search over one routine is a loop, not a recursion, so its cost is
 linear in the instructions it visits and its depth is not bounded by
 Python's stack (only call nesting recurses, once per routine on the call
-chain).  A visit with readings still untried opens a *choice* on a
-stack, holding the state to restore: the search state and a mark into
-an undo *journal*.  The routine's rows live in one mutable map; while a
-choice is open, the journal lists the addresses inserted since, and a
-failed reading takes the map back to the choice's mark.  A branch walks
+chain).  No instruction has more than two readings.  A visit that takes
+the first of two opens a *choice* on a stack, holding the second reading
+and the state to restore: the search state and a mark into an undo
+*journal*.  The routine's rows live in one mutable map; while a choice is
+open, the journal lists the addresses inserted since, and a failed
+reading takes the map back to the choice's mark.  A branch walks
 its target first and leaves its fall-through pending; once the target
 side has ended, the choices opened there are settled, so a failure on the
 fall-through goes back to the branch and beyond, exactly as a recursive
@@ -34,8 +35,8 @@ locations it inspects live; a blind row, which cannot fail on any type it
 sees, does so only when a location it writes is live, so a copy passes
 liveness from its destination to its source.  An open choice joins the
 set when a location its readings may write is live just after it, and so
-do the choices whose earlier readings failed before the row or choice
-that now stands (their conflicts are carried along).  A call, a return,
+do the choices that a row taken as a choice's second reading carries:
+those its first reading's failure depended on.  A call, a return,
 or a branch whose target side has ended (a join, which compares whole
 annotations) puts every open choice before it into the set; so does a
 failure other than a missing reading or a return register that is not
@@ -43,8 +44,8 @@ failure other than a missing reading or a return register that is not
 its reading only where no register holds the stack pointer, which no
 reading changes, so that failure makes no location live.)  The search
 then undoes everything after the latest open choice in the set and tries
-that choice's next reading; a choice whose readings are exhausted passes
-on the conflicts of all its readings.  In a skipped subtree the
+the reading that choice holds; when that fails too, the choice passes on
+the conflicts of both its readings.  In a skipped subtree the
 chronological search would only have rejected readings and met again, at
 the same depths and in the same order, failures it has already met, so
 the first theory, the verdict, the deepest failure and the error a
@@ -75,7 +76,7 @@ abandoned called is in the memo, and not in the certificate.
 The search tries at most ``SEARCH_BUDGET`` readings per program; beyond
 that the verdict is UNSUPPORTED with a ``SearchBudgetExhausted`` failure.
 Each routine on the call chain takes a few of Python's stack frames, so
-calls nested deeper than Python's stack allows (about 160 routines at
+calls nested deeper than Python's stack allows (about 190 routines at
 the default recursion limit) give UNSUPPORTED with a
 ``CallDepthExceeded`` failure.
 """
@@ -83,14 +84,12 @@ the default recursion limit) give UNSUPPORTED with a
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .annot import (C0, U0, AnnotError, Annotation, Calc, Rep, Subst, UnifyMismatch, Uncalc,
                     check_access, check_frame, unify_annotations)
 from .disasm import (
     BYTE_OPS,
-    LI_READINGS,
     NEITHER,
     READ_OPS,
     READINGS,
@@ -204,20 +203,18 @@ def entry_annotation_for(program: Program) -> Annotation:
 
 @dataclass(slots=True)
 class _Choice:
-    """A visit with readings still untried, and the search state to restore
-    before trying the next one."""
+    """A visit that took the first of two readings: the second, and the
+    search state to restore before trying it."""
 
     addr: int
     ann: Annotation
-    alts: Sequence[StackInstr]
-    next: int                     # index of the next reading to try
+    alt: StackInstr
     mark: int                     # journal length when the visit began
     subst: Subst
     exit_ann: Annotation | None
     pending: tuple | None
 
 
-_NO_CONFLICTS: frozenset[int] = frozenset()
 # The stack slots, as one location beside the registers 0..31.
 _SLOTS = -1
 
@@ -232,10 +229,8 @@ def _unstarred(readings: tuple, same: bool):
             tuple(sorted({r.writes for r in admitted} - {None})))
 
 
-# What the search knows of each mnemonic's readings, keyed by mnemonic and
-# ``same``; ``li`` is the one mnemonic `READINGS` leaves out.
-_EFFECTS = {(m, same): _unstarred(READINGS.get(m, LI_READINGS), same)
-            for m in FORMATS for same in (False, True)}
+# What the search knows of each mnemonic's readings, keyed by mnemonic and ``same``.
+_EFFECTS = {(m, same): _unstarred(READINGS[m], same) for m in FORMATS for same in (False, True)}
 
 
 def _effects(instr: Instruction, star: int | None):
@@ -270,8 +265,8 @@ class _Walk:
     reading takes ``rows`` back to the choice's mark.  ``pending`` is a
     linked list ``(addr, ann, height, rest)`` of branch fall-throughs still
     to walk, each with the height of ``choices`` at its branch.
-    ``carried`` maps a row taken as the last reading of a choice to the
-    open choices its earlier readings' failures depended on.
+    ``carried`` maps a row taken as a choice's second reading to the open
+    choices its first reading's failure depended on.
     """
 
     __slots__ = ("engine", "program", "call_stack", "rows", "journal", "choices",
@@ -312,8 +307,10 @@ class _Walk:
             addr, ann = self._backtrack(err, conf)
 
     def _visit(self, addr: int, ann: Annotation):
-        """Arrive at ``addr``; returns where the path goes next, or None
-        when it ends here."""
+        """Arrive at ``addr`` and take the first reading whose own step
+        succeeds; taking the first of two opens a choice holding the
+        second.  Returns where the path goes next, or None when it ends
+        here."""
         if self.subst:
             ann = ann.substituted(self.subst)
         rows = self.rows
@@ -344,44 +341,27 @@ class _Walk:
         if byte:
             policy = engine.policy
             alts = [s for s in alts if _policy_allows(s, ann, policy)]
-        return self._choose(addr, ann, alts, 0, None, _NO_CONFLICTS)
-
-    def _choose(self, addr: int, ann: Annotation, alts: Sequence[StackInstr], i: int,
-                last_err: CertError | None, conf: frozenset[int]):
-        """Take the first reading from ``alts[i:]`` whose own step succeeds,
-        leaving a choice open when readings remain after it.  ``conf`` holds
-        the open choices that the readings before ``i`` failed on.  No
-        instruction has more than two readings, so a choice is opened only
-        before the first, with no failed readings to carry."""
+        opened = len(alts) == 2
+        if opened:
+            self.choices.append(_Choice(addr, ann, alts[1], len(self.journal),
+                                        self.subst, self.exit_ann, self.pending))
         reasons: list[str] = []
-        choices = self.choices
-        engine = self.engine
-        stats = engine.stats
-        while i < len(alts):
-            s = alts[i]
-            i += 1
-            stats.readings += 1
-            if i < len(alts):
-                choices.append(_Choice(addr, ann, alts, i, len(self.journal),
-                                       self.subst, self.exit_ann, self.pending))
+        err = None
+        for s in alts:
+            engine.stats.readings += 1
             try:
-                step = self._take(addr, ann, s)
+                return self._take(addr, ann, s)
             except PatternMismatch as e:
                 reasons.append(str(e))
             except CertError as e:
-                last_err = e
-            else:
-                if conf:
-                    self.carried[addr] = conf
-                return step
-            if i < len(alts):
-                self._undo(choices.pop().mark)
-        if last_err is not None:
-            raise last_err
+                err = e
+            if opened:  # the first of two failed at once: try the second with no choice open
+                opened = False
+                self._undo(self.choices.pop().mark)
+        if err is not None:
+            raise err
         detail = "; ".join(reasons) if reasons else "no stack-machine reading exists"
-        instr = self.program.instruction_at(addr)
-        raise engine._record(len(self.rows), Failure(addr, str(instr), "NoDisassembly",
-                                                     detail))
+        raise engine._record(len(rows), Failure(addr, str(instr), "NoDisassembly", detail))
 
     def _take(self, addr: int, ann: Annotation, s: StackInstr):
         """Apply reading ``s`` at ``addr`` and record its row; returns where
@@ -492,9 +472,9 @@ class _Walk:
 
     def _backtrack(self, err: CertError, conf: frozenset[int]):
         """Hand ``err`` to the latest open choice in ``conf``, undoing
-        everything after it, and try that choice's next reading; an
-        exhausted choice passes the conflicts of its readings on.  Raises
-        ``err`` when no choice in the conflicts is left."""
+        everything after it, and try the reading that choice holds; when
+        that fails too, the choice passes the conflicts of both readings
+        on.  Raises ``err`` when no choice in the conflicts is left."""
         stats = self.engine.stats
         choices = self.choices
         while True:
@@ -513,10 +493,17 @@ class _Walk:
             self._undo(c.mark)
             self.subst, self.exit_ann, self.pending = c.subst, c.exit_ann, c.pending
             conf &= self._open()
+            stats.readings += 1
             try:
-                return self._choose(c.addr, c.ann, c.alts, c.next, err, conf)
+                step = self._take(c.addr, c.ann, c.alt)
+            except PatternMismatch:
+                pass
             except CertError as e:
                 err = e
+            else:
+                if conf:
+                    self.carried[c.addr] = conf
+                return step
             conf |= self._conflicts(c.addr, c.ann.star)
 
 
@@ -684,9 +671,12 @@ def certify_program(program: Program, policy: str = DEFAULT_POLICY) -> CertRepor
         verdict, failure = UNSUPPORTED, Failure(None, None, "CallDepthExceeded",
                                                 "calls nest deeper than Python's stack allows")
     except CertError as e:
-        # every CertError comes from _record, so a deepest failure is set
+        # every CertError comes from _record, so a deepest failure is set;
+        # a call cycle makes the verdict, so the failure it ends in is named
         failure = engine.deepest[1]
-        verdict = UNSUPPORTED if failure.recursion or e.failure.recursion else UNSAFE
+        if e.failure.recursion and not failure.recursion:
+            failure = e.failure
+        verdict = UNSUPPORTED if failure.recursion else UNSAFE
     else:
         return CertReport(SAFE, Theory(program, cert.key, _called(engine.memo, cert)), [],
                           engine.stats)

@@ -1,9 +1,10 @@
 """Disassembly of machine instructions to stack-machine alternatives.
 
 Each machine instruction admits a fixed, ordered list of stack-machine
-readings, one table (`READINGS`) for every mnemonic but ``li``.
-`raw_alternatives` keeps those that fit where the stack pointer register
-sits (the location constraints each reading states), in table order; the
+readings, one table (`READINGS`) for every mnemonic, and no instruction
+more than two.  `raw_alternatives` keeps those that fit where the stack
+pointer register sits (the location constraints each reading states), in
+table order, and builds ``li``'s from the data blob its label names; the
 certifier tries them in that order, each against its small-step rule.
 Each reading also states what the certifier's backjumping needs of that
 rule: whether it is blind to types, and which operand it writes.
@@ -114,12 +115,14 @@ class _Reading:
                           n, i.target if "target" in keep else None)
 
 
-# Every mnemonic but ``li`` (whose readings depend on its data blob), with
-# its readings in search order.  ``mspt``/``stepto``/``pushto`` have no
-# small-step rules and are never produced.  A string step (``stepx``)
-# leaves its pointer's type as it was.  A call (``gosub``) is applied by
-# the calling convention, not by a small-step rule, and the certifier takes
-# it to depend on every choice before it.
+# Every mnemonic, with its readings in search order.  ``mspt``/``stepto``/
+# ``pushto`` have no small-step rules and are never produced.  A string step
+# (``stepx``) leaves its pointer's type as it was.  A call (``gosub``) is
+# applied by the calling convention, not by a small-step rule, and the
+# certifier takes it to depend on every choice before it.  ``li`` reads the
+# data blob its label names as a string stepped through (``newx``) or an
+# array (``newh``, the only reading of a raw address); `raw_alternatives`
+# builds both from the blob.
 READINGS: dict[str, tuple[_Reading, ...]] = {
     "move": (_Reading("cspt", RS_ONLY, blind=True, writes="rd"),
              _Reading("cspf", RD_ONLY, writes="rd"), _Reading("rspf", RD_ONLY, writes="rd"),
@@ -141,12 +144,8 @@ READINGS: dict[str, tuple[_Reading, ...]] = {
     "addu": (_Reading("addop", blind=True, writes="rd"),),
     "nand": (_Reading("nandop", blind=True, writes="rd"),),
     "nop": (_Reading("nop", blind=True),),
+    "li": (_Reading("newx", blind=True, writes="rd"), _Reading("newh", blind=True, writes="rd")),
 }
-# ``li``'s readings, which `raw_alternatives` builds from the data blob the
-# label names: a string stepped through (``newx``) or an array (``newh``,
-# the only reading of a raw address).
-LI_READINGS = (_Reading("newx", blind=True, writes="rd"),
-               _Reading("newh", blind=True, writes="rd"))
 
 
 def _ops(*mnemonics: str, star: tuple[bool, bool] | None = None) -> frozenset[str]:

@@ -115,6 +115,31 @@ def test_nested_recursive_call_unsupported():
     assert "f: RecursionUnsupported at 0x00400014" in report.failures[0].detail
 
 
+# g fails deeper under the string reading of `li t0 s` than anything after
+# it; under the array reading g returns and the call of f meets a cycle
+_CYCLE_AFTER_A_DEEPER_FAILURE = (
+    "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -8\n  sw ra 4(sp)\n  li t0 s\n"
+    "  jal g\n  jal f\n  lw ra 4(sp)\n  move sp gp\n  jr ra\n"
+    "g:\n" + "  nop\n" * 8 + "  lw t1 4(t0)\n  jr ra\n"
+    "f:\n  move s0 sp\n  addiu sp sp -8\n  sw ra 4(sp)\n  jal f\n  lw ra 4(sp)\n"
+    "  move sp s0\n  jr ra\n"
+    's: .bytes "abcdefgh" step=1\n')
+
+
+def test_an_unsupported_verdict_names_the_call_cycle_that_makes_it(capsys):
+    report = certify_program(parse_program(_CYCLE_AFTER_A_DEEPER_FAILURE))
+    assert report.verdict == "UNSUPPORTED"
+    (failure,) = report.failures
+    assert failure.recursion
+    detail = "f: RecursionUnsupported at 0x00400058 [gosub f]: call cycle through f"
+    rep = build_report("cycle.s", "main", "small-structs", report)
+    assert rep["failures"] == [
+        {"address": 0x00400014, "rule": "gosub f", "kind": "CalleeUnsafe", "detail": detail}]
+    _print_report(rep)
+    assert capsys.readouterr().out == \
+        f"failure: CalleeUnsafe at 0x00400014 [gosub f]: {detail}\n\nverdict: UNSUPPORTED\n"
+
+
 @pytest.mark.parametrize("callee", ["leaf", "RecursionUnsupported"])
 def test_verdict_does_not_depend_on_a_label_name(callee):
     # the callee reads a slot of its empty frame: UNSAFE, whatever its name

@@ -95,8 +95,10 @@ def test_readings_without_a_placement_admit_the_stack_pointer_anywhere():
     for flags in itertools.product((False, True), repeat=3):
         assert location_candidates("jal", *flags) == ["gosub"]
         assert location_candidates("beq", *flags) == ["ifeq"]
-    with pytest.raises(ValueError):  # li reads its data blob, not a placement
-        location_candidates("li", False, False)
+        # li reads its data blob, wherever the stack pointer is
+        assert location_candidates("li", *flags) == ["newx", "newh"]
+    with pytest.raises(ValueError):
+        location_candidates("nosuch", False, False)
 
 
 def test_access_sets_come_from_the_load_and_store_readings():
@@ -107,20 +109,23 @@ def test_access_sets_come_from_the_load_and_store_readings():
 
 
 def test_no_instruction_admits_a_third_reading():
-    # the search opens a choice only before an instruction's first
-    # reading, so no failed reading is ever carried by an open choice;
-    # that holds while every instruction, ``li`` included, has at most two
-    # readings at each placement of the stack pointer
-    blobs = {"s": DataBlob(b"ab\0"), "w": DataBlob(b"abcdefgh", step=4)}
-    pools = {"rd": (ZERO, T0, SP), "rs": (ZERO, T0, SP), "rt": (T0, SP), "imm": (-4, 0, 4),
-             "target": ("s", "w", 0x400000)}
+    # a search choice holds the one reading left at its address, the second
+    # of an instruction's two; that holds while every instruction, ``li``
+    # included, has at most two readings at each placement of the stack
+    # pointer
+    blobs = {"s": DataBlob(b"ab\0"), "w": DataBlob(b"abcdefgh", step=4),
+             "empty": DataBlob(b"", size=0), "fresh": DataBlob(b"abcd", init=False)}
+    pools = {"rd": (ZERO, T0, SP), "rs": (ZERO, T0, SP), "rt": (T0, SP), "imm": (-8, 0, 8),
+             "target": (*blobs, 0x400000)}
     most = 0
     for op, fields in FORMATS.items():
         names = [n for f in fields for n in (("imm", "rs") if f == "mem" else (f,))]
         for values in itertools.product(*(pools[n] for n in names)):
             i = Instruction(op, **dict(zip(names, values)))
             for star in (None, T0, SP):
-                most = max(most, len(raw_alternatives(i, star, blobs)))
+                count = len(raw_alternatives(i, star, blobs))
+                assert count <= 2, (i, star)
+                most = max(most, count)
     assert most == 2
 
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from aliascert import certifier
 from aliascert.annot import C0, U0, Annotation, Calc, Finite, Rep, SetVar, TypeVar, calc, rep, uncalc
 from aliascert.certifier import DEFAULT_POLICY, _SLOTS, _effects
-from aliascert.disasm import LI_READINGS, NEITHER, READINGS, raw_alternatives
+from aliascert.disasm import NEITHER, READINGS, raw_alternatives
 from aliascert.isa import BASE_ADDRESS, FORMATS, RA, REG_INDEX, SP, ZERO, DataBlob, \
     Instruction, Program
 from aliascert.smallstep import PatternMismatch
@@ -128,7 +128,7 @@ def _changed(pre: Annotation, post: Annotation) -> set[int]:
 def _check(program: Program, instr: Instruction, star: int | None, pick: _Picks,
            policy: str) -> None:
     blind, inspects, writes, replaced = _effects(instr, star)
-    readings = {r.op: r for r in READINGS.get(instr.op, LI_READINGS)}
+    readings = {r.op: r for r in READINGS[instr.op]}
     ann = pick.annotation(star)
     # the same placement, every location `_effects` leaves out drawn again
     others = pick.redrawn(ann, (set(REGS) | {_SLOTS}) - inspects)
@@ -198,7 +198,7 @@ def test_blind_and_replacing_mnemonics():
 
 
 def test_a_reading_writes_an_operand_of_its_instruction():
-    for mnemonic, readings in (*READINGS.items(), ("li", LI_READINGS)):
+    for mnemonic, readings in READINGS.items():
         operands = {"rs" if f == "mem" else f for f in FORMATS[mnemonic]}
         for r in readings:
             assert r.writes is None or r.writes in operands, (mnemonic, r.op)
