@@ -95,18 +95,20 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
     if theory is None:
         return out
     program = theory.program
+    label_at, source_lines = program.label_at, program.source_lines
     render = _RenderCache()
     for cert in sorted(theory.routines.values(), key=lambda c: (c.entry_addr, c.key)):
         rows = []
         for addr in sorted(cert.rows):
             row = cert.rows[addr]
+            pre = render(row.pre)
             rows.append({
                 "address": addr,
-                "label": program.label_at(addr),
-                "machine": program.source_lines.get(addr, ""),
+                "label": label_at(addr),
+                "machine": source_lines.get(addr, ""),
                 "stack": render(row.chosen),
-                "pre": render(row.pre),
-                "post": render(row.post),
+                "pre": pre,
+                "post": pre if row.post is row.pre else render(row.post),
             })
         out["routines"].append({
             "key": cert.key,
@@ -132,13 +134,14 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
 
 
 def _print_report(rep: dict) -> None:
+    write = sys.stdout.write  # one write per row; print makes two
     for routine in rep["routines"]:
         print(f"\n{routine['label']} @ 0x{routine['entry_address']:08x}")
         print(f"  entry: {routine['entry']}")
         for row in routine["rows"]:
             label = f"{row['label']}:" if row["label"] else ""
-            print(f"  {label:<12}0x{row['address']:08x}  {row['machine']:<20} "
-                  f"{row['stack']:<22} | {row['post']}")
+            write(f"  {label:<12}0x{row['address']:08x}  {row['machine']:<20} "
+                  f"{row['stack']:<22} | {row['post']}\n")
         if routine["exit"] is not None:
             print(f"  exit:  {routine['exit']}")
     for f in rep["failures"]:

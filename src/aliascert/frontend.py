@@ -4,6 +4,8 @@ Program lines are one of: ``label:``, an instruction, a ``.bytes`` data
 directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
 an instruction, and at most one ``assume`` per label, whose bindings are
 an annotation in the canonical text ``annot.parse_annotation`` reads.
+A comment runs from a ``#`` outside a string literal to the end of its
+line.
 Code comes before data: no instruction follows a ``.bytes`` directive.
 """
 
@@ -86,10 +88,10 @@ def parse_program(text: str) -> Program:
             subjects.append((name, line_no))
             continue
         if "#" in line:
-            line = line[: line.index("#")].strip()
+            line = line[: _comment_start(line)].strip()
         if not line:
             continue
-        m = _LABEL_RE.match(line)
+        m = ":" in line and _LABEL_RE.match(line)
         if m:
             pending_labels.append((m.group(1), line_no))
             line = m.group(2).strip()
@@ -130,6 +132,26 @@ def parse_program(text: str) -> Program:
         except ValueError as e:
             raise AsmSyntaxError(entry_line, str(e)) from None
     return prog
+
+
+def _comment_start(line: str) -> int:
+    """The index of the ``#`` that starts the comment of ``line``, which
+    holds a ``#``: the first one outside a string literal, or
+    ``len(line)`` when every ``#`` is inside one."""
+    if '"' not in line:
+        return line.index("#")
+    quoted = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if ch == "\\" and quoted:
+            i += 1  # an escaped character ends no literal
+        elif ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return i
+        i += 1
+    return len(line)
 
 
 def _parse_pragma(body: str, line_no: int) -> tuple[str, Annotation | None]:

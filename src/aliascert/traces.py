@@ -7,8 +7,11 @@ below rebinds an annotated type at every point, and a theory is accepted
 only if every guard holds, every revisited point sees identical types
 across paths, and every routine hands its stack back intact.  The walk
 carries an ``Annotation`` value per point, using only its data
-operations.  This checker shares no rule machinery with the certifier:
-it re-derives everything from the event algebra.
+operations.  It folds every event at every row; once its fold at a row
+equals the recorded annotation, it goes on from the recorded one, so
+the rows after it compare, and rebind, by identity.  This checker
+shares no rule machinery with the certifier: it re-derives everything
+from the event algebra.
 """
 
 from __future__ import annotations
@@ -160,9 +163,11 @@ def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
 
     if isinstance(e, Write):
         if bound - e.w >= e.k >= 0:
+            violation = _off_word(eq_write, e, step)
+            if violation or e.k in X:  # X | {k} is X
+                return violation or t
             written = X | {e.k}
-            return _off_word(eq_write, e, step) or (
-                Uncalc(t.size, written) if isinstance(t, Uncalc) else Calc(t.tower, written))
+            return Uncalc(t.size, written) if isinstance(t, Uncalc) else Calc(t.tower, written)
         return TraceViolation(eq_write, f"write {e.k} outside [0, {bound}-{e.w}]")
     if e.k in X and e.k >= 0:
         return _off_word(eq_read, e, step) or t
@@ -281,10 +286,15 @@ class _Walker:
             if row is None:
                 self.bad(addr, "coverage", "reachable address has no annotation")
                 return
-            if state != row.pre:
-                self.bad(addr, "theory",
-                         f"recorded annotation disagrees with event fold: "
-                         f"recorded {row.pre}; folded {state}")
+            if state is not row.pre:
+                if state != row.pre:
+                    self.bad(addr, "theory",
+                             f"recorded annotation disagrees with event fold: "
+                             f"recorded {row.pre}; folded {state}")
+                else:
+                    # an equal value: going on from the recorded object lets
+                    # the rows after it compare, and rebind, by identity
+                    state = row.pre
             s = row.chosen
             op = s.op
 
@@ -342,38 +352,39 @@ class _Walker:
         if hit is None:
             hit = self.events[id(s)] = (s, events_of(s))
         for ev in hit[1]:
-            if isinstance(ev.event, Copy):
-                src = self._loc_get(state, ev.src, addr)
-                if src is None:
-                    self.bad(addr, "flow", f"copy from unbound {ev.src}")
+            event, at, src = ev.event, ev.at, ev.src
+            kind = type(event)
+            if kind is Copy:
+                t = self._loc_get(state, src, addr)
+                if t is None:
+                    self.bad(addr, "flow", f"copy from unbound {src}")
                     return None
-                if ev.at == SPL:
+                if at == SPL:
                     # stack-pointer discipline: an installed copy must agree
                     # with the shift algebra applied to the old value
                     folded = state.star_type()
-                    if not (isinstance(src, Calc) and isinstance(src.tower, Finite)
-                            and isinstance(folded, Calc) and src.tower == folded.tower):
+                    if not (isinstance(t, Calc) and isinstance(t.tower, Finite)
+                            and isinstance(folded, Calc) and t.tower == folded.tower):
                         self.bad(addr, "(c)",
-                                 f"copy {src} into the stack pointer does not match "
+                                 f"copy {t} into the stack pointer does not match "
                                  f"its tower {getattr(folded, 'tower', None)}")
                         return None
-                t = src
-            elif isinstance(ev.event, IntroString):
-                t = Calc(Rep(ev.event.n), ev.event.offs)
-            elif isinstance(ev.event, IntroArray):
-                t = Uncalc(ev.event.n, ev.event.offs)
-            elif isinstance(ev.event, Arith):
+            elif kind is IntroString:
+                t = Calc(Rep(event.n), event.offs)
+            elif kind is IntroArray:
+                t = Uncalc(event.n, event.offs)
+            elif kind is Arith:
                 t = C0
             else:
-                t = self._loc_get(state, ev.at, addr)
+                t = self._loc_get(state, at, addr)
                 if t is None:
-                    self.bad(addr, "flow", f"event {ev.event} on unbound {ev.at}")
+                    self.bad(addr, "flow", f"event {event} on unbound {at}")
                     return None
-                t = fold_event(t, ev.event)
-                if isinstance(t, TraceViolation):
+                t = fold_event(t, event)
+                if type(t) is TraceViolation:
                     self.bad(addr, t.equation, t.detail)
                     return None
-            state = self._loc_set(state, ev.at, t)
+            state = self._loc_set(state, at, t)
         # frame bookkeeping for slots
         if s.op in ("push", "rspf"):
             return state.with_slots()

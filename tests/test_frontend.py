@@ -18,6 +18,7 @@ from aliascert.annot import (
     serialize_annotation,
     uncalc,
 )
+from aliascert.cli import main
 from aliascert.frontend import AsmSyntaxError, DuplicateLabel, parse_program
 from aliascert.isa import BASE_ADDRESS, FORMATS, GP, IMM_MAX, IMM_MIN, RA, SP, REG_INDEX, Instruction
 
@@ -129,6 +130,31 @@ def test_init_token_marks_a_blob_preloaded():
 def test_string_characters_up_to_u00ff_keep_their_byte():
     p = parse_program('msg: .bytes "A\u00e9\u00ff"\n')
     assert p.blobs["msg"].data == b"A\xe9\xff"
+
+
+_HASH_IN_STRING = '#@ entry main\nmain:\n  jr ra\nmsg:\n  .bytes "a#b\\0"\n'
+
+
+def test_a_hash_inside_a_string_literal_is_a_byte():
+    assert parse_program(_HASH_IN_STRING).blobs["msg"].data == b"a#b\0"
+    # an escaped quote does not end the literal
+    p = parse_program('msg: .bytes "\\"#" 7\n')
+    assert p.blobs["msg"].data == b'"#\x07'
+
+
+def test_a_comment_after_the_closing_quote_is_still_a_comment():
+    p = parse_program('msg: .bytes "a#b" 7 # note "quoted" 9\nnext: .bytes 1 # "\n')
+    assert p.blobs["msg"].data == b"a#b\x07"
+    assert p.blobs["next"].data == b"\x01"
+
+
+def test_certify_of_a_hash_inside_a_string_exits_zero(tmp_path, capsys):
+    path = tmp_path / "hash.s"
+    path.write_text(_HASH_IN_STRING)
+    assert main(["certify", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("\nverdict: SAFE\n")
+    assert captured.err == ""
 
 
 def test_pragmas_parse():

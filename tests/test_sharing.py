@@ -6,10 +6,18 @@ oracle each stack instruction's events.  Every program below is
 certified as parsed, and again with every instruction rebuilt as an
 object of its own: the report, the oracle, the safety re-check and the
 search counters must be equal.
+
+The oracle and the report also take shortcuts when two objects are one:
+the oracle goes on from a row's recorded annotation once its fold equals
+it, and the report renders each object once.  A deep copy of a report,
+or of a theory and each of its row mutations from
+``test_oracle_digests``, shares no object with the certifier's, and
+must give the same report and the same violations.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -20,6 +28,7 @@ from aliascert.cli import build_report
 from aliascert.traces import check_program
 
 from conftest import CORPUS
+from test_oracle_digests import _mutants
 from genprogs import (
     call_chain,
     call_sites,
@@ -81,3 +90,34 @@ def test_most_programs_above_share_instructions():
     programs = [parse_program(source) for _, source, _ in _sources()]
     shared = [p for p in programs if len({id(i) for i in p.instructions}) < len(p.instructions)]
     assert len(shared) > 0.8 * len(programs)
+
+
+# -- no shortcut depends on object identity ------------------------------------
+
+def _identity_sources():
+    for path in sorted(CORPUS.glob("*.s")):
+        yield path.name, path.read_text()
+    for seed in range(60):
+        for size in (12, 32):
+            yield f"generate_source({seed}, {size})", generate_source(seed, size)
+
+
+def _violations(theory) -> list[str]:
+    return [str(v) for v in check_program(theory)]
+
+
+@pytest.mark.parametrize("source", [pytest.param(source, id=name)
+                                    for name, source in _identity_sources()])
+def test_a_deep_copy_gives_the_same_report_and_violations(source):
+    program = parse_program(source)
+    report = certify_program(program)
+    copied = copy.deepcopy(report)
+    assert build_report("p.s", program.entry, DEFAULT_POLICY, copied) == \
+        build_report("p.s", program.entry, DEFAULT_POLICY, report)
+    if report.theory is None:
+        return
+    assert _violations(copied.theory) == _violations(report.theory)
+    # the mutants of the copy and of the theory come in the same order
+    pairs = zip(_mutants(report.theory), _mutants(copied.theory), strict=True)
+    for mutant, copied_mutant in pairs:
+        assert _violations(copied_mutant) == _violations(mutant)

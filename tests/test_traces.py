@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 
@@ -119,6 +120,19 @@ def test_shifts_fold_through_an_offset_set_variable():
             v = fold_event(t, e)
             assert isinstance(v, TraceViolation) and v.equation == "(d)", (t, e)
             assert "?X" in v.detail, v
+
+
+def test_a_write_to_a_written_offset_folds_to_an_equal_type():
+    # X | {k} is X when k is in X; a new offset is added
+    for t in (calc(32, 0, offs=[0, 28]), uncalc(8, offs=[0, 4]), rep(4, offs=[0])):
+        assert fold_event(t, Write(0, 4)) == t
+        assert fold_event(t, Write(0, 1)) == t
+    assert fold_event(calc(32, 0, offs=[28]), Write(24, 4)) == calc(32, 0, offs=[24, 28])
+    assert fold_event(uncalc(8, offs=[4]), Write(1, 1)) == uncalc(8, offs=[1, 4])
+    # the bound and word-alignment guards still come first
+    assert str(fold_event(uncalc(8, offs=[6]), Write(6, 4))) == "eq1: write 6 outside [0, 8-4]"
+    assert str(fold_event(calc(32, 0, offs=[2]), Write(2, 4))) == \
+        "eq8: word access at 2, not a multiple of 4"
 
 
 @pytest.mark.parametrize("make,bound", [
@@ -243,6 +257,29 @@ def test_corpus_theories_accepted(corpus_programs):
         report = certify_program(corpus_programs[name])
         assert report.safe
         assert check_program(report.theory) == []
+
+
+def test_a_pre_replaced_by_an_equal_object_draws_no_violation():
+    theory = _safe_theory("foo_good.s")
+    cert = theory.routines[theory.entry_key]
+    for row in cert.rows.values():
+        row.pre = copy.deepcopy(row.pre)
+    assert check_program(theory) == []
+
+
+def test_a_later_row_whose_pre_differs_still_draws_the_theory_violation():
+    # the walk goes on from each recorded annotation its fold equals; a
+    # recorded annotation that differs is reported, and the walk goes on
+    # from the fold, so the rows after it agree again
+    theory = _safe_theory("foo_good.s")
+    cert = theory.routines[theory.entry_key]
+    addrs = sorted(cert.rows)
+    for addr in addrs:
+        cert.rows[addr].pre = copy.deepcopy(cert.rows[addr].pre)
+    addr = addrs[len(addrs) // 2]
+    row = cert.rows[addr]
+    row.pre = row.pre.set_reg(V0, U0 if row.pre.reg(V0) == C0 else C0)
+    assert [(v.equation, v.addr) for v in check_program(theory)] == [("theory", addr)]
 
 
 def test_addu_and_nand_fold_to_plain_words():
