@@ -56,16 +56,26 @@ stores a plain byte, so neither adds a register.  A ``li``, ``addiu``,
 its word-only form: the loop computes its word, tagged 0 under every
 salt, and calls no salt.
 
-For the length of one run, the loop keeps for each memory instruction
-the salted word its base register last held there and the tag of the
-effective address calculated from it, keyed by the instruction's pc (an
-inline cache).  A pc fixes the offset, and a run fixes the seed, the salt
-and ``TAG_MASK``; every salt is a pure function of these and its inputs.
-So while the base is unchanged the tag is too, and the loop calls the
-salt only when the base differs.  Under the interning salt of
-`run_symbolic_image` a call skipped this way would only have found its
-key interned already, so the ids and the order they are handed out in
-are those of a run that calls the salt at every step.
+For the length of one run, the loop keeps for each memory instruction,
+keyed by its pc, the whole derivation of its last access to memory (an
+inline cache): the salted word its base register held, the tag of the
+effective address, the cell key ``tag << 32 | word``, the word address,
+the effective address and the bit shift of its byte lane.  A pc fixes
+the offset, and a run fixes the seed, the salt and ``TAG_MASK``; every
+salt is a pure function of these and its inputs.  So each entry is a
+function of the base's salted word, and an access whose base holds the
+same salted word as the entry reads it instead of deriving it: one
+lookup, one comparison and one unpack.  An entry is made only after the
+device and alignment tests pass, so a hit needs neither test.  A device
+load or an unaligned access ends the run, and a device store is never
+cached: it is decoded again each time it runs.  A miss happens exactly
+when the base differs from the last one that reached memory there, and
+a miss that passes the device test calls the salt once, before the
+alignment test.  A hit skips only calls that would have returned the
+entry's tag again.  Under the interning salt of `run_symbolic_image`
+such a call would only have found its key interned already, so the ids
+and the order they are handed out in are those of a run that calls the
+salt at every access to memory.
 
 A cell is keyed by its effective address's tag over its word address,
 ``tag << 32 | word address``, so that differently calculated aliases of
@@ -382,7 +392,7 @@ def _store_span(mem: dict, lanes: list, addr: int, data: bytes, keys: list,
 
 
 _WORD = range(4)  # the lanes a ``lw`` reads
-_NO_MEMO = (None, 0)  # the memo entry of a pc not yet run
+_NO_MEMO = (None,)  # the memo entry of a pc that has not yet reached memory
 _TRANSFERS = frozenset(("beq", "bnez", "j", "jal", "jr"))  # the mnemonics that end a block
 
 
@@ -630,7 +640,13 @@ def _run(image: Image, fuel: int, seed: int, salt,
     if mixed is None:
         mixed = set()
     faults: list[Fault] = []
-    memo: dict[int, tuple[int, int]] = {}  # pc -> (base, tag of its effective address)
+    # pc -> (base, tag, cell key, word, effective address, byte lane's shift) of
+    # the last access that reached memory there.  Six fields, not the five of an
+    # image instruction: CPython keeps one free list of tuples per length, and
+    # entries that drain the 5-tuple list make the next image allocate its
+    # instructions afresh (about four times the gen-0 collections of a clean
+    # run of genprogs.call_sites(2000), repeated in one process)
+    memo: dict[int, tuple[int, int, int, int, int, int]] = {}
     blocks: dict[int, tuple] = {}  # pc -> its block, for the pcs the run reached
     dev_end = DEVICE_BASE + DEVICE_SIZE
     code = image.code
@@ -656,19 +672,23 @@ def _run(image: Image, fuel: int, seed: int, salt,
         for pc, op, a, b, c in block:
             if op == "lw" or op == "lb":
                 base = r[c]
-                ea = (base + b) & M32
-                if DEVICE_BASE <= ea < dev_end:
-                    error, error_pc = "DeviceReadUnsupported", pc
-                    break
                 m = memo.get(pc, _NO_MEMO)
-                if m[0] != base:
-                    m = memo[pc] = (base, salt(seed, T_EA, base, b))
-                t = m[1]
-                if op == "lw" and ea & 3:
-                    error, error_pc = "UnalignedWordAccess", pc
-                    break
-                w = ea & ~3
-                cell = mem.get(t << 32 | w)
+                if m[0] == base:
+                    _, t, key, w, ea, shift = m
+                else:
+                    ea = (base + b) & M32
+                    if DEVICE_BASE <= ea < dev_end:
+                        error, error_pc = "DeviceReadUnsupported", pc
+                        break
+                    t = salt(seed, T_EA, base, b)
+                    if op == "lw" and ea & 3:
+                        error, error_pc = "UnalignedWordAccess", pc
+                        break
+                    w = ea & ~3
+                    key = t << 32 | w
+                    shift = 8 * (ea & 3)
+                    memo[pc] = (base, t, key, w, ea, shift)
+                cell = mem.get(key)
                 if cell is None or written[w] != t and not _own(
                         written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
                     if snapshot is not None and not mixed:
@@ -683,36 +703,39 @@ def _run(image: Image, fuel: int, seed: int, salt,
                             error, error_pc = "UninitializedRead", pc
                         break
                 if a != 0:
-                    r[a] = cell if op == "lw" else cell >> 8 * (ea & 3) & 0xFF
+                    r[a] = cell if op == "lw" else cell >> shift & 0xFF
                 continue
             if op == "addiu":
                 r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
                 continue
             if op == "sw" or op == "sb":
                 base = r[c]
-                ea = (base + b) & M32
-                if DEVICE_BASE <= ea < dev_end:
-                    off = ea - DEVICE_BASE  # devices decode the value lines only
-                    if off == PRINT_OFFSET:
-                        out.append(r[a] & 0xFF)
-                    elif off == HALT_OFFSET:
-                        exit_reason = "halt-device"
-                        break
-                    continue
                 m = memo.get(pc, _NO_MEMO)
-                if m[0] != base:
-                    m = memo[pc] = (base, salt(seed, T_EA, base, b))
-                t = m[1]
-                w = ea & ~3
-                if op == "sw":
-                    if ea & 3:
+                if m[0] == base:
+                    _, t, key, w, ea, shift = m
+                else:
+                    ea = (base + b) & M32
+                    if DEVICE_BASE <= ea < dev_end:
+                        off = ea - DEVICE_BASE  # devices decode the value lines only
+                        if off == PRINT_OFFSET:
+                            out.append(r[a] & 0xFF)
+                        elif off == HALT_OFFSET:
+                            exit_reason = "halt-device"
+                            break
+                        continue
+                    t = salt(seed, T_EA, base, b)
+                    if op == "sw" and ea & 3:
                         error, error_pc = "UnalignedWordAccess", pc
                         break
-                    mem[t << 32 | w] = r[a]
+                    w = ea & ~3
+                    key = t << 32 | w
+                    shift = 8 * (ea & 3)
+                    memo[pc] = (base, t, key, w, ea, shift)
+                if op == "sw":
+                    mem[key] = r[a]
                     written[w] = t
                 else:
-                    key, lane = t << 32 | w, 8 * (ea & 3)
-                    mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << lane) | (r[a] & 0xFF) << lane
+                    mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << shift) | (r[a] & 0xFF) << shift
                     if written.get(w) != t:
                         _write_lane(written, w, ea & 3, t)
                 continue

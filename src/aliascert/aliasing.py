@@ -92,6 +92,8 @@ def diff_runs(program: Program, seeds: int = 100, fuel: int = DEFAULT_FUEL) -> D
     if not clean.ok:
         raise ValueError(f"clean run fails ({clean.error} at pc="
                          f"{clean.error_pc:#x}); nothing to compare against")
+    if not symbolic.mixed:  # the symbolic run is the clean run and every seed's
+        return DiffReport(seeds=seeds, clean=clean, divergences=[])
     divergences = []
     seeded_runs = 0
     for seed in range(1, seeds + 1):

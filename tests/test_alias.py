@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from aliascert import _engine
+from aliascert import _engine, aliasing
 from aliascert._engine import T_ADDIU, T_EA, T_INIT, T_LI, tag
 from aliascert.aliasing import (
     AliasConfig,
@@ -493,3 +493,118 @@ def test_a_memory_instruction_salts_its_address_once_per_base():
     looped = bases[2 * preloaded:]
     assert looped[:3] == [looped[0]] * 3 and len(looped) == 3 + 4
     assert len(set(looped[3:])) == 4
+
+
+# Three corners of the memory instructions' per-pc cache.  A byte store
+# whose base swaps between the printer and a stack word on every
+# iteration: a device store is decoded again each time it runs, so the
+# printer prints on the first and third iteration and the second stores
+# into the stack word read back at the end
+_DEVICE_ALTERNATING = (
+    "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -16\n  li t1 0xb0000000\n"
+    "  move t2 sp\n  addiu t3 zero 3\nloop:\n  addiu a0 zero 65\n  sb a0 0(t1)\n"
+    "  move t4 t1\n  move t1 t2\n  move t2 t4\n  addiu t3 t3 -1\n  bnez t3 loop\n"
+    "  lb v0 0(sp)\n  move sp gp\n  jr ra\n")
+# a word load through a copy of sp, then through sp + 2: the second run
+# of the load is off a word boundary
+_MISALIGNED_SECOND = (
+    "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -16\n  li t0 7\n  sw t0 0(sp)\n"
+    "  move t1 sp\n  addiu t3 zero 2\nloop:\n  lw v0 0(t1)\n  addiu t1 t1 2\n"
+    "  addiu t3 t3 -1\n  bnez t3 loop\n  move sp gp\n  jr ra\n")
+# a word load of the stored word through a copy of sp, then through
+# sp + 0: the same word under a new calculation, which misses its cell
+_RETAGGED_WORD = (
+    "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -16\n  li t0 7\n  sw t0 0(sp)\n"
+    "  move t1 sp\n  addiu t3 zero 2\nloop:\n  lw v0 0(t1)\n  addiu t1 sp 0\n"
+    "  addiu t3 t3 -1\n  bnez t3 loop\n  move sp gp\n  jr ra\n")
+CACHE_CORNERS = {"device_alternating": _DEVICE_ALTERNATING,
+                 "misaligned_second": _MISALIGNED_SECOND,
+                 "retagged_word": _RETAGGED_WORD}
+
+
+def _clean_and_seeded(source: str):
+    """The clean run of ``source``, checked against one step at a time,
+    and its runs at seeds 1 to 3."""
+    p = parse_program(source)
+    clean = run(p)
+    assert clean == run_by_steps(p)
+    image = build_image(p)
+    return p, clean, [_engine.run_alias_image(image, DEFAULT_FUEL, s) for s in (1, 2, 3)]
+
+
+def test_a_store_whose_base_alternates_with_the_printer():
+    p, clean, seeded = _clean_and_seeded(_DEVICE_ALTERNATING)
+    assert clean.ok and clean.output == b"AA" and clean.steps == 29
+    assert clean.regs[2] == 0x41  # v0
+    assert seeded == [clean] * 3
+    rep = diff_runs(p, seeds=8)
+    assert rep.divergences == [] and rep.checked_words == 0 and rep.seeded_runs == 0
+
+
+def test_a_word_load_whose_base_turns_misaligned():
+    p, clean, seeded = _clean_and_seeded(_MISALIGNED_SECOND)
+    assert (clean.error, clean.error_pc, clean.steps) == ("UnalignedWordAccess", 0x00400018, 11)
+    assert [(o.error, o.error_pc, o.steps, o.faults) for o in seeded] == \
+        [("UnalignedWordAccess", 0x00400018, 11, [])] * 3
+    with pytest.raises(ValueError,
+                       match=r"^clean run fails \(UnalignedWordAccess at pc=0x400018\)"):
+        diff_runs(p, seeds=8)
+
+
+def test_a_word_load_of_the_same_word_under_a_new_tag():
+    p, clean, seeded = _clean_and_seeded(_RETAGGED_WORD)
+    assert clean.ok and clean.steps == 16 and clean.regs[2] == 7  # v0
+    assert [(o.error, o.error_pc, o.steps) for o in seeded] == [("AliasFault", 0x00400018, 11)] * 3
+    rep = diff_runs(p, seeds=8)
+    assert [d.seed for d in rep.divergences] == list(range(1, 9))
+    assert rep.checked_words == 1 and rep.seeded_runs == 0
+
+
+def _per_seed_sweep(program, seeds: int):
+    """The sweep as a loop over every seed, each settled by the symbolic
+    run or the seeded loop, with the fields kept out of equality."""
+    image = build_image(program)
+    symbolic = _engine.run_symbolic_image(image, DEFAULT_FUEL)
+    clean = _engine.clean_outcome(image, DEFAULT_FUEL, symbolic)
+    if not clean.ok:
+        return None
+    divergences, seeded_runs = [], 0
+    for seed in range(1, seeds + 1):
+        aliased = _engine.run_alias_image(image, DEFAULT_FUEL, seed, symbolic)
+        seeded_runs += aliased is not symbolic.outcome
+        d = compare_runs(clean, aliased, seed)
+        if d is not None:
+            divergences.append(d)
+    rep = DiffReport(seeds, clean, divergences)
+    return rep, len(symbolic.mixed), seeded_runs, \
+        None if symbolic.start is None else symbolic.start.steps
+
+
+def test_a_sweep_one_run_settles_visits_no_seed(hello, monkeypatch):
+    # every load of hello.s is self-sourced, so its symbolic run is every
+    # seed's run: a billion seeds need neither a seeded run nor a comparison
+    def visited(*args):
+        raise AssertionError("the sweep visited a seed")
+
+    monkeypatch.setattr(_engine, "run_alias_image", visited)
+    monkeypatch.setattr(aliasing, "compare_runs", visited)
+    rep = diff_runs(hello, seeds=10**9)
+    assert rep.seeds == 10**9 and rep.ok and rep.clean.output == b"Hi"
+    assert (rep.checked_words, rep.seeded_runs, rep.resumed_at) == (0, 0, None)
+
+
+@pytest.mark.parametrize("bits", [32, 8, 3])
+def test_sweep_equals_the_per_seed_loop(bits, corpus_programs, monkeypatch):
+    monkeypatch.setattr(_engine, "TAG_MASK", (1 << bits) - 1)
+    programs = list(corpus_programs.values()) + [generate_program(s) for s in range(20)]
+    settled = 0
+    for p in programs:
+        expected = _per_seed_sweep(p, 50)
+        if expected is None:
+            with pytest.raises(ValueError, match="^clean run fails"):
+                diff_runs(p, seeds=50)
+            continue
+        rep = diff_runs(p, seeds=50)
+        assert (rep, rep.checked_words, rep.seeded_runs, rep.resumed_at) == expected
+        settled += not rep.checked_words
+    assert settled

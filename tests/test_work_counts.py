@@ -48,6 +48,7 @@ from genprogs import (
     kli_source,
     straight_line,
 )
+from test_alias import CACHE_CORNERS
 from test_symbolic_digests import _loop_source
 
 HERE = Path(__file__).resolve().parent
@@ -85,6 +86,8 @@ def _run_cases():
     for shape in ("counter", "string"):
         for faulty in (False, True):
             yield f"run/loop/{shape}_{'fault' if faulty else 'clean'}", _loop_source(shape, faulty)
+    for name, source in CACHE_CORNERS.items():
+        yield f"run/cache/{name}", source
 
 
 def work_counts(source: str, calls: Counter) -> dict[str, int]:
@@ -121,12 +124,15 @@ def run_counts(source: str, calls: Counter) -> dict[str, object]:
     for phase, run in (("alias", lambda: run_aliased(program, AliasConfig(seed=1))),
                        ("sweep", lambda: diff_runs(program, seeds=SWEEP_SEEDS))):
         calls.clear()
-        result = run()
+        try:
+            result = run()
+        except ValueError:  # a sweep refuses a program whose clean run fails
+            result = None
         out[f"{phase}_steps"] = calls["steps"]
         out[f"{phase}_blocks"] = calls["_block"]
         out[f"{phase}_tags"] = {DOMAINS[d]: calls[d] for d in sorted(DOMAINS) if calls[d]}
-    out["clean_steps"] = result.clean.steps
-    out["seeded_runs"] = result.seeded_runs
+    out["clean_steps"] = None if result is None else result.clean.steps
+    out["seeded_runs"] = None if result is None else result.seeded_runs
     out["closure"] = calls["closure"]
     out["interned"] = calls["interned"]
     return out
