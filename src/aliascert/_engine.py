@@ -56,6 +56,13 @@ stores a plain byte, so neither adds a register.  A ``li``, ``addiu``,
 its word-only form: the loop computes its word, tagged 0 under every
 salt, and calls no salt.
 
+The four memory instructions, ``lw``, ``lb``, ``sw`` and ``sb``, share
+one arm of the loop.  It derives the access once, in this order: the
+device test (a load there ends the run with ``DeviceReadUnsupported``; a
+store prints, halts or is ignored), the salt of the effective address,
+then the word-alignment test of ``lw`` and ``sw``.  It then ends in a
+store tail or a load tail.
+
 For the length of one run, the loop keeps for each memory instruction,
 keyed by its pc, the whole derivation of its last access to memory (an
 inline cache): the salted word its base register held, the tag of the
@@ -287,6 +294,7 @@ def build_image(program: Program) -> Image:
 _REGISTER_ONLY = frozenset(("move", "li", "addiu", "addu", "nand"))
 # the word-only form of each arithmetic mnemonic: its word, tagged 0
 _WORD_ONLY = {"li": "li.w", "addiu": "addiu.w", "addu": "addu.w", "nand": "nand.w"}
+_ACCESSES = frozenset(("lw", "lb", "sw", "sb"))  # the mnemonics that access memory
 
 
 def _address_relevant(code) -> set[int]:
@@ -297,7 +305,7 @@ def _address_relevant(code) -> set[int]:
     inputs: list[set[int]] = [set() for _ in range(32)]  # by register, what its value is made from
     todo = []
     for _, op, a, b, c in code:
-        if op in ("lw", "lb", "sw", "sb"):
+        if op in _ACCESSES:
             todo.append(c)
         if op == "lw":
             inputs[a] |= stored
@@ -670,7 +678,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
             block = block[:left]
         first = pc
         for pc, op, a, b, c in block:
-            if op == "lw" or op == "lb":
+            if op in _ACCESSES:
                 base = r[c]
                 m = memo.get(pc, _NO_MEMO)
                 if m[0] == base:
@@ -678,16 +686,33 @@ def _run(image: Image, fuel: int, seed: int, salt,
                 else:
                     ea = (base + b) & M32
                     if DEVICE_BASE <= ea < dev_end:
-                        error, error_pc = "DeviceReadUnsupported", pc
-                        break
+                        if op == "lw" or op == "lb":
+                            error, error_pc = "DeviceReadUnsupported", pc
+                            break
+                        off = ea - DEVICE_BASE  # devices decode the value lines only
+                        if off == PRINT_OFFSET:
+                            out.append(r[a] & 0xFF)
+                        elif off == HALT_OFFSET:
+                            exit_reason = "halt-device"
+                            break
+                        continue
                     t = salt(seed, T_EA, base, b)
-                    if op == "lw" and ea & 3:
+                    if ea & 3 and (op == "lw" or op == "sw"):
                         error, error_pc = "UnalignedWordAccess", pc
                         break
                     w = ea & ~3
                     key = t << 32 | w
                     shift = 8 * (ea & 3)
                     memo[pc] = (base, t, key, w, ea, shift)
+                if op == "sw":
+                    mem[key] = r[a]
+                    written[w] = t
+                    continue
+                if op == "sb":
+                    mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << shift) | (r[a] & 0xFF) << shift
+                    if written.get(w) != t:
+                        _write_lane(written, w, ea & 3, t)
+                    continue
                 cell = mem.get(key)
                 if cell is None or written[w] != t and not _own(
                         written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
@@ -707,37 +732,6 @@ def _run(image: Image, fuel: int, seed: int, salt,
                 continue
             if op == "addiu":
                 r[a] = salt(seed, T_ADDIU, r[b], c) << 32 | (r[b] + c) & M32
-                continue
-            if op == "sw" or op == "sb":
-                base = r[c]
-                m = memo.get(pc, _NO_MEMO)
-                if m[0] == base:
-                    _, t, key, w, ea, shift = m
-                else:
-                    ea = (base + b) & M32
-                    if DEVICE_BASE <= ea < dev_end:
-                        off = ea - DEVICE_BASE  # devices decode the value lines only
-                        if off == PRINT_OFFSET:
-                            out.append(r[a] & 0xFF)
-                        elif off == HALT_OFFSET:
-                            exit_reason = "halt-device"
-                            break
-                        continue
-                    t = salt(seed, T_EA, base, b)
-                    if op == "sw" and ea & 3:
-                        error, error_pc = "UnalignedWordAccess", pc
-                        break
-                    w = ea & ~3
-                    key = t << 32 | w
-                    shift = 8 * (ea & 3)
-                    memo[pc] = (base, t, key, w, ea, shift)
-                if op == "sw":
-                    mem[key] = r[a]
-                    written[w] = t
-                else:
-                    mem[key] = mem.get(key, 0) & (M32 ^ 0xFF << shift) | (r[a] & 0xFF) << shift
-                    if written.get(w) != t:
-                        _write_lane(written, w, ea & 3, t)
                 continue
             if op == "bnez":
                 pc = b if r[a] & M32 else pc + 4

@@ -4,9 +4,19 @@ Program lines are one of: ``label:``, an instruction, a ``.bytes`` data
 directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
 an instruction, and at most one ``assume`` per label, whose bindings are
 an annotation in the canonical text ``annot.parse_annotation`` reads.
-A comment runs from a ``#`` outside a string literal to the end of its
-line.
-Code comes before data: no instruction follows a ``.bytes`` directive.
+Code comes before data: no instruction follows a ``.bytes`` directive,
+and no data reaches past the 32-bit address space.
+
+A string literal is one pattern, ``_STRING``: a quote, then escapes and
+characters other than a quote or backslash, then a quote.  It decides
+both where a comment starts, at the first ``#`` outside a literal (after
+an unterminated literal, none does), and what a ``.bytes`` literal holds.
+An integer is read one way wherever it appears (an immediate, an
+``offset(base)`` offset, a jump target, a ``.bytes`` value or attribute):
+as a Python integer literal, ``int(token, 0)``, so ``0x10``, ``0X10``,
+``0b11``, ``0o7``, ``+5`` and ``1_0`` are integers and ``010`` is not.
+A token that is not one is refused with its position's message.  A jump
+target is read as a number only when it starts with a digit or a sign.
 """
 
 from __future__ import annotations
@@ -45,7 +55,13 @@ class DuplicateLabel(Exception):
 
 _LBL = r"[A-Za-z_$][A-Za-z0-9_$]*"
 _LABEL_RE = re.compile(r"^(%s):\s*(.*)$" % _LBL)
-_MEM_OPERAND_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\(([A-Za-z_][A-Za-z0-9_]*)\)$")
+_MEM_OPERAND_RE = re.compile(r"^(.*)\(([A-Za-z_][A-Za-z0-9_]*)\)$")
+_STRING = r'"(?:\\.|[^"\\])*"'
+# a line up to its comment: literals and runs of other characters, then
+# an unterminated literal, which runs to the end of the line
+_CODE_RE = re.compile(r'(?:%s|[^"#]+)*(?:".*)?' % _STRING)
+# a .bytes token: a string literal (group 1) or a run of other characters
+_BYTES_TOKEN_RE = re.compile(r'(%s)|\S+' % _STRING)
 
 
 def parse_program(text: str) -> Program:
@@ -65,7 +81,7 @@ def parse_program(text: str) -> Program:
     subjects: list[tuple[str, int]] = []  # the label each pragma names, and its line
     entry_line = 0
 
-    def place_labels(at: int, line_no: int):
+    def place_labels(at: int):
         for name, ln in pending_labels:
             if name in prog.labels:
                 raise DuplicateLabel(name, ln)
@@ -88,7 +104,7 @@ def parse_program(text: str) -> Program:
             subjects.append((name, line_no))
             continue
         if "#" in line:
-            line = line[: _comment_start(line)].strip()
+            line = _CODE_RE.match(line).group().strip()
         if not line:
             continue
         m = ":" in line and _LABEL_RE.match(line)
@@ -97,13 +113,17 @@ def parse_program(text: str) -> Program:
             line = m.group(2).strip()
             if not line:
                 continue
-        if line.startswith(".bytes"):
+        if line.startswith(".bytes") and line.split(None, 1)[0] == ".bytes":
             blob = _parse_bytes(line[len(".bytes"):].strip(), line_no)
             if not pending_labels:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
-            prog.blobs[pending_labels[-1][0]] = blob
+            name = pending_labels[-1][0]
+            if addr + blob.extent > 1 << 32:
+                raise AsmSyntaxError(line_no, f"address {addr + blob.extent - 1:#x} of data "
+                                              f"blob {name!r} exceeds 32 bits")
+            prog.blobs[name] = blob
             data_line = data_line or line_no
-            place_labels(addr, line_no)
+            place_labels(addr)
             addr += blob.extent
             continue
         instr = parsed.get(line)
@@ -114,11 +134,11 @@ def parse_program(text: str) -> Program:
         if data_line:  # code runs on from BASE_ADDRESS with no gap
             raise AsmSyntaxError(
                 line_no, f"instruction after the data of line {data_line}; code comes first")
-        place_labels(addr, line_no)
+        place_labels(addr)
         prog.source_lines[addr] = line
         prog.instructions.append(instr)
         addr += 4
-    place_labels(addr, len(text.splitlines()) + 1)
+    place_labels(addr)
 
     for name, line_no in referenced:
         if name not in prog.labels:
@@ -134,34 +154,14 @@ def parse_program(text: str) -> Program:
     return prog
 
 
-def _comment_start(line: str) -> int:
-    """The index of the ``#`` that starts the comment of ``line``, which
-    holds a ``#``: the first one outside a string literal, or
-    ``len(line)`` when every ``#`` is inside one."""
-    if '"' not in line:
-        return line.index("#")
-    quoted = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and quoted:
-            i += 1  # an escaped character ends no literal
-        elif ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return i
-        i += 1
-    return len(line)
-
-
 def _parse_pragma(body: str, line_no: int) -> tuple[str, Annotation | None]:
     """The label a pragma names, and its hypothesis; None for ``entry``."""
-    if body.startswith("entry"):
-        parts = body.split()
-        if len(parts) != 2:
+    keyword, *names = body.split() or [""]
+    if keyword == "entry":
+        if len(names) != 1:
             raise AsmSyntaxError(line_no, "expected '#@ entry LABEL'")
-        return parts[1], None
-    if body.startswith("assume"):
+        return names[0], None
+    if keyword == "assume":
         rest = body[len("assume"):].strip()
         if ":" not in rest:
             raise AsmSyntaxError(line_no, "expected '#@ assume LABEL: bindings'")
@@ -171,7 +171,7 @@ def _parse_pragma(body: str, line_no: int) -> tuple[str, Annotation | None]:
         except ValueError as e:
             raise AsmSyntaxError(line_no, str(e)) from e
         return label.strip(), ann
-    raise AsmSyntaxError(line_no, f"unknown pragma {body.split()[0] if body else ''!r}")
+    raise AsmSyntaxError(line_no, f"unknown pragma {keyword!r}")
 
 
 def _parse_reg(tok: str, line_no: int) -> int:
@@ -180,30 +180,37 @@ def _parse_reg(tok: str, line_no: int) -> int:
     return REG_INDEX[tok]
 
 
-def _parse_int(tok: str, line_no: int) -> int:
+def _int(tok: str) -> int | None:
+    """The integer ``tok`` spells, or None when it spells none."""
     try:
         return int(tok, 0)
     except ValueError:
-        raise AsmSyntaxError(line_no, f"malformed integer {tok!r}") from None
+        return None
 
 
-def _parse_imm16(tok: str, line_no: int) -> int:
-    v = _parse_int(tok, line_no)
+def _parse_int(tok: str, line_no: int) -> int:
+    v = _int(tok)
+    if v is None:
+        raise AsmSyntaxError(line_no, f"malformed integer {tok!r}")
+    return v
+
+
+def _imm16(v: int, line_no: int) -> int:
     if not (IMM_MIN <= v <= IMM_MAX):
         raise AsmSyntaxError(line_no, f"immediate {v} exceeds signed 16 bits")
     return v
 
 
 def _parse_target(tok: str, line_no: int):
-    if re.fullmatch(r"-?(?:0x[0-9a-fA-F]+|\d+)", tok):
-        v = _parse_int(tok, line_no)
-        if not (0 <= v <= 0xFFFFFFFF):
-            raise AsmSyntaxError(line_no, f"address {v:#x} exceeds 32 bits")
-        return v
-    tok = tok.strip("<>")
-    if not re.fullmatch(_LBL, tok):
-        raise AsmSyntaxError(line_no, f"malformed label reference {tok!r}")
-    return tok
+    v = _int(tok) if tok[0].isdigit() or tok[0] in "+-" else None
+    if v is None:
+        tok = tok.strip("<>")
+        if not re.fullmatch(_LBL, tok):
+            raise AsmSyntaxError(line_no, f"malformed label reference {tok!r}")
+        return tok
+    if not (0 <= v <= 0xFFFFFFFF):
+        raise AsmSyntaxError(line_no, f"address {v:#x} exceeds 32 bits")
+    return v
 
 
 def _parse_instruction(line: str, line_no: int) -> Instruction:
@@ -220,12 +227,13 @@ def _parse_instruction(line: str, line_no: int) -> Instruction:
     for f, tok in zip(fields, args):
         if f == "mem":
             m = _MEM_OPERAND_RE.match(tok)
-            if not m:
+            off = m and _int(m.group(1))
+            if off is None:
                 raise AsmSyntaxError(line_no, f"expected offset(base), got {tok!r}")
-            operands["imm"] = _parse_imm16(m.group(1), line_no)
+            operands["imm"] = _imm16(off, line_no)
             operands["rs"] = _parse_reg(m.group(2), line_no)
         elif f == "imm":
-            operands[f] = _parse_imm16(tok, line_no)
+            operands[f] = _imm16(_parse_int(tok, line_no), line_no)
         elif f == "target":
             operands[f] = _parse_target(tok, line_no)
         else:
@@ -239,45 +247,15 @@ _ESCAPES = {"0": 0, "n": 10, "t": 9, "r": 13, "\\": 92, '"': 34}
 def _parse_bytes(body: str, line_no: int) -> DataBlob:
     data = bytearray()
     step, size, init = 1, None, True
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            while i < len(body) and body[i] != '"':
-                if body[i] == "\\":
-                    i += 1
-                    if i >= len(body):
-                        raise AsmSyntaxError(line_no, "dangling escape in string")
-                    esc = body[i]
-                    if esc == "x":
-                        digits = body[i + 1:i + 3]
-                        if not re.fullmatch(r"[0-9a-fA-F]{2}", digits):
-                            raise AsmSyntaxError(line_no, f"malformed escape \\x{digits}")
-                        data.append(int(digits, 16))
-                        i += 2
-                    elif esc in _ESCAPES:
-                        data.append(_ESCAPES[esc])
-                    else:
-                        raise AsmSyntaxError(line_no, f"unknown escape \\{esc}")
-                elif ord(body[i]) > 0xFF:
-                    raise AsmSyntaxError(line_no, f"character {body[i]!r} is not a byte")
-                else:
-                    data.append(ord(body[i]))
-                i += 1
-            if i >= len(body):
+    for m in _BYTES_TOKEN_RE.finditer(body):
+        tok = m.group()
+        if tok[0] == '"':
+            literal = m.group(1) is not None
+            _decode_string(body, m.start() + 1, m.end() - 1 if literal else len(body),
+                           line_no, data)
+            if not literal:
                 raise AsmSyntaxError(line_no, "unterminated string literal")
-            i += 1
-            continue
-        j = i
-        while j < len(body) and not body[j].isspace():
-            j += 1
-        tok = body[i:j]
-        i = j
-        if "=" in tok:
+        elif "=" in tok:
             key, val = tok.split("=", 1)
             if key == "step":
                 step = _parse_int(val, line_no)
@@ -299,3 +277,31 @@ def _parse_bytes(body: str, line_no: int) -> DataBlob:
     if size is not None and size < 0:
         raise AsmSyntaxError(line_no, "size must be >= 0")
     return DataBlob(data=bytes(data), step=step, size=size, init=init)
+
+
+def _decode_string(body: str, i: int, end: int, line_no: int, data: bytearray) -> None:
+    """Append to ``data`` the bytes that the characters ``body[i:end]``
+    inside a string literal stand for, the first bad escape or character
+    refused; a ``\\x`` escape reads its two digits from ``body``."""
+    while i < end:
+        ch = body[i]
+        if ch == "\\":
+            i += 1
+            if i == end:
+                raise AsmSyntaxError(line_no, "dangling escape in string")
+            esc = body[i]
+            if esc == "x":
+                digits = body[i + 1:i + 3]
+                if not re.fullmatch(r"[0-9a-fA-F]{2}", digits):
+                    raise AsmSyntaxError(line_no, f"malformed escape \\x{digits}")
+                data.append(int(digits, 16))
+                i += 2
+            elif esc in _ESCAPES:
+                data.append(_ESCAPES[esc])
+            else:
+                raise AsmSyntaxError(line_no, f"unknown escape \\{esc}")
+        elif ord(ch) > 0xFF:
+            raise AsmSyntaxError(line_no, f"character {ch!r} is not a byte")
+        else:
+            data.append(ord(ch))
+        i += 1

@@ -66,6 +66,16 @@ def _need_writable(s: StackInstr, r: int):
         _fail(s, "the zero register cannot be a destination")
 
 
+def _need_heap_base(s: StackInstr, base: AnnotatedType):
+    """Fail unless ``base`` is the pointer ``s`` reaches the heap through:
+    a string pointer for the string ops, an array pointer for the others."""
+    if s.op in ("putx", "putbx", "getx", "getbx"):
+        if not (isinstance(base, Calc) and isinstance(base.tower, Rep)):
+            _fail(s, f"base {reg_name(s.rs)} is not a string pointer: {base}")
+    elif not isinstance(base, Uncalc):
+        _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
+
+
 def apply_smallstep(s: StackInstr, a: Annotation) -> Annotation:
     """Post-annotation of ``s`` on pre-annotation ``a``.
 
@@ -175,12 +185,7 @@ def _rule(s: StackInstr, a: Annotation) -> Annotation:
         _need_unstarred(s, a, s.rd, s.rs)
         base = _need_reg(s, a, s.rs)
         val = _need_reg(s, a, s.rd)
-        if op in ("putx", "putbx"):
-            if not (isinstance(base, Calc) and isinstance(base.tower, Rep)):
-                _fail(s, f"base {reg_name(s.rs)} is not a string pointer: {base}")
-        else:
-            if not isinstance(base, Uncalc):
-                _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
+        _need_heap_base(s, base)
         if not isinstance(val, Calc):
             _fail(s, f"stored value {reg_name(s.rd)} must be calculated, got {val}")
         new = check_access(base, s.n, s.width(), write=True)
@@ -190,12 +195,7 @@ def _rule(s: StackInstr, a: Annotation) -> Annotation:
         _need_unstarred(s, a, s.rd, s.rs)
         _need_writable(s, s.rd)
         base = _need_reg(s, a, s.rs)
-        if op in ("getx", "getbx"):
-            if not (isinstance(base, Calc) and isinstance(base.tower, Rep)):
-                _fail(s, f"base {reg_name(s.rs)} is not a string pointer: {base}")
-        else:
-            if not isinstance(base, Uncalc):
-                _fail(s, f"base {reg_name(s.rs)} is not an array pointer: {base}")
+        _need_heap_base(s, base)
         check_access(base, s.n, s.width())
         return a.set_reg(s.rd, C0)  # heap loads yield plain data
 

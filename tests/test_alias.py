@@ -517,9 +517,16 @@ _RETAGGED_WORD = (
     "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -16\n  li t0 7\n  sw t0 0(sp)\n"
     "  move t1 sp\n  addiu t3 zero 2\nloop:\n  lw v0 0(t1)\n  addiu t1 sp 0\n"
     "  addiu t3 t3 -1\n  bnez t3 loop\n  move sp gp\n  jr ra\n")
+# a byte load through a stack word, then through the printer's address:
+# the second run of the load misses its entry and reads a device
+_DEVICE_LOAD_SECOND = (
+    "#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -16\n  addiu a0 zero 65\n"
+    "  sb a0 0(sp)\n  move t1 sp\n  li t2 0xb0000000\n  move t3 sp\nloop:\n  lb v0 0(t1)\n"
+    "  move t1 t2\n  move t2 t3\n  j loop\n")
 CACHE_CORNERS = {"device_alternating": _DEVICE_ALTERNATING,
                  "misaligned_second": _MISALIGNED_SECOND,
-                 "retagged_word": _RETAGGED_WORD}
+                 "retagged_word": _RETAGGED_WORD,
+                 "device_load_second": _DEVICE_LOAD_SECOND}
 
 
 def _clean_and_seeded(source: str):
@@ -608,3 +615,13 @@ def test_sweep_equals_the_per_seed_loop(bits, corpus_programs, monkeypatch):
         assert (rep, rep.checked_words, rep.seeded_runs, rep.resumed_at) == expected
         settled += not rep.checked_words
     assert settled
+
+
+def test_a_byte_load_whose_base_turns_to_the_device():
+    p, clean, seeded = _clean_and_seeded(_DEVICE_LOAD_SECOND)
+    assert (clean.error, clean.error_pc, clean.steps) == ("DeviceReadUnsupported", 0x0040001C, 12)
+    assert [(o.error, o.error_pc, o.steps, o.faults) for o in seeded] == \
+        [("DeviceReadUnsupported", 0x0040001C, 12, [])] * 3
+    with pytest.raises(ValueError,
+                       match=r"^clean run fails \(DeviceReadUnsupported at pc=0x40001c\)"):
+        diff_runs(p, seeds=8)

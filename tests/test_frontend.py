@@ -202,6 +202,10 @@ def _data(body: str) -> str:
     (_data('"a\u20ac"'), "line 5: character '\u20ac' is not a byte"),
     (_data('"\U0001f600"'), "line 5: character '\U0001f600' is not a byte"),
     (_data('"\u0100"'), "line 5: character '\u0100' is not a byte"),
+    # a pragma keyword and the .bytes directive are whole words
+    ("#@ entryX main\nmain:\n  jr ra\n", "line 1: unknown pragma 'entryX'"),
+    ("#@ assumed main: ra=u^0\nmain:\n  jr ra\n", "line 1: unknown pragma 'assumed'"),
+    ("main:\n  jr ra\nmsg: .bytesfoo 1\n", "line 3: unknown mnemonic '.bytesfoo'"),
 ])
 def test_pragma_error_names_its_line(source, message):
     with pytest.raises(AsmSyntaxError) as e:
@@ -217,6 +221,80 @@ def test_instruction_after_data_is_refused_at_its_line():
     assert str(e.value) == "line 3: instruction after the data of line 2; code comes first"
     p = parse_program("main:\n  jr ra\nmsg:\n  .bytes 1 2\nend:\n")
     assert p.labels["end"] == p.labels["msg"] + 4
+
+
+# a blob past the 32-bit address space would lie at an address no
+# register holds: b at 0x100400010 reads as a's address 0x00400010
+_PAST_32_BITS = ("#@ entry main\nmain:\n  li t0 a\n  li t1 b\n  lw t2 0(t1)\n  jr ra\n"
+                 "a: .bytes 1 2 3 4 size=4294967296\nb: .bytes 5 6 7 8\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_data_past_32_bits_is_refused_at_its_line(command, tmp_path, capsys):
+    with pytest.raises(AsmSyntaxError) as e:
+        parse_program(_PAST_32_BITS)
+    assert str(e.value) == "line 7: address 0x10040000f of data blob 'a' exceeds 32 bits"
+    path = tmp_path / "past.s"
+    path.write_text(_PAST_32_BITS)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 7: ")
+    # a blob that ends at the last address is still in range
+    size = (1 << 32) - 4 - (BASE_ADDRESS + 16)
+    p = parse_program(_PAST_32_BITS.replace("size=4294967296", f"size={size}"))
+    assert p.labels["b"] + p.blobs["b"].extent == 1 << 32
+
+
+# each form of an integer in the four places one appears: an immediate,
+# an offset(base) offset, a jump target and a .bytes value or attribute;
+# the value read, or None for a form that is refused
+_INT_FORMS = [("16", 16), ("0x10", 16), ("0X1f", 31), ("0b11", 3), ("0B11", 3), ("0o7", 7),
+              ("+5", 5), ("1_0", 10), ("00", 0),
+              ("010", None), ("0x", None), ("0b2", None), ("1abc", None), ("1__0", None), ("-", None)]
+
+
+@pytest.mark.parametrize("form, value", _INT_FORMS)
+def test_an_integer_form_reads_alike_in_every_position(form, value):
+    positions = [
+        (_code(f"addiu t0 t0 {form}"), lambda p: p.instructions[0].imm,
+         f"line 3: malformed integer {form!r}"),
+        (_code(f"lw t0 {form}(sp)"), lambda p: p.instructions[0].imm,
+         f"line 3: expected offset(base), got '{form}(sp)'"),
+        (_code(f"j {form}"), lambda p: p.instructions[0].target,
+         f"line 3: malformed label reference {form!r}"),
+        (_data(form), lambda p: p.blobs["msg"].data[0], f"line 5: malformed integer {form!r}"),
+        (_data(f"1 size={form}"), lambda p: p.blobs["msg"].size,
+         f"line 5: malformed integer {form!r}"),
+    ]
+    for source, read, message in positions:
+        if value is None:
+            with pytest.raises(AsmSyntaxError) as e:
+                parse_program(source)
+            assert str(e.value) == message
+        else:
+            assert read(parse_program(source)) == value, source
+
+
+def _literal(data: bytes) -> str:
+    """``data`` as a string literal: a quote and a backslash escaped, a
+    byte that would break the line as a \\x escape, any other as itself."""
+    chars = []
+    for b in data:
+        ch = chr(b)
+        if ch in '"\\':
+            chars.append("\\" + ch)
+        elif len(f"a{ch}b".splitlines()) > 1:
+            chars.append(f"\\x{b:02x}")
+        else:
+            chars.append(ch)
+    return '"' + "".join(chars) + '"'
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.binary(max_size=24))
+def test_a_bytes_literal_reads_back_its_bytes(data):
+    data = b'#"\\' + data + b'\\"#'
+    p = parse_program(f'msg: .bytes {_literal(data)} 7 # comment "\n')
+    assert p.blobs["msg"].data == data + b"\x07"
 
 
 def test_bytes_without_a_label_is_refused_after_its_bytes_parse():
