@@ -59,22 +59,16 @@ class Misaligned(AnnotError):
 
 
 class OutOfBounds(AnnotError):
-    def __init__(self, offset: int, bound: int, width: int = WORD):
-        super().__init__(f"offset {offset} outside [0, {bound}-{width}]")
-        self.offset, self.bound, self.width = offset, bound, width
+    pass
 
 
 class ReadBeforeWrite(AnnotError):
-    def __init__(self, offset: int):
-        super().__init__(f"read at offset {offset} precedes any write there")
-        self.offset = offset
+    pass
 
 
 class UnifyMismatch(AnnotError):
     def __init__(self, t1, t2):
         super().__init__(f"cannot unify {t1} with {t2}")
-        self.t1 = t1
-        self.t2 = t2
 
 
 # --------------------------------------------------------------------------
@@ -253,12 +247,12 @@ def check_access(t: AnnotatedType, k: int, w: int = WORD, write: bool = False) -
     else:
         bound = t.tower.step if isinstance(t.tower, Rep) else t.tower.frames[0]
     if not (0 <= k <= bound - w):
-        raise OutOfBounds(k, bound, w)
+        raise OutOfBounds(f"offset {k} outside [0, {bound}-{w}]")
     offs = t.offs
     if isinstance(offs, SetVar):
         raise UnresolvedVariable(f"offset set {offs} is not concrete")
     if not write and k not in offs:
-        raise ReadBeforeWrite(k)
+        raise ReadBeforeWrite(f"read at offset {k} precedes any write there")
     if w == WORD:
         if k % WORD:
             raise Misaligned(f"word offset {k} is not a multiple of {WORD}")

@@ -112,11 +112,28 @@ SEARCH_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class Failure:
+    """Why the search or the re-check refused an instruction.  A
+    ``NoDisassembly`` failure holds each reading it tried with the reason
+    it was rejected, and a ``CalleeUnsafe`` failure its callee's label in
+    ``note`` and the callee's own failure; ``detail`` renders them."""
+
     addr: int | None
     rule: str | None
     kind: str
-    detail: str
-    recursion: bool = False  # a call cycle caused it: the verdict is UNSUPPORTED
+    note: str
+    rejected: tuple[tuple[str, str], ...] = ()  # (reading, reason) per reading tried
+    callee: Failure | None = None
+
+    @property
+    def detail(self) -> str:
+        if self.callee is not None:
+            return f"{self.note}: {self.callee}"
+        return "; ".join(f"{reading}: {why}" for reading, why in self.rejected) or self.note
+
+    @property
+    def recursion(self) -> bool:
+        """Whether a call cycle caused it: the verdict is UNSUPPORTED."""
+        return self.kind == "RecursionUnsupported" or bool(self.callee and self.callee.recursion)
 
     def __str__(self) -> str:
         where = f"0x{self.addr:08x}" if self.addr is not None else "<program>"
@@ -126,7 +143,7 @@ class Failure:
 
 class CertError(Exception):
     def __init__(self, failure: Failure):
-        super().__init__(str(failure))
+        super().__init__(failure)
         self.failure = failure
 
 
@@ -160,17 +177,6 @@ class Theory:
     program: Program
     entry_key: str
     routines: dict[str, RoutineCert]
-
-    def call_summaries(self) -> dict[tuple[int, str, str], tuple[Annotation, Annotation]]:
-        """The entry and exit of each call, by site, callee label and
-        callee routine: one site may call a routine under two entries."""
-        out = {}
-        for cert in self.routines.values():
-            for addr, row in cert.rows.items():
-                if row.callee is not None:
-                    callee = self.routines[row.callee]
-                    out[(addr, callee.label, callee.key)] = (callee.entry, callee.exit_ann)
-        return out
 
 
 @dataclass(slots=True)
@@ -345,14 +351,14 @@ class _Walk:
         if opened:
             self.choices.append(_Choice(addr, ann, alts[1], len(self.journal),
                                         self.subst, self.exit_ann, self.pending))
-        reasons: list[str] = []
+        rejected = []
         err = None
         for s in alts:
             engine.stats.readings += 1
             try:
                 return self._take(addr, ann, s)
             except PatternMismatch as e:
-                reasons.append(str(e))
+                rejected.append((e.rule, e.reason))
             except CertError as e:
                 err = e
             if opened:  # the first of two failed at once: try the second with no choice open
@@ -360,8 +366,8 @@ class _Walk:
                 self._undo(self.choices.pop().mark)
         if err is not None:
             raise err
-        detail = "; ".join(reasons) if reasons else "no stack-machine reading exists"
-        raise engine._record(len(rows), Failure(addr, str(instr), "NoDisassembly", detail))
+        raise engine._record(len(rows), Failure(
+            addr, str(instr), "NoDisassembly", "no stack-machine reading exists", tuple(rejected)))
 
     def _take(self, addr: int, ann: Annotation, s: StackInstr):
         """Apply reading ``s`` at ``addr`` and record its row; returns where
@@ -592,7 +598,7 @@ class _Engine:
         if callee_addr in call_stack:
             raise self._record(depth, Failure(
                 site, str(s), "RecursionUnsupported",
-                f"call cycle through {label}", recursion=True))
+                f"call cycle through {label}"))
         # the callee sees the caller's registers, a fresh return address, and
         # an empty local frame in the same stack-pointer register
         entry = ann.set_reg(RA, U0).set_reg(star, C0).with_slots()
@@ -600,8 +606,7 @@ class _Engine:
             cert = self.certify_routine(callee_addr, entry, call_stack)
         except CertError as e:
             raise self._record(depth, Failure(
-                site, str(s), "CalleeUnsafe",
-                f"{label}: {e.failure}", recursion=e.failure.recursion)) from e
+                site, str(s), "CalleeUnsafe", label, callee=e.failure)) from e
         if cert.exit_ann is None:
             raise self._record(depth, Failure(
                 site, str(s), "CalleeUnsafe", f"{label} never returns"))

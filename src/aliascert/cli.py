@@ -97,10 +97,16 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
     program = theory.program
     label_at, source_lines = program.label_at, program.source_lines
     render = _RenderCache()
+    # each call by site, callee label and callee routine: one site may
+    # call a routine under two entries
+    calls = {}
     for cert in sorted(theory.routines.values(), key=lambda c: (c.entry_addr, c.key)):
         rows = []
         for addr in sorted(cert.rows):
             row = cert.rows[addr]
+            if row.callee is not None:
+                callee = theory.routines[row.callee]
+                calls[addr, callee.label, callee.key] = callee
             pre = render(row.pre)
             rows.append({
                 "address": addr,
@@ -118,12 +124,12 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
             "exit": render(cert.exit_ann),
             "rows": rows,
         })
-    for (site, callee, _), (entry_ann, exit_ann) in sorted(theory.call_summaries().items()):
+    for (site, label, _), callee in sorted(calls.items()):
         out["calls"].append({
             "site": site,
-            "callee": callee,
-            "entry": render(entry_ann),
-            "exit": render(exit_ann),
+            "callee": label,
+            "entry": render(callee.entry),
+            "exit": render(callee.exit_ann),
         })
     if report.safe:
         violations = check_program(theory)

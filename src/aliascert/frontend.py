@@ -5,7 +5,8 @@ directive, a ``#`` comment, or a ``#@`` pragma: one ``entry`` that labels
 an instruction, and at most one ``assume`` per label, whose bindings are
 an annotation in the canonical text ``annot.parse_annotation`` reads.
 Code comes before data: no instruction follows a ``.bytes`` directive,
-and no data reaches past the 32-bit address space.
+and no data reaches the initial stack pointer, ``DEFAULT_STACK_BASE``,
+below which the stack grows and above which the device window lies.
 
 A string literal is one pattern, ``_STRING``: a quote, then escapes and
 characters other than a quote or backslash, then a quote.  It decides
@@ -34,6 +35,7 @@ from .isa import (
     Program,
     REG_INDEX,
 )
+from .machine import DEFAULT_STACK_BASE
 
 
 class AsmSyntaxError(Exception):
@@ -118,9 +120,10 @@ def parse_program(text: str) -> Program:
             if not pending_labels:
                 raise AsmSyntaxError(line_no, ".bytes requires a preceding label")
             name = pending_labels[-1][0]
-            if addr + blob.extent > 1 << 32:
+            if addr + blob.extent > DEFAULT_STACK_BASE:
                 raise AsmSyntaxError(line_no, f"address {addr + blob.extent - 1:#x} of data "
-                                              f"blob {name!r} exceeds 32 bits")
+                                              f"blob {name!r} reaches the stack at "
+                                              f"{DEFAULT_STACK_BASE:#x}")
             prog.blobs[name] = blob
             data_line = data_line or line_no
             place_labels(addr)

@@ -108,20 +108,16 @@ def _off_word(equation: str, e: Write | Read, step: int = 0) -> TraceViolation |
 
 
 def fold_event(t: AnnotatedType, e: object) -> AnnotatedType | TraceViolation:
-    """One step of the running-type calculation along a trace.
+    """One step of the running-type calculation along a trace: ``e`` is a
+    :class:`Write`, :class:`Read`, :class:`FrameUp` or :class:`FrameDown`
+    (the walker applies copies, introductions and plain words itself).
 
     Returns the rebound type when the matching equation's guard holds, or
     a violation naming the equation/constraint that failed.  Only a read
-    or a write looks at the written set X: frame shifts and copies fold
-    through a variable X, and a read or write through one is a ``(d)``
-    violation, as is any event but a copy on a type variable.
+    or a write looks at the written set X: frame shifts fold through a
+    variable X, and a read or write through one is a ``(d)`` violation,
+    as is any event on a type variable.
     """
-    if isinstance(e, Copy):
-        return t
-    if isinstance(e, (IntroArray, IntroString, Arith)):
-        # introductions start traces; landing mid-trace breaks the
-        # only-shifts discipline
-        return TraceViolation("(d)", f"introduction event on live value {t}")
     if isinstance(t, TypeVar):
         return TraceViolation("(d)", f"event {e} on unresolved hypothesis {t}")
     X = t.offs

@@ -11,8 +11,8 @@ from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, SP, V0, V1, REG_INDEX
 
 from conftest import load
-from genprogs import (generate_source, kli_branch_source, kli_callee_source, kli_move_source,
-                      kli_source, mutate_source)
+from genprogs import (call_chain, generate_source, kli_branch_source, kli_callee_source,
+                      kli_move_source, kli_source, mutate_source)
 from test_report_digests import _cases as report_digest_cases
 
 SEARCH_FAMILIES = (kli_source, kli_move_source, kli_branch_source, kli_callee_source)
@@ -497,6 +497,75 @@ def test_search_budget_gives_unsupported(monkeypatch):
     (failure,) = report.failures
     assert failure.kind == "SearchBudgetExhausted"
     assert report.stats.readings > needed // 2
+
+
+def test_a_failure_holds_its_callee_failure():
+    # the record of the cycle.s failure: the call of f, whose own failure
+    # is the cycle; the recursion is read off the callee, not stored twice
+    report = certify_program(parse_program(_CYCLE_AFTER_A_DEEPER_FAILURE))
+    (failure,) = report.failures
+    callee = failure.callee
+    assert (failure.kind, failure.addr, failure.note) == ("CalleeUnsafe", 0x00400014, "f")
+    assert (callee.kind, callee.addr, callee.callee) == ("RecursionUnsupported", 0x00400058, None)
+    assert failure.recursion and callee.recursion
+    assert report.verdict == "UNSUPPORTED"
+
+
+def _chain_with_an_unsafe_leaf(depth: int) -> str:
+    """:func:`genprogs.call_chain` whose leaf loads past its frame."""
+    head, leaf = call_chain(depth).split(f"f{depth}:\n")
+    return (head + f"f{depth}:\n"
+            + leaf.replace("    sw t0 0(sp)\n", "    sw t0 0(sp)\n    lw t1 8(sp)\n", 1))
+
+
+def test_a_callee_failure_is_followed_down_to_the_leaf():
+    program = parse_program(_chain_with_an_unsafe_leaf(20))
+    report = certify_program(program)
+    assert report.verdict == "UNSAFE"
+    (failure,) = report.failures
+    for depth in range(1, 21):
+        assert failure.kind == "CalleeUnsafe" and not failure.recursion, depth
+        assert failure.note == f"f{depth}"
+        failure = failure.callee
+    assert (failure.kind, failure.callee) == ("NoDisassembly", None)
+    assert program.source_lines[failure.addr] == "lw t1 8(sp)"
+    assert failure.rejected == (("get t1 8", "offset 8 outside [0, 8-4]"),)
+
+
+def test_a_failure_is_rendered_only_by_its_report(monkeypatch, capsys):
+    # the search keeps each failure as a record; the report renders the
+    # nested text once, one level per callee
+    program = parse_program(_chain_with_an_unsafe_leaf(20))
+    rendered = []
+    monkeypatch.setattr(certifier.Failure, "__str__",
+                        lambda f, show=certifier.Failure.__str__: rendered.append(f) or show(f))
+    report = certify_program(program)
+    assert report.verdict == "UNSAFE" and rendered == []
+    rep = build_report("chain.s", "main", "small-structs", report)
+    assert len(rendered) == 20
+    assert rep["failures"][0]["detail"].startswith("f1: CalleeUnsafe at 0x")
+    _print_report(rep)
+    assert len(rendered) == 21
+    assert capsys.readouterr().out.startswith("failure: CalleeUnsafe at 0x00400010 [gosub f1]: ")
+
+
+@pytest.mark.parametrize("policy, rejected", [
+    ("forbid", ()),
+    ("small-structs", (("lbfh a0 3(t5)", "offset 3 outside [0, 3-1]"),)),
+    ("permissive", (("lbfh a0 3(t5)", "offset 3 outside [0, 3-1]"),
+                    ("getbx a0 3(t5)", "base t5 is not a string pointer: u^3!{0,1,2}"))),
+])
+def test_a_missing_reading_holds_each_reading_it_rejected(policy, rejected):
+    # forbid refuses the first byte read before any reading is tried
+    program = parse_program(kli_source(10, True))
+    (failure,) = certify_program(program, policy).failures
+    assert failure.kind == "NoDisassembly"
+    assert failure.rejected == rejected
+    if rejected:
+        assert program.source_lines[failure.addr] == "lb a0 3(t5)"
+        assert failure.detail == "; ".join(f"{reading}: {why}" for reading, why in rejected)
+    else:
+        assert failure.detail == "no stack-machine reading exists"
 
 
 _STRINGS = ('table:\n  .bytes "xy\\0"\nwide:\n  .bytes "xyz\\0"\n'

@@ -21,6 +21,7 @@ from aliascert.annot import (
 from aliascert.cli import main
 from aliascert.frontend import AsmSyntaxError, DuplicateLabel, parse_program
 from aliascert.isa import BASE_ADDRESS, FORMATS, GP, IMM_MAX, IMM_MIN, RA, SP, REG_INDEX, Instruction
+from aliascert.machine import DEFAULT_STACK_BASE
 
 
 # -- instruction parsing -------------------------------------------------------
@@ -233,15 +234,33 @@ _PAST_32_BITS = ("#@ entry main\nmain:\n  li t0 a\n  li t1 b\n  lw t2 0(t1)\n  j
 def test_data_past_32_bits_is_refused_at_its_line(command, tmp_path, capsys):
     with pytest.raises(AsmSyntaxError) as e:
         parse_program(_PAST_32_BITS)
-    assert str(e.value) == "line 7: address 0x10040000f of data blob 'a' exceeds 32 bits"
+    assert str(e.value) == ("line 7: address 0x10040000f of data blob 'a' reaches the stack "
+                            "at 0x7ffff000")
     path = tmp_path / "past.s"
     path.write_text(_PAST_32_BITS)
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error: line 7: ")
-    # a blob that ends at the last address is still in range
-    size = (1 << 32) - 4 - (BASE_ADDRESS + 16)
+    # a blob that ends at the initial stack pointer is still in range
+    size = DEFAULT_STACK_BASE - 4 - (BASE_ADDRESS + 16)
     p = parse_program(_PAST_32_BITS.replace("size=4294967296", f"size={size}"))
-    assert p.labels["b"] + p.blobs["b"].extent == 1 << 32
+    assert p.labels["b"] + p.blobs["b"].extent == DEFAULT_STACK_BASE
+
+
+# the device window lies above the stack, so data laid over it reaches
+# the stack first
+_OVER_THE_DEVICE = ("#@ entry main\nmain:\n  li t1 b\n  lw t2 0(t1)\n  jr ra\n"
+                    "a: .bytes 1 2 3 4 size=2948595700\nb: .bytes 5 6 7 8\n")
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "diff"])
+def test_data_over_the_device_window_is_refused_at_its_line(command, tmp_path, capsys):
+    path = tmp_path / "device.s"
+    path.write_text(_OVER_THE_DEVICE)
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("parse error: line 6: address 0xafffffff of data blob 'a' reaches "
+                       "the stack at 0x7ffff000\n")
 
 
 # each form of an integer in the four places one appears: an immediate,

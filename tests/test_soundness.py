@@ -80,6 +80,23 @@ def test_a_string_read_past_its_blob_data_is_not_certified_safe():
     assert not report.safe or diff_runs(p, seeds=5).ok
 
 
+# `a`'s declared size puts `b` at 0x7fffeffc, below the initial stack
+# pointer but on the word where main saves ra: the clean run's load reads
+# the return address, not `b`'s bytes
+_UNDER_A_FRAME = ("#@ entry main\nmain:\n  move gp sp\n  addiu sp sp -8\n  sw ra 4(sp)\n"
+                  "  li t1 b\n  lw t2 0(t1)\n  lw ra 4(sp)\n  move sp gp\n  jr ra\n"
+                  "a: .bytes 1 2 3 4 size=2143285212\nb: .bytes 5 6 7 8\n")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: data laid under a frame is "
+                                       "certified SAFE")
+def test_data_laid_under_a_frame_is_not_certified_safe():
+    p = parse_program(_UNDER_A_FRAME)
+    assert p.labels["b"] == 0x7FFFEFFC
+    report = certify_program(p)
+    assert not report.safe or diff_runs(p, seeds=8).ok
+
+
 # both ran clean into UnalignedWordAccess once certified SAFE: a word
 # stored and reloaded at offset 1, and a mutant whose frame is 7 bytes
 _MISALIGNED = [

@@ -106,15 +106,14 @@ def test_stack_write_read():
 
 
 def test_shifts_fold_through_an_offset_set_variable():
-    # only a read or a write looks at the written set X: frame shifts and
-    # copies fold through a variable X as push_frame and pop_frame do, and
-    # a read or write through one is a (d) violation
+    # only a read or a write looks at the written set X: frame shifts fold
+    # through a variable X as push_frame and pop_frame do, and a read or
+    # write through one is a (d) violation
     X = SetVar("X")
     stack, string = Calc(Finite((0,)), X), Calc(Rep(4), X)
     assert fold_event(stack, FrameUp(8)) == calc(8, 0) == push_frame(stack, 8)
     assert fold_event(string, FrameDown(4)) == string == pop_frame(string, 4)
     assert fold_event(Calc(Finite((8, 0)), X), FrameDown(8)) == calc(0)
-    assert fold_event(stack, Copy()) == stack
     for t in (Calc(Finite((8, 0)), X), string, Uncalc(8, X)):
         for e in (Read(0, 4), Write(0, 4), Read(0, 1), Write(0, 1)):
             v = fold_event(t, e)
