@@ -93,14 +93,20 @@ salted value, a ``sb`` one lane of the cell of its word with a plain
 byte, leaving the cell's tag 0.  A load that misses its cell is an alias
 fault when the word is written under some other key, and an
 uninitialized read otherwise.  The loader fills cells as if each blob
-had been stored along its canonical access chains (`_preload`).  The
-clean machine is the same loop with a salt that tags every calculation
-0 (`run_clean_image`): every key is then the word address itself, every
-alias of an address hits its one cell, and the run has exact 32-bit
-semantics with no alias fault.  The two machines differ in one more
-way: the clean one preloads every data blob, the aliasing one only the
-initialized blobs.  `machine.step` is the independent single-step
-reference both runs are tested against.
+had been stored along its canonical access chains.  A seeded run walks
+the chains before its first step (`_preload`).  The symbolic run
+reserves their ids instead and reads them in closed form (`_Chains`):
+a load of a word no store has touched is decided from its key's blob,
+offset and reading, and the first store into such a word, or a load
+there that is not self-sourced, builds the word's cells and writers as
+the walk would have left them.  The clean machine is the same loop
+with a salt that tags every calculation 0 (`run_clean_image`): every
+key is then the word address itself, every alias of an address hits
+its one cell, and the run has exact 32-bit semantics with no alias
+fault.  The two machines differ in one more way: the clean one preloads
+every data blob, the aliasing one only the initialized blobs.
+`machine.step` is the independent single-step reference both runs are
+tested against.
 
 The clean machine's memory needs no chains (`_clean_memory`).  Under tag
 0 every store of the loader keys the cell of its word address, and each
@@ -112,7 +118,7 @@ word.  Each blob is aligned to 4 bytes, and no two share a word (the
 parser lays them out so, and `build_image` refuses any other layout), so
 each word holds the bytes of one blob.  That is the memory every clean
 run starts from, at the entry or from a `CleanStart`; only
-the aliasing machines walk the chains.
+the seeded machines walk the chains.
 
 Beside the cells, the loop keeps for each written word the calculation
 (the tag of the effective address) that last wrote each of its four byte
@@ -174,11 +180,16 @@ the load's cell then holds the writes through its own calculation only,
 as in the symbolic run, and a miss stays a miss.  `run_alias_image`
 given the symbolic run checks this for its seed over the few
 calculations concerned, which the symbolic run keeps as their interned
-keys, and runs the seeded loop only on a collision.  Ids are handed out
-in the order keys are interned, so the list of keys holds id ``i``'s key
-at ``i - 1``: the symbolic run collects those calculations by a walk
-from the groups' ids down through their salted inputs, touching no other
-key, and keeps them sorted by id.  A seed's tag of a
+keys, and runs the seeded loop only on a collision.  The registers'
+initial values take ids 1 to 31, the loader's chains the range after
+them, in the order the walk would intern them, and the run's other
+calculations the ids after that range, in the order they are interned.
+So the table holds those 31 keys and the others only (``interned``
+counts them); the loader's keys and the effective addresses that reach
+each of its words follow from its blobs.  The symbolic run collects the
+calculations concerned by a walk from the groups' ids down through
+their salted inputs, touching no other key, and keeps them sorted by
+id.  A seed's tag of a
 calculation is :func:`tag` applied to the tags of its inputs, and a key
 names each salted input by its id, so the check folds every tag from the
 bits of its key, oldest first; the tag 0 of the zero register, of byte
@@ -190,6 +201,7 @@ profiler can wrap them here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -399,6 +411,129 @@ def _store_span(mem: dict, lanes: list, addr: int, data: bytes, keys: list,
             lanes[x] = tuple(seen)
 
 
+class _Chains:
+    """`_preload`'s chains of the initialized ``blobs`` under the interning
+    salt, in closed form.  The loader would hand out, blob by blob from
+    id ``first``: the ``li`` of the blob's address, the effective address
+    of each offset of the array reading, then for each step of the string
+    chain its ``addiu`` and the effective addresses of the offsets it
+    spans.  Each of those ids, its key, and each cell and lane writer the
+    loader leaves in a word follows from the blob's address, bytes and
+    step; none is interned.  A blob is ``(addr, data, n, step, li id,
+    first step's id, steps, last step's id)``."""
+
+    def __init__(self, blobs, first: int):
+        self.first, self.li, self.by_id = first, {}, []
+        for addr, data, step, _init in blobs:
+            n, k = len(data), -(-len(data) // step)  # the last step ends past the data
+            top = first + n + k + max(0, n - step)  # step k's id, or the li's when n is 0
+            self.by_id.append((addr, data, n, step, first, first + n + 1, k, top))
+            self.li[addr] = first
+            first = top + 1
+        self.last = first
+        self.starts = [b[4] for b in self.by_id]
+        self.by_addr = sorted(self.by_id)
+        self.addrs = [b[0] for b in self.by_addr]
+
+    def _word(self, w: int):
+        """The blob whose data holds word ``w``, with ``w``'s offset in it."""
+        b = self.by_addr[bisect_right(self.addrs, w) - 1] if self.addrs else None
+        return (b, w - b[0]) if b is not None and 0 <= w - b[0] < b[2] else (None, 0)
+
+    @staticmethod
+    def _at(b, y: int, chain: bool) -> tuple[int, int, int]:
+        """The id of the effective address that reaches offset ``y`` of blob
+        ``b`` in the array reading, or in the string chain, and the span of
+        offsets it is stored with."""
+        if not chain:
+            return b[4] + 1 + y, 0, b[2]
+        lo = y - y % b[3]
+        return b[5] + (lo // b[3] - 1) * (b[3] + 1) + 1 + y - lo, lo, min(lo + b[3], b[2])
+
+    def decode(self, domain: int, a: int, b: int) -> int | None:
+        """The reserved id of the calculation ``domain`` of ``a`` and ``b``,
+        or None when the loader makes no such calculation."""
+        if domain == T_LI:
+            return self.li.get(a)
+        p = a >> 32
+        if not (self.first <= p < self.last and (domain == T_EA or domain == T_ADDIU)):
+            return None
+        _addr, _data, n, step, s, c0, _k, top = self.by_id[bisect_right(self.starts, p) - 1]
+        if p == s:  # the li: its effective addresses span the blob
+            if domain == T_EA:
+                return p + 1 + b if 0 <= b < n else None
+            return c0 if b == step and n else None
+        if p == top or p < c0 or (p - c0) % (step + 1):
+            return None  # the last step, or no pointer
+        if domain == T_EA:  # the step's effective addresses run up to the next step's id
+            return p + 1 + b if 0 <= b < step and p + 1 + b < top else None
+        return min(p + step + 1, top) if b == step else None
+
+    def key(self, i: int) -> int:
+        """The key the interning salt would hold for reserved id ``i``."""
+        addr, _data, n, step, s, c0, k_top, top = self.by_id[bisect_right(self.starts, i) - 1]
+        if i == s:
+            return addr << 8 | T_LI
+        if i <= s + n:
+            return ((i - s - 1) << 64 | s << 32 | addr) << 8 | T_EA
+        q, r = (k_top - 1, 0) if i == top else divmod(i - c0, step + 1)
+        if r:  # the effective address r - 1 past step q + 1's pointer
+            return ((r - 1) << 64 | (i - r) << 32 | (addr + (q + 1) * step) & M32) << 8 | T_EA
+        prev = s if q == 0 else c0 + (q - 1) * (step + 1)
+        return (step << 64 | prev << 32 | (addr + q * step) & M32) << 8 | T_ADDIU
+
+    def ids_at(self, w: int) -> list[int]:
+        """The ids of the loader's effective addresses into word ``w``,
+        ascending."""
+        b, x = self._word(w)
+        if b is None:
+            return []
+        ys = range(x, min(x + 4, b[2]))
+        return [self._at(b, y, False)[0] for y in ys] + [
+            self._at(b, y, True)[0] for y in ys if y >= b[3]]
+
+    def read(self, t: int, ea: int, word: bool) -> tuple[int | None, bool]:
+        """A ``lw`` (``word``) or ``lb`` of ``ea`` through the id ``t`` of
+        its effective address, where the loader alone wrote the word: the
+        word or byte it loads, None when its cell is missing, and whether
+        it is self-sourced.  Only the loader's effective address of ``ea``
+        has a cell there.  It stores the whole word when its span holds
+        it, else the one byte, so it last wrote exactly the lanes of those
+        offsets."""
+        if not self.first <= t < self.last:
+            return None, False
+        addr, data, n, step, s = self.by_id[bisect_right(self.starts, t) - 1][:5]
+        y = ea - addr
+        if not word:
+            return data[y], True
+        if y + 4 <= (n if t <= s + n else min(y - y % step + step, n)):
+            return int.from_bytes(data[y:y + 4], "little"), True
+        return data[y], y + 1 >= n
+
+    def build(self, w: int, mem: dict, written: dict) -> None:
+        """Fill word ``w``'s cells and lane writers as `_preload` leaves
+        them, when an initialized blob holds ``w``."""
+        b, x = self._word(w)
+        if b is None:
+            return
+        data, n = b[1], b[2]
+        lanes = []
+        for y in range(x, x + 4):
+            seen = []
+            for chain in () if y >= n else (False, True) if y >= b[3] else (False,):
+                i, lo, hi = self._at(b, y, chain)
+                if lo <= x and x + 4 <= hi:  # this reading stores the whole word
+                    j = self._at(b, x, chain)[0]
+                    mem[j << 32 | w] = int.from_bytes(data[x:x + 4], "little")
+                    seen.append(j)
+                if i not in seen:
+                    mem[i << 32 | w] = data[y] << 8 * (y - x)
+                    seen.append(i)
+            lanes.append(tuple(seen) if len(seen) > 1 else seen[0] if seen else None)
+        e = lanes[0]
+        written[w] = e if type(e) is int and lanes.count(e) == 4 else tuple(lanes)
+
+
 _WORD = range(4)  # the lanes a ``lw`` reads
 _NO_MEMO = (None,)  # the memo entry of a pc that has not yet reached memory
 _TRANSFERS = frozenset(("beq", "bnez", "j", "jal", "jr"))  # the mnemonics that end a block
@@ -429,13 +564,13 @@ def _write_lane(written: dict, w: int, lane: int, e: int) -> None:
 def _own(src, e: int, w: int, lanes, unloaded) -> bool:
     """Whether every lane in ``lanes`` of word ``w``, whose writers
     ``src`` records, was last written through ``e`` or by nobody,
-    ``unloaded`` holding the addresses of the blobs not preloaded."""
+    ``unloaded`` holding the address ranges of the blobs not preloaded."""
     if type(src) is not tuple:
         return src == e
     for lane in lanes:
         x = src[lane]
         if x is None:
-            if w + lane in unloaded:
+            if any(w + lane in u for u in unloaded):
                 return False
         elif x != e and (type(x) is not tuple or e not in x):
             return False
@@ -541,8 +676,9 @@ class SymbolicRun:
     bits 72-135, a salted input holding its id as its tag (bits 40-71 or
     104-135), and the id 0 standing for the literal tag 0.  Each group
     holds the ids of the effective addresses, two or more, that key one
-    word of ``mixed``.  ``interned`` counts the keys the run interned, the
-    size of its table when it ended."""
+    word of ``mixed``.  ``interned`` counts the keys in the run's table
+    when it ended: the registers' initial values and every calculation
+    outside the loader's chains, which take their ids without one."""
 
     outcome: RunOutcome
     closure: dict[int, int]
@@ -554,9 +690,15 @@ class SymbolicRun:
 
 def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     """The aliasing machine with one tag per distinct calculation: ids 1,
-    2, 3, ... in creation order, so no two calculations collide."""
-    ids: dict[int, int] = {}  # interned key -> id; one int per key keeps it small
+    2, 3, ... in creation order, so no two calculations collide.  The
+    registers' initial values take ids 1 to 31, the loader's chains the
+    range after them (`_Chains`), and every other calculation the ids
+    after that range."""
+    # interned key -> id; one int per key keeps it small
+    ids: dict[int, int] = {i << 8 | T_INIT: i for i in range(1, 32)}
     get = ids.get
+    chains = _Chains([b for b in image.blobs if b[3]], len(ids) + 1)
+    decode, reserved = chains.decode, chains.last - chains.first
 
     def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
         # ``a`` is a word or a salted word, below 2**64; ``b`` may be a
@@ -564,37 +706,44 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
         key = ((b & M64) << 64 | a) << 8 | domain
         i = get(key)
         if i is None:
-            i = ids[key] = len(ids) + 1
+            i = decode(domain, a, b)
+            if i is None:
+                i = ids[key] = len(ids) + reserved + 1
         return i
 
     mixed: set[int] = set()
     snapshot: list[CleanStart] = []
-    outcome = _run(image, fuel, 0, intern, mixed, None, snapshot)
+    outcome = _run(image, fuel, 0, intern, mixed, None, snapshot, chains)
     if not mixed:
         return SymbolicRun(outcome, {}, (), frozenset(), len(ids))
-    # every effective address keys or probes a cell of its word, word + imm
-    words: dict[int, list[int]] = {w: [] for w in mixed}
+    # every effective address keys or probes a cell of its word, word + imm;
+    # the loader's come first, by id
+    words: dict[int, list[int]] = {w: chains.ids_at(w) for w in mixed}
     for w, i in [(w, i) for k, i in ids.items() if k & 0xFF == T_EA
                  and (w := ((k >> 8) + (k >> 72)) & M32 & ~3) in words]:
         words[w].append(i)
     groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
-    # the closure, from the groups' ids down through their inputs; id i's
-    # key is keys[i - 1]
+    # the closure, from the groups' ids down through their inputs
     keys = list(ids)
-    need: set[int] = set()
+
+    def key(i: int) -> int:
+        if i < chains.first:
+            return keys[i - 1]
+        return chains.key(i) if i < chains.last else keys[i - 1 - reserved]
+
+    need: dict[int, int] = {}
     todo = [i for g in groups for i in g]
     while todo:
         i = todo.pop()
         if i in need or i == 0:  # id 0 is the literal tag 0
             continue
-        need.add(i)
-        k = keys[i - 1]
+        k = need[i] = key(i)
         salted = _INPUTS[k & 0xFF][1]
         if salted:
             todo.append((k >> 40) & M32)
             if salted == 2:
                 todo.append(k >> 104)
-    closure = {i: keys[i - 1] for i in sorted(need)}
+    closure = {i: need[i] for i in sorted(need)}
     return SymbolicRun(outcome, closure, groups, frozenset(mixed), len(ids), snapshot[0])
 
 
@@ -624,27 +773,32 @@ def _collision_free(symbolic: SymbolicRun, seed: int) -> bool:
 
 def _run(image: Image, fuel: int, seed: int, salt,
          mixed: set[int] | None = None, start: CleanStart | None = None,
-         snapshot: list[CleanStart] | None = None) -> RunOutcome:
+         snapshot: list[CleanStart] | None = None, chains: _Chains | None = None) -> RunOutcome:
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
     calculation, adding to ``mixed`` the words of the loads that are not
     self-sourced and to ``snapshot`` the clean machine's state before the
     first of them.  From the entry, the aliasing machine's initialized
-    blobs are preloaded; given ``start``, a state of the clean machine,
-    the run goes on from there."""
+    blobs are preloaded, or, given their ``chains``, read in closed form
+    until a store or a load that is not self-sourced touches a word, which
+    is then built; given ``start``, a state of the clean machine, the run
+    goes on from there."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
     if start is None:
         r = [0] + [salt(seed, T_INIT, i) << 32 | _ENTRY_REGS[i] for i in range(1, 32)]
-        mem, written = _preload([b for b in image.blobs if b[3]], seed, salt)
+        if chains is None:
+            mem, written = _preload([b for b in image.blobs if b[3]], seed, salt)
+        else:
+            mem, written = {}, {}
         pc, steps, out = image.entry_addr, 0, bytearray()
         # the bytes of the ``noinit`` blobs, which only the clean machine preloads
-        unloaded = {a + k for a, data, _, init in image.blobs if not init
-                    for k in range(len(data))}
+        unloaded = tuple(range(a, a + len(data)) for a, data, _, init in image.blobs
+                         if not init)
     else:
         r, mem = list(start.regs), dict(start.memory)
         written = dict.fromkeys(mem, 0)
         pc, steps, out = start.pc, start.steps, bytearray(start.output)
-        unloaded = set()
+        unloaded = ()
     if mixed is None:
         mixed = set()
     faults: list[Fault] = []
@@ -704,6 +858,8 @@ def _run(image: Image, fuel: int, seed: int, salt,
                     key = t << 32 | w
                     shift = 8 * (ea & 3)
                     memo[pc] = (base, t, key, w, ea, shift)
+                    if chains is not None and op[0] == "s" and w not in written:
+                        chains.build(w, mem, written)  # a store's first touch
                 if op == "sw":
                     mem[key] = r[a]
                     written[w] = t
@@ -714,6 +870,15 @@ def _run(image: Image, fuel: int, seed: int, salt,
                         _write_lane(written, w, ea & 3, t)
                     continue
                 cell = mem.get(key)
+                if cell is None and chains is not None and w not in written:
+                    # a word of an initialized blob that no store has touched
+                    loaded, own = chains.read(t, ea, op == "lw")
+                    if own:
+                        if a != 0:
+                            r[a] = loaded
+                        continue
+                    chains.build(w, mem, written)  # for the writers read below
+                    cell = mem.get(key)
                 if cell is None or written[w] != t and not _own(
                         written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
                     if snapshot is not None and not mixed:

@@ -26,7 +26,7 @@ from .machine import (
     RunOutcome,
     run as run_clean,
 )
-from .traces import check_program
+from .traces import check_program, check_stack_pointer
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -132,7 +132,7 @@ def build_report(path: str, entry: str | None, policy: str, report: CertReport) 
             "exit": render(callee.exit_ann),
         })
     if report.safe:
-        violations = check_program(theory)
+        violations = check_program(theory) + check_stack_pointer(theory)
         out["oracle"] = {"ok": not violations, "violations": [str(v) for v in violations]}
         safety = check_safety(theory, policy)
         out["safety"] = {"ok": not safety, "violations": [str(v) for v in safety]}

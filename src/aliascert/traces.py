@@ -424,3 +424,35 @@ def check_program(theory: Theory) -> list[TraceViolation]:
     for cert in theory.routines.values():
         walker.check_routine(cert)
     return walker.violations
+
+
+def check_stack_pointer(theory: Theory) -> list[TraceViolation]:
+    """The stack pointer's invariant, a pass apart from the fold: wherever
+    a theory's annotation stars a register (a routine's entry and exit,
+    and each row before and after its instruction), that register holds
+    a calculated type with a finite frame tower.  The walk checks the
+    starred register only around a call, so a theory that binds another
+    type there passes it."""
+    violations = []
+    for cert in theory.routines.values():
+        kept = None  # the last annotation that kept the invariant: rows share them
+
+        def check(addr: int, where: str, ann: Annotation | None) -> None:
+            nonlocal kept
+            if ann is kept or ann is None or ann.star is None:
+                return
+            t = ann.regs[ann.star]
+            if isinstance(t, Calc) and isinstance(t.tower, Finite):
+                kept = ann
+            else:
+                violations.append(TraceViolation(
+                    "(sp)", f"{cert.label} {where}: stack pointer {reg_name(ann.star)} holds "
+                            f"{t}, not a calculated type with a finite tower", addr))
+
+        check(cert.entry_addr, "entry", cert.entry)
+        for addr in sorted(cert.rows):
+            row = cert.rows[addr]
+            check(addr, "before", row.pre)
+            check(addr, "after", row.post)
+        check(cert.entry_addr, "exit", cert.exit_ann)
+    return violations

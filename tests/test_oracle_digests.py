@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 
 from aliascert import certify_program, check_program, parse_program
-from aliascert.annot import C0, U0
+from aliascert.traces import check_stack_pointer
+from aliascert.annot import C0, U0, Annotation, rep
 from aliascert.certifier import Theory
 from aliascert.disasm import StackInstr
 from aliascert.isa import GP, RA, V0, V1, ZERO
@@ -103,6 +104,31 @@ def compute_digests() -> dict[str, str]:
             continue
         out[key] = oracle_digest(report.theory)
     return out
+
+
+def test_the_row_mutations_keep_the_stack_pointer_invariant():
+    # a mutation replaces or deletes a row's reading, or changes v1 at an
+    # exit, and leaves every starred type as the search bound it: the
+    # stack pointer's pass, kept apart from the digests above, finds
+    # nothing on any of them, and flags each row whose pre binds a string
+    # pointer there instead
+    for key, source in _cases():
+        report = certify_program(parse_program(source))
+        if not report.safe:
+            continue
+        theory = report.theory
+        assert check_stack_pointer(theory) == [], key
+        assert all(check_stack_pointer(mutant) == [] for mutant in _mutants(theory)), key
+        for cert_key, cert in theory.routines.items():
+            addr = min((a for a, r in cert.rows.items() if r.pre.star is not None), default=None)
+            if addr is None:
+                continue
+            row = cert.rows[addr]
+            broken = Annotation(row.pre.star, row.pre.set_reg(row.pre.star, rep(1, offs=(0,))).regs)
+            rows = dict(cert.rows)
+            rows[addr] = dataclasses.replace(row, pre=broken)
+            found = check_stack_pointer(_with_cert(theory, cert_key, rows=rows))
+            assert [(v.equation, v.addr) for v in found] == [("(sp)", addr)], key
 
 
 def test_oracle_violations_match_recorded_digests():

@@ -38,6 +38,7 @@ from aliascert.traces import (
     TraceViolation,
     Write,
     check_program,
+    check_stack_pointer,
     events_of,
     fold_event,
 )
@@ -362,6 +363,42 @@ def test_return_through_a_plain_word_flagged():
     violations = check_program(Theory(p, "main@x", {"main@x": cert}))
     assert [str(v) for v in violations] == \
         ["return at 0x00400000: jump register ra holds c^[0], not u^0"]
+
+
+def test_a_string_pointer_installed_as_the_stack_pointer_is_flagged_apart():
+    # hand-build the theory the search refuses: ``li sp msg`` read as a string
+    # introduction into the starred register, then a return.  Every fold
+    # holds, so the walk accepts it; the stack pointer's own pass does not
+    source = ("#@ entry main\n#@ assume main: sp*=c^[0]!?X, t1=?y, ra=u^0\nmain:\n"
+              "  li sp msg\n  jr ra\nf:\n  jr ra\nmsg:\n  .bytes \"abcdefgh\"\n")
+    p = parse_program(source)
+    assert not certify_program(p).safe
+    base = p.labels["main"]
+    entry = p.assumes["main"]
+    # the raw constructor: ``Annotation.make`` refuses such an annotation
+    after = Annotation(SP, entry.set_reg(SP, rep(1, offs=(0,))).regs, ())
+    rows = {base: Row(entry, StackInstr("newx", rd=SP, n=1, offs=frozenset({0})), after),
+            base + 4: Row(after, StackInstr("return", rd=RA), after)}
+    theory = Theory(p, "main@x", {"main@x": RoutineCert("main@x", "main", base, entry, rows,
+                                                          after)})
+    assert check_program(theory) == []
+    assert [str(v) for v in check_stack_pointer(theory)] == [
+        f"(sp) at 0x{a:08x}: main {where}: stack pointer sp holds c^rep(1)!{{0}}, "
+        f"not a calculated type with a finite tower"
+        for a, where in ((base, "after"), (base + 4, "before"), (base + 4, "after"),
+                         (base, "exit"))]
+    # an unbound starred register is flagged too
+    unbound = Annotation(SP, entry.set_reg(SP, None).regs, ())
+    cert = RoutineCert("main@x", "main", base, unbound, {}, None)
+    assert [v.detail for v in check_stack_pointer(Theory(p, "main@x", {"main@x": cert}))] == [
+        "main entry: stack pointer sp holds None, not a calculated type with a finite tower"]
+
+
+def test_every_corpus_theory_keeps_the_stack_pointer_invariant(corpus_programs):
+    for name, p in corpus_programs.items():
+        report = certify_program(p)
+        if report.safe:
+            assert check_stack_pointer(report.theory) == [], name
 
 
 def test_byte_store_and_reload_in_a_frame():

@@ -165,8 +165,8 @@ def _counting_tag(calls: Counter, fn):
 
 def _counting_run(calls: Counter, fn):
     # the steps one loop executes: a resumed run starts at ``start.steps``
-    def wrapper(image, fuel, seed, salt, mixed=None, start=None, snapshot=None):
-        out = fn(image, fuel, seed, salt, mixed, start, snapshot)
+    def wrapper(image, fuel, seed, salt, mixed=None, start=None, *rest):
+        out = fn(image, fuel, seed, salt, mixed, start, *rest)
         calls["steps"] += out.steps - (start.steps if start is not None else 0)
         return out
     return wrapper
