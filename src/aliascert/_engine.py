@@ -80,9 +80,9 @@ when the base differs from the last one that reached memory there, and
 a miss that passes the device test calls the salt once, before the
 alignment test.  A hit skips only calls that would have returned the
 entry's tag again.  Under the interning salt of `run_symbolic_image`
-such a call would only have found its key interned already, so the ids
-and the order they are handed out in are those of a run that calls the
-salt at every access to memory.
+such a call would only have handed out its id again, decoded or found
+interned, so the ids and the order they are handed out in are those of
+a run that calls the salt at every access to memory.
 
 A cell is keyed by its effective address's tag over its word address,
 ``tag << 32 | word address``, so that differently calculated aliases of
@@ -184,16 +184,21 @@ keys, and runs the seeded loop only on a collision.  The registers'
 initial values take ids 1 to 31, the loader's chains the range after
 them, in the order the walk would intern them, and the run's other
 calculations the ids after that range, in the order they are interned.
-So the table holds those 31 keys and the others only (``interned``
-counts them); the loader's keys and the effective addresses that reach
-each of its words follow from its blobs.  The symbolic run collects the
-calculations concerned by a walk from the groups' ids down through
-their salted inputs, touching no other key, and keeps them sorted by
-id.  A seed's tag of a
-calculation is :func:`tag` applied to the tags of its inputs, and a key
-names each salted input by its id, so the check folds every tag from the
-bits of its key, oldest first; the tag 0 of the zero register, of byte
-stores and of preloaded data is a literal, not a calculation.
+The salt decodes the id of a calculation whose input is one of the
+chains' pointers, or that is the ``li`` of a blob's address, from the
+blob before it builds any key (`_Chains.salt`), and builds and looks up
+a key only for every other calculation.  A loader calculation is never
+in the table, so the ids and their order are those a lookup first would
+give.  So the table holds those 31 keys and the others only
+(``interned`` counts them); the loader's keys and the effective
+addresses that reach each of its words follow from its blobs.  The
+symbolic run collects the calculations concerned by a walk from the
+groups' ids down through their salted inputs, touching no other key,
+and keeps them sorted by id.  A seed's tag of a calculation is
+:func:`tag` applied to the tags of its inputs, and a key names each
+salted input by its id, so the check folds every tag from the bits of
+its key, oldest first; the tag 0 of the zero register, of byte stores
+and of preloaded data is a literal, not a calculation.
 
 Callers look the entry points up in this module at call time, so a
 profiler can wrap them here.
@@ -450,24 +455,43 @@ class _Chains:
         lo = y - y % b[3]
         return b[5] + (lo // b[3] - 1) * (b[3] + 1) + 1 + y - lo, lo, min(lo + b[3], b[2])
 
-    def decode(self, domain: int, a: int, b: int) -> int | None:
-        """The reserved id of the calculation ``domain`` of ``a`` and ``b``,
-        or None when the loader makes no such calculation."""
-        if domain == T_LI:
-            return self.li.get(a)
-        p = a >> 32
-        if not (self.first <= p < self.last and (domain == T_EA or domain == T_ADDIU)):
-            return None
-        _addr, _data, n, step, s, c0, _k, top = self.by_id[bisect_right(self.starts, p) - 1]
-        if p == s:  # the li: its effective addresses span the blob
-            if domain == T_EA:
-                return p + 1 + b if 0 <= b < n else None
-            return c0 if b == step and n else None
-        if p == top or p < c0 or (p - c0) % (step + 1):
-            return None  # the last step, or no pointer
-        if domain == T_EA:  # the step's effective addresses run up to the next step's id
-            return p + 1 + b if 0 <= b < step and p + 1 + b < top else None
-        return min(p + step + 1, top) if b == step else None
+    def salt(self, ids: dict[int, int]):
+        """The interning salt over the table ``ids``, which holds the keys
+        of ids 1 to ``first - 1``.  A loader calculation, the ``li`` of a
+        blob's address or an ``addiu`` or effective address from one of the
+        chains' pointers, gets its reserved id, decoded from the blob
+        before any key is built; every other calculation gets its key's id
+        in ``ids``, a new key the next id after the reserved range."""
+        li, starts, by_id, get = self.li.get, self.starts, self.by_id, ids.get
+        first, last = self.first, self.last
+        reserved = last - first
+
+        def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
+            # ``a`` is a word or a salted word, below 2**64; ``b`` may be a
+            # negative immediate
+            if domain == T_LI and (i := li(a)) is not None:
+                return i
+            if first <= (p := a >> 32) < last and (domain == T_EA or domain == T_ADDIU):
+                _, _, n, step, s, c0, _, top = by_id[bisect_right(starts, p) - 1]
+                # the id of the step after pointer p, whose effective addresses
+                # take the ids between
+                if p == s:  # the li
+                    nxt = c0 if n else 0
+                elif c0 <= p < top and not (p - c0) % (step + 1):  # a step's pointer
+                    nxt = p + step + 1 if p + step < top else top
+                else:  # the last step's pointer, or an effective address
+                    nxt = 0
+                if domain == T_ADDIU:
+                    if nxt and b == step:
+                        return nxt
+                elif 0 <= b and p + 1 + b < nxt:
+                    return p + 1 + b
+            key = ((b & M64) << 64 | a) << 8 | domain
+            i = get(key)
+            if i is None:
+                i = ids[key] = len(ids) + reserved + 1
+            return i
+        return intern
 
     def key(self, i: int) -> int:
         """The key the interning salt would hold for reserved id ``i``."""
@@ -502,7 +526,7 @@ class _Chains:
         offsets."""
         if not self.first <= t < self.last:
             return None, False
-        addr, data, n, step, s = self.by_id[bisect_right(self.starts, t) - 1][:5]
+        addr, data, n, step, s, _c0, _k, _top = self.by_id[bisect_right(self.starts, t) - 1]
         y = ea - addr
         if not word:
             return data[y], True
@@ -693,27 +717,14 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     2, 3, ... in creation order, so no two calculations collide.  The
     registers' initial values take ids 1 to 31, the loader's chains the
     range after them (`_Chains`), and every other calculation the ids
-    after that range."""
+    after that range.  A loader calculation's id is decoded from its blob
+    before any key is built, so only the others are interned."""
     # interned key -> id; one int per key keeps it small
     ids: dict[int, int] = {i << 8 | T_INIT: i for i in range(1, 32)}
-    get = ids.get
     chains = _Chains([b for b in image.blobs if b[3]], len(ids) + 1)
-    decode, reserved = chains.decode, chains.last - chains.first
-
-    def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
-        # ``a`` is a word or a salted word, below 2**64; ``b`` may be a
-        # negative immediate
-        key = ((b & M64) << 64 | a) << 8 | domain
-        i = get(key)
-        if i is None:
-            i = decode(domain, a, b)
-            if i is None:
-                i = ids[key] = len(ids) + reserved + 1
-        return i
-
     mixed: set[int] = set()
     snapshot: list[CleanStart] = []
-    outcome = _run(image, fuel, 0, intern, mixed, None, snapshot, chains)
+    outcome = _run(image, fuel, 0, chains.salt(ids), mixed, None, snapshot, chains)
     if not mixed:
         return SymbolicRun(outcome, {}, (), frozenset(), len(ids))
     # every effective address keys or probes a cell of its word, word + imm;
@@ -723,21 +734,16 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
                  and (w := ((k >> 8) + (k >> 72)) & M32 & ~3) in words]:
         words[w].append(i)
     groups = tuple(tuple(g) for g in words.values() if len(g) > 1)
-    # the closure, from the groups' ids down through their inputs
-    keys = list(ids)
-
-    def key(i: int) -> int:
-        if i < chains.first:
-            return keys[i - 1]
-        return chains.key(i) if i < chains.last else keys[i - 1 - reserved]
-
+    # the closure, from the groups' ids down through their inputs; a key is
+    # never 0, and the table holds none of the loader's
+    keys = {i: k for k, i in ids.items()}
     need: dict[int, int] = {}
     todo = [i for g in groups for i in g]
     while todo:
         i = todo.pop()
         if i in need or i == 0:  # id 0 is the literal tag 0
             continue
-        k = need[i] = key(i)
+        k = need[i] = keys.get(i) or chains.key(i)
         salted = _INPUTS[k & 0xFF][1]
         if salted:
             todo.append((k >> 40) & M32)
@@ -869,24 +875,25 @@ def _run(image: Image, fuel: int, seed: int, salt,
                     if written.get(w) != t:
                         _write_lane(written, w, ea & 3, t)
                     continue
-                cell = mem.get(key)
-                if cell is None and chains is not None and w not in written:
-                    # a word of an initialized blob that no store has touched
+                src = written.get(w)
+                if src is None and chains is not None:
+                    # a word no store has touched, so no cell yet: read the loader's
                     loaded, own = chains.read(t, ea, op == "lw")
                     if own:
                         if a != 0:
                             r[a] = loaded
                         continue
                     chains.build(w, mem, written)  # for the writers read below
-                    cell = mem.get(key)
-                if cell is None or written[w] != t and not _own(
-                        written[w], t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
+                    src = written.get(w)
+                cell = mem.get(key)
+                if cell is None or src != t and not _own(
+                        src, t, w, _WORD if op == "lw" else (ea & 3,), unloaded):
                     if snapshot is not None and not mixed:
                         snapshot.append(_clean_start(image, pc, steps + (pc - first) // 4, r,
                                                      out, mem, written))
                     mixed.add(w)
                     if cell is None:
-                        if w in written:
+                        if src is not None:
                             faults.append(Fault("AliasFault", pc, ea))
                             error, error_pc = "AliasFault", pc
                         else:

@@ -3,25 +3,28 @@
 `_engine._Chains` reserves for the loader's chains the ids that
 `_engine._preload` hands out under the interning salt, and works out
 their keys, each word's cells and lane writers, and each load of a word
-no store has touched, by arithmetic.  These tests hold it to `_preload`
-on the blob families of ``test_preload_digests``, and the symbolic run
-built on it to one that preloads every blob first, on programs that
-store into an initialized blob and reload it through both readings.
+no store has touched, by arithmetic.  The salt it hands the symbolic run
+decodes a loader calculation's id before it builds a key.  These tests
+hold it and that salt to `_preload` on the blob families of
+``test_preload_digests``, and the symbolic run built on it to one that
+preloads every blob first, on programs that store into an initialized
+blob and reload it through both readings, walk several blobs, or step a
+pointer past one blob into the next.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
 from aliascert import _engine, diff_runs, parse_program
-from aliascert._engine import M64, T_ADDIU, T_EA, T_LI
+from aliascert._engine import M64, T_ADDIU, T_EA, T_INIT, T_LI
 from aliascert.machine import M32
 
 from genprogs import generate_source
-from test_preload_digests import CORPUS, _families
+from test_preload_digests import BASE, CORPUS, _families
 from test_symbolic_digests import _loops
 
 FIRST = 32  # the first id after the registers' initial values, 1 to 31
@@ -29,15 +32,25 @@ FUEL = 10_000
 
 
 def _interning(ids: dict[int, int], first: int):
-    """The interning salt of `run_symbolic_image` before the loader's ids
-    were reserved: each new key takes the next id from ``first`` on."""
+    """Plain interning, the reference for the loader's reserved ids:
+    each new key takes the next id from ``first`` on."""
     def intern(seed: int, domain: int, a: int, b: int = 0) -> int:
         return ids.setdefault(((b & M64) << 64 | a) << 8 | domain, first + len(ids))
     return intern
 
 
+def _several():
+    """Sets of three initialized blobs of several steps and lengths, an
+    empty one among them, each on the word past the one before."""
+    data = bytes(range(0xA0, 0xA0 + 24))
+    for steps in product((1, 2, 4), (1, 3, 4), (2, 4, 5)):
+        for sizes in ((2, 3, 5), (4, 0, 8), (5, 9, 1), (8, 4, 12)):
+            addrs = accumulate((max(n, 1) + 3 & ~3 for n in sizes[:-1]), initial=BASE)
+            yield tuple((a, data[:n], step, True) for a, n, step in zip(addrs, sizes, steps))
+
+
 def _blob_sets():
-    for family, cases in _families():
+    for family, cases in [*_families(), ("several", list(_several()))]:
         for blobs in cases:
             yield family, tuple(b for b in blobs if b[3])
 
@@ -48,32 +61,77 @@ def _eager(blobs):
     return ids, mem, written
 
 
+def _salt(blobs):
+    """The interning salt `run_symbolic_image` runs with, over the chains
+    of ``blobs``, with its table of the registers' initial values."""
+    ids = {i << 8 | T_INIT: i for i in range(1, FIRST)}
+    chains = _engine._Chains(blobs, FIRST)
+    return chains.salt(ids), ids, chains
+
+
+def _call(salt, key: int) -> int:
+    """``salt`` on the calculation whose interned key is ``key``."""
+    return salt(0, key & 0xFF, key >> 8 & M64, key >> 72)
+
+
+def _starts(blobs) -> list[int]:
+    """The first id of each blob's chains, then the first id past them:
+    the li, the array reading, then each step of the chain and its span."""
+    sizes = [1 + n + -(-n // step) + max(0, n - step)
+             for _, data, step, _ in blobs for n in [len(data)]]
+    return list(accumulate(sizes, initial=FIRST))
+
+
 def test_each_reserved_id_and_key_is_the_eager_loaders():
     for family, blobs in _blob_sets():
-        ids, _, _ = _eager(blobs)
-        chains = _engine._Chains(blobs, FIRST)
-        # the li, the array reading, then each step of the chain and its span
-        sizes = [1 + n + -(-n // step) + max(0, n - step)
-                 for _, data, step, _ in blobs for n in [len(data)]]
-        assert chains.last - FIRST == len(ids) == sum(sizes), (family, blobs)
-        bounds = list(accumulate(sizes, initial=FIRST))  # each blob's first id
-        for key, i in ids.items():
+        eager, mem, written = _eager(blobs)
+        salt, ids, chains = _salt(blobs)
+        assert chains.last == len(eager) + FIRST == _starts(blobs)[-1], (family, blobs)
+        for key, i in eager.items():
             assert chains.key(i) == key, (family, blobs, i)
-            assert chains.decode(key & 0xFF, key >> 8 & M64, key >> 72) == i, (family, blobs, i)
-        # from every pointer, the calculations just inside and just outside the
-        # chains decode exactly when the loader made them
-        for key, p in ids.items():
-            if key & 0xFF == T_EA:
-                continue
-            ptr = p << 32 | (key >> 8) + (key >> 72 if key & 0xFF == T_ADDIU else 0) & M32
-            _, data, step, _ = blobs[bisect_right(bounds, p) - 1]
-            for domain, b in ([(T_EA, j) for j in range(-1, len(data) + 2)]
-                              + [(T_ADDIU, j) for j in (step - 1, step, step + 1)]):
-                want = ids.get(((b & M64) << 64 | ptr) << 8 | domain)
-                assert chains.decode(domain, ptr, b) == want, (family, blobs, p, domain, b)
-        for addr, _, _, _ in blobs:
-            assert chains.decode(T_LI, addr, 0) == ids[addr << 8 | T_LI]
-            assert chains.decode(T_LI, addr + 4, 0) in (None, ids.get((addr + 4) << 8 | T_LI))
+            assert _call(salt, key) == i, (family, blobs, i)
+        # the loader under the run's salt leaves what it leaves under plain
+        # interning, and puts no key in the table
+        assert _engine._preload(blobs, 0, salt) == (mem, written), (family, blobs)
+        assert len(ids) == FIRST - 1, (family, blobs)
+
+
+def _around(eager: dict[int, int], blobs):
+    """The calculations in and just outside the loader's chains of
+    ``blobs``, as ``(domain, a, b)``: from each pointer, the last step's
+    included, an effective address at every offset from -1 to just past
+    the data and at the step, and an ``addiu`` by the step and by one less
+    and one more; and the ``li`` of each address inside a blob."""
+    starts = _starts(blobs)
+    for key, p in eager.items():
+        domain = key & 0xFF
+        if domain == T_EA:
+            continue
+        word = (key >> 8) + (key >> 72 if domain == T_ADDIU else 0) & M32
+        _, data, step, _ = blobs[bisect_right(starts, p) - 1]
+        ptr = p << 32 | word
+        yield from ((T_EA, ptr, b) for b in (*range(-1, len(data) + 2), step))
+        yield from ((T_ADDIU, ptr, b) for b in (step - 1, step, step + 1))
+    for addr, data, _, _ in blobs:
+        yield from ((T_LI, addr + x, 0) for x in range(1, len(data)))
+
+
+def test_each_near_miss_takes_a_fresh_id_in_creation_order():
+    # a calculation the loader makes gets its reserved id; any other, an
+    # addiu by another immediate, an effective address past its pointer's
+    # span, anything from the last step's pointer, the li of an address
+    # inside a blob, gets the next id after the reserved range
+    for family, blobs in _blob_sets():
+        eager, _, _ = _eager(blobs)
+        salt, ids, chains = _salt(blobs)
+        fresh: dict[int, int] = {}
+        for domain, a, b in _around(eager, blobs):
+            key = ((b & M64) << 64 | a) << 8 | domain
+            want = eager.get(key) or fresh.setdefault(key, chains.last + len(fresh))
+            assert salt(0, domain, a, b) == want, (family, blobs, domain, a, b)
+        assert fresh and len(ids) == FIRST - 1 + len(fresh), (family, blobs)
+        # the loader's calculations keep their ids among the fresh ones
+        assert all(_call(salt, key) == i for key, i in eager.items()), (family, blobs)
 
 
 def test_each_word_built_is_the_eager_loaders():
@@ -115,9 +173,21 @@ def test_each_load_of_an_untouched_word_reads_the_eager_memory():
                 assert chains.read(t, w, True) == chains.read(t, w, False) == (None, False)
 
 
-def _program(body: list[str], data: str) -> str:
+def _program(body: list[str], data: str, *more: str) -> str:
+    """``body`` then ``jr ra``, with a blob ``buf`` of ``data`` and the
+    blobs ``more``, each as ``label: .bytes ...``."""
     return "\n".join(["#@ entry main", "main:", *(f"  {line}" for line in body),
-                      "  jr ra", "buf:", f"  .bytes {data}"]) + "\n"
+                      "  jr ra", "buf:", f"  .bytes {data}", *more]) + "\n"
+
+
+def _walk(label: str, step: int, count: int, loads: list[str]) -> list[str]:
+    """Step a pointer from ``li`` of ``label`` by ``step``, ``count``
+    times, running ``loads`` through it at each step and adding what
+    each loads into ``s0``."""
+    body = [f"li t0 {label}", f"addiu t3 zero {count}", f"walk_{label}:"]
+    for load in loads:
+        body += [load.format("v0", "t0"), "addu s0 s0 v0"]
+    return body + [f"addiu t0 t0 {step}", "addiu t3 t3 -1", f"bnez t3 walk_{label}"]
 
 
 # Stores into an initialized blob, then reloads through the array reading
@@ -146,6 +216,25 @@ STORES = {
                       "addiu t2 t2 1", "sb t2 0(t0)", "addiu t0 t0 1", "addiu t3 t3 -1",
                       "bnez t3 loop", "li t0 buf", "lw v0 0(t0)", "lw v1 4(t0)"],
                      '"abcdefgh"'),
+    # three initialized blobs, a noinit one between the first two, each
+    # walked along its string chain; then a store through the third's chain
+    # and reloads of it and of the first through their array readings
+    "three": _program([*_walk("buf", 1, 5, ["lb {} 0({})"]),
+                       *_walk("b", 2, 3, ["lb {} 0({})", "lb {} 1({})"]),
+                       *_walk("c", 4, 2, ["lw {} 0({})"]),
+                       "li t1 c", "addiu t2 t1 4", "sw s0 0(t2)", "lw v1 4(t1)",
+                       "lb a0 5(t1)", "li t1 buf", "lb a1 2(t1)"],
+                      '"abcde"', "gap: .bytes 1 2 3 4 5 6 noinit",
+                      'b: .bytes "fghijk" step=2', 'c: .bytes "lmnopqrs" step=4'),
+    # a string read past its blob's data into the next blob (ROADMAP item
+    # 18): the pointer stepped past the last step's is no chain pointer, and
+    # its load misses the next blob's cell; then the same with a step of 4,
+    # whose last step's pointer is the next blob's address
+    "past_end": _program(["li t0 buf", "lb v0 0(t0)", "addiu t0 t0 1", "lb v1 0(t0)",
+                          "addiu t0 t0 1", "addiu t0 t0 1", "addiu t0 t0 1", "li t1 t",
+                          "lb a0 0(t1)", "lb a1 0(t0)"], '"ab"', 't: .bytes "cd\\0"'),
+    "past_end4": _program(["li t0 buf", "lb v0 1(t0)", "addiu t0 t0 4", "li t1 t",
+                           "lb a0 0(t1)", "lb a1 0(t0)"], '"ab" step=4', 't: .bytes "cd\\0"'),
 }
 
 
@@ -192,10 +281,11 @@ def test_the_symbolic_run_is_the_one_that_preloads(name, source):
 def test_the_store_programs_reach_each_path():
     runs = {name: _engine.run_symbolic_image(_engine.build_image(parse_program(source)), FUEL)
             for name, source in STORES.items()}
-    assert runs["alias"].outcome.error == "AliasFault"
+    faulty = {"alias", "past_end", "past_end4"}
+    assert all(runs[name].outcome.error == "AliasFault" for name in faulty)
     assert {name for name, run in runs.items() if run.mixed} == {
-        "alias", "array", "string", "step4", "step2", "partial", "loop"}
-    assert all(run.outcome.ok for name, run in runs.items() if name != "alias")
+        "alias", "array", "string", "step4", "step2", "partial", "loop", "three", *faulty}
+    assert all(run.outcome.ok for name, run in runs.items() if name not in faulty)
 
 
 @pytest.mark.parametrize("bits", [32, 8, 3])

@@ -519,7 +519,10 @@ def test_no_source_text_ends_in_an_internal_error(tmp_path, source):
 # (rarely one that is not defined), entry and assume pragmas, blobs with
 # their attributes after the code, and lines repeated
 _G_REGS = ("zero", "sp", "ra", "gp", "t0", "t1", "a0", "v0")
-_G_IMMS = ("-32", "-8", "-4", "0", "1", "4", "8", "28")
+# decimal, and every other spelling the parser admits: hex, binary and octal
+# prefixes in either case, a leading +, and _ between digits
+_G_IMMS = ("-32", "-8", "-4", "0", "1", "4", "8", "28", "0x8", "0X4", "+4", "0b100", "0o10",
+           "2_8")
 _G_TARGETS = ("main", "f", "loop") * 3 + ("msg", "buf") * 3 + ("0x00400000", "nosuch")
 _G_BINDINGS = (("sp*=c^[0]", "sp*=c^[0]!?X", "sp*=c^[8,0]!{0,4}", "sp=c^[0]"),
                ("ra=u^0", "ra=?r"), ("gp=c^[0]", "gp=c^[0]!?W"), ("t0=c^[0]", "t0=?x"),
