@@ -40,8 +40,9 @@ distinct calculations of an arithmetically equal value disagree with
 overwhelming probability.  A tag is a :func:`root` per seed and domain,
 folded with each input in turn by :func:`fold`, so a check that
 evaluates many calculations of one seed computes each domain's root
-once and calls the same two functions.  ``TAG_MASK`` is the tag width,
-read at every call.
+once and calls the same two functions; :func:`tag` keeps the roots of
+the last few seeds, so a seeded run computes each root once too.
+``TAG_MASK`` is the tag width, read at every call.
 
 A tag is read only where it keys a cell; registers, comparisons, jumps
 and devices read words.  So `build_image` computes once, over all the
@@ -93,18 +94,21 @@ salted value, a ``sb`` one lane of the cell of its word with a plain
 byte, leaving the cell's tag 0.  A load that misses its cell is an alias
 fault when the word is written under some other key, and an
 uninitialized read otherwise.  The loader fills cells as if each blob
-had been stored along its canonical access chains.  A seeded run walks
-the chains before its first step (`_preload`).  The symbolic run
-reserves their ids instead and reads them in closed form (`_Chains`):
-a load of a word no store has touched is decided from its key's blob,
-offset and reading, and the first store into such a word, or a load
-there that is not self-sourced, builds the word's cells and writers as
-the walk would have left them.  The clean machine is the same loop
-with a salt that tags every calculation 0 (`run_clean_image`): every
-key is then the word address itself, every alias of an address hits
-its one cell, and the run has exact 32-bit semantics with no alias
-fault.  The two machines differ in one more way: the clean one preloads
-every data blob, the aliasing one only the initialized blobs.
+had been stored along its canonical access chains (`_Chains`), but an
+aliasing run starts from empty memory and builds a word's cells and
+writers at its first touch, naming each loader calculation with the
+run's own salt: a seed's tag in a seeded run, a reserved id in the
+symbolic run.  A seeded run builds a word at the first load or store
+that reaches it.  The symbolic run reads a word no store has touched in
+closed form instead, decided from its key's blob, offset and reading,
+and builds it at the first store into it, or at a load there that is
+not self-sourced.  So data a run never touches costs it nothing.  The
+clean machine is the same loop with a salt that tags every calculation
+0 (`run_clean_image`): every key is then the word address itself, every
+alias of an address hits its one cell, and the run has exact 32-bit
+semantics with no alias fault.  The two machines differ in one more
+way: the clean one lays out every data blob, the aliasing one loads only
+the initialized blobs.
 `machine.step` is the independent single-step reference both runs are
 tested against.
 
@@ -117,8 +121,8 @@ with 0 in every lane no blob covers: a plain map from word address to
 word.  Each blob is aligned to 4 bytes, and no two share a word (the
 parser lays them out so, and `build_image` refuses any other layout), so
 each word holds the bytes of one blob.  That is the memory every clean
-run starts from, at the entry or from a `CleanStart`; only
-the seeded machines walk the chains.
+run starts from, at the entry or from a `CleanStart`; only the aliasing
+machines build words along the chains.
 
 Beside the cells, the loop keeps for each written word the calculation
 (the tag of the effective address) that last wrote each of its four byte
@@ -182,14 +186,16 @@ given the symbolic run checks this for its seed over the few
 calculations concerned, which the symbolic run keeps as their interned
 keys, and runs the seeded loop only on a collision.  The registers'
 initial values take ids 1 to 31, the loader's chains the range after
-them, in the order the walk would intern them, and the run's other
+them, in the order an eager walk of the chains would intern them, and
+the run's other
 calculations the ids after that range, in the order they are interned.
 The salt decodes the id of a calculation whose input is one of the
 chains' pointers, or that is the ``li`` of a blob's address, from the
 blob before it builds any key (`_Chains.salt`), and builds and looks up
 a key only for every other calculation.  A loader calculation is never
 in the table, so the ids and their order are those a lookup first would
-give.  So the table holds those 31 keys and the others only
+give, and building a word through this salt interns nothing.  So the
+table holds those 31 keys and the others only
 (``interned`` counts them); the loader's keys and the effective
 addresses that reach each of its words follow from its blobs.  The
 symbolic run collects the calculations concerned by a walk from the
@@ -198,7 +204,7 @@ and keeps them sorted by id.  A seed's tag of a calculation is
 :func:`tag` applied to the tags of its inputs, and a key names each
 salted input by its id, so the check folds every tag from the bits of
 its key, oldest first; the tag 0 of the zero register, of byte stores
-and of preloaded data is a literal, not a calculation.
+and of loaded data is a literal, not a calculation.
 
 Callers look the entry points up in this module at call time, so a
 profiler can wrap them here.
@@ -208,6 +214,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .isa import BASE_ADDRESS, FORMATS, RA, SP, Program
@@ -247,8 +254,12 @@ def root(seed: int, domain: int) -> int:
     return fold(seed & M64, domain)
 
 
+# a seeded run's tags start from one seed's few roots
+_tag_root = lru_cache(maxsize=64)(root)
+
+
 def tag(seed: int, domain: int, *vals: int) -> int:
-    h = root(seed, domain)
+    h = _tag_root(seed, domain)
     for v in vals:
         h = fold(h, v)
     return h & TAG_MASK
@@ -312,6 +323,7 @@ _REGISTER_ONLY = frozenset(("move", "li", "addiu", "addu", "nand"))
 # the word-only form of each arithmetic mnemonic: its word, tagged 0
 _WORD_ONLY = {"li": "li.w", "addiu": "addiu.w", "addu": "addu.w", "nand": "nand.w"}
 _ACCESSES = frozenset(("lw", "lb", "sw", "sb"))  # the mnemonics that access memory
+_STORES = frozenset(("sw", "sb"))  # the mnemonics that store
 
 
 def _address_relevant(code) -> set[int]:
@@ -343,93 +355,38 @@ def _zero_tag(seed: int, domain: int, *vals: int) -> int:
     return 0
 
 
-def _preload(blobs, seed: int, salt):
-    """The memory of ``blobs`` and the writers of its words, as if stored
-    along one chain of pointers per blob: the load-immediate base spans
-    the whole blob (the array reading), then each step of the blob's
-    stride spans the next ``step`` bytes (the string reading).  Each
-    offset in a span is one effective address; it stores the aligned word
-    starting there when the span holds it, and its byte otherwise.  A
-    lane's writer is its one key, or the tuple of its keys in the order
-    they first wrote it.
-
-    The keys are calculated in the chain's order, then stored span by
-    span.  Every store puts the blob's own bytes at their own addresses,
-    so a cell holds the lanes stored through its key whatever the order."""
-    mem: dict[int, int] = {}
-    written: dict[int, int | tuple] = {}
-    get = mem.get
-    for addr, data, step, _init in blobs:
-        n = len(data)
-        ptr = salt(seed, T_LI, addr) << 32 | addr
-        if not n:
-            continue
-        base = [salt(seed, T_EA, ptr, j) for j in range(n)]  # offset x's key at x
-        chain = []  # offset x's key at x - step
-        for off in range(step, n + step, step):
-            ptr = salt(seed, T_ADDIU, ptr, step) << 32 | (ptr + step) & M32
-            for j in range(min(step, n - off)):
-                chain.append(salt(seed, T_EA, ptr, j))
-        lanes = [None] * (n + 3 & ~3)  # offset x's writers
-        _store_span(mem, lanes, addr, data, base, 0, 0, n)
-        if step < 4:  # a span shorter than a word stores one byte per offset
-            for a, t, v in zip(range(addr + step, addr + n), chain, data[step:]):
-                key = t << 32 | a & ~3
-                mem[key] = get(key, 0) | v << 8 * (a & 3)
-            lanes[step:n] = [
-                e if e == t else (e, t) if type(e) is not tuple else e if t in e else e + (t,)
-                for e, t in zip(lanes[step:n], chain)]
-        else:
-            for off in range(step, n, step):
-                _store_span(mem, lanes, addr, data, chain, step, off, min(off + step, n))
-        for i in range(0, n, 4):
-            rec = tuple(lanes[i:i + 4])
-            written[addr + i] = rec[0] if type(rec[0]) is int and rec.count(rec[0]) == 4 else rec
-    return mem, written
-
-
-def _store_span(mem: dict, lanes: list, addr: int, data: bytes, keys: list,
-                first: int, off: int, end: int) -> None:
-    """Store the span of offsets ``off`` to ``end`` of the blob at ``addr``,
-    offset ``x`` through ``keys[x - first]``, adding each key to the
-    writers ``lanes[x]`` of the offsets it covers."""
-    get = mem.get
-    for x in range(off, end):
-        t = keys[x - first]
-        a = addr + x
-        lane = a & 3
-        if lane == 0 and x + 4 <= end:
-            mem[t << 32 | a] = int.from_bytes(data[x:x + 4], "little")
-            new = t
-        else:
-            key = t << 32 | a - lane
-            mem[key] = get(key, 0) | data[x] << 8 * lane
-            # the key of the word this span stored over x first, if any
-            u = keys[x - lane - first] if x - lane >= off and x - lane + 4 <= end else t
-            new = t if u == t else (u, t)
-        e = lanes[x]
-        if e is None:
-            lanes[x] = new
-        elif e != new:
-            seen = list(e) if type(e) is tuple else [e]
-            seen += [v for v in (new if type(new) is tuple else (new,)) if v not in seen]
-            lanes[x] = tuple(seen)
-
-
 class _Chains:
-    """`_preload`'s chains of the initialized ``blobs`` under the interning
-    salt, in closed form.  The loader would hand out, blob by blob from
-    id ``first``: the ``li`` of the blob's address, the effective address
-    of each offset of the array reading, then for each step of the string
-    chain its ``addiu`` and the effective addresses of the offsets it
-    spans.  Each of those ids, its key, and each cell and lane writer the
-    loader leaves in a word follows from the blob's address, bytes and
-    step; none is interned.  A blob is ``(addr, data, n, step, li id,
-    first step's id, steps, last step's id)``."""
+    """The loader of the initialized ``blobs``, word by word.  The loader
+    stores each blob along one chain of pointers: the ``li`` of the blob's
+    address spans the whole blob (the array reading), then each ``addiu``
+    by the blob's step spans the next ``step`` bytes (the string reading),
+    and the last step's pointer, at or past the end of the data, spans
+    none.  Each offset in a span is one effective address; it stores the
+    aligned word starting there when the span holds it, and its byte
+    otherwise.  A lane's writer is its one key, or the tuple of its keys in
+    the order they first wrote it: the array reading's before the string
+    reading's, and a whole word's before a byte's.  Every store puts the
+    blob's own bytes at their own addresses, so a cell holds the lanes
+    stored through its key, whatever the order.
+
+    A run starts from empty memory and builds a word's cells and writers
+    at its first touch (`build`), naming each calculation with the run's
+    own salt.  For the symbolic run, the loader's calculations also have
+    ids reserved from ``first``, blob by blob, in the order an eager walk
+    would intern them: the ``li``, the effective address of each offset
+    of the array reading, then for each step its ``addiu`` and the
+    effective addresses of the offsets it spans.  Each of those ids, its
+    key, and each load of a word no store has touched follows from the
+    blob's address, bytes and step; none is interned.  A blob is
+    ``(addr, data, n, step, li id, first step's id, steps, last step's
+    id)``.  A ``_Chains`` serves one run: it keeps each blob's pointers
+    salted so far."""
 
     def __init__(self, blobs, first: int):
         self.first, self.li, self.by_id = first, {}, []
-        for addr, data, step, _init in blobs:
+        for addr, data, step, init in blobs:
+            if not init:
+                continue
             n, k = len(data), -(-len(data) // step)  # the last step ends past the data
             top = first + n + k + max(0, n - step)  # step k's id, or the li's when n is 0
             self.by_id.append((addr, data, n, step, first, first + n + 1, k, top))
@@ -439,21 +396,12 @@ class _Chains:
         self.starts = [b[4] for b in self.by_id]
         self.by_addr = sorted(self.by_id)
         self.addrs = [b[0] for b in self.by_addr]
+        self.ptrs: dict[int, list[int]] = {}  # blob address -> its salted pointers so far
 
     def _word(self, w: int):
         """The blob whose data holds word ``w``, with ``w``'s offset in it."""
         b = self.by_addr[bisect_right(self.addrs, w) - 1] if self.addrs else None
         return (b, w - b[0]) if b is not None and 0 <= w - b[0] < b[2] else (None, 0)
-
-    @staticmethod
-    def _at(b, y: int, chain: bool) -> tuple[int, int, int]:
-        """The id of the effective address that reaches offset ``y`` of blob
-        ``b`` in the array reading, or in the string chain, and the span of
-        offsets it is stored with."""
-        if not chain:
-            return b[4] + 1 + y, 0, b[2]
-        lo = y - y % b[3]
-        return b[5] + (lo // b[3] - 1) * (b[3] + 1) + 1 + y - lo, lo, min(lo + b[3], b[2])
 
     def salt(self, ids: dict[int, int]):
         """The interning salt over the table ``ids``, which holds the keys
@@ -512,9 +460,10 @@ class _Chains:
         b, x = self._word(w)
         if b is None:
             return []
-        ys = range(x, min(x + 4, b[2]))
-        return [self._at(b, y, False)[0] for y in ys] + [
-            self._at(b, y, True)[0] for y in ys if y >= b[3]]
+        _addr, _data, n, step, s, c0 = b[:6]
+        ys = range(x, min(x + 4, n))
+        return [s + 1 + y for y in ys] + [
+            c0 + (y // step - 1) * (step + 1) + 1 + y % step for y in ys if y >= step]
 
     def read(self, t: int, ea: int, word: bool) -> tuple[int | None, bool]:
         """A ``lw`` (``word``) or ``lb`` of ``ea`` through the id ``t`` of
@@ -534,26 +483,44 @@ class _Chains:
             return int.from_bytes(data[y:y + 4], "little"), True
         return data[y], y + 1 >= n
 
-    def build(self, w: int, mem: dict, written: dict) -> None:
-        """Fill word ``w``'s cells and lane writers as `_preload` leaves
-        them, when an initialized blob holds ``w``."""
+    def build(self, w: int, mem: dict, written: dict, seed: int, salt) -> None:
+        """Fill word ``w``'s cells and lane writers as the loader leaves
+        them, when an initialized blob holds ``w``, ``salt(seed, ...)``
+        naming each calculation: the blob's pointers once each, up to the
+        last that spans ``w``, and each effective address into ``w`` once.
+        Under the symbolic run's salt the names are the reserved ids.
+        Tags that collide share one cell, which holds every lane stored
+        through them."""
         b, x = self._word(w)
         if b is None:
             return
-        data, n = b[1], b[2]
-        lanes = []
-        for y in range(x, x + 4):
-            seen = []
-            for chain in () if y >= n else (False, True) if y >= b[3] else (False,):
-                i, lo, hi = self._at(b, y, chain)
-                if lo <= x and x + 4 <= hi:  # this reading stores the whole word
-                    j = self._at(b, x, chain)[0]
-                    mem[j << 32 | w] = int.from_bytes(data[x:x + 4], "little")
-                    seen.append(j)
-                if i not in seen:
-                    mem[i << 32 | w] = data[y] << 8 * (y - x)
-                    seen.append(i)
-            lanes.append(tuple(seen) if len(seen) > 1 else seen[0] if seen else None)
+        addr, data, n, step = b[:4]
+        ys = range(x, min(x + 4, n))
+        ptrs = self.ptrs.get(addr)
+        if ptrs is None:
+            ptrs = self.ptrs[addr] = [salt(seed, T_LI, addr) << 32 | addr]
+        for _ in range(len(ptrs), ys[-1] // step + 1):
+            p = ptrs[-1]
+            ptrs.append(salt(seed, T_ADDIU, p, step) << 32 | (p + step) & M32)
+        # each lane's keys: the array reading's, then the string chain's, each
+        # storing the whole word through its key of offset x when its span holds it
+        arr = [salt(seed, T_EA, ptrs[0], y) for y in ys]
+        chn = [salt(seed, T_EA, ptrs[y // step], y % step) if y >= step else None for y in ys]
+        whole = x + 4 <= n
+        ja = arr[0] if whole else None
+        jc = chn[0] if whole and step <= x and x % step + 4 <= step else None
+        lanes = [None] * 4
+        cells: dict[int, int] = {}  # tag -> the bytes stored through it, in their lanes
+        for k, (i, j) in enumerate(zip(arr, chn)):
+            v = data[x + k] << 8 * k
+            keys = []
+            for e in (ja, i, jc, j):
+                if e is not None and e not in keys:
+                    keys.append(e)
+                    cells[e] = cells.get(e, 0) | v
+            lanes[k] = keys[0] if len(keys) == 1 else tuple(keys)
+        for e, v in cells.items():
+            mem[e << 32 | w] = v
         e = lanes[0]
         written[w] = e if type(e) is int and lanes.count(e) == 4 else tuple(lanes)
 
@@ -588,7 +555,7 @@ def _write_lane(written: dict, w: int, lane: int, e: int) -> None:
 def _own(src, e: int, w: int, lanes, unloaded) -> bool:
     """Whether every lane in ``lanes`` of word ``w``, whose writers
     ``src`` records, was last written through ``e`` or by nobody,
-    ``unloaded`` holding the address ranges of the blobs not preloaded."""
+    ``unloaded`` holding the address ranges of the blobs not loaded."""
     if type(src) is not tuple:
         return src == e
     for lane in lanes:
@@ -624,7 +591,9 @@ def run_clean_image(image: Image, fuel: int, start: CleanStart | None = None) ->
 
 def run_alias_image(image: Image, fuel: int, seed: int,
                     symbolic: SymbolicRun | None = None) -> RunOutcome:
-    """The aliasing machine: seeded tags, ``noinit`` data left unwritten.
+    """The aliasing machine: seeded tags, each word of an initialized blob
+    built at the first load or store that reaches it, and ``noinit`` data
+    left unwritten.
 
     Given ``symbolic``, the symbolic run of the same ``image`` and
     ``fuel``, returns its outcome when ``seed`` tags distinctly the
@@ -721,7 +690,7 @@ def run_symbolic_image(image: Image, fuel: int) -> SymbolicRun:
     before any key is built, so only the others are interned."""
     # interned key -> id; one int per key keeps it small
     ids: dict[int, int] = {i << 8 | T_INIT: i for i in range(1, 32)}
-    chains = _Chains([b for b in image.blobs if b[3]], len(ids) + 1)
+    chains = _Chains(image.blobs, len(ids) + 1)
     mixed: set[int] = set()
     snapshot: list[CleanStart] = []
     outcome = _run(image, fuel, 0, chains.salt(ids), mixed, None, snapshot, chains)
@@ -783,19 +752,23 @@ def _run(image: Image, fuel: int, seed: int, salt,
     """Run ``image`` with ``salt(seed, domain, *inputs)`` tagging every
     calculation, adding to ``mixed`` the words of the loads that are not
     self-sourced and to ``snapshot`` the clean machine's state before the
-    first of them.  From the entry, the aliasing machine's initialized
-    blobs are preloaded, or, given their ``chains``, read in closed form
-    until a store or a load that is not self-sourced touches a word, which
-    is then built; given ``start``, a state of the clean machine, the run
-    goes on from there."""
+    first of them.  From the entry, memory starts empty, and a word of an
+    initialized blob is built (`_Chains.build`) at its first touch: at any
+    access in a seeded run, and in the symbolic run, given its ``chains``,
+    at a store or at a load that is not self-sourced, the other loads
+    reading it in closed form.  Given ``start``, a state of the clean
+    machine, the run goes on from there."""
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, got {fuel}")
     if start is None:
         r = [0] + [salt(seed, T_INIT, i) << 32 | _ENTRY_REGS[i] for i in range(1, 32)]
+        mem, written = {}, {}
+        # the accesses whose memo miss builds the word they first touch: all of
+        # them in a seeded run, which reads no reserved id; the symbolic run's stores
         if chains is None:
-            mem, written = _preload([b for b in image.blobs if b[3]], seed, salt)
+            build, builders = _Chains(image.blobs, 0).build, _ACCESSES
         else:
-            mem, written = {}, {}
+            build, builders = chains.build, _STORES
         pc, steps, out = image.entry_addr, 0, bytearray()
         # the bytes of the ``noinit`` blobs, which only the clean machine preloads
         unloaded = tuple(range(a, a + len(data)) for a, data, _, init in image.blobs
@@ -804,7 +777,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
         r, mem = list(start.regs), dict(start.memory)
         written = dict.fromkeys(mem, 0)
         pc, steps, out = start.pc, start.steps, bytearray(start.output)
-        unloaded = ()
+        unloaded = builders = ()
     if mixed is None:
         mixed = set()
     faults: list[Fault] = []
@@ -864,8 +837,8 @@ def _run(image: Image, fuel: int, seed: int, salt,
                     key = t << 32 | w
                     shift = 8 * (ea & 3)
                     memo[pc] = (base, t, key, w, ea, shift)
-                    if chains is not None and op[0] == "s" and w not in written:
-                        chains.build(w, mem, written)  # a store's first touch
+                    if op in builders and w not in written:
+                        build(w, mem, written, seed, salt)
                 if op == "sw":
                     mem[key] = r[a]
                     written[w] = t
@@ -883,7 +856,7 @@ def _run(image: Image, fuel: int, seed: int, salt,
                         if a != 0:
                             r[a] = loaded
                         continue
-                    chains.build(w, mem, written)  # for the writers read below
+                    build(w, mem, written, seed, salt)  # for the writers read below
                     src = written.get(w)
                 cell = mem.get(key)
                 if cell is None or src != t and not _own(

@@ -1,30 +1,34 @@
-"""The symbolic run's closed-form loader against the eager one.
+"""The interpreter's loader, which builds a word at its first touch,
+against the eager reference.
 
-`_engine._Chains` reserves for the loader's chains the ids that
-`_engine._preload` hands out under the interning salt, and works out
-their keys, each word's cells and lane writers, and each load of a word
-no store has touched, by arithmetic.  The salt it hands the symbolic run
-decodes a loader calculation's id before it builds a key.  These tests
-hold it and that salt to `_preload` on the blob families of
+`_engine._Chains` reserves for the loader's chains the ids that the
+eager `test_preload_digests.preload` hands out under the interning salt,
+and works out their keys and each load of a word no store has touched
+by arithmetic.  The salt it hands the symbolic run decodes a loader
+calculation's id before it builds a key.  Its `build` fills a word's
+cells and lane writers under any run's salt: the reserved ids under the
+symbolic run's, a seed's tags under the seeded one.  These tests hold
+it and that salt to `preload` on the blob families of
 ``test_preload_digests``, and the symbolic run built on it to one that
-preloads every blob first, on programs that store into an initialized
-blob and reload it through both readings, walk several blobs, or step a
-pointer past one blob into the next.
+serves every word from a `preload` made up front, on programs that store
+into an initialized blob and reload it through both readings, walk
+several blobs, or step a pointer past one blob into the next.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate, product
 
 import pytest
 
 from aliascert import _engine, diff_runs, parse_program
-from aliascert._engine import M64, T_ADDIU, T_EA, T_INIT, T_LI
+from aliascert._engine import M64, T_ADDIU, T_EA, T_INIT, T_LI, tag
 from aliascert.machine import M32
 
 from genprogs import generate_source
-from test_preload_digests import BASE, CORPUS, _families
+from test_preload_digests import BASE, CORPUS, TAG_BITS, _families, preload
 from test_symbolic_digests import _loops
 
 FIRST = 32  # the first id after the registers' initial values, 1 to 31
@@ -57,7 +61,7 @@ def _blob_sets():
 
 def _eager(blobs):
     ids: dict[int, int] = {}
-    mem, written = _engine._preload(blobs, 0, _interning(ids, FIRST))
+    mem, written = preload(blobs, 0, _interning(ids, FIRST))
     return ids, mem, written
 
 
@@ -92,7 +96,7 @@ def test_each_reserved_id_and_key_is_the_eager_loaders():
             assert _call(salt, key) == i, (family, blobs, i)
         # the loader under the run's salt leaves what it leaves under plain
         # interning, and puts no key in the table
-        assert _engine._preload(blobs, 0, salt) == (mem, written), (family, blobs)
+        assert preload(blobs, 0, salt) == (mem, written), (family, blobs)
         assert len(ids) == FIRST - 1, (family, blobs)
 
 
@@ -134,21 +138,48 @@ def test_each_near_miss_takes_a_fresh_id_in_creation_order():
         assert all(_call(salt, key) == i for key, i in eager.items()), (family, blobs)
 
 
+def _built(chains, words, seed: int, salt) -> tuple[dict, dict]:
+    """The cells and writers ``chains`` builds for each of ``words`` under
+    ``salt`` and ``seed``, word by word in that order, each into its own
+    empty memory."""
+    mem, written = {}, {}
+    for w in words:
+        cells, built = {}, {}
+        chains.build(w, cells, built, seed, salt)
+        assert set(built) <= {w} and all(k & M32 == w for k in cells), w
+        mem.update(cells)
+        written.update(built)
+    return mem, written
+
+
 def test_each_word_built_is_the_eager_loaders():
     for family, blobs in _blob_sets():
         ids, mem, written = _eager(blobs)
-        chains = _engine._Chains(blobs, FIRST)
-        for w, writers in written.items():
-            cells, built = {}, {}
-            chains.build(w, cells, built)
-            assert built == {w: writers}, (family, blobs, w)
-            assert cells == {k: v for k, v in mem.items() if k & M32 == w}, (family, blobs, w)
+        salt, table, chains = _salt(blobs)
         # words past each blob's data, and below them all, hold nothing
         outside = [addr + (len(data) + 3 & ~3) for addr, data, _, _ in blobs]
-        for w in outside + [min((b[0] for b in blobs), default=8) - 4]:
-            cells, built = {}, {}
-            chains.build(w, cells, built)
-            assert w in written or cells == built == {}, (family, blobs, w)
+        outside += [min((b[0] for b in blobs), default=8) - 4]
+        built = _built(chains, [*written, *(w for w in outside if w not in written)], 0, salt)
+        assert built == (mem, written), (family, blobs)
+        assert len(table) == FIRST - 1, (family, blobs)  # and nothing is interned
+
+
+@pytest.mark.parametrize("bits", TAG_BITS)
+def test_each_word_built_under_a_seed_is_the_eager_loaders(bits, monkeypatch):
+    # narrow tags make loader calculations collide: their lanes then share
+    # one cell, as the eager walk leaves them; words are built from the
+    # last down, so each blob's pointers are salted from its far end first
+    monkeypatch.setattr(_engine, "TAG_MASK", (1 << bits) - 1)
+    shared = 0  # the blob sets and seeds where some cell is shared
+    for family, blobs in _blob_sets():
+        cells = len(_eager(blobs)[1])  # one per calculation and word
+        for seed in range(6):
+            mem, written = preload(blobs, seed, _engine.tag)
+            chains = _engine._Chains(blobs, FIRST)
+            assert _built(chains, sorted(written, reverse=True), seed, _engine.tag) == (
+                mem, written), (family, blobs, seed)
+            shared += len(mem) < cells
+    assert (shared > 0) == (bits < 32)
 
 
 def test_each_load_of_an_untouched_word_reads_the_eager_memory():
@@ -246,14 +277,41 @@ def _sources():
     yield from ((f"loops/{i}", source) for i, (source, _, _) in enumerate(_loops()))
 
 
+class _Preloaded:
+    """A stand-in for the symbolic run's `_engine._Chains`: each word is
+    served from a `preload` of the initialized ``blobs`` made up front
+    under ``salt``, and no load is read in closed form."""
+
+    def __init__(self, blobs, salt):
+        mem, self.written = preload([b for b in blobs if b[3]], 0, salt)
+        self.cells: dict[int, dict[int, int]] = {}
+        for k, v in mem.items():
+            self.cells.setdefault(k & M32, {})[k] = v
+
+    def read(self, t: int, ea: int, word: bool):
+        return None, False
+
+    def build(self, w: int, mem: dict, written: dict, seed: int, salt) -> None:
+        if w in self.written:
+            mem.update(self.cells[w])
+            written[w] = self.written[w]
+
+
 def _eager_symbolic(image, fuel: int):
-    """The symbolic run with every initialized blob preloaded first: its
-    outcome, mixed words, clean start and interned ids, and its groups
-    as the scan of every interned key found them."""
+    """The symbolic run with every word served from a `preload` of the
+    initialized blobs made up front: its outcome, mixed words, clean
+    start and interned ids, and its groups as the scan of every interned
+    key found them.  The registers' initial values are interned before
+    the loader's keys, as a run from the entry interns them, so that
+    every id keeps its order."""
     ids: dict[int, int] = {}
+    salt = _interning(ids, 1)
+    for i in range(1, FIRST):
+        salt(0, T_INIT, i)
     mixed: set[int] = set()
     snapshot: list = []
-    outcome = _engine._run(image, fuel, 0, _interning(ids, 1), mixed, None, snapshot)
+    outcome = _engine._run(image, fuel, 0, salt, mixed, None, snapshot,
+                           _Preloaded(image.blobs, salt))
     words: dict[int, list[int]] = {w: [] for w in mixed}
     for k, i in ids.items():
         w = ((k >> 8) + (k >> 72)) & M32 & ~3
@@ -310,14 +368,28 @@ def _untouched(size: int, init: bool, faulty: bool) -> str:
 
 @pytest.mark.parametrize("faulty", [False, True])
 @pytest.mark.parametrize("init", [True, False])
-def test_data_a_run_never_touches_costs_nothing(init, faulty):
+def test_data_a_run_never_touches_costs_nothing(init, faulty, monkeypatch):
+    # the symbolic run interns, and a seeded run salts, the same whatever
+    # the size of the blob neither reads
+    tags: Counter = Counter()
+
+    def counted(seed: int, domain: int, *vals: int) -> int:
+        tags[domain] += 1
+        return tag(seed, domain, *vals)
+
     runs, closures = [], []
     for size in (16, 100_000):
         program = parse_program(_untouched(size, init, faulty))
-        symbolic = _engine.run_symbolic_image(_engine.build_image(program), FUEL)
+        image = _engine.build_image(program)
+        symbolic = _engine.run_symbolic_image(image, FUEL)
         report = diff_runs(program, seeds=8)
+        tags.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_engine, "tag", counted)
+            seeded = _engine.run_alias_image(image, FUEL, 3)
+        assert seeded == symbolic.outcome
         runs.append((symbolic.interned, len(symbolic.closure), report, report.checked_words,
-                     report.seeded_runs, report.resumed_at))
+                     report.seeded_runs, report.resumed_at, dict(tags)))
         closures.append(symbolic.closure)
         assert bool(symbolic.mixed) == faulty and report.ok != faulty
     assert runs[0] == runs[1]
